@@ -11,7 +11,7 @@ than hard-coded, so there is a single source of truth for the twist.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .diagram import (
     UNIT_TANGLE,
@@ -24,7 +24,7 @@ from .diagram import (
     reduce as reduce_diagram,
     reduce_parallel,
 )
-from .scalar import ONE, HalfLaurent
+from .scalar import ONE, ZERO, HalfLaurent, LinearCombination
 
 #: Crossing kind used when the east half-twist braid reverses strand order.
 #: The inverse twist uses the opposite kind.  Pinned by the oracle tests
@@ -50,10 +50,10 @@ def unit() -> SkeinElement:
     return SkeinElement.unit()
 
 
-class TensorElement:
+class TensorElement(LinearCombination):
     """Linear combination of k-tuples of basis tangles (k-fold tensors)."""
 
-    __slots__ = ("arity", "_terms")
+    __slots__ = ("arity",)
 
     def __init__(
         self,
@@ -62,114 +62,55 @@ class TensorElement:
         | Iterable[tuple[tuple[BasisTangle, ...], HalfLaurent]] = (),
     ):
         self.arity = arity
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        canon: dict[tuple[BasisTangle, ...], HalfLaurent] = {}
-        for key, c in items:
+        items = list(terms.items() if isinstance(terms, dict) else terms)
+        for key, _ in items:
             if len(key) != arity:
                 raise ValueError(f"tensor key arity {len(key)} != {arity}")
-            if not c.is_zero():
-                acc = canon.get(key)
-                tot = c if acc is None else acc + c
-                if tot.is_zero():
-                    canon.pop(key, None)
-                else:
-                    canon[key] = tot
-        self._terms = canon
+        super().__init__(items)
 
     @classmethod
     def zero(cls, arity: int) -> TensorElement:
         return cls(arity)
 
-    def items(self) -> Iterator[tuple[tuple[BasisTangle, ...], HalfLaurent]]:
-        return iter(sorted(self._terms.items(), key=lambda kv: kv[0]))
+    def _like(self, terms):
+        res = super()._like(terms)
+        res.arity = self.arity
+        return res
 
-    def is_zero(self) -> bool:
-        return not self._terms
+    def add_scaled(self, other: TensorElement, c: HalfLaurent = ONE) -> None:
+        if self.arity != other.arity:
+            raise ValueError("tensor arity mismatch")
+        super().add_scaled(other, c)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorElement):
+        if type(other) is not TensorElement:
             return NotImplemented
         return self.arity == other.arity and self._terms == other._terms
 
-    def __add__(self, other: TensorElement) -> TensorElement:
-        if self.arity != other.arity:
-            raise ValueError("tensor arity mismatch")
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            acc = out.get(k)
-            tot = c if acc is None else acc + c
-            if tot.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = tot
-        res = TensorElement.__new__(TensorElement)
-        res.arity = self.arity
-        res._terms = out
-        return res
-
-    def __sub__(self, other: TensorElement) -> TensorElement:
-        return self + other.scale(-ONE)
-
-    def scale(self, coeff: HalfLaurent) -> TensorElement:
-        res = TensorElement.__new__(TensorElement)
-        res.arity = self.arity
-        res._terms = {} if coeff.is_zero() else {k: c * coeff for k, c in self._terms.items()}
-        return res
-
-    def apply(self, slot: int, fn: Callable[[BasisTangle], SkeinElement]) -> TensorElement:
-        """Apply a linear map (given on basis tangles) in one tensor slot."""
-        out = TensorElement.zero(self.arity)
-        for key, c in self._terms.items():
-            img = fn(key[slot])
-            part = TensorElement(
-                self.arity,
-                {key[:slot] + (b,) + key[slot + 1 :]: cc * c for b, cc in img.items()},
-            )
-            out = out + part
-        return out
-
-    def contract(self, slot: int, fn: Callable[[BasisTangle], HalfLaurent]) -> TensorElement | SkeinElement:
-        """Apply a linear functional in one slot, dropping it."""
-        if self.arity == 1:
-            raise ValueError("contract would produce arity 0; use functional directly")
-        out = TensorElement.zero(self.arity - 1)
-        for key, c in self._terms.items():
-            w = fn(key[slot]) * c
-            if not w.is_zero():
-                out = out + TensorElement(self.arity - 1, {key[:slot] + key[slot + 1 :]: w})
-        if out.arity == 1:
-            return SkeinElement({k[0]: c for k, c in out._terms.items()})
-        return out
-
-    def flip(self) -> TensorElement:
-        if self.arity != 2:
-            raise ValueError("flip is for 2-fold tensors")
-        return TensorElement(2, {(k[1], k[0]): c for k, c in self._terms.items()})
+    __hash__ = LinearCombination.__hash__
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for key, c in self.items():
-            factors = " (x) ".join(str(b) for b in key)
-            parts.append(f"({c}) * {factors}")
-        return "  +  ".join(parts)
+        from .syntax import format_tensor
+
+        return format_tensor(self, lambda key: key)
 
     def __repr__(self) -> str:
         return f"TensorElement({str(self)!r})"
 
 
 def tensor2(x: SkeinElement, y: SkeinElement) -> TensorElement:
-    return TensorElement(
-        2, {(bx, by): cx * cy for bx, cx in x.items() for by, cy in y.items()}
-    )
+    out = TensorElement.zero(2)
+    for bx, cx in x.items():
+        for by, cy in y.items():
+            out.add_term((bx, by), cx * cy)
+    return out
 
 
 def linear(fn: Callable[[BasisTangle], SkeinElement]) -> Callable[[SkeinElement], SkeinElement]:
     def ext(x: SkeinElement) -> SkeinElement:
         out = SkeinElement.zero()
         for b, c in x.items():
-            out = out + fn(b).scale(c)
+            out.add_scaled(fn(b), c)
         return out
 
     return ext
@@ -183,8 +124,7 @@ def mul(x: SkeinElement, y: SkeinElement) -> SkeinElement:
     out = SkeinElement.zero()
     for bx, cx in x.items():
         for by, cy in y.items():
-            part = reduce_parallel(bx.mu + by.mu, bx.nu + by.nu)
-            out = out + part.scale(cx * cy)
+            out.add_scaled(reduce_parallel(bx.mu + by.mu, bx.nu + by.nu), cx * cy)
     return out
 
 
@@ -207,18 +147,12 @@ def comul(x: SkeinElement) -> TensorElement:
     out = TensorElement.zero(2)
     for b, c in x.items():
         for eta in _state_vectors(b.n):
-            left = reduce_parallel(b.mu, eta)
-            right = reduce_parallel(eta, b.nu)
-            out = out + tensor2(left, right).scale(c)
+            out.add_scaled(tensor2(reduce_parallel(b.mu, eta), reduce_parallel(eta, b.nu)), c)
     return out
 
 
 def counit(x: SkeinElement) -> HalfLaurent:
-    out = HalfLaurent.zero()
-    for b, c in x.items():
-        if b.mu == b.nu:
-            out = out + c
-    return out
+    return sum((c for b, c in x.items() if b.mu == b.nu), ZERO)
 
 
 def _arc_product(states: tuple[State, ...]) -> HalfLaurent:
@@ -318,10 +252,10 @@ def convolve(f: Callable[[SkeinElement], HalfLaurent], g: Callable[[SkeinElement
     """Convolution product of two linear functionals on the bigon algebra."""
 
     def fg(x: SkeinElement) -> HalfLaurent:
-        out = HalfLaurent.zero()
-        for (b1, b2), c in comul(x).items():
-            out = out + f(SkeinElement.of(b1)) * g(SkeinElement.of(b2)) * c
-        return out
+        return sum(
+            (f(SkeinElement.of(b1)) * g(SkeinElement.of(b2)) * c for (b1, b2), c in comul(x).items()),
+            ZERO,
+        )
 
     return fg
 
@@ -335,18 +269,14 @@ def ht_coaction(x: SkeinElement) -> SkeinElement:
     """Half twist of the algebra coacting on itself: (id (x) t) o comul."""
     out = SkeinElement.zero()
     for (b1, b2), c in comul(x).items():
-        w = t_form(SkeinElement.of(b2)) * c
-        if not w.is_zero():
-            out = out + SkeinElement.of(b1, w)
+        out.add_term(b1, t_form(SkeinElement.of(b2)) * c)
     return out
 
 
 def ht_coaction_inverse(x: SkeinElement) -> SkeinElement:
     out = SkeinElement.zero()
     for (b1, b2), c in comul(x).items():
-        w = t_inv_form(SkeinElement.of(b2)) * c
-        if not w.is_zero():
-            out = out + SkeinElement.of(b1, w)
+        out.add_term(b1, t_inv_form(SkeinElement.of(b2)) * c)
     return out
 
 
@@ -383,26 +313,20 @@ def _r_basis(bx: BasisTangle, by: BasisTangle) -> HalfLaurent:
     elif bx.n > 1:
         # R(g x' (x) z) = sum R(g (x) z_(1)) R(x' (x) z_(2))
         g, rest = _split_first_strand(bx)
-        out = HalfLaurent.zero()
-        for (z1, z2), c in comul(SkeinElement.of(by)).items():
-            out = out + _r_basis(g, z1) * _r_basis(rest, z2) * c
+        legs = comul(SkeinElement.of(by)).items()
+        out = sum((_r_basis(g, z1) * _r_basis(rest, z2) * c for (z1, z2), c in legs), ZERO)
     else:
         # R(x (x) h y') = sum R(x_(1) (x) y') R(x_(2) (x) h)
         h, rest = _split_first_strand(by)
-        out = HalfLaurent.zero()
-        for (x1, x2), c in comul(SkeinElement.of(bx)).items():
-            out = out + _r_basis(x1, rest) * _r_basis(x2, h) * c
+        legs = comul(SkeinElement.of(bx)).items()
+        out = sum((_r_basis(x1, rest) * _r_basis(x2, h) * c for (x1, x2), c in legs), ZERO)
     _r_memo[key] = out
     return out
 
 
 def r_form(x: SkeinElement, y: SkeinElement) -> HalfLaurent:
     """Co-R-matrix as a bilinear functional on the bigon algebra."""
-    out = HalfLaurent.zero()
-    for bx, cx in x.items():
-        for by, cy in y.items():
-            out = out + _r_basis(bx, by) * cx * cy
-    return out
+    return sum((_r_basis(bx, by) * cx * cy for bx, cx in x.items() for by, cy in y.items()), ZERO)
 
 
 def braided_opposite_mul(x: SkeinElement, y: SkeinElement) -> SkeinElement:
@@ -412,7 +336,7 @@ def braided_opposite_mul(x: SkeinElement, y: SkeinElement) -> SkeinElement:
         for (y1, y2), cy in comul(y).items():
             w = _r_basis(x2, y2) * cx * cy
             if not w.is_zero():
-                out = out + mul(SkeinElement.of(y1), SkeinElement.of(x1)).scale(w)
+                out.add_scaled(mul(SkeinElement.of(y1), SkeinElement.of(x1)), w)
     return out
 
 
@@ -432,7 +356,7 @@ def braided_opposite_mul_diagrammatic(x: SkeinElement, y: SkeinElement) -> Skein
                     slices.append(("x", i + j))
             word = SliceWord(p + r, tuple(slices))
             stated = StatedWord(word, by.mu + bx.mu, bx.nu + by.nu)
-            out = out + reduce_diagram(stated).scale(cx * cy)
+            out.add_scaled(reduce_diagram(stated), cx * cy)
     return out
 
 

@@ -19,7 +19,7 @@ import threading
 from pathlib import Path
 
 from . import diagram
-from .diagram import COEFFS, CROSS_PARALLEL, CROSS_TURNBACK, SkeinElement
+from .diagram import CROSS_PARALLEL, CROSS_TURNBACK, SkeinElement
 from .scalar import LOOP
 
 CACHE_ENV_VAR = "SKEINLAB_CACHE"
@@ -34,10 +34,10 @@ def convention_fingerprint() -> str:
         _FORMAT,
         f"loop={LOOP}",
         f"cross={CROSS_PARALLEL}|{CROSS_TURNBACK}",
-        f"C={COEFFS.C[(1, -1)]}|{COEFFS.C[(-1, 1)]}",
-        f"Cbar={COEFFS.Cbar[(1, -1)]}|{COEFFS.Cbar[(-1, 1)]}",
-        f"xch-e={COEFFS.east_exchange_swap}|{COEFFS.east_exchange_arc}",
-        f"xch-w={COEFFS.west_exchange_swap}|{COEFFS.west_exchange_arc}",
+        f"C={diagram.C[(1, -1)]}|{diagram.C[(-1, 1)]}",
+        f"Cbar={diagram.CBAR[(1, -1)]}|{diagram.CBAR[(-1, 1)]}",
+        f"xch-e={diagram.EAST_EXCHANGE_SWAP}|{diagram.EAST_EXCHANGE_ARC}",
+        f"xch-w={diagram.WEST_EXCHANGE_SWAP}|{diagram.WEST_EXCHANGE_ARC}",
         f"ht={HALF_TWIST_CROSSING}|{HALF_TWIST_INVERSE_CROSSING}",
     ]
     return hashlib.sha256(";".join(parts).encode()).hexdigest()

@@ -85,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", action="append", metavar="S0")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=SUITES + ("all",))
@@ -98,9 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--cache", default=None, metavar="PATH",
                    help=f"structure-constant cache file (default ${CACHE_ENV_VAR})")
-    p.add_argument("--workers", type=int, default=1,
-                   help="evaluate independent cases from a thread pool "
-                        "(results identical; exact arithmetic is GIL-bound)")
     p.add_argument("--symbolic", action="store_true",
                    help="also run symbolic (function-field) dimension checks")
     p.add_argument("--oracle-words", type=int, default=200)
@@ -183,7 +179,6 @@ def main(argv: list[str] | None = None) -> int:
                 specs=specs,
                 seed=args.seed or 0,
                 max_points=args.max_points,
-                workers=args.workers,
             )
             return _emit_report(report, args.json)
         if args.command == "verify":
@@ -202,7 +197,6 @@ def main(argv: list[str] | None = None) -> int:
                     max_points=args.max_points,
                     symbolic=args.symbolic,
                     oracle_words=args.oracle_words,
-                    workers=args.workers,
                 )
             finally:
                 if cache:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import bigon_skein, quantum_sl2
-from .diagram import SliceWord, State
+from .diagram import C, CBAR, CROSS_PARALLEL, CROSS_TURNBACK, SliceWord, State
 from .quantum_sl2 import HopfElement, comul as hopf_comul, counit as hopf_counit, mul as hopf_mul
 from .scalar import ONE, HalfLaurent
 
@@ -60,7 +60,7 @@ class Comodule:
                     right = self.coaction[k][j]
                     for m1, c1 in left.items():
                         for m2, c2 in right.items():
-                            rhs = rhs + quantum_sl2.HopfTensor({(m1, m2): c1 * c2})
+                            rhs.add_term((m1, m2), c1 * c2)
                 if lhs != rhs:
                     raise ComoduleError(f"coassociativity fails at ({i},{j})")
 
@@ -94,25 +94,6 @@ def tensor_power_V(n: int) -> Comodule:
     return out
 
 
-class _QuantumPlaneTensor:
-    """Elements of (quantum plane) (x) O, used to coact on plane monomials."""
-
-    def __init__(self, terms: dict[tuple[int, int], HopfElement]):
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
-
-    def mul(self, other: _QuantumPlaneTensor) -> _QuantumPlaneTensor:
-        out: dict[tuple[int, int], HopfElement] = {}
-        for (p1, r1), h1 in self.terms.items():
-            for (p2, r2), h2 in other.terms.items():
-                # y^r1 x^p2 = q^(2 r1 p2) x^p2 y^r1
-                coeff = HalfLaurent.q_pow(2 * r1 * p2)
-                key = (p1 + p2, r1 + r2)
-                add = hopf_mul(h1, h2).scale(coeff)
-                acc = out.get(key)
-                out[key] = add if acc is None else acc + add
-        return _QuantumPlaneTensor(out)
-
-
 def quantum_plane_Vn(n: int) -> Comodule:
     """Simple comodule on degree-n quantum plane monomials x^(n-i) y^i."""
     if n < 0:
@@ -120,19 +101,24 @@ def quantum_plane_Vn(n: int) -> Comodule:
     if n == 0:
         return trivial()
     g = quantum_sl2.gen
-    coact_x = _QuantumPlaneTensor({(1, 0): g("a"), (0, 1): g("c")})
-    coact_y = _QuantumPlaneTensor({(1, 0): g("b"), (0, 1): g("d")})
+    # Coactions on x and y as {(x power, y power): coefficient in O}.
+    coact = {"x": {(1, 0): g("a"), (0, 1): g("c")}, "y": {(1, 0): g("b"), (0, 1): g("d")}}
     rows = [[HopfElement.zero() for _ in range(n + 1)] for _ in range(n + 1)]
     for j in range(n + 1):
-        acc = _QuantumPlaneTensor({(0, 0): HopfElement.one()})
-        for _ in range(n - j):
-            acc = acc.mul(coact_x)
-        for _ in range(j):
-            acc = acc.mul(coact_y)
-        for (p, r), h in acc.terms.items():
+        # Coact on x^(n-j) y^j one letter at a time, keeping monomials x^p y^r.
+        acc = {(0, 0): HopfElement.one()}
+        for letter in "x" * (n - j) + "y" * j:
+            nxt: dict[tuple[int, int], HopfElement] = {}
+            for (p1, r1), h1 in acc.items():
+                for (p2, r2), h2 in coact[letter].items():
+                    # y^r1 x^p2 = q^(2 r1 p2) x^p2 y^r1
+                    part = nxt.setdefault((p1 + p2, r1 + r2), HopfElement.zero())
+                    part.add_scaled(hopf_mul(h1, h2), HalfLaurent.q_pow(2 * r1 * p2))
+            acc = nxt
+        for (p, r), h in acc.items():
             if p + r != n:
                 raise ComoduleError("coaction did not preserve degree")
-            rows[r][j] = rows[r][j] + h
+            rows[r][j] = h
     return Comodule(n + 1, tuple(tuple(row) for row in rows))
 
 
@@ -153,19 +139,10 @@ def state_index(states: Sequence[State]) -> int:
     return idx
 
 
-#: Cap matrix on (++, +-, -+, --) and cup column, fixed values.
-CAP_VALUES = (
-    HalfLaurent.zero(),
-    HalfLaurent.s_pow(5, -1),
-    HalfLaurent.s_pow(1),
-    HalfLaurent.zero(),
-)
-CUP_VALUES = (
-    HalfLaurent.zero(),
-    HalfLaurent.s_pow(-1),
-    HalfLaurent.s_pow(-5, -1),
-    HalfLaurent.zero(),
-)
+#: Cap matrix on (++, +-, -+, --) and cup column: the west and the east
+#: returning-arc weights of the diagram engine.
+CAP_VALUES = tuple(CBAR[pair] for pair in state_tuples(2))
+CUP_VALUES = tuple(C[pair] for pair in state_tuples(2))
 
 
 def _zeros(rows: int, cols: int) -> Matrix:
@@ -223,8 +200,7 @@ def _cup_matrix(rows: int, i: int) -> Matrix:
 
 
 def _crossing_matrix(rows: int, i: int, over: bool) -> Matrix:
-    para = HalfLaurent.q_pow(1) if over else HalfLaurent.q_pow(-1)
-    turn = HalfLaurent.q_pow(-1) if over else HalfLaurent.q_pow(1)
+    para, turn = (CROSS_PARALLEL, CROSS_TURNBACK) if over else (CROSS_TURNBACK, CROSS_PARALLEL)
     ident = identity_matrix(1 << rows)
     turnback = mat_mul(_cup_matrix(rows - 2, i), _cap_matrix(rows, i))
     out = _zeros(1 << rows, 1 << rows)
@@ -330,11 +306,10 @@ def intertwiner_dimension(
     from .quantum_sl2 import pbw_monomials
 
     n_unknowns = w1.dim * w2.dim
-    deg = 0
-    for mat in (w1.coaction, w2.coaction):
-        for row in mat:
-            for h in row:
-                deg = max(deg, h.max_degree())
+    deg = max(
+        (m.degree for mat in (w1.coaction, w2.coaction) for row in mat for h in row for m, _ in h.items()),
+        default=0,
+    )
     monos = pbw_monomials(deg)
     mono_index = {m: t for t, m in enumerate(monos)}
 

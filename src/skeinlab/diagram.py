@@ -23,10 +23,10 @@ of the stated skein algebra of the bigon.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping
 
-from .scalar import LOOP, ONE, HalfLaurent
+from .scalar import LOOP, ONE, HalfLaurent, LinearCombination
 
 State = int  # +1 or -1
 Slice = tuple[str, int]  # ("x" | "xb" | "cap" | "cup", row index)
@@ -138,94 +138,14 @@ class BasisTangle:
 UNIT_TANGLE = BasisTangle.unit()
 
 
-class SkeinElement:
+class SkeinElement(LinearCombination):
     """Finite linear combination of basis tangles with HalfLaurent coefficients."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[BasisTangle, HalfLaurent] | Iterable[tuple[BasisTangle, HalfLaurent]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        canon: dict[BasisTangle, HalfLaurent] = {}
-        for b, c in items:
-            if not c.is_zero():
-                acc = canon.get(b)
-                tot = c if acc is None else acc + c
-                if tot.is_zero():
-                    canon.pop(b, None)
-                else:
-                    canon[b] = tot
-        self._terms = canon
-
-    @classmethod
-    def zero(cls) -> SkeinElement:
-        return cls()
-
-    @classmethod
-    def of(cls, b: BasisTangle, coeff: HalfLaurent = ONE) -> SkeinElement:
-        return cls({b: coeff})
+    __slots__ = ()
 
     @classmethod
     def unit(cls) -> SkeinElement:
         return cls({UNIT_TANGLE: ONE})
-
-    def items(self) -> Iterator[tuple[BasisTangle, HalfLaurent]]:
-        return iter(sorted(self._terms.items(), key=lambda kv: _tangle_sort_key(kv[0])))
-
-    def coefficient(self, b: BasisTangle) -> HalfLaurent:
-        return self._terms.get(b, HalfLaurent.zero())
-
-    def support(self) -> list[BasisTangle]:
-        return sorted(self._terms, key=_tangle_sort_key)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SkeinElement):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset((b, c) for b, c in self._terms.items()))
-
-    def __add__(self, other: SkeinElement) -> SkeinElement:
-        out = dict(self._terms)
-        for b, c in other._terms.items():
-            acc = out.get(b)
-            tot = c if acc is None else acc + c
-            if tot.is_zero():
-                out.pop(b, None)
-            else:
-                out[b] = tot
-        res = SkeinElement.__new__(SkeinElement)
-        res._terms = out
-        return res
-
-    def __sub__(self, other: SkeinElement) -> SkeinElement:
-        return self + other.scale(-ONE)
-
-    def __neg__(self) -> SkeinElement:
-        return self.scale(-ONE)
-
-    def scale(self, coeff: HalfLaurent) -> SkeinElement:
-        if coeff.is_zero():
-            return SkeinElement.zero()
-        res = SkeinElement.__new__(SkeinElement)
-        res._terms = {b: c * coeff for b, c in self._terms.items()}
-        return res
-
-    def __mul__(self, coeff: HalfLaurent) -> SkeinElement:
-        if isinstance(coeff, HalfLaurent):
-            return self.scale(coeff)
-        return NotImplemented
-
-    def __rmul__(self, coeff: HalfLaurent) -> SkeinElement:
-        if isinstance(coeff, HalfLaurent):
-            return self.scale(coeff)
-        return NotImplemented
 
     def __str__(self) -> str:
         from .syntax import format_element
@@ -249,50 +169,24 @@ def _coeff_table(plus_minus: HalfLaurent, minus_plus: HalfLaurent) -> dict[tuple
     return {(1, 1): z, (-1, -1): z, (1, -1): plus_minus, (-1, 1): minus_plus}
 
 
-@dataclass(frozen=True)
-class BoundaryCoefficients:
-    """Arc weights and exchange-rule scalars for the two boundary edges.
+#: Value of a returning arc whose endpoints read (upper, lower) top to
+#: bottom: C on the east edge, Cbar on the west edge.  Equal states vanish.
+C = _coeff_table(HalfLaurent.s_pow(-1), HalfLaurent.s_pow(-5, -1))
+CBAR = _coeff_table(HalfLaurent.s_pow(5, -1), HalfLaurent.s_pow(1))
 
-    ``C[(upper, lower)]`` is the value of a returning arc on the east edge
-    whose endpoints read (upper, lower) top to bottom; ``Cbar`` is the west
-    edge version.  An out-of-order adjacent pair (- above +) on either edge
-    rewrites to ``exchange_swap * (swapped states) + exchange_arc * (the two
-    strands joined near that edge)``.
-    """
-
-    C: Mapping[tuple[State, State], HalfLaurent] = field(
-        default_factory=lambda: _coeff_table(HalfLaurent.s_pow(-1), HalfLaurent.s_pow(-5, -1))
-    )
-    Cbar: Mapping[tuple[State, State], HalfLaurent] = field(
-        default_factory=lambda: _coeff_table(HalfLaurent.s_pow(5, -1), HalfLaurent.s_pow(1))
-    )
-    east_exchange_swap: HalfLaurent = field(default_factory=lambda: HalfLaurent.q_pow(2))
-    east_exchange_arc: HalfLaurent = field(default_factory=lambda: HalfLaurent.s_pow(-1))
-    west_exchange_swap: HalfLaurent = field(default_factory=lambda: HalfLaurent.q_pow(2))
-    west_exchange_arc: HalfLaurent = field(default_factory=lambda: HalfLaurent.s_pow(5, -1))
-
-    def __post_init__(self) -> None:
-        z = HalfLaurent.zero()
-        if self.C[(1, 1)] != z or self.C[(-1, -1)] != z:
-            raise DiagramError("equal-state east arcs must vanish")
-        if self.Cbar[(1, 1)] != z or self.Cbar[(-1, -1)] != z:
-            raise DiagramError("equal-state west arcs must vanish")
-        if self.C[(1, -1)] != HalfLaurent.s_pow(-1) or self.C[(-1, 1)] != HalfLaurent.s_pow(-5, -1):
-            raise DiagramError("east arc weights must be q^-1/2 and -q^-5/2")
-        if self.Cbar[(1, -1)] != HalfLaurent.s_pow(5, -1) or self.Cbar[(-1, 1)] != HalfLaurent.s_pow(1):
-            raise DiagramError("west arc weights must be -q^5/2 and q^1/2")
-
-    def C_of(self, state: State) -> HalfLaurent:
-        """C(state) = value of an east arc reading (-state, state) top to bottom."""
-        return self.C[(-state, state)]
-
-
-COEFFS = BoundaryCoefficients()
+#: An out-of-order adjacent pair (- above +) on an edge rewrites to
+#: EXCHANGE_SWAP * (swapped states) + EXCHANGE_ARC * (the two strands joined
+#: near that edge).
+EAST_EXCHANGE_SWAP = HalfLaurent.q_pow(2)
+EAST_EXCHANGE_ARC = HalfLaurent.s_pow(-1)
+WEST_EXCHANGE_SWAP = HalfLaurent.q_pow(2)
+WEST_EXCHANGE_ARC = HalfLaurent.s_pow(5, -1)
 
 
 def arc_state_value(state: State) -> HalfLaurent:
-    """C(state): C(+) = -q^(-5/2), C(-) = q^(-1/2)."""
-    return COEFFS.C_of(state)
+    """C(state) = value of an east arc reading (-state, state) top to bottom:
+    C(+) = -q^(-5/2), C(-) = q^(-1/2)."""
+    return C[(-state, state)]
 
 
 # -- crossing resolution ------------------------------------------------------
@@ -522,8 +416,8 @@ def _evaluate_arcs_uncached(
 
     # Step 1: evaluate a returning arc with adjacent endpoints, east first.
     for side, count, states, table in (
-        ("e", n_east, east, COEFFS.C),
-        ("w", n_west, west, COEFFS.Cbar),
+        ("e", n_east, east, C),
+        ("w", n_west, west, CBAR),
     ):
         for p in range(count - 1):
             if partner.get((side, p)) == (side, p + 1):
@@ -547,9 +441,7 @@ def _evaluate_arcs_uncached(
     for i in range(n - 1):
         if east[i] == -1 and east[i + 1] == 1:
             swapped = east[:i] + (1, -1) + east[i + 2 :]
-            term1 = evaluate_arcs(n_west, n_east, arcs, west, swapped).scale(
-                COEFFS.east_exchange_swap
-            )
+            out = evaluate_arcs(n_west, n_east, arcs, west, swapped).scale(EAST_EXCHANGE_SWAP)
             # Joining the two strands near the east edge leaves a west arc.
             joined = _canon_arcs(
                 [(("w", i), ("w", i + 1))]
@@ -559,16 +451,15 @@ def _evaluate_arcs_uncached(
                     if j not in (i, i + 1)
                 ]
             )
-            term2 = evaluate_arcs(n_west, n_east - 2, joined, west, east[:i] + east[i + 2 :]).scale(
-                COEFFS.east_exchange_arc
+            out.add_scaled(
+                evaluate_arcs(n_west, n_east - 2, joined, west, east[:i] + east[i + 2 :]),
+                EAST_EXCHANGE_ARC,
             )
-            return term1 + term2
+            return out
     for i in range(n - 1):
         if west[i] == -1 and west[i + 1] == 1:
             swapped = west[:i] + (1, -1) + west[i + 2 :]
-            term1 = evaluate_arcs(n_west, n_east, arcs, swapped, east).scale(
-                COEFFS.west_exchange_swap
-            )
+            out = evaluate_arcs(n_west, n_east, arcs, swapped, east).scale(WEST_EXCHANGE_SWAP)
             joined = _canon_arcs(
                 [(("e", i), ("e", i + 1))]
                 + [
@@ -577,10 +468,11 @@ def _evaluate_arcs_uncached(
                     if j not in (i, i + 1)
                 ]
             )
-            term2 = evaluate_arcs(n_west - 2, n_east, joined, west[:i] + west[i + 2 :], east).scale(
-                COEFFS.west_exchange_arc
+            out.add_scaled(
+                evaluate_arcs(n_west - 2, n_east, joined, west[:i] + west[i + 2 :], east),
+                WEST_EXCHANGE_ARC,
             )
-            return term1 + term2
+            return out
 
     return SkeinElement.of(BasisTangle(n, west, east))
 
@@ -605,7 +497,7 @@ def reduce(diagram: StatedWord) -> SkeinElement:
         part = evaluate_arcs(
             word.west_arity, word.east_arity, arcs, diagram.west, diagram.east
         )
-        out = out + part.scale(coeff * LOOP**loops)
+        out.add_scaled(part, coeff * LOOP**loops)
     return out
 
 

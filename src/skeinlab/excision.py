@@ -38,7 +38,7 @@ from typing import Callable
 from . import bigon_skein, linalg
 from .bigon_skein import TensorElement
 from .diagram import BasisTangle, SkeinElement
-from .scalar import HalfLaurent, validate_generic_point
+from .scalar import MINUS_ONE, validate_generic_point
 
 Key2 = tuple[BasisTangle, BasisTangle]
 Key3 = tuple[BasisTangle, BasisTangle, BasisTangle]
@@ -116,7 +116,7 @@ def _expand_last(t: TensorElement) -> TensorElement:
     out = TensorElement.zero(t.arity + 1)
     for key, c in t.items():
         for (b1, b2), cc in bigon_skein.comul(SkeinElement.of(key[-1])).items():
-            out = out + TensorElement(t.arity + 1, {key[:-1] + (b1, b2): c * cc})
+            out.add_term(key[:-1] + (b1, b2), c * cc)
     return out
 
 
@@ -137,7 +137,7 @@ def check_coassociativity(n: int) -> tuple[bool, str | None]:
         left = TensorElement.zero(3)
         for (b1, b2), c in two.items():
             for (b11, b12), cc in bigon_skein.comul(SkeinElement.of(b1)).items():
-                left = left + TensorElement(3, {(b11, b12, b2): c * cc})
+                left.add_term((b11, b12, b2), c * cc)
         right = _expand_last(two)
         if left != right:
             return False, f"coassociativity fails on {b}"
@@ -178,9 +178,9 @@ def cotensor_defect(b1: BasisTangle, b2: BasisTangle) -> TensorElement:
     """(comul (x) id - id (x) comul) applied to a basis pair."""
     out = TensorElement.zero(3)
     for (u, v), c in bigon_skein.comul(SkeinElement.of(b1)).items():
-        out = out + TensorElement(3, {(u, v, b2): c})
+        out.add_term((u, v, b2), c)
     for (u, v), c in bigon_skein.comul(SkeinElement.of(b2)).items():
-        out = out - TensorElement(3, {(b1, u, v): c})
+        out.add_term((b1, u, v), -c)
     return out
 
 
@@ -198,8 +198,8 @@ def merged_invariance_defect(b1: BasisTangle, b2: BasisTangle) -> TensorElement:
                 SkeinElement.of(a2), bigon_skein.antipode(SkeinElement.of(bw))
             )
             for b3, c3 in prod.items():
-                out = out + TensorElement(3, {(a1, br, b3): ca * cb * c3})
-    out = out - TensorElement(3, {(b1, b2, BasisTangle.unit()): HalfLaurent.one()})
+                out.add_term((a1, br, b3), ca * cb * c3)
+    out.add_term((b1, b2, BasisTangle.unit()), MINUS_ONE)
     return out
 
 
@@ -211,10 +211,10 @@ def hh0_defect_L(b1: BasisTangle, b2: BasisTangle) -> TensorElement:
     out = TensorElement.zero(3)
     for (bw, br), cb in bigon_skein.comul(SkeinElement.of(b2)).items():
         for b3, c3 in bigon_skein.antipode(SkeinElement.of(bw)).items():
-            out = out + TensorElement(3, {(b1, br, b3): cb * c3})
+            out.add_term((b1, br, b3), cb * c3)
     for (a1, a2), ca in bigon_skein.comul(SkeinElement.of(b1)).items():
         for b3, c3 in bigon_skein.antipode(SkeinElement.of(a2)).items():
-            out = out - TensorElement(3, {(a1, b2, b3): ca * c3})
+            out.add_term((a1, b2, b3), -(ca * c3))
     return out
 
 
@@ -229,7 +229,7 @@ def hh0_defect_l_ht(b1: BasisTangle, b2: BasisTangle) -> TensorElement:
     out = TensorElement.zero(3)
     for (bw, br), cb in bigon_skein.comul(SkeinElement.of(b2)).items():
         for b3, c3 in bigon_skein.antipode(SkeinElement.of(bw)).items():
-            out = out + TensorElement(3, {(b1, br, b3): cb * c3})
+            out.add_term((b1, br, b3), cb * c3)
     four = comul_n(SkeinElement.of(b1), 4)
     for (a1, a2, a3, a4), c in four.items():
         w = (
@@ -240,7 +240,7 @@ def hh0_defect_l_ht(b1: BasisTangle, b2: BasisTangle) -> TensorElement:
         if w.is_zero():
             continue
         for b3, c3 in bigon_skein.rot_star(SkeinElement.of(a3)).items():
-            out = out - TensorElement(3, {(a1, b2, b3): w * c3})
+            out.add_term((a1, b2, b3), -(w * c3))
     return out
 
 

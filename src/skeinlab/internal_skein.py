@@ -33,7 +33,7 @@ from .diagram import (
     arcs_to_word,
     evaluate_arcs,
 )
-from .scalar import LOOP, HalfLaurent
+from .scalar import LOOP
 
 StateVec = tuple[State, ...]
 
@@ -171,7 +171,7 @@ def check_st_intertwiner(m: Matching) -> tuple[bool, str | None]:
             x = east_sk[ki][ei]
             if x.is_zero():
                 continue
-            want_e = want_e + bigon_skein.tensor2(table[(west, kappa)], x)
+            want_e.add_scaled(bigon_skein.tensor2(table[(west, kappa)], x))
         if got != want_e:
             return False, f"east lift fails at {m} states {west}/{east}"
         want_w = bigon_skein.TensorElement.zero(2)
@@ -181,7 +181,7 @@ def check_st_intertwiner(m: Matching) -> tuple[bool, str | None]:
             x = west_sk[wi][ki]
             if x.is_zero():
                 continue
-            want_w = want_w + bigon_skein.tensor2(x, table[(kappa, east)])
+            want_w.add_scaled(bigon_skein.tensor2(x, table[(kappa, east)]))
         if got != want_w:
             return False, f"west lift fails at {m} states {west}/{east}"
     return True, None
@@ -205,23 +205,13 @@ def _transported_coaction(co: comodule_rt.Comodule) -> list[list[SkeinElement]]:
 
 # -- cap/cup naturality -----------------------------------------------------------
 
-#: Cap weights per edge on (++, +-, -+, --); cup weights likewise.  The west
-#: edge carries the duality-map values, the east edge the returning-arc
-#: values; either pair composes to the loop value.
+#: Cap weights per edge on (++, +-, -+, --); cup weights likewise.  Each
+#: edge caps with its own returning-arc weights and cups with the other
+#: edge's, so either pair composes to the loop value.
 WEST_CAP = comodule_rt.CAP_VALUES
 WEST_CUP = comodule_rt.CUP_VALUES
-EAST_CAP = (
-    HalfLaurent.zero(),
-    HalfLaurent.s_pow(-1),
-    HalfLaurent.s_pow(-5, -1),
-    HalfLaurent.zero(),
-)
-EAST_CUP = (
-    HalfLaurent.zero(),
-    HalfLaurent.s_pow(5, -1),
-    HalfLaurent.s_pow(1),
-    HalfLaurent.zero(),
-)
+EAST_CAP = WEST_CUP
+EAST_CUP = WEST_CAP
 
 
 def _shift_endpoint(p: Endpoint, side: str, at: int, by: int) -> Endpoint:
@@ -316,7 +306,7 @@ def check_st_naturality(
                     key = (west[:pos] + pair + west[pos:], east)
                 else:
                     key = (west, east[:pos] + pair + east[pos:])
-                want = want + table[key].scale(w)
+                want.add_scaled(table[key], w)
             if val.scale(factor) != want:
                 return False, f"cup naturality fails at {m} {side}{pos} states {west}/{east}"
         return True, None

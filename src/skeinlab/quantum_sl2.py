@@ -18,11 +18,11 @@ bigon skein algebra (a <-> beta(+;+) etc.).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import bigon_skein
 from .diagram import SkeinElement
-from .scalar import ONE, HalfLaurent
+from .scalar import ONE, ZERO, HalfLaurent, LinearCombination
 
 U_GENERATORS = ("E", "F", "K", "Kinv")
 
@@ -67,81 +67,14 @@ class PBWMonomial:
 PBW_ONE = PBWMonomial(0, 0, 0, 0)
 
 
-class HopfElement:
+class HopfElement(LinearCombination):
     """Linear combination of PBW monomials with HalfLaurent coefficients."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[PBWMonomial, HalfLaurent] | Iterable[tuple[PBWMonomial, HalfLaurent]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        canon: dict[PBWMonomial, HalfLaurent] = {}
-        for m, c in items:
-            if not c.is_zero():
-                acc = canon.get(m)
-                tot = c if acc is None else acc + c
-                if tot.is_zero():
-                    canon.pop(m, None)
-                else:
-                    canon[m] = tot
-        self._terms = canon
-
-    @classmethod
-    def zero(cls) -> HopfElement:
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def one(cls) -> HopfElement:
         return cls({PBW_ONE: ONE})
-
-    @classmethod
-    def of(cls, m: PBWMonomial, coeff: HalfLaurent = ONE) -> HopfElement:
-        return cls({m: coeff})
-
-    def items(self) -> Iterator[tuple[PBWMonomial, HalfLaurent]]:
-        return iter(sorted(self._terms.items(), key=lambda kv: (kv[0].degree, kv[0])))
-
-    def coefficient(self, m: PBWMonomial) -> HalfLaurent:
-        return self._terms.get(m, HalfLaurent.zero())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def max_degree(self) -> int:
-        return max((m.degree for m in self._terms), default=0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HopfElement):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: HopfElement) -> HopfElement:
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            acc = out.get(m)
-            tot = c if acc is None else acc + c
-            if tot.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = tot
-        res = HopfElement.__new__(HopfElement)
-        res._terms = out
-        return res
-
-    def __sub__(self, other: HopfElement) -> HopfElement:
-        return self + other.scale(-ONE)
-
-    def __neg__(self) -> HopfElement:
-        return self.scale(-ONE)
-
-    def scale(self, coeff: HalfLaurent) -> HopfElement:
-        if coeff.is_zero():
-            return HopfElement.zero()
-        res = HopfElement.__new__(HopfElement)
-        res._terms = {m: c * coeff for m, c in self._terms.items()}
-        return res
 
     def __str__(self) -> str:
         from .syntax import format_hopf
@@ -187,7 +120,7 @@ def _mono_times_letter(m: PBWMonomial, letter: str) -> HopfElement:
 def _times_letter(x: HopfElement, letter: str) -> HopfElement:
     out = HopfElement.zero()
     for m, c in x.items():
-        out = out + _mono_times_letter(m, letter).scale(c)
+        out.add_scaled(_mono_times_letter(m, letter), c)
     return out
 
 
@@ -205,7 +138,7 @@ def mul(x: HopfElement, y: HopfElement) -> HopfElement:
         part = x
         for letter in m.letters():
             part = _times_letter(part, letter)
-        out = out + part.scale(c)
+        out.add_scaled(part, c)
     return out
 
 
@@ -227,70 +160,33 @@ _COPRODUCT_LETTER: dict[str, tuple[tuple[str, str], ...]] = {
 }
 
 
-class HopfTensor:
+class HopfTensor(LinearCombination):
     """Two-fold tensors of normal-form elements."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[tuple[PBWMonomial, PBWMonomial], HalfLaurent] | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        canon: dict[tuple[PBWMonomial, PBWMonomial], HalfLaurent] = {}
-        for key, c in items:
-            if not c.is_zero():
-                acc = canon.get(key)
-                tot = c if acc is None else acc + c
-                if tot.is_zero():
-                    canon.pop(key, None)
-                else:
-                    canon[key] = tot
-        self._terms = canon
+    __slots__ = ()
 
     @classmethod
     def one(cls) -> HopfTensor:
         return cls({(PBW_ONE, PBW_ONE): ONE})
 
-    def items(self) -> Iterator[tuple[tuple[PBWMonomial, PBWMonomial], HalfLaurent]]:
-        return iter(sorted(self._terms.items(), key=lambda kv: (kv[0][0].degree + kv[0][1].degree, kv[0])))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HopfTensor):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __add__(self, other: HopfTensor) -> HopfTensor:
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            acc = out.get(k)
-            tot = c if acc is None else acc + c
-            if tot.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = tot
-        res = HopfTensor.__new__(HopfTensor)
-        res._terms = out
-        return res
-
-    def __sub__(self, other: HopfTensor) -> HopfTensor:
-        return self + other.scale(-ONE)
-
-    def scale(self, coeff: HalfLaurent) -> HopfTensor:
-        res = HopfTensor.__new__(HopfTensor)
-        res._terms = {} if coeff.is_zero() else {k: c * coeff for k, c in self._terms.items()}
-        return res
-
     def mul(self, other: HopfTensor) -> HopfTensor:
         out = HopfTensor()
-        for (m1, m2), c in self._terms.items():
-            for (n1, n2), d in other._terms.items():
+        for (m1, m2), c in self.items():
+            for (n1, n2), d in other.items():
                 left = mul(HopfElement.of(m1), HopfElement.of(n1))
                 right = mul(HopfElement.of(m2), HopfElement.of(n2))
                 for p1, c1 in left.items():
                     for p2, c2 in right.items():
-                        out = out + HopfTensor({(p1, p2): c * d * c1 * c2})
+                        out.add_term((p1, p2), c * d * c1 * c2)
         return out
+
+    def __str__(self) -> str:
+        from .syntax import format_tensor
+
+        return format_tensor(self, lambda key: (key[0].degree + key[1].degree, key))
+
+    def __repr__(self) -> str:
+        return f"HopfTensor({str(self)!r})"
 
 
 def comul(x: HopfElement) -> HopfTensor:
@@ -303,16 +199,12 @@ def comul(x: HopfElement) -> HopfTensor:
                 {(_letter_mono(l1), _letter_mono(l2)): ONE for l1, l2 in _COPRODUCT_LETTER[letter]}
             )
             part = part.mul(step)
-        out = out + part.scale(c)
+        out.add_scaled(part, c)
     return out
 
 
 def counit(x: HopfElement) -> HalfLaurent:
-    out = HalfLaurent.zero()
-    for m, c in x.items():
-        if m.b_pow == 0 and m.c_pow == 0:
-            out = out + c
-    return out
+    return sum((c for m, c in x.items() if m.b_pow == 0 and m.c_pow == 0), ZERO)
 
 
 _ANTIPODE_LETTER: dict[str, HopfElement] = {}
@@ -338,7 +230,7 @@ def antipode(x: HopfElement) -> HopfElement:
         part = HopfElement.one()
         for letter in reversed(list(m.letters())):
             part = mul(part, _antipode_letter(letter))
-        out = out + part.scale(c)
+        out.add_scaled(part, c)
     return out
 
 
@@ -388,20 +280,13 @@ def pairing(word: Sequence[str], x: HopfElement) -> HalfLaurent:
     for g in word:
         if g not in U_GENERATORS:
             raise ValueError(f"unknown enveloping generator {g!r}")
-    out = HalfLaurent.zero()
     if not word:
         return counit(x)
     if len(word) == 1:
-        for m, c in x.items():
-            out = out + _pair_gen_mono(word[0], m) * c
-        return out
+        return sum((_pair_gen_mono(word[0], m) * c for m, c in x.items()), ZERO)
     g, rest = word[0], word[1:]
-    for (m1, m2), c in comul(x).items():
-        left = _pair_gen_mono(g, m1)
-        if left.is_zero():
-            continue
-        out = out + left * pairing(rest, HopfElement.of(m2)) * c
-    return out
+    legs = ((_pair_gen_mono(g, m1), m2, c) for (m1, m2), c in comul(x).items())
+    return sum((left * pairing(rest, HopfElement.of(m2)) * c for left, m2, c in legs if left), ZERO)
 
 
 # -- transport to and from the bigon skein algebra -----------------------------
@@ -415,7 +300,7 @@ def to_skein(x: HopfElement) -> SkeinElement:
     out = SkeinElement.zero()
     for m, c in x.items():
         factors = [bigon_skein.generator(letter) for letter in m.letters()]
-        out = out + bigon_skein.mul_many(factors).scale(c)
+        out.add_scaled(bigon_skein.mul_many(factors), c)
     return out
 
 
@@ -424,7 +309,7 @@ def from_skein(y: SkeinElement) -> HopfElement:
     out = HopfElement.zero()
     for b, c in y.items():
         word = [_TANGLE_TO_LETTER[(b.mu[i], b.nu[i])] for i in range(b.n)]
-        out = out + normalize(word).scale(c)
+        out.add_scaled(normalize(word), c)
     return out
 
 

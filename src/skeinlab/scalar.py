@@ -9,12 +9,16 @@ makes equality of scalars a structural comparison of canonical term maps.
 Rank computations elsewhere specialize s at nonzero rational points; a
 nonzero rational other than +/-1 is never a root of unity, so such points
 are generic for every identity checked here.
+
+Every algebra element (skein elements, tensors, PBW normal forms) is a
+finite sum of basis keys with such coefficients: :class:`LinearCombination`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from string import digits
+from typing import Hashable, Iterable, ItemsView, Mapping, Union
 
 Rat = Union[int, Fraction]
 
@@ -33,7 +37,7 @@ class HalfLaurent:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, Rat] | Iterable[tuple[int, Rat]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, dict) else terms
         canon: dict[int, Fraction] = {}
         for e, c in items:
             c = Fraction(c)
@@ -228,6 +232,131 @@ Q = HalfLaurent.q_pow(1)
 #: Kauffman loop value -q^2 - q^-2.
 LOOP = HalfLaurent({4: -1, -4: -1})
 
+MINUS_ONE = -ONE
+
+
+class LinearCombination:
+    """Finite sum of hashable basis keys with HalfLaurent coefficients.
+
+    Zero coefficients are never stored, so ``==`` is exact structural
+    equality; elements of different types never compare equal.  The
+    operators return new elements, while ``add_term`` and ``add_scaled``
+    accumulate in place: only mutate an element you created, never one
+    returned from a memo or already used as a dict key.
+
+    ``items()`` iterates in insertion order; printers sort.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(
+        self,
+        terms: Mapping[Hashable, HalfLaurent] | Iterable[tuple[Hashable, HalfLaurent]] = (),
+    ):
+        self._terms: dict[Hashable, HalfLaurent] = {}
+        for key, c in terms.items() if isinstance(terms, dict) else terms:
+            self.add_term(key, c)
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def of(cls, key: Hashable, coeff: HalfLaurent = ONE):
+        return cls({key: coeff})
+
+    def _like(self, terms: dict[Hashable, HalfLaurent]):
+        """A new element of the same type and shape holding ``terms``."""
+        res = object.__new__(type(self))
+        res._terms = terms
+        return res
+
+    def copy(self):
+        return self._like(dict(self._terms))
+
+    # -- in-place accumulation ----------------------------------------------
+
+    def add_term(self, key: Hashable, c: HalfLaurent) -> None:
+        """self += c * key."""
+        if not c:
+            return
+        terms = self._terms
+        acc = terms.get(key)
+        if acc is None:
+            terms[key] = c
+            return
+        tot = acc + c
+        if tot:
+            terms[key] = tot
+        else:
+            del terms[key]
+
+    def add_scaled(self, other: LinearCombination, c: HalfLaurent = ONE) -> None:
+        """self += c * other."""
+        if not c:
+            return
+        add = self.add_term
+        if c is ONE:
+            for key, v in other._terms.items():
+                add(key, v)
+        else:
+            for key, v in other._terms.items():
+                add(key, v * c)
+
+    # -- inspection -----------------------------------------------------------
+
+    def items(self) -> ItemsView[Hashable, HalfLaurent]:
+        return self._terms.items()
+
+    def coefficient(self, key: Hashable) -> HalfLaurent:
+        return self._terms.get(key, ZERO)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    # -- arithmetic -----------------------------------------------------------
+
+    def __add__(self, other: LinearCombination):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = self.copy()
+        out.add_scaled(other)
+        return out
+
+    def __sub__(self, other: LinearCombination):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = self.copy()
+        out.add_scaled(other, MINUS_ONE)
+        return out
+
+    def __neg__(self):
+        return self.scale(MINUS_ONE)
+
+    def scale(self, coeff: HalfLaurent):
+        # Q[s, s^-1] has no zero divisors, so no product below vanishes.
+        if not coeff:
+            return self._like({})
+        return self._like({key: c * coeff for key, c in self._terms.items()})
+
+    def __mul__(self, coeff: HalfLaurent):
+        if isinstance(coeff, HalfLaurent):
+            return self.scale(coeff)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
 
 def validate_generic_point(s0: Rat) -> Fraction:
     """Check that s0 is usable for generic-q rank computations."""
@@ -296,7 +425,7 @@ class _ScalarParser:
         start = self.pos
         if self._peek() in ("+", "-"):
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in digits:
             self.pos += 1
         if self.pos == start or not self.text[start:self.pos].lstrip("+-"):
             raise ScalarParseError("expected integer", start)
@@ -310,13 +439,13 @@ class _ScalarParser:
         return val
 
     def expr(self) -> HalfLaurent:
-        val = self.term()
+        terms = [self.term()]
         while self._peek() in ("+", "-"):
-            op = self._peek()
+            negate = self._peek() == "-"
             self.pos += 1
             rhs = self.term()
-            val = val + rhs if op == "+" else val - rhs
-        return val
+            terms.append(-rhs if negate else rhs)
+        return sum(terms, ZERO)
 
     def term(self) -> HalfLaurent:
         val = self.factor()
@@ -351,7 +480,7 @@ class _ScalarParser:
         if ch == "q":
             self.pos += 1
             return Q
-        if ch.isdigit():
+        if ch and ch in digits:
             num = self._int()
             if self._peek() == "/":
                 self.pos += 1

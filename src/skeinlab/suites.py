@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -204,11 +203,11 @@ def hopf_suite(max_degree: int, specs, seed: int) -> list[Check]:
             left = B.TensorElement.zero(3)
             for (b1, b2), c in two.items():
                 for (u, v), cc in B.comul(_el(b1)).items():
-                    left = left + B.TensorElement(3, {(u, v, b2): c * cc})
+                    left.add_term((u, v, b2), c * cc)
             right = B.TensorElement.zero(3)
             for (b1, b2), c in two.items():
                 for (u, v), cc in B.comul(_el(b2)).items():
-                    right = right + B.TensorElement(3, {(b1, u, v): c * cc})
+                    right.add_term((b1, u, v), c * cc)
             if left != right:
                 return f"coassociativity fails on {b}"
         return None
@@ -221,8 +220,8 @@ def hopf_suite(max_degree: int, specs, seed: int) -> list[Check]:
             left = SkeinElement.zero()
             right = SkeinElement.zero()
             for (b1, b2), c in B.comul(x).items():
-                left = left + _el(b2).scale(B.counit(_el(b1)) * c)
-                right = right + _el(b1).scale(B.counit(_el(b2)) * c)
+                left.add_term(b2, B.counit(_el(b1)) * c)
+                right.add_term(b1, B.counit(_el(b2)) * c)
             if left != x or right != x:
                 return f"counit law fails on {b}"
         return None
@@ -236,8 +235,8 @@ def hopf_suite(max_degree: int, specs, seed: int) -> list[Check]:
             left = SkeinElement.zero()
             right = SkeinElement.zero()
             for (b1, b2), c in B.comul(x).items():
-                left = left + B.mul(B.antipode(_el(b1)), _el(b2)).scale(c)
-                right = right + B.mul(_el(b1), B.antipode(_el(b2))).scale(c)
+                left.add_scaled(B.mul(B.antipode(_el(b1)), _el(b2)), c)
+                right.add_scaled(B.mul(_el(b1), B.antipode(_el(b2))), c)
             if left != target or right != target:
                 return f"antipode convolution law fails on {b}"
         return None
@@ -252,9 +251,9 @@ def hopf_suite(max_degree: int, specs, seed: int) -> list[Check]:
                 right = B.TensorElement.zero(2)
                 for (u1, u2), c in B.comul(x).items():
                     for (v1, v2), d in B.comul(y).items():
-                        right = right + B.tensor2(
-                            B.mul(_el(u1), _el(v1)), B.mul(_el(u2), _el(v2))
-                        ).scale(c * d)
+                        right.add_scaled(
+                            B.tensor2(B.mul(_el(u1), _el(v1)), B.mul(_el(u2), _el(v2))), c * d
+                        )
                 if left != right:
                     return f"comul is not an algebra map on {b1}, {b2}"
         return None
@@ -278,7 +277,7 @@ def hopf_suite(max_degree: int, specs, seed: int) -> list[Check]:
             left = B.comul(B.rot_star(_el(b)))
             right = B.TensorElement.zero(2)
             for (b1, b2), c in B.comul(_el(b)).items():
-                right = right + B.tensor2(B.rot_star(_el(b2)), B.rot_star(_el(b1))).scale(c)
+                right.add_scaled(B.tensor2(B.rot_star(_el(b2)), B.rot_star(_el(b1))), c)
             if left != right:
                 return f"rot_* does not reverse the coproduct on {b}"
         return None
@@ -346,9 +345,9 @@ def iso_suite(max_degree: int, specs, seed: int) -> list[Check]:
             x = QS.HopfElement.of(m)
             left = B.TensorElement.zero(2)
             for (m1, m2), c in QS.comul(x).items():
-                left = left + B.tensor2(
-                    QS.to_skein(QS.HopfElement.of(m1)), QS.to_skein(QS.HopfElement.of(m2))
-                ).scale(c)
+                left.add_scaled(
+                    B.tensor2(QS.to_skein(QS.HopfElement.of(m1)), QS.to_skein(QS.HopfElement.of(m2))), c
+                )
             if left != B.comul(QS.to_skein(x)):
                 return f"transport breaks the coproduct on {m}"
         return None
@@ -439,12 +438,8 @@ def coquasi_suite(max_degree: int, specs, seed: int) -> list[Check]:
                 for (x1, x2), cx in B.comul(x).items():
                     for (y1, y2), cy in B.comul(y).items():
                         w = cx * cy
-                        left = left + B.mul(_el(y1), _el(x1)).scale(
-                            B.r_form(_el(x2), _el(y2)) * w
-                        )
-                        right = right + B.mul(_el(x2), _el(y2)).scale(
-                            B.r_form(_el(x1), _el(y1)) * w
-                        )
+                        left.add_scaled(B.mul(_el(y1), _el(x1)), B.r_form(_el(x2), _el(y2)) * w)
+                        right.add_scaled(B.mul(_el(x2), _el(y2)), B.r_form(_el(x1), _el(y1)) * w)
                 if left != right:
                     return f"coquasitriangular exchange fails on {b1}, {b2}"
         return None
@@ -457,8 +452,8 @@ def coquasi_suite(max_degree: int, specs, seed: int) -> list[Check]:
             left = SkeinElement.zero()
             right = SkeinElement.zero()
             for (x1, x2), cx in B.comul(x).items():
-                left = left + _el(x2).scale(B.theta_form(_el(x1)) * cx)
-                right = right + _el(x1).scale(B.theta_form(_el(x2)) * cx)
+                left.add_term(x2, B.theta_form(_el(x1)) * cx)
+                right.add_term(x1, B.theta_form(_el(x2)) * cx)
             if left != right:
                 return f"coribbon functional is not central on {bt}"
         return None
@@ -523,12 +518,14 @@ def halfribbon_suite(max_degree: int, specs, seed: int) -> list[Check]:
                     continue
                 x, y = _el(b1), _el(b2)
                 lhs = B.t_form(B.mul(x, y))
-                rhs = HalfLaurent.zero()
-                for (x1, x2), cx in B.comul(x).items():
-                    for (y1, y2), cy in B.comul(y).items():
-                        rhs = rhs + B.t_form(_el(y1)) * B.t_form(_el(x1)) * B.r_form(
-                            _el(x2), _el(y2)
-                        ) * cx * cy
+                rhs = sum(
+                    (
+                        B.t_form(_el(y1)) * B.t_form(_el(x1)) * B.r_form(_el(x2), _el(y2)) * cx * cy
+                        for (x1, x2), cx in B.comul(x).items()
+                        for (y1, y2), cy in B.comul(y).items()
+                    ),
+                    HalfLaurent.zero(),
+                )
                 if lhs != rhs:
                     return f"t(xy) product law fails on {b1}, {b2}"
         return None
@@ -554,7 +551,7 @@ def halfribbon_suite(max_degree: int, specs, seed: int) -> list[Check]:
             twisted = B.ht_coaction(B.ht_coaction(x))
             want = SkeinElement.zero()
             for (x1, x2), c in B.comul(x).items():
-                want = want + _el(x1).scale(B.theta_form(_el(x2)) * c)
+                want.add_term(x1, B.theta_form(_el(x2)) * c)
             if twisted != want:
                 return f"ht^2 != theta coaction on {bt}"
         return None
@@ -576,8 +573,8 @@ def leftright_suite(max_degree: int, specs, seed: int) -> list[Check]:
             lhs = SkeinElement.zero()
             rhs = SkeinElement.zero()
             for (x1, x2), c in B.comul(x).items():
-                lhs = lhs + B.antipode(_el(x1)).scale(B.t_form(_el(x2)) * c)
-                rhs = rhs + B.rot_star(_el(x2)).scale(B.t_form(_el(x1)) * c)
+                lhs.add_scaled(B.antipode(_el(x1)), B.t_form(_el(x2)) * c)
+                rhs.add_scaled(B.rot_star(_el(x2)), B.t_form(_el(x1)) * c)
             if lhs != rhs:
                 return f"left/right bridge fails on {bt}"
         return None
@@ -904,17 +901,10 @@ def run_suite(
     max_points: int = 6,
     symbolic: bool = False,
     oracle_words: int = 200,
-    workers: int = 1,
 ) -> Report:
     checks = build_suite(name, max_degree, specs, seed, max_points, symbolic, oracle_words)
     start = time.monotonic()
-    results: list[tuple[str, str | None]]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            witnesses = list(pool.map(lambda c: c[1](), checks))
-        results = [(label, w) for (label, _), w in zip(checks, witnesses)]
-    else:
-        results = [(label, fn()) for label, fn in checks]
+    results = [(label, fn()) for label, fn in checks]
     report = Report(
         suite=name,
         parameters={
@@ -924,7 +914,6 @@ def run_suite(
             "max_points": max_points,
             "symbolic": symbolic,
             "oracle_words": oracle_words,
-            "workers": workers,
         },
     )
     for label, witness in results:

