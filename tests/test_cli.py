@@ -96,7 +96,7 @@ def test_unknown_suite_is_usage_error(capsys):
 
 
 def random_coeff(rng: random.Random) -> Fraction:
-    """Integers of one and two digits and proper fractions, either sign."""
+    """Integers of one and two digits and fractions, either sign."""
     return Fraction(rng.randrange(-99, 100), rng.choice((1, 1, 2, 7, 12)))
 
 
