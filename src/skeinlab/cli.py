@@ -14,6 +14,8 @@ from fractions import Fraction
 
 from . import bigon_skein as B
 from .cache import CACHE_ENV_VAR, ReductionCache, default_cache_path
+from .diagram import MAX_CLI_WIDTH, UNIT_TANGLE, StatedWord
+from .diagram import reduce as reduce_diagram
 from .report import Report
 from .scalar import ScalarError, format_scalar
 from .suites import DEFAULT_SPECS, SUITES, run_suite
@@ -107,17 +109,23 @@ def _print_element(x) -> None:
     print(format_element(x))
 
 
+def _parse_bounded_diagram(text: str) -> StatedWord:
+    """Parse a diagram, refusing widths whose reduction would not finish
+    promptly: resolution is exponential in width (see ``MAX_CLI_WIDTH``)."""
+    stated = parse_diagram(text)
+    width = stated.word.width
+    if width > MAX_CLI_WIDTH:
+        raise _Usage(f"diagram width {width} exceeds the bound {MAX_CLI_WIDTH}")
+    return stated
+
+
 def _run_computation(args: argparse.Namespace) -> int:
     cmd = args.command
     if cmd == "reduce":
-        from .diagram import reduce as reduce_diagram
-
-        _print_element(reduce_diagram(parse_diagram(args.diagram)))
+        _print_element(reduce_diagram(_parse_bounded_diagram(args.diagram)))
         return EXIT_PASS
     if cmd == "bracket":
-        from .diagram import UNIT_TANGLE, reduce as reduce_diagram
-
-        stated = parse_diagram(args.diagram)
+        stated = _parse_bounded_diagram(args.diagram)
         if stated.word.west_arity or stated.word.east_arity:
             raise _Usage("bracket needs a closed diagram (no boundary points)")
         print(format_scalar(reduce_diagram(stated).coefficient(UNIT_TANGLE)))

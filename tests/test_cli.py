@@ -56,6 +56,9 @@ def test_parse_error_reports_position(capsys):
     code, out, err = run_cli(capsys, "mul", "1/0", "a")
     assert code == EXIT_USAGE
     assert "zero denominator" in err
+    code, out, err = run_cli(capsys, "reduce", "tangle(8){x0} west=++++++++ east=++++++++")
+    assert code == EXIT_USAGE
+    assert "width 8" in err and "bound 7" in err
 
 
 def test_mul_and_inv(capsys):

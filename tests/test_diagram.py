@@ -174,6 +174,75 @@ def test_concurrent_reduction_is_deterministic():
     memo_clear()
 
 
+def test_rt_factorization_on_two_sided_words():
+    # counit(reduce(T(eps, kappa))) is the (kappa, eps) entry of the RT matrix
+    # of T, for every state pair and boundary points on both edges.
+    from skeinlab.bigon_skein import counit
+    from skeinlab.comodule_rt import rt_evaluate, state_index, state_tuples
+    from skeinlab.suites import random_stated_word
+
+    rng = random.Random(4104)
+    checked = 0
+    while checked < 40:
+        word = random_stated_word(rng, max_crossings=4, max_points=6).word
+        if not (word.west_arity and word.east_arity):
+            continue
+        checked += 1
+        rt = rt_evaluate(word)
+        for west in state_tuples(word.west_arity):
+            for east in state_tuples(word.east_arity):
+                got = counit(reduce(StatedWord(word, west, east)))
+                assert got == rt[state_index(east)][state_index(west)]
+
+
+def test_long_braid_words_match_oracle():
+    rng = random.Random(812)
+    for _ in range(12):
+        slices = tuple(
+            (rng.choice(("x", "xb")), rng.randrange(3)) for _ in range(rng.randint(8, 10))
+        )
+        states = lambda: tuple(rng.choice((1, -1)) for _ in range(4))
+        d = StatedWord(SliceWord(4, slices), states(), states())
+        assert reduce(d) == oracle_reduce(d)
+
+
+def test_braid_resolution_work_is_linear_in_crossings(monkeypatch):
+    # At most two traces per planar matching of the 8 boundary points
+    # (Catalan(4) = 14) per crossing, plus the trailing slices: 2 * 14 * 19,
+    # where expanding every smoothing would trace 2^18 words.
+    import skeinlab.diagram as D
+
+    calls = 0
+    trace = D.word_to_arcs
+
+    def counting(word):
+        nonlocal calls
+        calls += 1
+        return trace(word)
+
+    monkeypatch.setattr(D, "word_to_arcs", counting)
+    D.memo_clear()
+    word = SliceWord(4, tuple(("x", i) for _ in range(6) for i in range(3)))
+    assert len(resolve_crossings(word)) == 14
+    assert calls <= 2 * 14 * 19
+    D.memo_clear()
+
+
+def test_memo_clear_empties_both_memos():
+    import skeinlab.diagram as D
+
+    reduce(StatedWord(SliceWord(2, (("x", 0),)), (1, -1), (-1, 1)))
+    assert D._memo and D._resolve_memo
+    D.memo_clear()
+    assert not D._memo and not D._resolve_memo
+
+
+def test_width_counts_the_widest_cut():
+    assert SliceWord(3, ()).width == 3
+    assert SliceWord(0, (("cup", 0), ("cup", 1), ("cap", 0), ("cap", 0))).width == 4
+    assert SliceWord(4, (("cap", 0), ("cup", 2), ("x", 0))).width == 4
+
+
 def test_validation_errors():
     with pytest.raises(DiagramError):
         SliceWord(1, (("cap", 0),))
