@@ -23,6 +23,7 @@ from .diagram import (
     arc_state_value,
     reduce as reduce_diagram,
     reduce_parallel,
+    register_memo,
 )
 from .scalar import ONE, ZERO, HalfLaurent, LinearCombination
 
@@ -206,36 +207,40 @@ def inv_edge(x: SkeinElement, edge: str = "east", inverse: bool = False) -> Skei
 
     Reverses the height order of that edge's points (via a half-twist braid),
     negates each state eta, and weights by C(eta) -- or, for the inverse, by
-    C(-eta)^(-1) with the opposite braid.
+    C(-eta)^(-1) with the opposite braid.  The image of each basis tangle is
+    reduced once per process (``_inv_edge_memo``).
     """
     if edge not in ("east", "west"):
         raise ValueError("edge must be 'east' or 'west'")
-    kind = HALF_TWIST_INVERSE_CROSSING if inverse else HALF_TWIST_CROSSING
-
-    def state_weight(s: State) -> HalfLaurent:
-        if inverse:
-            return arc_state_value(-s).inverse()
-        return arc_state_value(s)
 
     def on_basis(b: BasisTangle) -> SkeinElement:
-        n = b.n
-        braid = _reversal_braid(n, kind)
-        if edge == "east":
-            word = SliceWord(n, braid)
-            states = b.nu
-            new_edge = tuple(-s for s in reversed(states))
-            stated = StatedWord(word, b.mu, new_edge)
-        else:
-            word = SliceWord(n, braid)
-            states = b.mu
-            new_edge = tuple(-s for s in reversed(states))
-            stated = StatedWord(word, new_edge, b.nu)
-        coeff = ONE
-        for s in states:
-            coeff = coeff * state_weight(s)
-        return reduce_diagram(stated).scale(coeff)
+        key = (b, edge, inverse)
+        hit = _inv_edge_memo.get(key)
+        if hit is None:
+            hit = _inv_edge_memo[key] = _inv_edge_basis(b, edge, inverse)
+        return hit
 
     return linear(on_basis)(x)
+
+
+_inv_edge_memo: dict[tuple[BasisTangle, str, bool], SkeinElement] = register_memo(
+    "bigon_skein._inv_edge_memo", {}
+)
+
+
+def _inv_edge_basis(b: BasisTangle, edge: str, inverse: bool) -> SkeinElement:
+    kind = HALF_TWIST_INVERSE_CROSSING if inverse else HALF_TWIST_CROSSING
+    word = SliceWord(b.n, _reversal_braid(b.n, kind))
+    states = b.nu if edge == "east" else b.mu
+    new_edge = tuple(-s for s in reversed(states))
+    if edge == "east":
+        stated = StatedWord(word, b.mu, new_edge)
+    else:
+        stated = StatedWord(word, new_edge, b.nu)
+    coeff = ONE
+    for s in states:
+        coeff = coeff * (arc_state_value(-s).inverse() if inverse else arc_state_value(s))
+    return reduce_diagram(stated).scale(coeff)
 
 
 def t_form(x: SkeinElement) -> HalfLaurent:
@@ -290,7 +295,7 @@ _R_GEN: dict[tuple[tuple[State, State], tuple[State, State]], HalfLaurent] = {
     ((1, -1), (-1, 1)): HalfLaurent.q_pow(1) + HalfLaurent.q_pow(-3, -1),
 }
 
-_r_memo: dict[tuple[BasisTangle, BasisTangle], HalfLaurent] = {}
+_r_memo: dict[tuple[BasisTangle, BasisTangle], HalfLaurent] = register_memo("bigon_skein._r_memo", {})
 
 
 def _split_first_strand(b: BasisTangle) -> tuple[BasisTangle, BasisTangle]:

@@ -27,9 +27,25 @@ crossings and exponential only in the width (``SliceWord.width``).  The CLI
 refuses diagrams wider than ``MAX_CLI_WIDTH``.  ``evaluate_arcs`` then reduces
 each stated matching with the boundary relations.
 
-Memo policy: both memos (``_resolve_memo`` per slice word, ``_memo`` per
-stated matching) are process-global, unbounded and guarded by one lock;
-``memo_clear()`` empties both.
+Memo policy: every memo in the package is process-global, unbounded and
+holds only a deterministic function of its key.  Each is registered here with
+``register_memo``; ``memo_clear()`` empties all of them and ``memo_sizes()``
+returns the entry count of each:
+
+* ``diagram._resolve_memo``: crossing resolution per slice word,
+* ``diagram._memo``: reduction per stated matching (``arcs_cache_key``),
+* ``bigon_skein._inv_edge_memo``: edge inversion per (basis tangle, edge,
+  inverse), so ``t_form`` and ``t_inv_form`` reduce each basis tangle once,
+* ``bigon_skein._r_memo``: the co-R form per pair of basis tangles,
+* ``quantum_sl2._ANTIPODE_LETTER``: the antipode of each generator,
+* ``quantum_sl2._to_skein_memo``: the bigon image per PBW monomial,
+* ``internal_skein._coaction_cache``: the transported coaction matrix of
+  V^(x)n per n,
+* ``excision._defect_memo``: the symbolic image of a defect map per
+  (map name, basis pair), specialized afresh at every point.
+
+The two ``diagram`` memos are guarded by one lock.  The others are filled
+without it: two threads racing on one key compute the same value twice.
 """
 
 from __future__ import annotations
@@ -385,6 +401,14 @@ _memo_lock = threading.Lock()
 _memo: dict[str, SkeinElement] = {}
 _resolve_memo: dict[SliceWord, list[tuple[SliceWord, HalfLaurent]]] = {}
 _memo_listener: Callable[[str, SkeinElement], None] | None = None
+#: Every process-global memo of the package, by qualified name.
+_MEMOS: dict[str, dict] = {"diagram._resolve_memo": _resolve_memo, "diagram._memo": _memo}
+
+
+def register_memo(name: str, memo: dict) -> dict:
+    """Add a process-global memo to those ``memo_clear`` and ``memo_sizes`` cover."""
+    _MEMOS[name] = memo
+    return memo
 
 
 def arcs_cache_key(n_west: int, n_east: int, arcs: Arcs, west: tuple[State, ...], east: tuple[State, ...]) -> str:
@@ -399,9 +423,16 @@ def memo_snapshot() -> dict[str, SkeinElement]:
 
 
 def memo_clear() -> None:
+    """Empty every registered memo."""
     with _memo_lock:
-        _memo.clear()
-        _resolve_memo.clear()
+        for memo in _MEMOS.values():
+            memo.clear()
+
+
+def memo_sizes() -> dict[str, int]:
+    """Entry count of every registered memo."""
+    with _memo_lock:
+        return {name: len(memo) for name, memo in _MEMOS.items()}
 
 
 def memo_preload(entries: Mapping[str, SkeinElement]) -> None:

@@ -37,7 +37,7 @@ from typing import Callable
 
 from . import bigon_skein, linalg
 from .bigon_skein import TensorElement
-from .diagram import BasisTangle, SkeinElement
+from .diagram import BasisTangle, SkeinElement, register_memo
 from .scalar import MINUS_ONE, validate_generic_point
 
 Key2 = tuple[BasisTangle, BasisTangle]
@@ -156,15 +156,12 @@ def _pair_index(comp: FiltrationComponent) -> dict[Key2, int]:
     }
 
 
-def _kernel_of_map(
-    comp: FiltrationComponent,
-    image_of_pair: Callable[[BasisTangle, BasisTangle], TensorElement],
-    s0: Fraction,
-) -> list[list[Fraction]]:
+def _kernel_of_map(comp: FiltrationComponent, name: str, s0: Fraction) -> list[list[Fraction]]:
+    """Kernel at s0 of the defect map ``_DEFECTS[name]`` on F_n (x) F_n."""
     index = _pair_index(comp)
     rows: dict[Key3, dict[int, Fraction]] = {}
     for (b1, b2), col in index.items():
-        for key, coeff in image_of_pair(b1, b2).items():
+        for key, coeff in _defect_image(name, b1, b2).items():
             v = coeff.specialize(s0)
             if v:
                 row = rows.setdefault(key, {})
@@ -244,19 +241,38 @@ def hh0_defect_l_ht(b1: BasisTangle, b2: BasisTangle) -> TensorElement:
     return out
 
 
+#: The cotensor defect, then one defect map per variant, by name.
 _DEFECTS: dict[str, Callable[[BasisTangle, BasisTangle], TensorElement]] = {
+    "cotensor": cotensor_defect,
     "inv": merged_invariance_defect,
     "hh0_L": hh0_defect_L,
     "hh0_l_ht": hh0_defect_l_ht,
 }
 
+_defect_memo: dict[tuple[str, BasisTangle, BasisTangle], TensorElement] = register_memo(
+    "excision._defect_memo", {}
+)
+
+
+def _defect_image(name: str, b1: BasisTangle, b2: BasisTangle) -> TensorElement:
+    """Symbolic image of a basis pair under a defect map, computed once per process.
+
+    It does not depend on the specialization point or on the filtration
+    degree (F_(n-2) is spanned by part of the basis of F_n).
+    """
+    key = (name, b1, b2)
+    hit = _defect_memo.get(key)
+    if hit is None:
+        hit = _defect_memo[key] = _DEFECTS[name](b1, b2)
+    return hit
+
 
 def invariants_subspace(n: int, variant: str, s0: Fraction) -> list[list[Fraction]]:
     """Row basis (at s0) of one description of the glued subspace in F_n (x) F_n."""
-    if variant not in _DEFECTS:
+    if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     s0 = validate_generic_point(s0)
-    return _kernel_of_map(FiltrationComponent(n), _DEFECTS[variant], s0)
+    return _kernel_of_map(FiltrationComponent(n), variant, s0)
 
 
 def comul_image_rows(n: int, s0: Fraction) -> list[list[Fraction]]:
@@ -302,7 +318,7 @@ def splitting_image_check(n: int, s0: Fraction) -> SplittingReport:
         if m < 0:
             return 0, 0
         image_rank = linalg.rank(comul_image_rows(m, s0))
-        kernel = _kernel_of_map(FiltrationComponent(m), cotensor_defect, s0)
+        kernel = _kernel_of_map(FiltrationComponent(m), "cotensor", s0)
         return image_rank, len(kernel)
 
     img_n, cot_n = ranks(n)
@@ -346,9 +362,8 @@ def _all_subspaces(n: int, s0: Fraction) -> dict[str, list[list[Fraction]]]:
         return {}
     comp = FiltrationComponent(n)
     spaces = {"image": comul_image_rows(n, s0)}
-    spaces["cotensor"] = _kernel_of_map(comp, cotensor_defect, s0)
-    for variant in VARIANTS:
-        spaces[variant] = _kernel_of_map(comp, _DEFECTS[variant], s0)
+    for name in _DEFECTS:
+        spaces[name] = _kernel_of_map(comp, name, s0)
     return spaces
 
 

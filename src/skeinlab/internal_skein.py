@@ -32,6 +32,7 @@ from .diagram import (
     _canon_arcs,
     arcs_to_word,
     evaluate_arcs,
+    register_memo,
 )
 from .scalar import LOOP
 
@@ -156,10 +157,8 @@ def check_st_intertwiner(m: Matching) -> tuple[bool, str | None]:
     the bigon algebra.
     """
     table = st_map(m)
-    east_co = comodule_rt.tensor_power_V(m.n_east)
-    west_co = comodule_rt.tensor_power_V(m.n_west)
-    east_sk = _transported_coaction(east_co)
-    west_sk = _transported_coaction(west_co)
+    east_sk = _transported_coaction(m.n_east)
+    west_sk = _transported_coaction(m.n_west)
     e_states = comodule_rt.state_tuples(m.n_east)
     w_states = comodule_rt.state_tuples(m.n_west)
     for (west, east), elem in table.items():
@@ -187,19 +186,17 @@ def check_st_intertwiner(m: Matching) -> tuple[bool, str | None]:
     return True, None
 
 
-_coaction_cache: dict[int, list[list[SkeinElement]]] = {}
+_coaction_cache: dict[int, list[list[SkeinElement]]] = register_memo("internal_skein._coaction_cache", {})
 
 
-def _transported_coaction(co: comodule_rt.Comodule) -> list[list[SkeinElement]]:
-    key = co.dim
-    hit = _coaction_cache.get(key)
+def _transported_coaction(n: int) -> list[list[SkeinElement]]:
+    """Coaction matrix of V^(x)n carried into the bigon algebra, built once per n."""
+    hit = _coaction_cache.get(n)
     if hit is not None:
         return hit
-    out = [
-        [quantum_sl2.to_skein(co.coaction[i][j]) for j in range(co.dim)]
-        for i in range(co.dim)
-    ]
-    _coaction_cache[key] = out
+    co = comodule_rt.tensor_power_V(n)
+    out = [[quantum_sl2.to_skein(entry) for entry in row] for row in co.coaction]
+    _coaction_cache[n] = out
     return out
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import bigon_skein
-from .diagram import SkeinElement
+from .diagram import SkeinElement, register_memo
 from .scalar import ONE, ZERO, HalfLaurent, LinearCombination
 
 U_GENERATORS = ("E", "F", "K", "Kinv")
@@ -207,7 +207,7 @@ def counit(x: HopfElement) -> HalfLaurent:
     return sum((c for m, c in x.items() if m.b_pow == 0 and m.c_pow == 0), ZERO)
 
 
-_ANTIPODE_LETTER: dict[str, HopfElement] = {}
+_ANTIPODE_LETTER: dict[str, HopfElement] = register_memo("quantum_sl2._ANTIPODE_LETTER", {})
 
 
 def _antipode_letter(letter: str) -> HopfElement:
@@ -295,12 +295,21 @@ _LETTER_TO_TANGLE = {"a": (1, 1), "b": (1, -1), "c": (-1, 1), "d": (-1, -1)}
 _TANGLE_TO_LETTER = {v: k for k, v in _LETTER_TO_TANGLE.items()}
 
 
+_to_skein_memo: dict[PBWMonomial, SkeinElement] = register_memo("quantum_sl2._to_skein_memo", {})
+
+
 def to_skein(x: HopfElement) -> SkeinElement:
-    """Send each PBW monomial to the product of its generator tangles."""
+    """Send each PBW monomial to the product of its generator tangles.
+
+    The image of each monomial is computed once per process.
+    """
     out = SkeinElement.zero()
     for m, c in x.items():
-        factors = [bigon_skein.generator(letter) for letter in m.letters()]
-        out.add_scaled(bigon_skein.mul_many(factors), c)
+        image = _to_skein_memo.get(m)
+        if image is None:
+            factors = [bigon_skein.generator(letter) for letter in m.letters()]
+            image = _to_skein_memo[m] = bigon_skein.mul_many(factors)
+        out.add_scaled(image, c)
     return out
 
 

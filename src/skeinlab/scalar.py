@@ -6,9 +6,12 @@ Every coefficient showing up in bigon skein computations -- the loop value
 Working with the generator s (so q = s^2) keeps all exponents integral and
 makes equality of scalars a structural comparison of canonical term maps.
 
-Rank computations elsewhere specialize s at nonzero rational points; a
-nonzero rational other than +/-1 is never a root of unity, so such points
-are generic for every identity checked here.
+Rank computations elsewhere specialize s at nonzero rational points other
+than +/-1.  Such a point is never a root of unity, but it can still be a root
+of some minor, so a value at one point is a one-sided bound, not the generic
+value: specialization can only lower a rank, so a rank at a point is a lower
+bound on the generic rank, and a kernel dimension at a point is an upper
+bound on the generic kernel dimension.
 
 Every algebra element (skein elements, tensors, PBW normal forms) is a
 finite sum of basis keys with such coefficients: :class:`LinearCombination`.

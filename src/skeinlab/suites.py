@@ -24,19 +24,6 @@ from .oracle import oracle_reduce
 from .report import Case, Report
 from .scalar import ONE, HalfLaurent
 
-SUITES = (
-    "hopf",
-    "iso",
-    "coquasi",
-    "halfribbon",
-    "leftright",
-    "braidop",
-    "rt",
-    "comodule",
-    "st",
-    "excision",
-)
-
 DEFAULT_SPECS = (Fraction(7, 5), Fraction(11, 7))
 
 Check = tuple[str, Callable[[], str | None]]
@@ -852,6 +839,24 @@ def excision_suite(max_degree: int, specs, seed: int) -> list[Check]:
 # -- dispatch -------------------------------------------------------------------------
 
 
+#: Suite name -> builder of its checks from build_suite's arguments after the
+#: name (max_degree, specs, seed, max_points, symbolic, oracle_words).
+_BUILDERS: dict[str, Callable[..., list[Check]]] = {
+    "hopf": lambda deg, specs, seed, *_: hopf_suite(deg, specs, seed),
+    "iso": lambda deg, specs, seed, *_: iso_suite(deg, specs, seed),
+    "coquasi": lambda deg, specs, seed, *_: coquasi_suite(deg, specs, seed),
+    "halfribbon": lambda deg, specs, seed, *_: halfribbon_suite(deg, specs, seed),
+    "leftright": lambda deg, specs, seed, *_: leftright_suite(deg, specs, seed),
+    "braidop": lambda deg, specs, seed, *_: braidop_suite(deg, specs, seed),
+    "rt": lambda deg, specs, seed, points, symbolic, words: rt_suite(deg, specs, seed, words),
+    "comodule": lambda deg, specs, seed, points, symbolic, words: comodule_suite(deg, specs, seed, symbolic),
+    "st": lambda deg, specs, seed, points, *_: st_suite(points, specs, seed),
+    "excision": lambda deg, specs, seed, *_: excision_suite(deg, specs, seed),
+}
+
+SUITES = tuple(_BUILDERS)
+
+
 def build_suite(
     name: str,
     max_degree: int = 3,
@@ -862,33 +867,13 @@ def build_suite(
     oracle_words: int = 200,
 ) -> list[Check]:
     specs = tuple(specs)
-    if name == "hopf":
-        return hopf_suite(max_degree, specs, seed)
-    if name == "iso":
-        return iso_suite(max_degree, specs, seed)
-    if name == "coquasi":
-        return coquasi_suite(max_degree, specs, seed)
-    if name == "halfribbon":
-        return halfribbon_suite(max_degree, specs, seed)
-    if name == "leftright":
-        return leftright_suite(max_degree, specs, seed)
-    if name == "braidop":
-        return braidop_suite(max_degree, specs, seed)
-    if name == "rt":
-        return rt_suite(max_degree, specs, seed, oracle_words)
-    if name == "comodule":
-        return comodule_suite(max_degree, specs, seed, symbolic)
-    if name == "st":
-        return st_suite(max_points, specs, seed)
-    if name == "excision":
-        return excision_suite(max_degree, specs, seed)
+    args = (max_degree, specs, seed, max_points, symbolic, oracle_words)
+    if name in _BUILDERS:
+        return _BUILDERS[name](*args)
     if name == "all":
         out: list[Check] = []
         for sub in SUITES:
-            sub_checks = build_suite(
-                sub, max_degree, specs, seed, max_points, symbolic, oracle_words
-            )
-            out.extend((f"{sub}: {label}", fn) for label, fn in sub_checks)
+            out.extend((f"{sub}: {label}", fn) for label, fn in build_suite(sub, *args))
         return out
     raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITES + ('all',))}")
 

@@ -1,0 +1,115 @@
+"""Process-global memos: clearing, sizes, work bounds and cold/warm agreement."""
+
+from collections import Counter
+from fractions import Fraction
+
+import skeinlab.bigon_skein as B
+import skeinlab.comodule_rt as CM
+import skeinlab.excision as EX
+import skeinlab.internal_skein as IS
+import skeinlab.quantum_sl2 as QS
+from skeinlab.diagram import SkeinElement, SliceWord, StatedWord, memo_clear, memo_sizes, reduce
+from skeinlab.suites import DEFAULT_SPECS
+
+MEMOS = {
+    "diagram._resolve_memo",
+    "diagram._memo",
+    "bigon_skein._inv_edge_memo",
+    "bigon_skein._r_memo",
+    "quantum_sl2._ANTIPODE_LETTER",
+    "quantum_sl2._to_skein_memo",
+    "internal_skein._coaction_cache",
+    "excision._defect_memo",
+}
+
+
+def _counting(fn, counter, tag):
+    """``fn``, counting each call under ``(tag, *args)``."""
+
+    def wrapped(*args):
+        counter[(tag, *args)] += 1
+        return fn(*args)
+
+    return wrapped
+
+
+def test_memo_clear_empties_every_memo():
+    a = B.generator("a")
+    reduce(StatedWord(SliceWord(2, (("x", 0),)), (1, -1), (-1, 1)))
+    B.t_form(a)
+    B.r_form(a, a)
+    QS.antipode(QS.gen("a"))
+    IS.check_st_intertwiner(IS.identity_matching(1))
+    EX.invariants_subspace(0, "inv", Fraction(7, 5))
+    sizes = memo_sizes()
+    assert set(sizes) == MEMOS
+    assert all(sizes.values()), sizes
+    memo_clear()
+    assert set(memo_sizes().values()) == {0}
+
+
+def test_st_intertwiner_sweep_builds_each_tensor_power_once(monkeypatch):
+    # One tensor power per edge arity 0..6, where building both edges' tensor
+    # powers for every matching makes 98 calls.
+    calls = Counter()
+    monkeypatch.setattr(CM, "tensor_power_V", _counting(CM.tensor_power_V, calls, "V"))
+    memo_clear()
+    for total in range(0, 7, 2):
+        for n_west in range(total + 1):
+            for m in IS.enumerate_matchings(n_west, total - n_west):
+                assert IS.check_st_intertwiner(m) == (True, None)
+    assert 1 <= sum(calls.values()) <= 7
+
+
+def test_t_forms_reduce_each_basis_tangle_once(monkeypatch):
+    basis = [SkeinElement.of(b) for b in B.basis_tangles(3)]
+    first = [(B.t_form(x), B.t_inv_form(x)) for x in basis]
+    calls = Counter()
+    monkeypatch.setattr(B, "reduce_diagram", _counting(B.reduce_diagram, calls, "reduce"))
+    second = [(B.t_form(x), B.t_inv_form(x)) for x in basis]
+    assert not calls
+    assert second == first
+
+
+def test_gluing_calls_each_defect_once_per_basis_pair(monkeypatch):
+    calls = Counter()
+    for name, fn in list(EX._DEFECTS.items()):
+        monkeypatch.setitem(EX._DEFECTS, name, _counting(fn, calls, name))
+    memo_clear()
+    for s0 in DEFAULT_SPECS:
+        assert EX.gluing_excision_check(2, s0).passed
+    basis = EX.FiltrationComponent(2).basis
+    assert len(calls) == len(EX._DEFECTS) * len(basis) ** 2
+    assert set(calls.values()) == {1}
+
+
+def test_cold_and_warm_values_agree():
+    basis = [SkeinElement.of(b) for b in B.basis_tangles(3)]
+    entries = [h for row in CM.tensor_power_V(3).coaction for h in row]
+
+    def values():
+        return (
+            [B.t_form(x) for x in basis],
+            [B.t_inv_form(x) for x in basis],
+            [QS.to_skein(h) for h in entries],
+            {v: EX.invariants_subspace(2, v, Fraction(7, 5)) for v in EX.VARIANTS},
+        )
+
+    values()
+    warm = values()
+    # Callers may mutate what they get; the memoized images stay intact.
+    for element in values()[2]:
+        element.add_scaled(B.generator("a"))
+    assert values() == warm
+    memo_clear()
+    assert values() == warm
+
+
+def test_defect_memo_returns_each_maps_own_image():
+    # Every description of the glued subspace has the same kernel, so a memo
+    # that mixed up the maps would pass the dimension checks.
+    basis = EX.FiltrationComponent(1).basis
+    for name, fn in EX._DEFECTS.items():
+        for b1 in basis:
+            for b2 in basis:
+                assert EX._defect_image(name, b1, b2) == fn(b1, b2)
