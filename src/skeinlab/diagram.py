@@ -34,6 +34,9 @@ returns the entry count of each:
 
 * ``diagram._resolve_memo``: crossing resolution per slice word,
 * ``diagram._memo``: reduction per stated matching (``arcs_cache_key``),
+* ``diagram._word_arcs_memo``: the boundary matching of each canonical word
+  that ``resolve_crossings`` returns, so ``reduce`` traces each word once,
+* ``diagram._parallel_arcs_memo``: the identity matching per strand count,
 * ``bigon_skein._inv_edge_memo``: edge inversion per (basis tangle, edge,
   inverse), so ``t_form`` and ``t_inv_form`` reduce each basis tangle once,
 * ``bigon_skein._r_memo``: the co-R form per pair of basis tangles,
@@ -44,8 +47,9 @@ returns the entry count of each:
 * ``excision._defect_memo``: the symbolic image of a defect map per
   (map name, basis pair), specialized afresh at every point.
 
-The two ``diagram`` memos are guarded by one lock.  The others are filled
-without it: two threads racing on one key compute the same value twice.
+The resolution and reduction memos are guarded by one lock.  The others are
+filled without it: two threads racing on one key compute the same value
+twice.
 """
 
 from __future__ import annotations
@@ -400,9 +404,16 @@ def resolve_crossings(word: SliceWord) -> list[tuple[SliceWord, HalfLaurent]]:
 _memo_lock = threading.Lock()
 _memo: dict[str, SkeinElement] = {}
 _resolve_memo: dict[SliceWord, list[tuple[SliceWord, HalfLaurent]]] = {}
+_word_arcs_memo: dict[SliceWord, Arcs] = {}
+_parallel_arcs_memo: dict[int, Arcs] = {}
 _memo_listener: Callable[[str, SkeinElement], None] | None = None
 #: Every process-global memo of the package, by qualified name.
-_MEMOS: dict[str, dict] = {"diagram._resolve_memo": _resolve_memo, "diagram._memo": _memo}
+_MEMOS: dict[str, dict] = {
+    "diagram._resolve_memo": _resolve_memo,
+    "diagram._memo": _memo,
+    "diagram._word_arcs_memo": _word_arcs_memo,
+    "diagram._parallel_arcs_memo": _parallel_arcs_memo,
+}
 
 
 def register_memo(name: str, memo: dict) -> dict:
@@ -561,7 +572,10 @@ def _evaluate_arcs_uncached(
 
 
 def parallel_arcs(n: int) -> Arcs:
-    return _canon_arcs((("w", i), ("e", i)) for i in range(n))
+    arcs = _parallel_arcs_memo.get(n)
+    if arcs is None:
+        arcs = _parallel_arcs_memo[n] = _canon_arcs((("w", i), ("e", i)) for i in range(n))
+    return arcs
 
 
 def reduce_parallel(west: tuple[State, ...], east: tuple[State, ...]) -> SkeinElement:
@@ -576,8 +590,10 @@ def reduce(diagram: StatedWord) -> SkeinElement:
     """Canonical basis expansion of a stated sliced diagram."""
     out = SkeinElement.zero()
     for word, coeff in resolve_crossings(diagram.word):
-        # Canonical words carry no closed loops.
-        arcs, _ = word_to_arcs(word)
+        arcs = _word_arcs_memo.get(word)
+        if arcs is None:
+            # Canonical words carry no closed loops.
+            arcs = _word_arcs_memo[word] = word_to_arcs(word)[0]
         part = evaluate_arcs(
             word.west_arity, word.east_arity, arcs, diagram.west, diagram.east
         )

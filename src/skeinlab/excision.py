@@ -166,9 +166,7 @@ def _kernel_of_map(comp: FiltrationComponent, name: str, s0: Fraction) -> list[l
             if v:
                 row = rows.setdefault(key, {})
                 row[col] = row.get(col, Fraction(0)) + v
-    return linalg.kernel_basis(
-        (row for row in rows.values() if row), comp.dimension**2
-    )
+    return linalg.kernel_basis(rows.values(), comp.dimension**2)
 
 
 def cotensor_defect(b1: BasisTangle, b2: BasisTangle) -> TensorElement:

@@ -346,8 +346,7 @@ def st_rank(n_west: int, n_east: int, s0: Fraction) -> tuple[int, int, int]:
                 col = columns.setdefault((key[0], key[1], b), len(columns))
                 row[col] = coeff.specialize(s0)
         rows.append(row)
-    dense = [[row.get(j, Fraction(0)) for j in range(len(columns))] for row in rows]
-    return linalg.rank(dense), catalan((n_west + n_east) // 2), peter_weyl_count(n_west, n_east)
+    return linalg.rank(rows), catalan((n_west + n_east) // 2), peter_weyl_count(n_west, n_east)
 
 
 def check_product_compatibility(m1: Matching, m2: Matching) -> tuple[bool, str | None]:

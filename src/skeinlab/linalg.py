@@ -2,54 +2,88 @@
 
 Rank and kernel computations back the generic-q dimension checks: matrices
 are specialized at rational points and handled with Fraction arithmetic, so
-results are exact.  Kernels of tall sparse matrices are computed
-incrementally (intersecting row kernels), which is fast because the kernel
-dimension saturates after a few independent rows.
+results are exact.  Every rank, row space, kernel and solution over Q comes
+from one sparse Gauss-Jordan elimination on ``{column: value}`` rows: the
+systems here are tall with about one non-zero per row, so pivot rows stay
+short and no dense basis is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
 
 from .scalar import HalfLaurent
 
 Vec = list[Fraction]
 SparseRow = dict[int, Fraction]
+Row = Union[Sequence[Fraction], SparseRow]  # dense, or sparse {column: value}
 
 
-def _as_fraction_rows(rows: Iterable[Sequence[Fraction]]) -> list[Vec]:
-    return [[Fraction(c) for c in row] for row in rows]
+def _as_sparse(row: Row) -> SparseRow:
+    """The non-zero entries of ``row``, in a new dict."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {j: c for j, c in items if c}
+
+
+def _echelon(rows: Iterable[Row]) -> dict[int, SparseRow]:
+    """The RREF of ``rows`` as {pivot column: row}.
+
+    Pivot rows are kept fully reduced, so an incoming row needs one pass over
+    the pivots it touches; taking its first non-zero column as its pivot
+    makes the result the unique RREF.
+    """
+    pivots: dict[int, SparseRow] = {}
+    for given in rows:
+        row = _as_sparse(given)
+        for p in [j for j in row if j in pivots]:
+            f = row.pop(p)
+            for j, c in pivots[p].items():
+                if j != p:
+                    v = row.get(j, 0) - f * c
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+        if not row:
+            continue
+        lead = min(row)
+        inv = 1 / Fraction(row[lead])
+        row = {j: c * inv for j, c in row.items()}
+        for other in pivots.values():
+            g = other.pop(lead, 0)
+            if g:
+                for j, c in row.items():
+                    if j != lead:
+                        v = other.get(j, 0) - g * c
+                        if v:
+                            other[j] = v
+                        else:
+                            del other[j]
+        pivots[lead] = row
+    return pivots
+
+
+def _dense(row: SparseRow, n: int) -> Vec:
+    out = [Fraction(0)] * n
+    for j, c in row.items():
+        out[j] = c
+    return out
 
 
 def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = _as_fraction_rows(rows)
+    """Reduced row echelon form of dense rows; returns (nonzero rows, pivot columns)."""
+    mat = list(rows)
     if not mat:
         return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    pivots = _echelon(mat)
+    order = sorted(pivots)
+    return [_dense(pivots[p], len(mat[0])) for p in order], order
 
 
-def rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[0])
+def rank(rows: Iterable[Row]) -> int:
+    """Rank of dense or sparse rows."""
+    return len(_echelon(rows))
 
 
 def row_space_basis(rows: Iterable[Sequence[Fraction]]) -> list[Vec]:
@@ -62,53 +96,36 @@ def same_row_space(rows_a: Iterable[Sequence[Fraction]], rows_b: Iterable[Sequen
 
 
 def row_space_contains(rows: Iterable[Sequence[Fraction]], vec: Sequence[Fraction]) -> bool:
-    basis = row_space_basis(rows)
-    v = [Fraction(c) for c in vec]
-    for row in basis:
-        p = next(i for i, x in enumerate(row) if x)
-        if v[p]:
-            f = v[p]
-            v = [x - f * y for x, y in zip(v, row)]
-    return not any(v)
+    mat = list(rows)
+    return rank(mat + [vec]) == rank(mat)
 
 
 def kernel_basis(rows: Iterable[SparseRow], n: int) -> list[Vec]:
     """Basis of {x in Q^n : row . x = 0 for all rows}; rows are sparse dicts.
 
-    Maintains a basis of the running kernel and cuts it down one row at a
-    time, so wide-but-low-rank systems cost little after rank saturation.
+    One vector per free (non-pivot) column f of the RREF: x_f = 1, x_p =
+    -R[p][f] for each pivot row R[p], and 0 elsewhere.
     """
-    basis: list[Vec] = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for row in rows:
-        if not basis:
-            break
-        if not row:
-            continue
-        vals = [sum((c * b[j] for j, c in row.items()), Fraction(0)) for b in basis]
-        pidx = next((i for i, v in enumerate(vals) if v), None)
-        if pidx is None:
-            continue
-        pivot = basis.pop(pidx)
-        pval = vals.pop(pidx)
-        basis = [
-            b if not v else [x - (v / pval) * y for x, y in zip(b, pivot)]
-            for b, v in zip(basis, vals)
-        ]
-    return basis
+    pivots = _echelon(rows)
+    basis = {f: _dense({f: Fraction(1)}, n) for f in range(n) if f not in pivots}
+    for p, row in pivots.items():
+        for f, c in row.items():
+            if f != p:
+                basis[f][p] = -c
+    return list(basis.values())
 
 
 def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec | None:
     """One solution x of A x = b (A given by dense rows), or None."""
-    mat = [[Fraction(c) for c in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    if not mat:
+    if not rows:
         return None
     ncols = len(rows[0])
-    red, pivots = rref(mat)
+    pivots = _echelon([*row, b] for row, b in zip(rows, rhs))
+    if ncols in pivots:
+        return None  # inconsistent: pivot in the augmented column
     sol = [Fraction(0)] * ncols
-    for row, p in zip(red, pivots):
-        if p == ncols:
-            return None  # inconsistent: pivot in augmented column
-        sol[p] = row[-1]
+    for p, row in pivots.items():
+        sol[p] = Fraction(row.get(ncols, 0))
     return sol
 
 

@@ -2,9 +2,13 @@
 
 Every coefficient showing up in bigon skein computations -- the loop value
 -q^2 - q^-2, boundary arc weights like q^(-1/2) and -q^(5/2), twist factors
--q^(+/-3) -- is a Laurent polynomial in q^(1/2) with rational coefficients.
-Working with the generator s (so q = s^2) keeps all exponents integral and
-makes equality of scalars a structural comparison of canonical term maps.
+-q^(+/-3) -- is a Laurent polynomial in q^(1/2) with integer coefficients.
+Coefficients are stored as ``int`` and fall back to ``Fraction`` only where a
+value is not integral (rational input, exact division), so the engine's
+arithmetic runs on Python ints.  Working with the generator s (so q = s^2)
+keeps all exponents integral and makes equality of scalars a structural
+comparison of canonical term maps; ``Fraction(n, 1)`` and ``n`` compare and
+hash equal, so either form of an integral value is canonical.
 
 Rank computations elsewhere specialize s at nonzero rational points other
 than +/-1.  Such a point is never a root of unity, but it can still be a root
@@ -25,13 +29,31 @@ from typing import Hashable, Iterable, ItemsView, Mapping, Union
 
 Rat = Union[int, Fraction]
 
+#: Largest exponent magnitude either text parser accepts after ``^``.  Larger
+#: powers are refused before any work, so input such as ``9^9999999`` fails
+#: at once instead of hanging.  At this bound ``(1+s)^256`` parses in about
+#: 0.04 s and the element ``a^256`` in about 0.12 s on a 2-core x86 host,
+#: while printed results of long words stay parseable (a 60-crossing braid
+#: of width 7 reduces to exponents up to 96).
+MAX_EXPONENT = 256
+
 
 class ScalarError(ValueError):
     """Raised on invalid scalar operations (bad specialization, non-monomial inverse)."""
 
 
+def _rat(c: Rat) -> Rat:
+    """``c`` as an ``int`` when integral, else as a ``Fraction``."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class HalfLaurent:
-    """A Laurent polynomial in s = q^(1/2) over Q, kept in canonical form.
+    """A Laurent polynomial in s = q^(1/2), kept in canonical form.
+
+    Coefficients are ``int``, or ``Fraction`` where not integral.
 
     Canonical form stores only nonzero coefficients, so ``==`` is exact
     structural equality.  Instances are treated as immutable.
@@ -41,9 +63,9 @@ class HalfLaurent:
 
     def __init__(self, terms: Mapping[int, Rat] | Iterable[tuple[int, Rat]] = ()):
         items = terms.items() if isinstance(terms, dict) else terms
-        canon: dict[int, Fraction] = {}
+        canon: dict[int, Rat] = {}
         for e, c in items:
-            c = Fraction(c)
+            c = _rat(c)
             if c:
                 acc = canon.get(e)
                 tot = c if acc is None else acc + c
@@ -65,22 +87,22 @@ class HalfLaurent:
 
     @classmethod
     def rational(cls, r: Rat) -> HalfLaurent:
-        return cls({0: Fraction(r)})
+        return cls({0: r})
 
     @classmethod
     def s_pow(cls, e: int, coeff: Rat = 1) -> HalfLaurent:
         """coeff * s^e."""
-        return cls({e: Fraction(coeff)})
+        return cls({e: coeff})
 
     @classmethod
     def q_pow(cls, e: int, coeff: Rat = 1) -> HalfLaurent:
         """coeff * q^e = coeff * s^(2e)."""
-        return cls({2 * e: Fraction(coeff)})
+        return cls({2 * e: coeff})
 
     # -- inspection --------------------------------------------------------
 
     @property
-    def terms(self) -> dict[int, Fraction]:
+    def terms(self) -> dict[int, Rat]:
         return dict(self._terms)
 
     def is_zero(self) -> bool:
@@ -132,7 +154,7 @@ class HalfLaurent:
             return self.scale(other)
         if not isinstance(other, HalfLaurent):
             return NotImplemented
-        out: dict[int, Fraction] = {}
+        out: dict[int, Rat] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
@@ -152,7 +174,7 @@ class HalfLaurent:
         return NotImplemented
 
     def scale(self, r: Rat) -> HalfLaurent:
-        r = Fraction(r)
+        r = _rat(r)
         if not r:
             return HalfLaurent.zero()
         res = HalfLaurent.__new__(HalfLaurent)
@@ -176,7 +198,7 @@ class HalfLaurent:
         if len(self._terms) != 1:
             raise ScalarError(f"not an invertible monomial: {self}")
         ((e, c),) = self._terms.items()
-        return HalfLaurent({-e: Fraction(1, 1) / c})
+        return HalfLaurent({-e: Fraction(1, c)})
 
     def divide_exact(self, other: HalfLaurent) -> HalfLaurent:
         """Exact quotient self / other in Q[s, s^-1]; raises if not divisible."""
@@ -193,16 +215,17 @@ class HalfLaurent:
         # A true quotient has its top exponent at max(num)-dlead and its
         # bottom at min(num)-min(den); anything below that means a residue.
         floor = min(num) - min(den)
-        quot: dict[int, Fraction] = {}
+        quot: dict[int, Rat] = {}
         while num:
             nlead = max(num)
-            qe, qc = nlead - dlead, num[nlead] / dc
+            # Fraction, never int / int: true division of ints is a float.
+            qe, qc = nlead - dlead, Fraction(num[nlead], dc)
             if qe < floor:
                 raise ScalarError("not exactly divisible")
             quot[qe] = qc
             for e, c in den.items():
                 ee = e + qe
-                acc = num.get(ee, Fraction(0)) - c * qc
+                acc = num.get(ee, 0) - c * qc
                 if acc:
                     num[ee] = acc
                 elif ee in num:
@@ -375,7 +398,7 @@ def validate_generic_point(s0: Rat) -> Fraction:
 # for s^2.  The printer always emits in s.
 
 
-def _coeff_str(c: Fraction) -> str:
+def _coeff_str(c: Rat) -> str:
     return str(c)
 
 
@@ -467,7 +490,12 @@ class _ScalarParser:
         base = self.atom()
         if self._peek() == "^":
             self.pos += 1
-            return base ** self._int()
+            self._skip_ws()
+            start = self.pos
+            e = self._int()
+            if abs(e) > MAX_EXPONENT:
+                raise ScalarParseError(f"exponent {e} exceeds the bound {MAX_EXPONENT}", start)
+            return base**e
         return base
 
     def atom(self) -> HalfLaurent:

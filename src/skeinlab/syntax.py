@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from string import digits
 
-from .scalar import MINUS_ONE, HalfLaurent, format_scalar
+from .scalar import MAX_EXPONENT, MINUS_ONE, HalfLaurent, format_scalar
 
 
 class ParseError(ValueError):
@@ -235,7 +235,11 @@ class _ElementParser:
         base, scalar = self.atom()
         if self.cur.peek() == "^":
             self.cur.eat("^")
+            self.cur.skip_ws()
+            start = self.cur.pos
             e = self.cur.integer()
+            if abs(e) > MAX_EXPONENT:
+                raise ParseError(f"exponent {e} exceeds the bound {MAX_EXPONENT}", start)
             if scalar is not None:
                 return self.ops.scalar(scalar**e)
             if e < 0:

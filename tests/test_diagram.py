@@ -9,6 +9,7 @@ from skeinlab.diagram import (
     SkeinElement,
     SliceWord,
     StatedWord,
+    memo_clear,
     reduce,
     reduce_parallel,
     resolve_crossings,
@@ -206,26 +207,46 @@ def test_long_braid_words_match_oracle():
         assert reduce(d) == oracle_reduce(d)
 
 
-def test_braid_resolution_work_is_linear_in_crossings(monkeypatch):
-    # At most two traces per planar matching of the 8 boundary points
-    # (Catalan(4) = 14) per crossing, plus the trailing slices: 2 * 14 * 19,
-    # where expanding every smoothing would trace 2^18 words.
+def _count_traces(monkeypatch) -> list[int]:
+    """Empty the memos and count ``word_to_arcs`` calls in the returned cell."""
     import skeinlab.diagram as D
 
-    calls = 0
+    calls = [0]
     trace = D.word_to_arcs
 
     def counting(word):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return trace(word)
 
     monkeypatch.setattr(D, "word_to_arcs", counting)
     D.memo_clear()
+    return calls
+
+
+def test_braid_resolution_work_is_linear_in_crossings(monkeypatch):
+    # At most two traces per planar matching of the 8 boundary points
+    # (Catalan(4) = 14) per crossing, plus the trailing slices: 2 * 14 * 19,
+    # where expanding every smoothing would trace 2^18 words.
+    calls = _count_traces(monkeypatch)
     word = SliceWord(4, tuple(("x", i) for _ in range(6) for i in range(3)))
     assert len(resolve_crossings(word)) == 14
-    assert calls <= 2 * 14 * 19
-    D.memo_clear()
+    assert calls[0] <= 2 * 14 * 19
+    memo_clear()
+
+
+def test_reduce_traces_each_canonical_word_once(monkeypatch):
+    # The resolution and the arcs of its canonical words do not depend on
+    # the boundary states, so only the first state pair traces words.
+    calls = _count_traces(monkeypatch)
+    word = SliceWord(3, (("x", 0), ("xb", 1), ("cap", 0), ("cup", 1), ("x", 0)))
+    states = [(w, e) for w in ((1, 1, -1), (-1, 1, 1), (1, -1, 1)) for e in ((1, 1, -1), (-1, 1, 1))]
+    reduce(StatedWord(word, *states[0]))
+    assert calls[0]
+    calls[0] = 0
+    for west, east in states[1:]:
+        reduce(StatedWord(word, west, east))
+    assert calls[0] == 0
+    memo_clear()
 
 
 def test_memo_clear_empties_both_memos():

@@ -68,3 +68,9 @@ def test_gluing_check_small_degrees():
             rep = EX.gluing_excision_check(n, s0)
             assert rep.passed, (n, s0, rep.dims, rep.increments)
             assert rep.pullback_ok
+
+
+def test_gluing_check_degree_three():
+    rep = EX.gluing_excision_check(3, S0)
+    assert rep.passed and rep.pullback_ok
+    assert set(rep.dims.values()) == {20} and set(rep.increments.values()) == {16}

@@ -14,6 +14,8 @@ from skeinlab.suites import DEFAULT_SPECS
 MEMOS = {
     "diagram._resolve_memo",
     "diagram._memo",
+    "diagram._word_arcs_memo",
+    "diagram._parallel_arcs_memo",
     "bigon_skein._inv_edge_memo",
     "bigon_skein._r_memo",
     "quantum_sl2._ANTIPODE_LETTER",

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from skeinlab.scalar import (
     LOOP,
+    MAX_EXPONENT,
     HalfLaurent,
     ScalarError,
+    ScalarParseError,
     format_scalar,
     parse_scalar,
     validate_generic_point,
@@ -69,12 +71,27 @@ def test_divide_exact():
     assert (S(1) + HalfLaurent.one()).divide_exact(S(1) + S(2)) == S(-1)
 
 
+def test_divide_exact_divides_integers_exactly():
+    # (3s^2 + s) / 3s = s + 1/3; true division of the ints 1 / 3 would give
+    # a float constant term instead.
+    quot = HalfLaurent({2: 3, 1: 1}).divide_exact(HalfLaurent({1: 3}))
+    assert quot.terms == {1: 1, 0: Fraction(1, 3)}
+    assert type(quot.terms[0]) is Fraction
+
+
 def test_parse_examples():
     assert parse_scalar("-3/2*s^-5 + s^4") == S(4) + S(-5, Fraction(-3, 2))
     assert parse_scalar("q") == S(2)
     assert parse_scalar("q^-2") == S(-4)
     assert parse_scalar("-q^2-q^-2") == LOOP
     assert parse_scalar("(1 + s)^2") == HalfLaurent({0: 1, 1: 2, 2: 1})
+
+
+def test_parse_rejects_exponents_beyond_the_bound():
+    assert parse_scalar(f"s^-{MAX_EXPONENT}") == S(-MAX_EXPONENT)
+    for text, column in (("9^9999999", 3), (f"(1 + s)^ {MAX_EXPONENT + 1}", 10)):
+        with pytest.raises(ScalarParseError, match=f"exceeds the bound.*column {column}"):
+            parse_scalar(text)
 
 
 scalars = st.builds(
@@ -108,6 +125,25 @@ def test_specialize_is_ring_homomorphism(x, y):
     s0 = Fraction(7, 5)
     assert (x * y).specialize(s0) == x.specialize(s0) * y.specialize(s0)
     assert (x + y).specialize(s0) == x.specialize(s0) + y.specialize(s0)
+
+
+def _integral(x):
+    return HalfLaurent({e: c.numerator for e, c in x.terms.items()})
+
+
+@given(scalars, scalars)
+@settings(max_examples=60, deadline=None)
+def test_coefficients_are_ints_or_fractions(x, y):
+    # No operation yields a float; integral operands give int coefficients.
+    for a, b, integral in ((x, y, False), (_integral(x), _integral(y), True)):
+        results = [a + b, a - b, -a, a * b, a.scale(3), a * 2, a**3, HalfLaurent(a.terms)]
+        if b:
+            results.append((a * b).divide_exact(b))
+        if a.is_monomial() and (not integral or abs(*a.terms.values()) == 1):
+            results.append(a.inverse())
+        for r in results:
+            kinds = {type(c) for c in r.terms.values()}
+            assert kinds <= ({int} if integral else {int, Fraction}), (a, b, r.terms)
 
 
 @given(scalars)
