@@ -365,15 +365,22 @@ def braided_opposite_mul_diagrammatic(x: SkeinElement, y: SkeinElement) -> Skein
     return out
 
 
-# -- convenience: all basis tangles up to a strand bound ----------------------
+# -- convenience: basis tangles by strand count ---------------------------------
+
+
+def strand_tangles(n: int) -> list[BasisTangle]:
+    """The (n+1)^2 basis tangles with n strands, by the + count of mu, then of nu."""
+    out = []
+    for i in range(n + 1):
+        mu = (1,) * i + (-1,) * (n - i)
+        for j in range(n + 1):
+            nu = (1,) * j + (-1,) * (n - j)
+            out.append(BasisTangle(n, mu, nu))
+    return out
 
 
 def basis_tangles(max_strands: int) -> list[BasisTangle]:
     out = [UNIT_TANGLE]
     for n in range(1, max_strands + 1):
-        for i in range(n + 1):
-            mu = (1,) * i + (-1,) * (n - i)
-            for j in range(n + 1):
-                nu = (1,) * j + (-1,) * (n - j)
-                out.append(BasisTangle(n, mu, nu))
+        out.extend(strand_tangles(n))
     return out

@@ -13,7 +13,6 @@ import sys
 from fractions import Fraction
 
 from . import bigon_skein as B
-from .cache import CACHE_ENV_VAR, ReductionCache, default_cache_path
 from .diagram import MAX_CLI_WIDTH, UNIT_TANGLE, StatedWord
 from .diagram import reduce as reduce_diagram
 from .report import Report
@@ -53,6 +52,14 @@ def _parse_spec_points(values: list[str] | None, seed: int | None) -> tuple[Frac
     return tuple(points)
 
 
+def bound(text: str) -> int:
+    """A non-negative size bound: a negative one would pass vacuously."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skeinlab",
@@ -83,25 +90,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr", nargs="+")
 
     p = sub.add_parser("st", help="run the state-correspondence suite")
-    p.add_argument("--max-points", type=int, default=6)
+    p.add_argument("--max-points", type=bound, default=6)
     p.add_argument("--spec", action="append", metavar="S0")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=SUITES + ("all",))
-    p.add_argument("--max-degree", type=int, default=3)
-    p.add_argument("--max-points", type=int, default=6)
+    p.add_argument("--max-degree", type=bound, default=3)
+    p.add_argument("--max-points", type=bound, default=6)
     p.add_argument("--spec", action="append", metavar="S0",
                    help="specialization point (rational, repeatable; default 7/5 and 11/7)")
     p.add_argument("--seed", type=int, default=None,
                    help="adds one pseudorandom extra specialization point and seeds random cases")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--cache", default=None, metavar="PATH",
-                   help=f"structure-constant cache file (default ${CACHE_ENV_VAR})")
     p.add_argument("--symbolic", action="store_true",
                    help="also run symbolic (function-field) dimension checks")
-    p.add_argument("--oracle-words", type=int, default=200)
+    p.add_argument("--oracle-words", type=bound, default=200)
     return parser
 
 
@@ -191,25 +196,15 @@ def main(argv: list[str] | None = None) -> int:
             return _emit_report(report, args.json)
         if args.command == "verify":
             specs = _parse_spec_points(args.spec, args.seed)
-            cache_path = args.cache or default_cache_path()
-            cache = ReductionCache(cache_path) if cache_path else None
-            if cache:
-                cache.load()
-                cache.attach()
-            try:
-                report = run_suite(
-                    args.suite,
-                    max_degree=args.max_degree,
-                    specs=specs,
-                    seed=args.seed or 0,
-                    max_points=args.max_points,
-                    symbolic=args.symbolic,
-                    oracle_words=args.oracle_words,
-                )
-            finally:
-                if cache:
-                    cache.detach()
-                    cache.flush()
+            report = run_suite(
+                args.suite,
+                max_degree=args.max_degree,
+                specs=specs,
+                seed=args.seed or 0,
+                max_points=args.max_points,
+                symbolic=args.symbolic,
+                oracle_words=args.oracle_words,
+            )
             return _emit_report(report, args.json)
         return _run_computation(args)
     except (_Usage, ParseError, ScalarError) as exc:

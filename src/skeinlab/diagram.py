@@ -33,7 +33,9 @@ holds only a deterministic function of its key.  Each is registered here with
 returns the entry count of each:
 
 * ``diagram._resolve_memo``: crossing resolution per slice word,
-* ``diagram._memo``: reduction per stated matching (``arcs_cache_key``),
+* ``diagram._memo``: reduction per stated matching, keyed by
+  ``(arcs, west, east)``; each key part is interned in
+  ``diagram._key_parts`` so equal parts share one object,
 * ``diagram._word_arcs_memo``: the boundary matching of each canonical word
   that ``resolve_crossings`` returns, so ``reduce`` traces each word once,
 * ``diagram._parallel_arcs_memo``: the identity matching per strand count,
@@ -47,16 +49,13 @@ returns the entry count of each:
 * ``excision._defect_memo``: the symbolic image of a defect map per
   (map name, basis pair), specialized afresh at every point.
 
-The resolution and reduction memos are guarded by one lock.  The others are
-filled without it: two threads racing on one key compute the same value
-twice.
+verify runs in one thread; memos are not locked.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable
 
 from .scalar import LOOP, ONE, HalfLaurent, LinearCombination
 
@@ -373,8 +372,7 @@ def resolve_crossings(word: SliceWord) -> list[tuple[SliceWord, HalfLaurent]]:
     State-independent, so results are memoized per word; reducing one diagram
     under many state assignments resolves its crossings once.
     """
-    with _memo_lock:
-        hit = _resolve_memo.get(word)
+    hit = _resolve_memo.get(word)
     if hit is not None:
         return hit
     n_w = word.west_arity
@@ -394,23 +392,24 @@ def resolve_crossings(word: SliceWord) -> list[tuple[SliceWord, HalfLaurent]]:
     if pending:
         terms = _extend(n_w, terms, tuple(pending), ((ONE, ()),))
     out = [(arcs_to_word(n_w, n_e, arcs), c) for (n_e, arcs), c in sorted(terms.items())]
-    with _memo_lock:
-        _resolve_memo[word] = out
+    _resolve_memo[word] = out
     return out
 
 
 # -- stated reduction ---------------------------------------------------------
 
-_memo_lock = threading.Lock()
-_memo: dict[str, SkeinElement] = {}
+StateKey = tuple[Arcs, tuple[State, ...], tuple[State, ...]]
+
+_memo: dict[StateKey, SkeinElement] = {}
+_key_parts: dict[tuple, tuple] = {}
 _resolve_memo: dict[SliceWord, list[tuple[SliceWord, HalfLaurent]]] = {}
 _word_arcs_memo: dict[SliceWord, Arcs] = {}
 _parallel_arcs_memo: dict[int, Arcs] = {}
-_memo_listener: Callable[[str, SkeinElement], None] | None = None
 #: Every process-global memo of the package, by qualified name.
 _MEMOS: dict[str, dict] = {
     "diagram._resolve_memo": _resolve_memo,
     "diagram._memo": _memo,
+    "diagram._key_parts": _key_parts,
     "diagram._word_arcs_memo": _word_arcs_memo,
     "diagram._parallel_arcs_memo": _parallel_arcs_memo,
 }
@@ -422,40 +421,20 @@ def register_memo(name: str, memo: dict) -> dict:
     return memo
 
 
-def arcs_cache_key(n_west: int, n_east: int, arcs: Arcs, west: tuple[State, ...], east: tuple[State, ...]) -> str:
-    sig = lambda v: "".join("+" if s > 0 else "-" for s in v)
-    arcstr = ",".join(f"{a[0]}{a[1]}-{b[0]}{b[1]}" for a, b in arcs)
-    return f"{n_west}:{n_east}:{arcstr}:W{sig(west)}:E{sig(east)}"
-
-
-def memo_snapshot() -> dict[str, SkeinElement]:
-    with _memo_lock:
-        return dict(_memo)
+def memo_snapshot() -> dict[StateKey, SkeinElement]:
+    """A copy of the reduction memo."""
+    return dict(_memo)
 
 
 def memo_clear() -> None:
     """Empty every registered memo."""
-    with _memo_lock:
-        for memo in _MEMOS.values():
-            memo.clear()
+    for memo in _MEMOS.values():
+        memo.clear()
 
 
 def memo_sizes() -> dict[str, int]:
     """Entry count of every registered memo."""
-    with _memo_lock:
-        return {name: len(memo) for name, memo in _MEMOS.items()}
-
-
-def memo_preload(entries: Mapping[str, SkeinElement]) -> None:
-    with _memo_lock:
-        _memo.update(entries)
-
-
-def set_memo_listener(fn: Callable[[str, SkeinElement], None] | None) -> None:
-    """Hook invoked under the memo lock on every fresh entry (cache persistence)."""
-    global _memo_listener
-    with _memo_lock:
-        _memo_listener = fn
+    return {name: len(memo) for name, memo in _MEMOS.items()}
 
 
 def evaluate_arcs(
@@ -466,16 +445,16 @@ def evaluate_arcs(
     east: tuple[State, ...],
 ) -> SkeinElement:
     """Reduce a stated crossingless matching to the decreasing-state basis."""
-    key = arcs_cache_key(n_west, n_east, arcs, west, east)
-    with _memo_lock:
-        hit = _memo.get(key)
+    # Every caller passes n_west == len(west) and n_east == len(east), so the
+    # arities are not part of the key.
+    key = (arcs, west, east)
+    hit = _memo.get(key)
     if hit is not None:
         return hit
     result = _evaluate_arcs_uncached(n_west, n_east, arcs, west, east)
-    with _memo_lock:
-        _memo[key] = result
-        if _memo_listener is not None:
-            _memo_listener(key, result)
+    # Interned parts keep the memo from holding one fresh tuple per key.
+    parts = _key_parts.setdefault
+    _memo[(parts(arcs, arcs), parts(west, west), parts(east, east))] = result
     return result
 
 

@@ -46,16 +46,6 @@ Key3 = tuple[BasisTangle, BasisTangle, BasisTangle]
 VARIANTS = ("inv", "hh0_L", "hh0_l_ht")
 
 
-def _strand_tangles(n: int) -> list[BasisTangle]:
-    out = []
-    for i in range(n + 1):
-        mu = (1,) * i + (-1,) * (n - i)
-        for j in range(n + 1):
-            nu = (1,) * j + (-1,) * (n - j)
-            out.append(BasisTangle(n, mu, nu))
-    return out
-
-
 @dataclass(frozen=True)
 class GradedComponent:
     """Strict degree-n piece: the (n+1)^2 basis tangles with n strands."""
@@ -66,7 +56,7 @@ class GradedComponent:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("degree must be nonnegative")
-        object.__setattr__(self, "basis", tuple(_strand_tangles(self.n)))
+        object.__setattr__(self, "basis", tuple(bigon_skein.strand_tangles(self.n)))
 
     @property
     def dimension(self) -> int:
@@ -85,7 +75,7 @@ class FiltrationComponent:
             raise ValueError("degree must be nonnegative")
         tangles: list[BasisTangle] = []
         for k in range(n_start(self.n), self.n + 1, 2):
-            tangles.extend(_strand_tangles(k))
+            tangles.extend(bigon_skein.strand_tangles(k))
         object.__setattr__(self, "basis", tuple(tangles))
 
     @property

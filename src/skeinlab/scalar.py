@@ -455,7 +455,12 @@ class _ScalarParser:
             self.pos += 1
         if self.pos == start or not self.text[start:self.pos].lstrip("+-"):
             raise ScalarParseError("expected integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # beyond Python's int-string conversion limit
+            raise ScalarParseError(
+                f"integer literal of {self.pos - start} digits is too long", start
+            ) from None
 
     def parse(self) -> HalfLaurent:
         val = self.expr()

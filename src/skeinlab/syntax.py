@@ -69,7 +69,10 @@ class _Cursor:
         lit = self.text[start : self.pos]
         if not lit.lstrip("+-"):
             raise ParseError("expected integer", start)
-        return int(lit)
+        try:
+            return int(lit)
+        except ValueError:  # beyond Python's int-string conversion limit
+            raise ParseError(f"integer literal of {len(lit)} digits is too long", start) from None
 
     def signs(self) -> tuple[int, ...]:
         self.skip_ws()

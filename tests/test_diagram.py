@@ -156,25 +156,6 @@ def test_oracle_agreement_sample():
         assert reduce(d) == oracle_reduce(d)
 
 
-def test_concurrent_reduction_is_deterministic():
-    # Reductions of independent diagrams may run concurrently; the memo
-    # takes a lock, so concurrent evaluation must agree with sequential.
-    from concurrent.futures import ThreadPoolExecutor
-
-    from skeinlab.diagram import memo_clear
-    from skeinlab.suites import random_stated_word
-
-    rng = random.Random(55)
-    diagrams = [random_stated_word(rng) for _ in range(120)]
-    memo_clear()
-    sequential = [reduce(d) for d in diagrams]
-    memo_clear()
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        concurrent = list(pool.map(reduce, diagrams))
-    assert concurrent == sequential
-    memo_clear()
-
-
 def test_rt_factorization_on_two_sided_words():
     # counit(reduce(T(eps, kappa))) is the (kappa, eps) entry of the RT matrix
     # of T, for every state pair and boundary points on both edges.

@@ -1,19 +1,22 @@
 """Process-global memos: clearing, sizes, work bounds and cold/warm agreement."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 
 import skeinlab.bigon_skein as B
 import skeinlab.comodule_rt as CM
+import skeinlab.diagram as D
 import skeinlab.excision as EX
 import skeinlab.internal_skein as IS
 import skeinlab.quantum_sl2 as QS
 from skeinlab.diagram import SkeinElement, SliceWord, StatedWord, memo_clear, memo_sizes, reduce
-from skeinlab.suites import DEFAULT_SPECS
+from skeinlab.suites import DEFAULT_SPECS, random_stated_word
 
 MEMOS = {
     "diagram._resolve_memo",
     "diagram._memo",
+    "diagram._key_parts",
     "diagram._word_arcs_memo",
     "diagram._parallel_arcs_memo",
     "bigon_skein._inv_edge_memo",
@@ -48,6 +51,19 @@ def test_memo_clear_empties_every_memo():
     assert all(sizes.values()), sizes
     memo_clear()
     assert set(memo_sizes().values()) == {0}
+
+
+def test_reduction_memo_keys_share_their_parts():
+    # Keys built during reduction hold fresh tuples; the memo keeps one
+    # object per distinct arcs or state tuple.
+    rng = random.Random(7)
+    memo_clear()
+    for _ in range(80):
+        reduce(random_stated_word(rng))
+    parts = [p for key in D._memo for p in key]
+    assert len(D._memo) > 100
+    assert len({id(p) for p in parts}) == len(set(parts))
+    memo_clear()
 
 
 def test_st_intertwiner_sweep_builds_each_tensor_power_once(monkeypatch):
