@@ -24,6 +24,7 @@ from .diagram import (
     reduce as reduce_diagram,
     reduce_parallel,
     register_memo,
+    state_tuples,
 )
 from .scalar import ONE, ZERO, HalfLaurent, LinearCombination
 
@@ -136,20 +137,24 @@ def mul_many(factors: Iterable[SkeinElement]) -> SkeinElement:
     return out
 
 
-def _state_vectors(n: int) -> list[tuple[State, ...]]:
-    out: list[tuple[State, ...]] = [()]
-    for _ in range(n):
-        out = [v + (s,) for v in out for s in (1, -1)]
-    return out
-
-
 def comul(x: SkeinElement) -> TensorElement:
-    """Coproduct: split along the middle arc, summing over middle states."""
+    """Coproduct: split along the middle arc, summing over middle states.
+
+    Each basis tangle is split once per process (``_comul_memo``); the
+    returned element is fresh, so callers may mutate it.
+    """
     out = TensorElement.zero(2)
     for b, c in x.items():
-        for eta in _state_vectors(b.n):
-            out.add_scaled(tensor2(reduce_parallel(b.mu, eta), reduce_parallel(eta, b.nu)), c)
+        image = _comul_memo.get(b)
+        if image is None:
+            image = _comul_memo[b] = TensorElement.zero(2)
+            for eta in state_tuples(b.n):
+                image.add_scaled(tensor2(reduce_parallel(b.mu, eta), reduce_parallel(eta, b.nu)))
+        out.add_scaled(image, c)
     return out
+
+
+_comul_memo: dict[BasisTangle, TensorElement] = register_memo("bigon_skein._comul_memo", {})
 
 
 def counit(x: SkeinElement) -> HalfLaurent:

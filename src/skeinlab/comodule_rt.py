@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import bigon_skein, quantum_sl2
-from .diagram import C, CBAR, CROSS_PARALLEL, CROSS_TURNBACK, SliceWord, State
+from .diagram import C, CBAR, CROSS_PARALLEL, CROSS_TURNBACK, SliceWord, State, state_tuples
 from .quantum_sl2 import HopfElement, comul as hopf_comul, counit as hopf_counit, mul as hopf_mul
 from .scalar import ONE, HalfLaurent
 
@@ -123,13 +123,6 @@ def quantum_plane_Vn(n: int) -> Comodule:
 
 
 # -- state bases and slice-word evaluation --------------------------------------
-
-
-def state_tuples(n: int) -> list[tuple[State, ...]]:
-    out: list[tuple[State, ...]] = [()]
-    for _ in range(n):
-        out = [v + (s,) for v in out for s in (1, -1)]
-    return out
 
 
 def state_index(states: Sequence[State]) -> int:

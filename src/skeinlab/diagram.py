@@ -42,10 +42,9 @@ returns the entry count of each:
 * ``bigon_skein._inv_edge_memo``: edge inversion per (basis tangle, edge,
   inverse), so ``t_form`` and ``t_inv_form`` reduce each basis tangle once,
 * ``bigon_skein._r_memo``: the co-R form per pair of basis tangles,
+* ``bigon_skein._comul_memo``: the coproduct per basis tangle,
 * ``quantum_sl2._ANTIPODE_LETTER``: the antipode of each generator,
 * ``quantum_sl2._to_skein_memo``: the bigon image per PBW monomial,
-* ``internal_skein._coaction_cache``: the transported coaction matrix of
-  V^(x)n per n,
 * ``excision._defect_memo``: the symbolic image of a defect map per
   (map name, basis pair), specialized afresh at every point.
 
@@ -548,6 +547,14 @@ def _evaluate_arcs_uncached(
             return out
 
     return SkeinElement.of(BasisTangle(n, west, east))
+
+
+def state_tuples(n: int) -> list[tuple[State, ...]]:
+    """All 2^n state vectors of length n, + before - in each place."""
+    out: list[tuple[State, ...]] = [()]
+    for _ in range(n):
+        out = [v + (s,) for v in out for s in (1, -1)]
+    return out
 
 
 def parallel_arcs(n: int) -> Arcs:

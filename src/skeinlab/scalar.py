@@ -23,6 +23,7 @@ finite sum of basis keys with such coefficients: :class:`LinearCombination`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from string import digits
 from typing import Hashable, Iterable, ItemsView, Mapping, Union
@@ -36,6 +37,14 @@ Rat = Union[int, Fraction]
 #: while printed results of long words stay parseable (a 60-crossing braid
 #: of width 7 reduces to exponents up to 96).
 MAX_EXPONENT = 256
+
+#: Largest predicted size of a result of ``^``, in the units of
+#: ``HalfLaurent.bit_size`` summed over terms, that either text parser
+#: computes.  Exponents alone do not bound the work: ``((1+s)^64)^64``
+#: predicts 16.8M bits and ``(9/7+s+q)^256`` 0.96M, and both are refused at
+#: the operator, while ``(1+s)^256`` predicts 66k.
+MAX_POWER_BITS = 1 << 18
+POWER_SIZE_MESSAGE = f"result of ^ exceeds the size bound of {MAX_POWER_BITS} coefficient bits"
 
 
 class ScalarError(ValueError):
@@ -110,6 +119,30 @@ class HalfLaurent:
 
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
+
+    def bit_size(self) -> int:
+        """Numerator plus denominator bits, summed over the terms."""
+        out = 0
+        for c in self._terms.values():
+            if type(c) is int:
+                out += c.bit_length() + 1
+            else:
+                out += c.numerator.bit_length() + c.denominator.bit_length()
+        return out
+
+    def power_bits(self, e: int) -> float:
+        """An upper bound on the ``bit_size`` of self^|e|.
+
+        With D the least common denominator and N the sum of |c| D over the
+        terms, self^e has at most e (hi - lo) + 1 terms, each a numerator of
+        at most e log2(N) bits over a denominator dividing D^e.
+        """
+        if not self._terms:
+            return 0.0
+        e = abs(e)
+        d = math.lcm(*(Fraction(c).denominator for c in self._terms.values()))
+        n = int(sum(abs(c) * d for c in self._terms.values()))
+        return (e * (max(self._terms) - min(self._terms)) + 1) * (e * math.log2(n * d) + 2)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -494,12 +527,15 @@ class _ScalarParser:
     def power(self) -> HalfLaurent:
         base = self.atom()
         if self._peek() == "^":
+            op = self.pos
             self.pos += 1
             self._skip_ws()
             start = self.pos
             e = self._int()
             if abs(e) > MAX_EXPONENT:
                 raise ScalarParseError(f"exponent {e} exceeds the bound {MAX_EXPONENT}", start)
+            if base.power_bits(e) > MAX_POWER_BITS:
+                raise ScalarParseError(POWER_SIZE_MESSAGE, op)
             return base**e
         return base
 

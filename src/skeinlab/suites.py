@@ -97,16 +97,18 @@ def rt_suite(max_degree: int, specs, seed: int, oracle_words: int = 200) -> list
 
     def reidemeister_ii() -> str | None:
         for base in list(braid_words(0)) + list(braid_words(1)) + list(braid_words(2)):
-            for pos in range(len(base) + 1):
-                for row in (0, 1):
-                    for pair in ((("x", row), ("xb", row)), (("xb", row), ("x", row))):
-                        modified = base[:pos] + pair + base[pos:]
-                        for west in CM.state_tuples(3):
-                            for east in CM.state_tuples(3):
-                                d0 = StatedWord(SliceWord(3, base), west, east)
-                                d1 = StatedWord(SliceWord(3, modified), west, east)
-                                if reduce_diagram(d0) != reduce_diagram(d1):
-                                    return f"RII fails inserting {pair} at {pos} in {base}"
+            insertions = [
+                (pos, pair, SliceWord(3, base[:pos] + pair + base[pos:]))
+                for pos in range(len(base) + 1)
+                for row in (0, 1)
+                for pair in ((("x", row), ("xb", row)), (("xb", row), ("x", row)))
+            ]
+            for west in CM.state_tuples(3):
+                for east in CM.state_tuples(3):
+                    want = reduce_diagram(StatedWord(SliceWord(3, base), west, east))
+                    for pos, pair, modified in insertions:
+                        if reduce_diagram(StatedWord(modified, west, east)) != want:
+                            return f"RII fails inserting {pair} at {pos} in {base}"
         return None
 
     checks.append(("Reidemeister II invariance on 3-strand words", reidemeister_ii))

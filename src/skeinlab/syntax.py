@@ -24,7 +24,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from string import digits
 
-from .scalar import MAX_EXPONENT, MINUS_ONE, HalfLaurent, format_scalar
+from .scalar import (
+    MAX_EXPONENT,
+    MAX_POWER_BITS,
+    MINUS_ONE,
+    POWER_SIZE_MESSAGE,
+    HalfLaurent,
+    format_scalar,
+)
 
 
 class ParseError(ValueError):
@@ -237,21 +244,36 @@ class _ElementParser:
     def power(self):
         base, scalar = self.atom()
         if self.cur.peek() == "^":
+            op = self.cur.pos
             self.cur.eat("^")
             self.cur.skip_ws()
             start = self.cur.pos
             e = self.cur.integer()
             if abs(e) > MAX_EXPONENT:
                 raise ParseError(f"exponent {e} exceeds the bound {MAX_EXPONENT}", start)
+            if scalar is None and e >= 0:
+                scalar = self._unit_multiple(base)
             if scalar is not None:
+                if scalar.power_bits(e) > MAX_POWER_BITS:
+                    raise ParseError(POWER_SIZE_MESSAGE, op)
                 return self.ops.scalar(scalar**e)
             if e < 0:
                 raise ParseError("element atoms only take nonnegative powers", self.cur.pos)
             out = self.ops.scalar(HalfLaurent.one())
             for _ in range(e):
+                # Every product of a term of out with a term of base has a
+                # coefficient of about the summed size, before merging.
+                if len(base.items()) * _bits(out) + len(out.items()) * _bits(base) > MAX_POWER_BITS:
+                    raise ParseError(POWER_SIZE_MESSAGE, op)
                 out = self.ops.mul(out, base)
             return out
         return base if scalar is None else self.ops.scalar(scalar)
+
+    def _unit_multiple(self, x) -> HalfLaurent | None:
+        """c when x is c times the unit with c non-zero, else None."""
+        ((unit, _),) = self.ops.scalar(HalfLaurent.one()).items()
+        c = x.coefficient(unit)
+        return c if c and len(x.items()) == 1 else None
 
     def atom(self):
         """Returns (element, scalar): scalar is set when the atom is a pure scalar."""
@@ -290,6 +312,10 @@ class _ElementParser:
                 return None, HalfLaurent.rational(Fraction(num, den))
             return None, HalfLaurent.rational(num)
         raise ParseError("expected element atom", cur.pos)
+
+
+def _bits(x) -> int:
+    return sum(c.bit_size() for _, c in x.items())
 
 
 def parse_element(text: str):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import jsonschema
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -60,6 +61,17 @@ def test_parse_error_reports_position(capsys):
     code, out, err = run_cli(capsys, "mul", "a^ 100000", "a")
     assert code == EXIT_USAGE
     assert "exponent 100000 exceeds the bound" in err and "column 4" in err
+
+
+def test_powers_beyond_the_size_bound_are_usage_errors(capsys):
+    for text, column in (("((1+s)^64)^64", 11), ("(9/7+s+q)^256", 10), ("(a+b+c+d)^16", 10)):
+        for parse in (parse_element, parse_hopf):
+            with pytest.raises(ParseError, match=f"size bound.*column {column}"):
+                parse(text)
+        code, _, err = run_cli(capsys, "mul", text, "a")
+        assert code == EXIT_USAGE and "size bound" in err
+    code, _, _ = run_cli(capsys, "mul", "(1+s)^256", "1")
+    assert code == EXIT_PASS
 
 
 def test_mul_and_inv(capsys):
@@ -198,6 +210,9 @@ _GRAMMAR_CHARS = "abcdsqtangleuwxp+-*^()/;{}=, 0123456789"
 @example("9^9999999")
 @example("a^100000")
 @example("1" * 5000)
+@example("((1+s)^64)^64")
+@example("(9/7+s+q)^256")
+@example("(a+b+c+d)^16")
 def test_parsers_never_crash_on_junk(text):
     for fn in (parse_scalar, parse_element, parse_hopf, parse_diagram):
         try:

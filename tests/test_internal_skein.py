@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+import skeinlab.bigon_skein as B
+import skeinlab.comodule_rt as CM
 import skeinlab.internal_skein as IS
+import skeinlab.quantum_sl2 as QS
 from skeinlab.diagram import SkeinElement, UNIT_TANGLE, BasisTangle
-from skeinlab.scalar import HalfLaurent
+from skeinlab.scalar import Q, HalfLaurent
 
 s = HalfLaurent.s_pow
 
@@ -69,6 +72,66 @@ def test_intertwiner_small():
         for m in IS.enumerate_matchings(nw, ne):
             ok, witness = IS.check_st_intertwiner(m)
             assert ok, witness
+
+
+def _matchings(max_points):
+    for total in range(0, max_points + 1, 2):
+        for nw in range(total + 1):
+            yield from IS.enumerate_matchings(nw, total - nw)
+
+
+def _direct_lifts(m, table):
+    """The lift sums over all states kappa, with X the coaction matrix of
+    V^(x)n built in O_q(SL2) and transported entry by entry."""
+    xs = {
+        n: [[QS.to_skein(h) for h in row] for row in CM.tensor_power_V(n).coaction]
+        for n in {m.n_west, m.n_east}
+    }
+    east, west = {}, {}
+    for w in CM.state_tuples(m.n_west):
+        for e in CM.state_tuples(m.n_east):
+            e_sum = B.TensorElement.zero(2)
+            for kappa in CM.state_tuples(m.n_east):
+                x = xs[m.n_east][CM.state_index(kappa)][CM.state_index(e)]
+                e_sum.add_scaled(B.tensor2(table[(w, kappa)], x))
+            w_sum = B.TensorElement.zero(2)
+            for kappa in CM.state_tuples(m.n_west):
+                x = xs[m.n_west][CM.state_index(w)][CM.state_index(kappa)]
+                w_sum.add_scaled(B.tensor2(x, table[(kappa, e)]))
+            east[(w, e)], west[(w, e)] = e_sum, w_sum
+    return east, west
+
+
+def test_factorized_lifts_equal_direct_sums():
+    zero = B.TensorElement.zero(2)
+    compared = 0
+    for m in _matchings(6):
+        table = IS.st_map(m)
+        east, west = IS._lifts(m, table)
+        direct_east, direct_west = _direct_lifts(m, table)
+        for (w, e), want in direct_east.items():
+            assert east[w].get(e, zero) == want, (m, w, e)
+            assert west[e].get(w, zero) == direct_west[(w, e)], (m, w, e)
+            compared += 2
+    assert compared == 4826
+
+
+def test_lift_check_catches_a_scaled_entry():
+    # The check takes the table, so a table with one non-zero entry scaled
+    # by q must fail it.
+    mutants = 0
+    for m in IS.enumerate_matchings(2, 2) + IS.enumerate_matchings(0, 4):
+        table = IS.st_map(m)
+        assert IS._check_lifts(m, table) == (True, None)
+        for key, elem in table.items():
+            if elem.is_zero():
+                continue
+            mutated = dict(table)
+            mutated[key] = elem.scale(Q)
+            ok, witness = IS._check_lifts(m, mutated)
+            assert not ok and "lift fails" in witness, (m, key)
+            mutants += 1
+    assert mutants == 28
 
 
 def test_naturality_west_cap_into_identity():

@@ -10,7 +10,8 @@ import skeinlab.diagram as D
 import skeinlab.excision as EX
 import skeinlab.internal_skein as IS
 import skeinlab.quantum_sl2 as QS
-from skeinlab.diagram import SkeinElement, SliceWord, StatedWord, memo_clear, memo_sizes, reduce
+from skeinlab.diagram import UNIT_TANGLE, SkeinElement, SliceWord, StatedWord, memo_clear, memo_sizes, reduce
+from skeinlab.scalar import ONE
 from skeinlab.suites import DEFAULT_SPECS, random_stated_word
 
 MEMOS = {
@@ -21,9 +22,9 @@ MEMOS = {
     "diagram._parallel_arcs_memo",
     "bigon_skein._inv_edge_memo",
     "bigon_skein._r_memo",
+    "bigon_skein._comul_memo",
     "quantum_sl2._ANTIPODE_LETTER",
     "quantum_sl2._to_skein_memo",
-    "internal_skein._coaction_cache",
     "excision._defect_memo",
 }
 
@@ -66,17 +67,33 @@ def test_reduction_memo_keys_share_their_parts():
     memo_clear()
 
 
-def test_st_intertwiner_sweep_builds_each_tensor_power_once(monkeypatch):
-    # One tensor power per edge arity 0..6, where building both edges' tensor
-    # powers for every matching makes 98 calls.
+def _st_sweep(max_points):
+    for total in range(0, max_points + 1, 2):
+        for n_west in range(total + 1):
+            yield from IS.enumerate_matchings(n_west, total - n_west)
+
+
+def test_st_intertwiner_sweep_builds_no_tensor_power(monkeypatch):
+    # The lifts are contracted with V's coaction one factor at a time.
     calls = Counter()
     monkeypatch.setattr(CM, "tensor_power_V", _counting(CM.tensor_power_V, calls, "V"))
     memo_clear()
-    for total in range(0, 7, 2):
-        for n_west in range(total + 1):
-            for m in IS.enumerate_matchings(n_west, total - n_west):
-                assert IS.check_st_intertwiner(m) == (True, None)
-    assert 1 <= sum(calls.values()) <= 7
+    for m in _st_sweep(6):
+        assert IS.check_st_intertwiner(m) == (True, None)
+    assert not calls
+
+
+def test_st_intertwiner_leg_products_per_matching(monkeypatch):
+    # Each edge's lift makes n 2^(n+1) leg products per state of the other
+    # edge, where the direct sum makes 4^n tensor products.
+    calls = Counter()
+    monkeypatch.setattr(IS, "_leg_product", _counting(IS._leg_product, calls, "leg"))
+    for m in _st_sweep(6):
+        calls.clear()
+        assert IS.check_st_intertwiner(m) == (True, None)
+        nw, ne = m.n_west, m.n_east
+        bound = 2**nw * ne * 2 ** (ne + 1) + 2**ne * nw * 2 ** (nw + 1)
+        assert sum(calls.values()) <= bound, m
 
 
 def test_t_forms_reduce_each_basis_tangle_once(monkeypatch):
@@ -110,14 +127,18 @@ def test_cold_and_warm_values_agree():
             [B.t_form(x) for x in basis],
             [B.t_inv_form(x) for x in basis],
             [QS.to_skein(h) for h in entries],
+            [B.comul(x) for x in basis],
             {v: EX.invariants_subspace(2, v, Fraction(7, 5)) for v in EX.VARIANTS},
         )
 
     values()
     warm = values()
     # Callers may mutate what they get; the memoized images stay intact.
-    for element in values()[2]:
+    fresh = values()
+    for element in fresh[2]:
         element.add_scaled(B.generator("a"))
+    for tensor in fresh[3]:
+        tensor.add_term((UNIT_TANGLE, UNIT_TANGLE), ONE)
     assert values() == warm
     memo_clear()
     assert values() == warm

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,20 @@ def test_parse_rejects_exponents_beyond_the_bound():
     for text, column in (("9^9999999", 3), (f"(1 + s)^ {MAX_EXPONENT + 1}", 10)):
         with pytest.raises(ScalarParseError, match=f"exceeds the bound.*column {column}"):
             parse_scalar(text)
+
+
+def test_parse_rejects_powers_beyond_the_size_bound():
+    # Each exponent is within MAX_EXPONENT; the predicted result is not.
+    for text, column in (("((1+s)^64)^64", 11), ("(9/7+s+q)^256", 10), ("(99/97 + s + q)^128", 16)):
+        with pytest.raises(ScalarParseError, match=f"size bound.*column {column}"):
+            parse_scalar(text)
+    assert parse_scalar("(1+s)^256").terms[128] == math.comb(256, 128)
+
+
+def test_power_bits_bounds_the_power():
+    for x in (HalfLaurent({0: 1, 1: 1}), HalfLaurent({-2: Fraction(9, 7), 1: -3, 2: 1}), S(5, -2)):
+        for e in range(6):
+            assert (x**e).bit_size() <= x.power_bits(e)
 
 
 scalars = st.builds(
