@@ -3,7 +3,7 @@ of the bigon, its quantum coordinate algebra presentation, and the planar
 matching correspondence between them.
 """
 
-from .scalar import HalfLaurent, format_scalar, parse_scalar
+from .scalar import HalfLaurent, format_scalar
 from .diagram import (
     BasisTangle,
     DiagramError,
@@ -33,7 +33,7 @@ from .quantum_sl2 import HopfElement, PBWMonomial, from_skein, normalize, pairin
 from .comodule_rt import Comodule, multiplicity, quantum_plane_Vn, rt_evaluate, standard_V
 from .internal_skein import Matching, check_st_naturality, enumerate_matchings, st_map, st_rank
 from .excision import gluing_excision_check, invariants_subspace, splitting_image_check
-from .syntax import ParseError, format_diagram, format_element, parse_diagram, parse_element
+from .syntax import ParseError, format_diagram, format_element, parse_diagram, parse_element, parse_scalar
 
 __version__ = "0.1.0"
 

@@ -16,9 +16,9 @@ from . import bigon_skein as B
 from .diagram import MAX_CLI_WIDTH, UNIT_TANGLE, StatedWord
 from .diagram import reduce as reduce_diagram
 from .report import Report
-from .scalar import ScalarError, format_scalar
+from .scalar import format_scalar, validate_generic_point
 from .suites import DEFAULT_SPECS, SUITES, run_suite
-from .syntax import ParseError, format_element, parse_diagram, parse_element
+from .syntax import format_element, parse_diagram, parse_element
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -38,8 +38,7 @@ def _parse_spec_points(values: list[str] | None, seed: int | None) -> tuple[Frac
         except (ValueError, ZeroDivisionError) as exc:
             raise _Usage(f"bad specialization point: {exc}") from exc
     for p in points:
-        if p in (0, 1, -1):
-            raise _Usage(f"specialization point {p} is not generic (0, 1, -1 excluded)")
+        validate_generic_point(p)
     if seed is not None:
         import random
 
@@ -207,10 +206,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             return _emit_report(report, args.json)
         return _run_computation(args)
-    except (_Usage, ParseError, ScalarError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (_Usage, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

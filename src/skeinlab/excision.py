@@ -359,10 +359,10 @@ def gluing_excision_check(n: int, s0: Fraction, seed: int = 0) -> GluingReport:
     """Splitting image == cotensor == all invariants variants on F_n, at s0."""
     s0 = validate_generic_point(s0)
     spaces = _all_subspaces(n, s0)
-    prev_dims = {name: len(rows) for name, rows in _all_subspaces(n - 2, s0).items()}
-    dims = {name: len(rows) for name, rows in spaces.items()}
-    increments = {name: dims[name] - prev_dims.get(name, 0) for name in dims}
     canon = {name: linalg.row_space_basis(rows) for name, rows in spaces.items()}
+    dims = {name: len(basis) for name, basis in canon.items()}
+    prev_dims = {name: linalg.rank(rows) for name, rows in _all_subspaces(n - 2, s0).items()}
+    increments = {name: dims[name] - prev_dims.get(name, 0) for name in dims}
     subspaces_equal = all(canon[name] == canon["image"] for name in canon)
 
     # Pull a pseudorandom invariant vector back through the splitting map.

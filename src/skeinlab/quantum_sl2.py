@@ -259,7 +259,7 @@ def _pair_gen_mono(g: str, m: PBWMonomial) -> HalfLaurent:
         m.b_pow - (letters[0] == "b"),
         m.c_pow - (letters[0] == "c"),
     )
-    head = PBWMonomial(int(x == "a"), int(x == "d"), int(x == "b"), int(x == "c"))
+    head = _letter_mono(x)
     if g in ("K", "Kinv"):
         return _pair_gen_mono(g, head) * _pair_gen_mono(g, rest)
     if g == "E":
@@ -291,8 +291,7 @@ def pairing(word: Sequence[str], x: HopfElement) -> HalfLaurent:
 
 # -- transport to and from the bigon skein algebra -----------------------------
 
-_LETTER_TO_TANGLE = {"a": (1, 1), "b": (1, -1), "c": (-1, 1), "d": (-1, -1)}
-_TANGLE_TO_LETTER = {v: k for k, v in _LETTER_TO_TANGLE.items()}
+_TANGLE_TO_LETTER = {v: k for k, v in bigon_skein._GEN_KEYS.items()}
 
 
 _to_skein_memo: dict[PBWMonomial, SkeinElement] = register_memo("quantum_sl2._to_skein_memo", {})

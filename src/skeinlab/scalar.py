@@ -25,26 +25,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from string import digits
 from typing import Hashable, Iterable, ItemsView, Mapping, Union
 
 Rat = Union[int, Fraction]
-
-#: Largest exponent magnitude either text parser accepts after ``^``.  Larger
-#: powers are refused before any work, so input such as ``9^9999999`` fails
-#: at once instead of hanging.  At this bound ``(1+s)^256`` parses in about
-#: 0.04 s and the element ``a^256`` in about 0.12 s on a 2-core x86 host,
-#: while printed results of long words stay parseable (a 60-crossing braid
-#: of width 7 reduces to exponents up to 96).
-MAX_EXPONENT = 256
-
-#: Largest predicted size of a result of ``^``, in the units of
-#: ``HalfLaurent.bit_size`` summed over terms, that either text parser
-#: computes.  Exponents alone do not bound the work: ``((1+s)^64)^64``
-#: predicts 16.8M bits and ``(9/7+s+q)^256`` 0.96M, and both are refused at
-#: the operator, while ``(1+s)^256`` predicts 66k.
-MAX_POWER_BITS = 1 << 18
-POWER_SIZE_MESSAGE = f"result of ^ exceeds the size bound of {MAX_POWER_BITS} coefficient bits"
 
 
 class ScalarError(ValueError):
@@ -285,7 +268,6 @@ class HalfLaurent:
 
 ZERO = HalfLaurent.zero()
 ONE = HalfLaurent.one()
-S = HalfLaurent.s_pow(1)
 Q = HalfLaurent.q_pow(1)
 
 #: Kauffman loop value -q^2 - q^-2.
@@ -428,7 +410,7 @@ def validate_generic_point(s0: Rat) -> Fraction:
 # -- text form ---------------------------------------------------------------
 #
 # Term syntax used by the CLI:  -3/2*s^-5 + s^4, with q accepted as an alias
-# for s^2.  The printer always emits in s.
+# for s^2.  The printer always emits in s; ``syntax.parse_scalar`` reads it back.
 
 
 def _coeff_str(c: Rat) -> str:
@@ -451,119 +433,3 @@ def format_scalar(x: HalfLaurent) -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
-
-
-class ScalarParseError(ScalarError):
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at column {pos + 1})")
-        self.pos = pos
-
-
-class _ScalarParser:
-    """Recursive-descent parser for scalar expressions in s and q."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _expect(self, ch: str) -> None:
-        if self._peek() != ch:
-            raise ScalarParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def _int(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        if self._peek() in ("+", "-"):
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos] in digits:
-            self.pos += 1
-        if self.pos == start or not self.text[start:self.pos].lstrip("+-"):
-            raise ScalarParseError("expected integer", start)
-        try:
-            return int(self.text[start:self.pos])
-        except ValueError:  # beyond Python's int-string conversion limit
-            raise ScalarParseError(
-                f"integer literal of {self.pos - start} digits is too long", start
-            ) from None
-
-    def parse(self) -> HalfLaurent:
-        val = self.expr()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise ScalarParseError("trailing input", self.pos)
-        return val
-
-    def expr(self) -> HalfLaurent:
-        terms = [self.term()]
-        while self._peek() in ("+", "-"):
-            negate = self._peek() == "-"
-            self.pos += 1
-            rhs = self.term()
-            terms.append(-rhs if negate else rhs)
-        return sum(terms, ZERO)
-
-    def term(self) -> HalfLaurent:
-        val = self.factor()
-        while self._peek() == "*":
-            self.pos += 1
-            val = val * self.factor()
-        return val
-
-    def factor(self) -> HalfLaurent:
-        if self._peek() == "-":
-            self.pos += 1
-            return -self.factor()
-        return self.power()
-
-    def power(self) -> HalfLaurent:
-        base = self.atom()
-        if self._peek() == "^":
-            op = self.pos
-            self.pos += 1
-            self._skip_ws()
-            start = self.pos
-            e = self._int()
-            if abs(e) > MAX_EXPONENT:
-                raise ScalarParseError(f"exponent {e} exceeds the bound {MAX_EXPONENT}", start)
-            if base.power_bits(e) > MAX_POWER_BITS:
-                raise ScalarParseError(POWER_SIZE_MESSAGE, op)
-            return base**e
-        return base
-
-    def atom(self) -> HalfLaurent:
-        ch = self._peek()
-        if ch == "(":
-            self.pos += 1
-            val = self.expr()
-            self._expect(")")
-            return val
-        if ch == "s":
-            self.pos += 1
-            return S
-        if ch == "q":
-            self.pos += 1
-            return Q
-        if ch and ch in digits:
-            num = self._int()
-            if self._peek() == "/":
-                self.pos += 1
-                den = self._int()
-                if den == 0:
-                    raise ScalarParseError("zero denominator", self.pos)
-                return HalfLaurent.rational(Fraction(num, den))
-            return HalfLaurent.rational(num)
-        raise ScalarParseError("expected scalar atom", self.pos)
-
-
-def parse_scalar(text: str) -> HalfLaurent:
-    """Parse the scalar text syntax; inverse of :func:`format_scalar`."""
-    return _ScalarParser(text).parse()

@@ -12,10 +12,14 @@ Grammar (EBNF):
     atom     := NUMBER | "s" | "q" | "a" | "b" | "c" | "d"
               | "beta(" SIGNS ";" SIGNS ")" | "(" element ")"
 
+    scalar   := element with only NUMBER, "s", "q" atoms
+
 Element expressions evaluate either in the bigon skein algebra (products via
 diagram stacking) or in the quantum coordinate algebra (products via PBW
-rewriting); the two evaluations agree under the transport isomorphism.
-Printers emit canonical forms that parse back to equal values.
+rewriting); the two evaluations agree under the transport isomorphism.  A
+scalar is read as a multiple of the skein unit by the same parser.  A negative
+power needs a base that is a scalar multiple of the unit.  Printers emit
+canonical forms that parse back to equal values.
 """
 
 from __future__ import annotations
@@ -24,14 +28,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from string import digits
 
-from .scalar import (
-    MAX_EXPONENT,
-    MAX_POWER_BITS,
-    MINUS_ONE,
-    POWER_SIZE_MESSAGE,
-    HalfLaurent,
-    format_scalar,
-)
+from .scalar import MINUS_ONE, ONE, HalfLaurent, format_scalar
+
+#: Largest exponent magnitude the parsers accept after ``^``.  Larger powers
+#: are refused before any work, so input such as ``9^9999999`` fails at once
+#: instead of hanging.  At this bound ``(1+s)^256`` parses in about 0.04 s
+#: and the element ``a^256`` in about 0.12 s on a 2-core x86 host, while
+#: printed results of long words stay parseable (a 60-crossing braid of
+#: width 7 reduces to exponents up to 96).
+MAX_EXPONENT = 256
+
+#: Largest predicted size of a result of ``^``, in the units of
+#: ``HalfLaurent.bit_size`` summed over terms, that the parsers compute.
+#: Exponents alone do not bound the work: ``((1+s)^64)^64`` predicts 16.8M
+#: bits and ``(9/7+s+q)^256`` 0.96M, and both are refused at the operator,
+#: while ``(1+s)^256`` predicts 66k.
+MAX_POWER_BITS = 1 << 18
 
 
 class ParseError(ValueError):
@@ -150,7 +162,8 @@ def format_diagram(diagram) -> str:
 # -- element expressions -------------------------------------------------------
 #
 # The evaluator is parameterized by a tiny interface so one grammar serves
-# both the skein-algebra and the coordinate-algebra readings.
+# the skein-algebra and coordinate-algebra readings and, without generator
+# and beta atoms, scalars (multiples of the skein unit).
 
 
 class _SkeinOps:
@@ -207,6 +220,10 @@ class _HopfOps:
         return mul(x, y)
 
 
+class _ScalarOps(_SkeinOps):
+    generator = beta = None
+
+
 class _ElementParser:
     def __init__(self, text: str, ops):
         self.cur = _Cursor(text)
@@ -223,8 +240,7 @@ class _ElementParser:
         while True:
             if self.cur.try_eat("+"):
                 val.add_scaled(self.term())
-            elif self.cur.peek() == "-" and not self.cur.peek(2) == "->":
-                self.cur.eat("-")
+            elif self.cur.try_eat("-"):
                 val.add_scaled(self.term(), MINUS_ONE)
             else:
                 return val
@@ -238,7 +254,7 @@ class _ElementParser:
     def factor(self):
         if self.cur.try_eat("-"):
             inner = self.factor()
-            return self.ops.mul(self.ops.scalar(HalfLaurent.rational(-1)), inner)
+            return self.ops.mul(self.ops.scalar(MINUS_ONE), inner)
         return self.power()
 
     def power(self):
@@ -251,29 +267,27 @@ class _ElementParser:
             e = self.cur.integer()
             if abs(e) > MAX_EXPONENT:
                 raise ParseError(f"exponent {e} exceeds the bound {MAX_EXPONENT}", start)
-            if scalar is None and e >= 0:
+            if scalar is None:
                 scalar = self._unit_multiple(base)
             if scalar is not None:
-                if scalar.power_bits(e) > MAX_POWER_BITS:
-                    raise ParseError(POWER_SIZE_MESSAGE, op)
+                _check_power_size(scalar.power_bits(e), op)
                 return self.ops.scalar(scalar**e)
             if e < 0:
                 raise ParseError("element atoms only take nonnegative powers", self.cur.pos)
-            out = self.ops.scalar(HalfLaurent.one())
+            out = self.ops.scalar(ONE)
             for _ in range(e):
                 # Every product of a term of out with a term of base has a
                 # coefficient of about the summed size, before merging.
-                if len(base.items()) * _bits(out) + len(out.items()) * _bits(base) > MAX_POWER_BITS:
-                    raise ParseError(POWER_SIZE_MESSAGE, op)
+                _check_power_size(len(base.items()) * _bits(out) + len(out.items()) * _bits(base), op)
                 out = self.ops.mul(out, base)
             return out
         return base if scalar is None else self.ops.scalar(scalar)
 
     def _unit_multiple(self, x) -> HalfLaurent | None:
-        """c when x is c times the unit with c non-zero, else None."""
-        ((unit, _),) = self.ops.scalar(HalfLaurent.one()).items()
+        """c when x is c times the unit (c may be zero), else None."""
+        ((unit, _),) = self.ops.scalar(ONE).items()
         c = x.coefficient(unit)
-        return c if c and len(x.items()) == 1 else None
+        return c if x == self.ops.scalar(c) else None
 
     def atom(self):
         """Returns (element, scalar): scalar is set when the atom is a pure scalar."""
@@ -284,7 +298,7 @@ class _ElementParser:
             val = self.expr()
             cur.eat(")")
             return val, None
-        if cur.try_eat("beta("):
+        if self.ops.beta and cur.try_eat("beta("):
             mu = cur.signs()
             cur.eat(";")
             nu = cur.signs()
@@ -299,7 +313,7 @@ class _ElementParser:
         if ch == "q":
             cur.eat("q")
             return None, HalfLaurent.q_pow(1)
-        if ch and ch in "abcd":
+        if self.ops.generator and ch and ch in "abcd":
             cur.eat(ch)
             return self.ops.generator(ch), None
         if ch and ch in digits:
@@ -311,11 +325,23 @@ class _ElementParser:
                     raise ParseError("zero denominator", cur.pos)
                 return None, HalfLaurent.rational(Fraction(num, den))
             return None, HalfLaurent.rational(num)
-        raise ParseError("expected element atom", cur.pos)
+        raise ParseError(f"expected {'element' if self.ops.generator else 'scalar'} atom", cur.pos)
 
 
 def _bits(x) -> int:
     return sum(c.bit_size() for _, c in x.items())
+
+
+def _check_power_size(bits: float, op: int) -> None:
+    if bits > MAX_POWER_BITS:
+        raise ParseError(f"result of ^ exceeds the size bound of {MAX_POWER_BITS} coefficient bits", op)
+
+
+def parse_scalar(text: str) -> HalfLaurent:
+    """Parse a scalar expression; inverse of :func:`format_scalar`."""
+    from .diagram import UNIT_TANGLE
+
+    return _ElementParser(text, _ScalarOps).parse().coefficient(UNIT_TANGLE)
 
 
 def parse_element(text: str):

@@ -1,6 +1,8 @@
 import json
 import random
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from skeinlab.cli import EXIT_PASS, EXIT_USAGE, main
 from skeinlab.diagram import BasisTangle, SkeinElement
 from skeinlab.report import REPORT_SCHEMA, validate_report_dict
-from skeinlab.scalar import HalfLaurent, ScalarError, parse_scalar
+from skeinlab.scalar import HalfLaurent, ScalarError
 from skeinlab.suites import random_stated_word, run_suite
 from skeinlab.syntax import (
     ParseError,
@@ -19,6 +21,7 @@ from skeinlab.syntax import (
     parse_diagram,
     parse_element,
     parse_hopf,
+    parse_scalar,
 )
 
 
@@ -72,6 +75,45 @@ def test_powers_beyond_the_size_bound_are_usage_errors(capsys):
         assert code == EXIT_USAGE and "size bound" in err
     code, _, _ = run_cli(capsys, "mul", "(1+s)^256", "1")
     assert code == EXIT_PASS
+
+
+def test_negative_powers_of_unit_multiples(capsys):
+    for parse in (parse_element, parse_hopf):
+        assert parse("(q)^-1") == parse("q^-1")
+        assert parse("(2*s)^-2") == parse("1/4*s^-2")
+        with pytest.raises(ParseError, match="nonnegative powers"):
+            parse("(a)^-1")
+        with pytest.raises(ScalarError, match="not an invertible monomial"):
+            parse("(1+s)^-1")
+    code, out, _ = run_cli(capsys, "mul", "(q)^-1", "a")
+    assert code == EXIT_PASS and out == "s^-2 * beta(+;+)"
+
+
+def _readme_cli_lines() -> list[tuple[list[str], str]]:
+    """(argv, comment) for each command line of the README ``## CLI`` block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.strip().splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "skeinlab"
+        lines.append((argv[1:], comment.strip()))
+    return lines
+
+
+def test_readme_cli_lines_run(capsys):
+    # st and verify runs are covered by the acceptance criteria.
+    lines = [(argv, comment) for argv, comment in _readme_cli_lines() if argv[0] not in ("st", "verify")]
+    assert len(lines) == 10
+    for argv, comment in lines:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_PASS, (argv, err)
+        assert out
+        if argv[0] == "functional":
+            # The comment states the value: "-s^6, i.e. -q^3" or "co-R form, q".
+            want = comment.split(",")[0] if argv[1] == "theta" else comment.split(", ")[-1]
+            assert parse_scalar(out) == parse_scalar(want), (argv, out)
 
 
 def test_mul_and_inv(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import skeinlab.excision as EX
+from skeinlab import linalg
 from skeinlab.scalar import ScalarError
 
 S0 = Fraction(7, 5)
@@ -68,6 +69,17 @@ def test_gluing_check_small_degrees():
             rep = EX.gluing_excision_check(n, s0)
             assert rep.passed, (n, s0, rep.dims, rep.increments)
             assert rep.pullback_ok
+
+
+def test_gluing_dims_are_ranks(monkeypatch):
+    # Replacing one image row by a copy of another leaves D_1 = 4 rows of rank 3.
+    rows = EX.comul_image_rows(1, S0)
+    rows[1] = list(rows[0])
+    monkeypatch.setattr(EX, "comul_image_rows", lambda n, s0: [list(r) for r in rows])
+    rep = EX.gluing_excision_check(1, S0)
+    assert rep.dims["image"] == linalg.rank(rows) == 3
+    assert rep.increments["image"] == 3
+    assert not rep.passed
 
 
 def test_gluing_check_degree_three():
