@@ -33,6 +33,9 @@ holds only a deterministic function of its key.  Each is registered here with
 returns the entry count of each:
 
 * ``diagram._resolve_memo``: crossing resolution per slice word,
+* ``diagram._transition_memo``: each step of that resolution, keyed by
+  ``(east arity, arcs, appended slices)``: the new matching and the loop
+  factor, so each distinct step is traced once per process,
 * ``diagram._memo``: reduction per stated matching, keyed by
   ``(arcs, west, east)``; each key part is interned in
   ``diagram._key_parts`` so equal parts share one object,
@@ -68,8 +71,12 @@ _SLICE_KINDS = ("x", "xb", "cap", "cup")
 CROSS_PARALLEL = HalfLaurent.q_pow(1)
 CROSS_TURNBACK = HalfLaurent.q_pow(-1)
 
-#: Widest diagram the CLI ``reduce`` and ``bracket`` commands accept.
-MAX_CLI_WIDTH = 7
+#: Widest diagram the CLI ``reduce`` and ``bracket`` commands accept: the
+#: widest width whose random 100-crossing braid (west = east = width rows;
+#: random rows, kinds and states; seeds 1-3, a fresh process each) reduces in
+#: under 10 s.  On a 2-core x86 host it took 1.2-1.7 s at width 7, 4.1-5.9 s
+#: at width 8 and 11.8-21.4 s at width 9.
+MAX_CLI_WIDTH = 8
 
 
 class DiagramError(ValueError):
@@ -329,6 +336,15 @@ def arcs_to_word(n_west: int, n_east: int, arcs: Arcs) -> SliceWord:
 
 
 Partial = dict[tuple[int, Arcs], HalfLaurent]  # (east arity, arcs) -> coefficient
+Transition = tuple[int, Arcs, tuple[Slice, ...]]  # (east arity, arcs, appended slices)
+
+
+def _transition(n_west: int, step: Transition) -> tuple[int, Arcs, HalfLaurent | None]:
+    """Append slices to the canonical word of a matching and trace it back."""
+    n_east, arcs, slices = step
+    w = SliceWord(n_west, arcs_to_word(n_west, n_east, arcs).slices + slices)
+    new_arcs, loops = word_to_arcs(w)
+    return w.east_arity, new_arcs, LOOP**loops if loops else None
 
 
 def _extend(
@@ -339,19 +355,23 @@ def _extend(
 ) -> Partial:
     """Append ``pending`` and then each smoothing to every partial matching.
 
-    Each extension is traced back to a matching; closed loops fold into the
-    coefficient, equal matchings merge and cancelled ones are dropped.
+    Each extension is a transition of the matching, looked up in
+    ``_transition_memo`` and traced only on a miss; closed loops fold into
+    the coefficient, equal matchings merge and cancelled ones are dropped.
     """
+    steps = [(weight, pending + tail) for weight, tail in smoothings]
     out: Partial = {}
     for (n_east, arcs), coeff in terms.items():
-        base = arcs_to_word(n_west, n_east, arcs).slices + pending
-        for weight, tail in smoothings:
-            w = SliceWord(n_west, base + tail)
-            new_arcs, loops = word_to_arcs(w)
+        for weight, slices in steps:
+            step = (n_east, arcs, slices)
+            hit = _transition_memo.get(step)
+            if hit is None:
+                hit = _transition_memo[step] = _transition(n_west, step)
+            new_east, new_arcs, loop = hit
             total = coeff * weight
-            if loops:
-                total = total * LOOP**loops
-            key = (w.east_arity, new_arcs)
+            if loop is not None:
+                total = total * loop
+            key = (new_east, new_arcs)
             acc = out.get(key)
             out[key] = total if acc is None else acc + total
     return {key: c for key, c in out.items() if not c.is_zero()}
@@ -367,6 +387,9 @@ def resolve_crossings(word: SliceWord) -> list[tuple[SliceWord, HalfLaurent]]:
     at once.  So the number of live terms never exceeds the number of planar
     matchings of the current boundary (Catalan(4) = 14 for a 4-strand braid),
     and the cost grows linearly in crossings and exponentially only in width.
+    Each step depends only on the matching and the appended slices, so it is
+    traced once per process (``_transition_memo``) and is a dict lookup after
+    that, in this word and in every later one.
 
     State-independent, so results are memoized per word; reducing one diagram
     under many state assignments resolves its crossings once.
@@ -402,11 +425,14 @@ StateKey = tuple[Arcs, tuple[State, ...], tuple[State, ...]]
 _memo: dict[StateKey, SkeinElement] = {}
 _key_parts: dict[tuple, tuple] = {}
 _resolve_memo: dict[SliceWord, list[tuple[SliceWord, HalfLaurent]]] = {}
+#: Transition -> (new east arity, new arcs, LOOP**loops or None).
+_transition_memo: dict[Transition, tuple[int, Arcs, HalfLaurent | None]] = {}
 _word_arcs_memo: dict[SliceWord, Arcs] = {}
 _parallel_arcs_memo: dict[int, Arcs] = {}
 #: Every process-global memo of the package, by qualified name.
 _MEMOS: dict[str, dict] = {
     "diagram._resolve_memo": _resolve_memo,
+    "diagram._transition_memo": _transition_memo,
     "diagram._memo": _memo,
     "diagram._key_parts": _key_parts,
     "diagram._word_arcs_memo": _word_arcs_memo,

@@ -58,9 +58,9 @@ def test_parse_error_reports_position(capsys):
     code, out, err = run_cli(capsys, "mul", "1/0", "a")
     assert code == EXIT_USAGE
     assert "zero denominator" in err
-    code, out, err = run_cli(capsys, "reduce", "tangle(8){x0} west=++++++++ east=++++++++")
+    code, out, err = run_cli(capsys, "reduce", "tangle(9){x0} west=+++++++++ east=+++++++++")
     assert code == EXIT_USAGE
-    assert "width 8" in err and "bound 7" in err
+    assert "width 9" in err and "bound 8" in err
     code, out, err = run_cli(capsys, "mul", "a^ 100000", "a")
     assert code == EXIT_USAGE
     assert "exponent 100000 exceeds the bound" in err and "column 4" in err

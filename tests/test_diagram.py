@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skeinlab.diagram import (
     UNIT_TANGLE,
@@ -188,6 +190,41 @@ def test_long_braid_words_match_oracle():
         assert reduce(d) == oracle_reduce(d)
 
 
+@st.composite
+def _stated_words(draw, max_width=6, max_crossings=6):
+    """Stated words with caps, cups and crossings, at most ``max_width`` rows."""
+    west = rows = draw(st.integers(0, max_width))
+    slices = []
+    crossings = 0
+    for _ in range(draw(st.integers(0, 12))):
+        kinds = ["cup"] if rows + 2 <= max_width else []
+        if rows >= 2:
+            kinds.append("cap")
+            if crossings < max_crossings:
+                kinds += ["x", "xb"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "cup":
+            i = draw(st.integers(0, rows))
+            rows += 2
+        else:
+            i = draw(st.integers(0, rows - 2))
+            if kind == "cap":
+                rows -= 2
+            else:
+                crossings += 1
+        slices.append((kind, i))
+    states = lambda n: tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)))
+    return StatedWord(SliceWord(west, tuple(slices)), states(west), states(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stated_words())
+def test_reduce_matches_oracle_with_warm_memos(d):
+    # No memo is cleared between examples, so each word is resolved through
+    # the transitions, resolutions and reductions of the words before it.
+    assert reduce(d) == oracle_reduce(d)
+
+
 def _count_traces(monkeypatch) -> list[int]:
     """Empty the memos and count ``word_to_arcs`` calls in the returned cell."""
     import skeinlab.diagram as D
@@ -204,14 +241,36 @@ def _count_traces(monkeypatch) -> list[int]:
     return calls
 
 
+def _count_transitions(monkeypatch) -> list[int]:
+    """Empty the memos and count transition-memo misses in the returned cell."""
+    import skeinlab.diagram as D
+
+    misses = [0]
+    transition = D._transition
+
+    def counting(n_west, step):
+        misses[0] += 1
+        return transition(n_west, step)
+
+    monkeypatch.setattr(D, "_transition", counting)
+    D.memo_clear()
+    return misses
+
+
 def test_braid_resolution_work_is_linear_in_crossings(monkeypatch):
-    # At most two traces per planar matching of the 8 boundary points
-    # (Catalan(4) = 14) per crossing, plus the trailing slices: 2 * 14 * 19,
-    # where expanding every smoothing would trace 2^18 words.
-    calls = _count_traces(monkeypatch)
+    # At most two new transitions per planar matching of the 8 boundary
+    # points (Catalan(4) = 14) per crossing, plus the trailing slices:
+    # 2 * 14 * 19, where expanding every smoothing would trace 2^18 words.
+    misses = _count_transitions(monkeypatch)
     word = SliceWord(4, tuple(("x", i) for _ in range(6) for i in range(3)))
     assert len(resolve_crossings(word)) == 14
-    assert calls[0] <= 2 * 14 * 19
+    assert 0 < misses[0] <= 2 * 14 * 19
+    # A transition depends only on the matching and the appended slices, so
+    # another word over the same rows reuses every one.
+    misses[0] = 0
+    other = SliceWord(4, tuple(s for _ in range(4) for s in (("xb", 2), ("x", 1), ("xb", 0))))
+    assert len(resolve_crossings(other)) == 14
+    assert misses[0] == 0
     memo_clear()
 
 

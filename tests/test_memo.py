@@ -16,6 +16,7 @@ from skeinlab.suites import DEFAULT_SPECS, random_stated_word
 
 MEMOS = {
     "diagram._resolve_memo",
+    "diagram._transition_memo",
     "diagram._memo",
     "diagram._key_parts",
     "diagram._word_arcs_memo",
