@@ -93,6 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", action="append", metavar="S0")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(suite="st", max_degree=3, oracle_words=200)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=SUITES + ("all",))
@@ -103,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="adds one pseudorandom extra specialization point and seeds random cases")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--symbolic", action="store_true",
-                   help="also run symbolic (function-field) dimension checks")
     p.add_argument("--oracle-words", type=bound, default=200)
     return parser
 
@@ -184,24 +183,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
-        if args.command == "st":
-            specs = _parse_spec_points(args.spec, args.seed)
-            report = run_suite(
-                "st",
-                specs=specs,
-                seed=args.seed or 0,
-                max_points=args.max_points,
-            )
-            return _emit_report(report, args.json)
-        if args.command == "verify":
-            specs = _parse_spec_points(args.spec, args.seed)
+        if args.command in ("st", "verify"):
             report = run_suite(
                 args.suite,
                 max_degree=args.max_degree,
-                specs=specs,
+                specs=_parse_spec_points(args.spec, args.seed),
                 seed=args.seed or 0,
                 max_points=args.max_points,
-                symbolic=args.symbolic,
                 oracle_words=args.oracle_words,
             )
             return _emit_report(report, args.json)

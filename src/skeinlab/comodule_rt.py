@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import bigon_skein, quantum_sl2
-from .diagram import C, CBAR, CROSS_PARALLEL, CROSS_TURNBACK, SliceWord, State, state_tuples
+from . import bigon_skein, linalg, quantum_sl2
+from .diagram import C, CBAR, CROSS_PARALLEL, CROSS_TURNBACK, SliceWord, State, register_memo, state_tuples
 from .quantum_sl2 import HopfElement, comul as hopf_comul, counit as hopf_counit, mul as hopf_mul
-from .scalar import ONE, HalfLaurent
+from .scalar import ONE, ZERO, HalfLaurent
 
 Matrix = list[list[HalfLaurent]]
 
@@ -286,57 +286,57 @@ def multiplicity(k: int, n: int) -> int:
     return row.get(k, 0)
 
 
-def intertwiner_dimension(
-    w1: Comodule, w2: Comodule, s0: Fraction | None = None
-) -> int:
-    """dim Hom(w1, w2) as comodules; symbolic over Q(s) when s0 is None.
+IntertwinerRows = list[dict[int, HalfLaurent]]
 
-    A map f is an intertwiner iff for all j:
-    sum_i f[i][j] . coact2(e_i) = sum_i (coact1[i][j] paired into slot 2) ...
-    i.e. entrywise sum_k w2[i][k] f[k][j] = sum_k f[i][k] w1[k][j].
+_rows_memo: dict[tuple[Comodule, Comodule], IntertwinerRows] = register_memo(
+    "comodule_rt._rows_memo", {}
+)
+
+
+def _intertwiner_rows(w1: Comodule, w2: Comodule) -> IntertwinerRows:
+    """The linear conditions for a map f: w1 -> w2 to be a comodule map.
+
+    f is a w2.dim x w1.dim matrix, unknown f[k][j] in column k * w1.dim + j.
+    It is an intertwiner iff entrywise sum_k w2[i][k] f[k][j] = sum_k f[i][k]
+    w1[k][j]; each entry (i, j) gives one exact row per PBW monomial.  The
+    rows are built once per pair of comodules and shared by the dimension
+    bound and every exact check.
     """
-    from . import linalg
-    from .quantum_sl2 import pbw_monomials
-
-    n_unknowns = w1.dim * w2.dim
-    deg = max(
-        (m.degree for mat in (w1.coaction, w2.coaction) for row in mat for h in row for m, _ in h.items()),
-        default=0,
-    )
-    monos = pbw_monomials(deg)
-    mono_index = {m: t for t, m in enumerate(monos)}
-
-    rows_sym: list[dict[int, HalfLaurent]] = []
+    hit = _rows_memo.get((w1, w2))
+    if hit is not None:
+        return hit
+    rows: IntertwinerRows = []
     for i in range(w2.dim):
         for j in range(w1.dim):
-            per_mono: dict[int, dict[int, HalfLaurent]] = {}
+            per_mono: dict[quantum_sl2.PBWMonomial, dict[int, HalfLaurent]] = {}
             for k in range(w2.dim):
-                h = w2.coaction[i][k]
-                for m, c in h.items():
-                    per_mono.setdefault(mono_index[m], {}).setdefault(
-                        k * w1.dim + j, HalfLaurent.zero()
-                    )
-                    per_mono[mono_index[m]][k * w1.dim + j] = (
-                        per_mono[mono_index[m]][k * w1.dim + j] + c
-                    )
+                for m, c in w2.coaction[i][k].items():
+                    row = per_mono.setdefault(m, {})
+                    col = k * w1.dim + j
+                    row[col] = row.get(col, ZERO) + c
             for k in range(w1.dim):
-                h = w1.coaction[k][j]
-                for m, c in h.items():
-                    per_mono.setdefault(mono_index[m], {}).setdefault(
-                        i * w1.dim + k, HalfLaurent.zero()
-                    )
-                    per_mono[mono_index[m]][i * w1.dim + k] = (
-                        per_mono[mono_index[m]][i * w1.dim + k] - c
-                    )
-            rows_sym.extend(per_mono.values())
+                for m, c in w1.coaction[k][j].items():
+                    row = per_mono.setdefault(m, {})
+                    col = i * w1.dim + k
+                    row[col] = row.get(col, ZERO) - c
+            rows.extend(per_mono.values())
+    _rows_memo[(w1, w2)] = rows
+    return rows
 
-    if s0 is not None:
-        sparse = [
-            {col: v.specialize(s0) for col, v in row.items() if not v.is_zero()}
-            for row in rows_sym
-        ]
-        return len(linalg.kernel_basis(sparse, n_unknowns))
-    dense = [
-        [row.get(col, HalfLaurent.zero()) for col in range(n_unknowns)] for row in rows_sym
+
+def intertwiner_dimension(w1: Comodule, w2: Comodule, s0: Fraction) -> int:
+    """dim Hom(w1, w2) at s = s0: an upper bound on the generic dimension."""
+    rows = [
+        {col: v.specialize(s0) for col, v in row.items() if v}
+        for row in _intertwiner_rows(w1, w2)
     ]
-    return n_unknowns - linalg.rank_symbolic(dense)
+    return len(linalg.kernel_basis(rows, w1.dim * w2.dim))
+
+
+def is_intertwiner(w1: Comodule, w2: Comodule, f: Matrix) -> bool:
+    """Whether f (w2.dim x w1.dim) is exactly a comodule map w1 -> w2."""
+    flat = [x for row in f for x in row]
+    return all(
+        not sum((v * flat[col] for col, v in row.items() if flat[col]), ZERO)
+        for row in _intertwiner_rows(w1, w2)
+    )

@@ -39,8 +39,6 @@ returns the entry count of each:
 * ``diagram._memo``: reduction per stated matching, keyed by
   ``(arcs, west, east)``; each key part is interned in
   ``diagram._key_parts`` so equal parts share one object,
-* ``diagram._word_arcs_memo``: the boundary matching of each canonical word
-  that ``resolve_crossings`` returns, so ``reduce`` traces each word once,
 * ``diagram._parallel_arcs_memo``: the identity matching per strand count,
 * ``bigon_skein._inv_edge_memo``: edge inversion per (basis tangle, edge,
   inverse), so ``t_form`` and ``t_inv_form`` reduce each basis tangle once,
@@ -48,6 +46,8 @@ returns the entry count of each:
 * ``bigon_skein._comul_memo``: the coproduct per basis tangle,
 * ``quantum_sl2._ANTIPODE_LETTER``: the antipode of each generator,
 * ``quantum_sl2._to_skein_memo``: the bigon image per PBW monomial,
+* ``comodule_rt._rows_memo``: the exact intertwiner conditions per pair of
+  comodules,
 * ``excision._defect_memo``: the symbolic image of a defect map per
   (map name, basis pair), specialized afresh at every point.
 
@@ -337,6 +337,7 @@ def arcs_to_word(n_west: int, n_east: int, arcs: Arcs) -> SliceWord:
 
 Partial = dict[tuple[int, Arcs], HalfLaurent]  # (east arity, arcs) -> coefficient
 Transition = tuple[int, Arcs, tuple[Slice, ...]]  # (east arity, arcs, appended slices)
+Resolved = list[tuple[int, Arcs, HalfLaurent]]  # (east arity, arcs, coefficient), sorted
 
 
 def _transition(n_west: int, step: Transition) -> tuple[int, Arcs, HalfLaurent | None]:
@@ -377,8 +378,9 @@ def _extend(
     return {key: c for key, c in out.items() if not c.is_zero()}
 
 
-def resolve_crossings(word: SliceWord) -> list[tuple[SliceWord, HalfLaurent]]:
-    """Resolve all crossings and remove loops; returns canonical crossingless words.
+def resolve_crossings(word: SliceWord) -> Resolved:
+    """Resolve all crossings and remove loops; returns crossingless matchings
+    with their coefficients, sorted by (east arity, arcs).
 
     Works slice by slice, left to right, on the partial matchings of the
     west points and the rows cut so far, starting from the identity matching.
@@ -413,7 +415,7 @@ def resolve_crossings(word: SliceWord) -> list[tuple[SliceWord, HalfLaurent]]:
             pending.append((kind, i))
     if pending:
         terms = _extend(n_w, terms, tuple(pending), ((ONE, ()),))
-    out = [(arcs_to_word(n_w, n_e, arcs), c) for (n_e, arcs), c in sorted(terms.items())]
+    out = [(n_e, arcs, c) for (n_e, arcs), c in sorted(terms.items())]
     _resolve_memo[word] = out
     return out
 
@@ -424,10 +426,9 @@ StateKey = tuple[Arcs, tuple[State, ...], tuple[State, ...]]
 
 _memo: dict[StateKey, SkeinElement] = {}
 _key_parts: dict[tuple, tuple] = {}
-_resolve_memo: dict[SliceWord, list[tuple[SliceWord, HalfLaurent]]] = {}
+_resolve_memo: dict[SliceWord, Resolved] = {}
 #: Transition -> (new east arity, new arcs, LOOP**loops or None).
 _transition_memo: dict[Transition, tuple[int, Arcs, HalfLaurent | None]] = {}
-_word_arcs_memo: dict[SliceWord, Arcs] = {}
 _parallel_arcs_memo: dict[int, Arcs] = {}
 #: Every process-global memo of the package, by qualified name.
 _MEMOS: dict[str, dict] = {
@@ -435,7 +436,6 @@ _MEMOS: dict[str, dict] = {
     "diagram._transition_memo": _transition_memo,
     "diagram._memo": _memo,
     "diagram._key_parts": _key_parts,
-    "diagram._word_arcs_memo": _word_arcs_memo,
     "diagram._parallel_arcs_memo": _parallel_arcs_memo,
 }
 
@@ -601,15 +601,9 @@ def reduce_parallel(west: tuple[State, ...], east: tuple[State, ...]) -> SkeinEl
 def reduce(diagram: StatedWord) -> SkeinElement:
     """Canonical basis expansion of a stated sliced diagram."""
     out = SkeinElement.zero()
-    for word, coeff in resolve_crossings(diagram.word):
-        arcs = _word_arcs_memo.get(word)
-        if arcs is None:
-            # Canonical words carry no closed loops.
-            arcs = _word_arcs_memo[word] = word_to_arcs(word)[0]
-        part = evaluate_arcs(
-            word.west_arity, word.east_arity, arcs, diagram.west, diagram.east
-        )
-        out.add_scaled(part, coeff)
+    n_w = diagram.word.west_arity
+    for n_e, arcs, coeff in resolve_crossings(diagram.word):
+        out.add_scaled(evaluate_arcs(n_w, n_e, arcs, diagram.west, diagram.east), coeff)
     return out
 
 

@@ -1,19 +1,26 @@
-"""Exact linear algebra over Q (and, for small sizes, over Q[s, s^-1]).
+"""Exact linear algebra over Q.
 
 Rank and kernel computations back the generic-q dimension checks: matrices
-are specialized at rational points and handled with Fraction arithmetic, so
-results are exact.  Every rank, row space, kernel and solution over Q comes
-from one sparse Gauss-Jordan elimination on ``{column: value}`` rows: the
-systems here are tall with about one non-zero per row, so pivot rows stay
-short and no dense basis is built.
+with Laurent polynomial entries in s are specialized at rational points and
+handled with Fraction arithmetic, so results are exact.  Every rank, row
+space, kernel and solution over Q comes from one sparse Gauss-Jordan
+elimination on ``{column: value}`` rows: the systems here are tall with about
+one non-zero per row, so pivot rows stay short and no dense basis is built.
+
+Which way a point value bounds the generic one: the points used are nonzero
+rationals other than +/-1, never roots of unity, but a point can still be a
+root of some minor.  Specialization can only lower a rank, because a minor
+that is a non-zero polynomial may vanish at s0 but a zero one cannot become
+non-zero.  So a rank at a point is a lower bound on the generic rank, and a
+kernel dimension at a point is an upper bound on the generic kernel
+dimension.  A dimension check is certified when an exactly verified spanning
+set gives a lower bound that meets such an upper bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
-
-from .scalar import HalfLaurent
 
 Vec = list[Fraction]
 SparseRow = dict[int, Fraction]
@@ -127,36 +134,3 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec | 
     for p, row in pivots.items():
         sol[p] = Fraction(row.get(ncols, 0))
     return sol
-
-
-# -- fraction-free elimination over the Laurent ring -------------------------
-
-
-def rank_symbolic(rows: Sequence[Sequence[HalfLaurent]]) -> int:
-    """Rank over the fraction field Q(s) by Bareiss elimination.
-
-    Exact but cubic with polynomial entries; intended for small matrices
-    (the --symbolic path of dimension checks).
-    """
-    mat = [list(row) for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    prev = HalfLaurent.one()
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if not mat[i][c].is_zero()), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pivot = mat[r][c]
-        for i in range(r + 1, len(mat)):
-            fi = mat[i][c]
-            for j in range(ncols):
-                num = pivot * mat[i][j] - fi * mat[r][j]
-                mat[i][j] = num.divide_exact(prev)
-        prev = pivot
-        r += 1
-        if r == len(mat):
-            break
-    return r

@@ -4,18 +4,14 @@ Every coefficient showing up in bigon skein computations -- the loop value
 -q^2 - q^-2, boundary arc weights like q^(-1/2) and -q^(5/2), twist factors
 -q^(+/-3) -- is a Laurent polynomial in q^(1/2) with integer coefficients.
 Coefficients are stored as ``int`` and fall back to ``Fraction`` only where a
-value is not integral (rational input, exact division), so the engine's
+value is not integral (rational input, monomial inverses), so the engine's
 arithmetic runs on Python ints.  Working with the generator s (so q = s^2)
 keeps all exponents integral and makes equality of scalars a structural
 comparison of canonical term maps; ``Fraction(n, 1)`` and ``n`` compare and
 hash equal, so either form of an integral value is canonical.
 
 Rank computations elsewhere specialize s at nonzero rational points other
-than +/-1.  Such a point is never a root of unity, but it can still be a root
-of some minor, so a value at one point is a one-sided bound, not the generic
-value: specialization can only lower a rank, so a rank at a point is a lower
-bound on the generic rank, and a kernel dimension at a point is an upper
-bound on the generic kernel dimension.
+than +/-1; ``linalg`` says which way such a value bounds the generic one.
 
 Every algebra element (skein elements, tensors, PBW normal forms) is a
 finite sum of basis keys with such coefficients: :class:`LinearCombination`.
@@ -215,38 +211,6 @@ class HalfLaurent:
             raise ScalarError(f"not an invertible monomial: {self}")
         ((e, c),) = self._terms.items()
         return HalfLaurent({-e: Fraction(1, c)})
-
-    def divide_exact(self, other: HalfLaurent) -> HalfLaurent:
-        """Exact quotient self / other in Q[s, s^-1]; raises if not divisible."""
-        if other.is_zero():
-            raise ScalarError("division by zero")
-        if self.is_zero():
-            return HalfLaurent.zero()
-        # Shift both to ordinary polynomials and do long division by the
-        # leading term of the divisor.
-        num = dict(self._terms)
-        den = other._terms
-        dlead = max(den)
-        dc = den[dlead]
-        # A true quotient has its top exponent at max(num)-dlead and its
-        # bottom at min(num)-min(den); anything below that means a residue.
-        floor = min(num) - min(den)
-        quot: dict[int, Rat] = {}
-        while num:
-            nlead = max(num)
-            # Fraction, never int / int: true division of ints is a float.
-            qe, qc = nlead - dlead, Fraction(num[nlead], dc)
-            if qe < floor:
-                raise ScalarError("not exactly divisible")
-            quot[qe] = qc
-            for e, c in den.items():
-                ee = e + qe
-                acc = num.get(ee, 0) - c * qc
-                if acc:
-                    num[ee] = acc
-                elif ee in num:
-                    del num[ee]
-        return HalfLaurent(quot)
 
     # -- evaluation --------------------------------------------------------
 

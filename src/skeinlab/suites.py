@@ -17,6 +17,7 @@ from . import bigon_skein as B
 from . import comodule_rt as CM
 from . import excision as EX
 from . import internal_skein as IS
+from . import linalg
 from . import quantum_sl2 as QS
 from .diagram import BasisTangle, SkeinElement, SliceWord, StatedWord
 from .diagram import reduce as reduce_diagram
@@ -602,7 +603,7 @@ def braidop_suite(max_degree: int, specs, seed: int) -> list[Check]:
 # -- suite: comodule ------------------------------------------------------------------
 
 
-def comodule_suite(max_degree: int, specs, seed: int, symbolic: bool = False) -> list[Check]:
+def comodule_suite(max_degree: int, specs, seed: int) -> list[Check]:
     checks: list[Check] = []
 
     def axioms() -> str | None:
@@ -694,23 +695,40 @@ def comodule_suite(max_degree: int, specs, seed: int, symbolic: bool = False) ->
     checks.append(("twist acts on V as -q^3", theta_is_scalar))
 
     def multiplicities() -> str | None:
+        """dim End(V^(x)n) = sum_k mult(k, n)^2, certified at s0 by a sandwich.
+
+        The kernel dimension of the intertwiner condition at s0 is an upper
+        bound on the generic dimension; the Temperley-Lieb matrices of the
+        (n, n) planar matchings are exact intertwiners, so the rank of their
+        span at s0 is a lower bound (see ``linalg``).
+        """
         table = ((0, 2, 1), (2, 2, 1), (1, 1, 1), (0, 4, 2), (1, 3, 2), (3, 3, 1))
         for k, n, want in table:
             if CM.multiplicity(k, n) != want:
                 return f"multiplicity({k},{n}) != {want}"
         s0 = specs[0]
-        for n in range(0, 4):
-            hom = CM.intertwiner_dimension(CM.tensor_power_V(n), CM.tensor_power_V(n), s0)
+        for n in range(max_degree + 1):
+            w = CM.tensor_power_V(n)
+            tl = []
+            for m in IS.enumerate_matchings(n, n):
+                f = CM.rt_evaluate(IS.matching_word(m))
+                if not CM.is_intertwiner(w, w, f):
+                    return f"lower bound: the matrix of {m} is not an intertwiner"
+                tl.append([x.specialize(s0) for row in f for x in row])
+            lower = linalg.rank(tl)
+            upper = CM.intertwiner_dimension(w, w, s0)
             want = sum(CM.multiplicity(k, n) ** 2 for k in range(n + 1))
-            if hom != want:
-                return f"endomorphism dimension of the {n}-fold power != {want}"
-        if symbolic:
-            hom = CM.intertwiner_dimension(CM.tensor_power_V(2), CM.tensor_power_V(2), None)
-            if hom != 2:
-                return "symbolic endomorphism dimension of V(x)V != 2"
+            for bound, got in (("lower", lower), ("upper", upper)):
+                if got != want:
+                    return (
+                        f"{bound} bound {got} on the endomorphism dimension of the "
+                        f"{n}-fold power != {want} at s0={s0} (lower {lower}, upper {upper})"
+                    )
         return None
 
-    checks.append(("tensor-power multiplicities and intertwiner dimensions", multiplicities))
+    checks.append(
+        (f"tensor-power multiplicities and intertwiner dimensions (n <= {max_degree})", multiplicities)
+    )
     return checks
 
 
@@ -822,7 +840,10 @@ def excision_suite(max_degree: int, specs, seed: int) -> list[Check]:
             for s0 in specs:
                 rep = EX.gluing_excision_check(n, s0, seed=seed)
                 if not rep.passed:
-                    return f"degree {n} at s0={s0}: dims {rep.dims}, increments {rep.increments}"
+                    return (
+                        f"degree {n} at s0={s0}: dims {rep.dims}, increments {rep.increments}, "
+                        f"image in every kernel {rep.image_in_kernels}"
+                    )
             return None
 
         checks.append((f"invariants variants match the splitting image in degree {n}", gluing))
@@ -833,7 +854,7 @@ def excision_suite(max_degree: int, specs, seed: int) -> list[Check]:
 
 
 #: Suite name -> builder of its checks from build_suite's arguments after the
-#: name (max_degree, specs, seed, max_points, symbolic, oracle_words).
+#: name (max_degree, specs, seed, max_points, oracle_words).
 _BUILDERS: dict[str, Callable[..., list[Check]]] = {
     "hopf": lambda deg, specs, seed, *_: hopf_suite(deg, specs, seed),
     "iso": lambda deg, specs, seed, *_: iso_suite(deg, specs, seed),
@@ -841,8 +862,8 @@ _BUILDERS: dict[str, Callable[..., list[Check]]] = {
     "halfribbon": lambda deg, specs, seed, *_: halfribbon_suite(deg, specs, seed),
     "leftright": lambda deg, specs, seed, *_: leftright_suite(deg, specs, seed),
     "braidop": lambda deg, specs, seed, *_: braidop_suite(deg, specs, seed),
-    "rt": lambda deg, specs, seed, points, symbolic, words: rt_suite(deg, specs, seed, words),
-    "comodule": lambda deg, specs, seed, points, symbolic, words: comodule_suite(deg, specs, seed, symbolic),
+    "rt": lambda deg, specs, seed, points, words: rt_suite(deg, specs, seed, words),
+    "comodule": lambda deg, specs, seed, *_: comodule_suite(deg, specs, seed),
     "st": lambda deg, specs, seed, points, *_: st_suite(points, specs, seed),
     "excision": lambda deg, specs, seed, *_: excision_suite(deg, specs, seed),
 }
@@ -856,11 +877,10 @@ def build_suite(
     specs: Sequence[Fraction] = DEFAULT_SPECS,
     seed: int = 0,
     max_points: int = 6,
-    symbolic: bool = False,
     oracle_words: int = 200,
 ) -> list[Check]:
     specs = tuple(specs)
-    args = (max_degree, specs, seed, max_points, symbolic, oracle_words)
+    args = (max_degree, specs, seed, max_points, oracle_words)
     if name in _BUILDERS:
         return _BUILDERS[name](*args)
     if name == "all":
@@ -877,10 +897,9 @@ def run_suite(
     specs: Sequence[Fraction] = DEFAULT_SPECS,
     seed: int = 0,
     max_points: int = 6,
-    symbolic: bool = False,
     oracle_words: int = 200,
 ) -> Report:
-    checks = build_suite(name, max_degree, specs, seed, max_points, symbolic, oracle_words)
+    checks = build_suite(name, max_degree, specs, seed, max_points, oracle_words)
     start = time.monotonic()
     results = [(label, fn()) for label, fn in checks]
     report = Report(
@@ -890,7 +909,6 @@ def run_suite(
             "specializations": [str(s) for s in specs],
             "seed": seed,
             "max_points": max_points,
-            "symbolic": symbolic,
             "oracle_words": oracle_words,
         },
     )

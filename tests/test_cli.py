@@ -153,6 +153,15 @@ def test_unknown_suite_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+def test_st_command_runs_the_st_suite(capsys):
+    reports = []
+    for argv in (("st",), ("verify", "st")):
+        code, out, _ = run_cli(capsys, *argv, "--max-points", "4", "--json")
+        assert code == EXIT_PASS
+        reports.append({k: v for k, v in json.loads(out).items() if k != "wall_time"})
+    assert reports[0] == reports[1]
+
+
 def test_negative_bounds_are_usage_errors(capsys):
     # A negative bound would make every check pass vacuously.
     for argv in (

@@ -3,9 +3,12 @@ from fractions import Fraction
 import pytest
 
 import skeinlab.comodule_rt as CM
+import skeinlab.internal_skein as IS
 import skeinlab.quantum_sl2 as QS
+from skeinlab import linalg
 from skeinlab.diagram import SliceWord
 from skeinlab.scalar import LOOP, ONE, HalfLaurent
+from skeinlab.suites import DEFAULT_SPECS, comodule_suite
 
 q = HalfLaurent.q_pow
 s = HalfLaurent.s_pow
@@ -135,6 +138,34 @@ def test_intertwiner_dimension_matches_multiplicity():
             assert got == CM.multiplicity(k, n)
 
 
-def test_intertwiner_dimension_symbolic_small():
-    assert CM.intertwiner_dimension(CM.tensor_power_V(2), CM.tensor_power_V(2), None) == 2
-    assert CM.intertwiner_dimension(CM.standard_V(), CM.standard_V(), None) == 1
+def test_endomorphism_sandwich_closes_small():
+    # The Temperley-Lieb matrices are exact intertwiners, so their rank at s0
+    # bounds dim End below; the kernel dimension at s0 bounds it above.
+    s0 = Fraction(7, 5)
+    for n, want in ((1, 1), (2, 2)):
+        w = CM.tensor_power_V(n)
+        tl = [CM.rt_evaluate(IS.matching_word(m)) for m in IS.enumerate_matchings(n, n)]
+        assert all(CM.is_intertwiner(w, w, f) for f in tl)
+        lower = linalg.rank([x.specialize(s0) for row in f for x in row] for f in tl)
+        assert lower == CM.intertwiner_dimension(w, w, s0) == want
+
+
+def test_perturbed_tl_matrix_fails_the_sandwich(monkeypatch):
+    w = CM.tensor_power_V(2)
+    [_, turnback] = IS.enumerate_matchings(2, 2)
+    f = CM.rt_evaluate(IS.matching_word(turnback))
+    f[0][0] = f[0][0] + ONE
+    assert not CM.is_intertwiner(w, w, f)
+
+    evaluate = CM.rt_evaluate
+
+    def perturbed(word):
+        mat = evaluate(word)
+        if word.west_arity == 2 and word.slices:  # the one (2, 2) turnback
+            mat[0][0] = mat[0][0] + ONE
+        return mat
+
+    monkeypatch.setattr(CM, "rt_evaluate", perturbed)
+    [case] = [fn for label, fn in comodule_suite(2, DEFAULT_SPECS, 0) if "intertwiner" in label]
+    witness = case()
+    assert witness is not None and witness.startswith("lower bound"), witness

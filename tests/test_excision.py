@@ -4,7 +4,8 @@ import pytest
 
 import skeinlab.excision as EX
 from skeinlab import linalg
-from skeinlab.scalar import ScalarError
+from skeinlab.diagram import BasisTangle, memo_clear
+from skeinlab.scalar import ONE, ScalarError
 
 S0 = Fraction(7, 5)
 S1 = Fraction(11, 7)
@@ -82,7 +83,27 @@ def test_gluing_dims_are_ranks(monkeypatch):
     assert not rep.passed
 
 
+def test_gluing_check_requires_the_image_in_every_kernel(monkeypatch):
+    # A defect that does not vanish on comul(1) = 1 (x) 1 breaks containment.
+    unit = BasisTangle.unit()
+    exact = EX._DEFECTS["hh0_L"]
+
+    def perturbed(b1, b2):
+        out = exact(b1, b2)
+        if b1 == b2 == unit:
+            out.add_term((unit, unit, unit), ONE)
+        return out
+
+    monkeypatch.setitem(EX._DEFECTS, "hh0_L", perturbed)
+    memo_clear()
+    assert not EX.splitting_image_in_kernel(0, "hh0_L")
+    assert EX.splitting_image_in_kernel(0, "hh0_l_ht")
+    rep = EX.gluing_excision_check(0, S0)
+    assert not rep.image_in_kernels and not rep.passed
+    memo_clear()
+
+
 def test_gluing_check_degree_three():
     rep = EX.gluing_excision_check(3, S0)
-    assert rep.passed and rep.pullback_ok
+    assert rep.passed and rep.pullback_ok and rep.image_in_kernels
     assert set(rep.dims.values()) == {20} and set(rep.increments.values()) == {16}

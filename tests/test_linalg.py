@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeinlab import linalg
-from skeinlab.scalar import HalfLaurent
 
 F = Fraction
 
@@ -44,17 +43,6 @@ def test_solve():
     sol = linalg.solve(rows, [F(3), F(1), F(4)])
     assert sol == [F(2), F(1)]
     assert linalg.solve(rows, [F(3), F(1), F(5)]) is None
-
-
-def test_symbolic_rank():
-    s = HalfLaurent.s_pow
-    one = HalfLaurent.one()
-    zero = HalfLaurent.zero()
-    rows = [[one, s(1)], [s(1), s(2)]]  # second row = s * first
-    assert linalg.rank_symbolic(rows) == 1
-    rows = [[one, s(1)], [s(1), s(2) + one]]
-    assert linalg.rank_symbolic(rows) == 2
-    assert linalg.rank_symbolic([[zero, zero]]) == 0
 
 
 def _dense_rank(rows):

@@ -19,13 +19,13 @@ MEMOS = {
     "diagram._transition_memo",
     "diagram._memo",
     "diagram._key_parts",
-    "diagram._word_arcs_memo",
     "diagram._parallel_arcs_memo",
     "bigon_skein._inv_edge_memo",
     "bigon_skein._r_memo",
     "bigon_skein._comul_memo",
     "quantum_sl2._ANTIPODE_LETTER",
     "quantum_sl2._to_skein_memo",
+    "comodule_rt._rows_memo",
     "excision._defect_memo",
 }
 
@@ -48,6 +48,7 @@ def test_memo_clear_empties_every_memo():
     QS.antipode(QS.gen("a"))
     IS.check_st_intertwiner(IS.identity_matching(1))
     EX.invariants_subspace(0, "inv", Fraction(7, 5))
+    CM.intertwiner_dimension(CM.standard_V(), CM.standard_V(), Fraction(7, 5))
     sizes = memo_sizes()
     assert set(sizes) == MEMOS
     assert all(sizes.values()), sizes

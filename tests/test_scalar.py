@@ -61,23 +61,6 @@ def test_monomial_inverse():
         (S(1) + S(2)).inverse()
 
 
-def test_divide_exact():
-    a = (S(2) + S(-2)) * (S(1, 3) - S(0, Fraction(1, 2)))
-    assert a.divide_exact(S(2) + S(-2)) == S(1, 3) - S(0, Fraction(1, 2))
-    with pytest.raises(ScalarError):
-        (S(1) + HalfLaurent.one()).divide_exact(S(1) - HalfLaurent.one())
-    # s is a unit: dividing by s + s^2 = s(1 + s) is exact
-    assert (S(1) + HalfLaurent.one()).divide_exact(S(1) + S(2)) == S(-1)
-
-
-def test_divide_exact_divides_integers_exactly():
-    # (3s^2 + s) / 3s = s + 1/3; true division of the ints 1 / 3 would give
-    # a float constant term instead.
-    quot = HalfLaurent({2: 3, 1: 1}).divide_exact(HalfLaurent({1: 3}))
-    assert quot.terms == {1: 1, 0: Fraction(1, 3)}
-    assert type(quot.terms[0]) is Fraction
-
-
 def test_parse_examples():
     assert parse_scalar("-3/2*s^-5 + s^4") == S(4) + S(-5, Fraction(-3, 2))
     assert parse_scalar("q") == S(2)
@@ -150,8 +133,6 @@ def test_coefficients_are_ints_or_fractions(x, y):
     # No operation yields a float; integral operands give int coefficients.
     for a, b, integral in ((x, y, False), (_integral(x), _integral(y), True)):
         results = [a + b, a - b, -a, a * b, a.scale(3), a * 2, a**3, HalfLaurent(a.terms)]
-        if b:
-            results.append((a * b).divide_exact(b))
         if a.is_monomial() and (not integral or abs(*a.terms.values()) == 1):
             results.append(a.inverse())
         for r in results:
