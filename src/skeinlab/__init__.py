@@ -32,7 +32,7 @@ from .bigon_skein import (
 from .quantum_sl2 import HopfElement, PBWMonomial, from_skein, normalize, pairing, to_skein
 from .comodule_rt import Comodule, multiplicity, quantum_plane_Vn, rt_evaluate, standard_V
 from .internal_skein import Matching, check_st_naturality, enumerate_matchings, st_map, st_rank
-from .excision import gluing_excision_check, invariants_subspace, splitting_image_check
+from .excision import gluing_excision_check, invariants_subspace
 from .syntax import ParseError, format_diagram, format_element, parse_diagram, parse_element, parse_scalar
 
 __version__ = "0.1.0"
@@ -80,7 +80,6 @@ __all__ = [
     "st_rank",
     "gluing_excision_check",
     "invariants_subspace",
-    "splitting_image_check",
     "ParseError",
     "format_diagram",
     "format_element",

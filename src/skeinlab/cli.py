@@ -88,23 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=("R", "theta", "t", "tinv"))
     p.add_argument("expr", nargs="+")
 
-    p = sub.add_parser("st", help="run the state-correspondence suite")
-    p.add_argument("--max-points", type=bound, default=6)
-    p.add_argument("--spec", action="append", metavar="S0")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(suite="st", max_degree=3, oracle_words=200)
-
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=SUITES + ("all",))
-    p.add_argument("--max-degree", type=bound, default=3)
-    p.add_argument("--max-points", type=bound, default=6)
+    p.add_argument("--max-degree", type=bound, default=3,
+                   help="strand bound; for st, an arc bound (2D boundary points)")
     p.add_argument("--spec", action="append", metavar="S0",
                    help="specialization point (rational, repeatable; default 7/5 and 11/7)")
     p.add_argument("--seed", type=int, default=None,
                    help="adds one pseudorandom extra specialization point and seeds random cases")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--oracle-words", type=bound, default=200)
     return parser
 
 
@@ -183,14 +175,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
-        if args.command in ("st", "verify"):
+        if args.command == "verify":
             report = run_suite(
                 args.suite,
                 max_degree=args.max_degree,
                 specs=_parse_spec_points(args.spec, args.seed),
                 seed=args.seed or 0,
-                max_points=args.max_points,
-                oracle_words=args.oracle_words,
             )
             return _emit_report(report, args.json)
         return _run_computation(args)

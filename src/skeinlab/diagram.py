@@ -44,8 +44,6 @@ returns the entry count of each:
   inverse), so ``t_form`` and ``t_inv_form`` reduce each basis tangle once,
 * ``bigon_skein._r_memo``: the co-R form per pair of basis tangles,
 * ``bigon_skein._comul_memo``: the coproduct per basis tangle,
-* ``quantum_sl2._ANTIPODE_LETTER``: the antipode of each generator,
-* ``quantum_sl2._to_skein_memo``: the bigon image per PBW monomial,
 * ``comodule_rt._rows_memo``: the exact intertwiner conditions per pair of
   comodules,
 * ``excision._defect_memo``: the symbolic image of a defect map per

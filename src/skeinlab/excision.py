@@ -47,23 +47,6 @@ VARIANTS = ("inv", "hh0_L", "hh0_l_ht")
 
 
 @dataclass(frozen=True)
-class GradedComponent:
-    """Strict degree-n piece: the (n+1)^2 basis tangles with n strands."""
-
-    n: int
-    basis: tuple[BasisTangle, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("degree must be nonnegative")
-        object.__setattr__(self, "basis", tuple(bigon_skein.strand_tangles(self.n)))
-
-    @property
-    def dimension(self) -> int:
-        return (self.n + 1) ** 2
-
-
-@dataclass(frozen=True)
 class FiltrationComponent:
     """F_n: all basis tangles with at most n strands of the same parity."""
 
@@ -274,54 +257,6 @@ def comul_image_rows(n: int, s0: Fraction) -> list[list[Fraction]]:
             vec[index[(u, v)]] += c.specialize(s0)
         rows.append(vec)
     return rows
-
-
-@dataclass
-class SplittingReport:
-    n: int
-    s0: Fraction
-    coassociative: bool
-    image_rank: int
-    cotensor_dim: int
-    expected_filtration: int
-    expected_increment: int
-    image_increment: int
-    cotensor_increment: int
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.coassociative
-            and self.image_rank == self.expected_filtration == self.cotensor_dim
-            and self.image_increment == self.expected_increment == self.cotensor_increment
-        )
-
-
-def splitting_image_check(n: int, s0: Fraction) -> SplittingReport:
-    """Image of the splitting map versus the cotensor kernel on F_n."""
-    s0 = validate_generic_point(s0)
-    ok, _ = check_coassociativity(n)
-
-    def ranks(m: int) -> tuple[int, int]:
-        if m < 0:
-            return 0, 0
-        image_rank = linalg.rank(comul_image_rows(m, s0))
-        kernel = _kernel_of_map(FiltrationComponent(m), "cotensor", s0)
-        return image_rank, len(kernel)
-
-    img_n, cot_n = ranks(n)
-    img_p, cot_p = ranks(n - 2)
-    return SplittingReport(
-        n=n,
-        s0=s0,
-        coassociative=ok,
-        image_rank=img_n,
-        cotensor_dim=cot_n,
-        expected_filtration=filtration_dimension(n),
-        expected_increment=degree_increment(n),
-        image_increment=img_n - img_p,
-        cotensor_increment=cot_n - cot_p,
-    )
 
 
 @dataclass

@@ -98,15 +98,6 @@ def row_space_basis(rows: Iterable[Sequence[Fraction]]) -> list[Vec]:
     return rref(rows)[0]
 
 
-def same_row_space(rows_a: Iterable[Sequence[Fraction]], rows_b: Iterable[Sequence[Fraction]]) -> bool:
-    return row_space_basis(rows_a) == row_space_basis(rows_b)
-
-
-def row_space_contains(rows: Iterable[Sequence[Fraction]], vec: Sequence[Fraction]) -> bool:
-    mat = list(rows)
-    return rank(mat + [vec]) == rank(mat)
-
-
 def kernel_basis(rows: Iterable[SparseRow], n: int) -> list[Vec]:
     """Basis of {x in Q^n : row . x = 0 for all rows}; rows are sparse dicts.
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import bigon_skein
-from .diagram import SkeinElement, register_memo
+from .diagram import SkeinElement
 from .scalar import ONE, ZERO, HalfLaurent, LinearCombination
 
 U_GENERATORS = ("E", "F", "K", "Kinv")
@@ -207,20 +207,12 @@ def counit(x: HopfElement) -> HalfLaurent:
     return sum((c for m, c in x.items() if m.b_pow == 0 and m.c_pow == 0), ZERO)
 
 
-_ANTIPODE_LETTER: dict[str, HopfElement] = register_memo("quantum_sl2._ANTIPODE_LETTER", {})
-
-
-def _antipode_letter(letter: str) -> HopfElement:
-    if not _ANTIPODE_LETTER:
-        _ANTIPODE_LETTER.update(
-            {
-                "a": gen("d"),
-                "b": gen("b").scale(HalfLaurent.q_pow(2, -1)),
-                "c": gen("c").scale(HalfLaurent.q_pow(-2, -1)),
-                "d": gen("a"),
-            }
-        )
-    return _ANTIPODE_LETTER[letter]
+_ANTIPODE_LETTER: dict[str, HopfElement] = {
+    "a": gen("d"),
+    "b": gen("b").scale(HalfLaurent.q_pow(2, -1)),
+    "c": gen("c").scale(HalfLaurent.q_pow(-2, -1)),
+    "d": gen("a"),
+}
 
 
 def antipode(x: HopfElement) -> HopfElement:
@@ -229,7 +221,7 @@ def antipode(x: HopfElement) -> HopfElement:
     for m, c in x.items():
         part = HopfElement.one()
         for letter in reversed(list(m.letters())):
-            part = mul(part, _antipode_letter(letter))
+            part = mul(part, _ANTIPODE_LETTER[letter])
         out.add_scaled(part, c)
     return out
 
@@ -294,21 +286,12 @@ def pairing(word: Sequence[str], x: HopfElement) -> HalfLaurent:
 _TANGLE_TO_LETTER = {v: k for k, v in bigon_skein._GEN_KEYS.items()}
 
 
-_to_skein_memo: dict[PBWMonomial, SkeinElement] = register_memo("quantum_sl2._to_skein_memo", {})
-
-
 def to_skein(x: HopfElement) -> SkeinElement:
-    """Send each PBW monomial to the product of its generator tangles.
-
-    The image of each monomial is computed once per process.
-    """
+    """Send each PBW monomial to the product of its generator tangles."""
     out = SkeinElement.zero()
     for m, c in x.items():
-        image = _to_skein_memo.get(m)
-        if image is None:
-            factors = [bigon_skein.generator(letter) for letter in m.letters()]
-            image = _to_skein_memo[m] = bigon_skein.mul_many(factors)
-        out.add_scaled(image, c)
+        factors = [bigon_skein.generator(letter) for letter in m.letters()]
+        out.add_scaled(bigon_skein.mul_many(factors), c)
     return out
 
 

@@ -27,6 +27,9 @@ from .scalar import ONE, HalfLaurent
 
 DEFAULT_SPECS = (Fraction(7, 5), Fraction(11, 7))
 
+#: Random words the rt suite reduces both by the engine and by the oracle.
+ORACLE_WORDS = 200
+
 Check = tuple[str, Callable[[], str | None]]
 
 
@@ -74,12 +77,12 @@ def random_stated_word(
 # -- suite: rt (Kauffman engine versus independent evaluations) -------------------
 
 
-def rt_suite(max_degree: int, specs, seed: int, oracle_words: int = 200) -> list[Check]:
+def rt_suite(max_degree: int, specs, seed: int) -> list[Check]:
     checks: list[Check] = []
 
     def oracle_equivalence() -> str | None:
         rng = random.Random(seed or 20212022)
-        for _ in range(oracle_words):
+        for _ in range(ORACLE_WORDS):
             d = random_stated_word(rng)
             if reduce_diagram(d) != oracle_reduce(d):
                 from .syntax import format_diagram
@@ -87,7 +90,7 @@ def rt_suite(max_degree: int, specs, seed: int, oracle_words: int = 200) -> list
                 return f"engine != oracle on {format_diagram(d)}"
         return None
 
-    checks.append((f"reduce equals all-smoothings oracle on {oracle_words} random words", oracle_equivalence))
+    checks.append((f"reduce equals all-smoothings oracle on {ORACLE_WORDS} random words", oracle_equivalence))
 
     def braid_words(length: int) -> Iterable[tuple[tuple[str, int], ...]]:
         gens = [("x", 0), ("x", 1), ("xb", 0), ("xb", 1)]
@@ -168,7 +171,8 @@ def rt_suite(max_degree: int, specs, seed: int, oracle_words: int = 200) -> list
                     return f"rt entry differs from stated reduction on {format_diagram(d)}"
         return None
 
-    checks.append(("one-sided diagrams: rt vector equals stated reduction", rt_factors_through_reduce))
+    checks.append(("one-sided diagrams: rt vector equals stated reduction (60 random words, <= 6 points)",
+                   rt_factors_through_reduce))
     return checks
 
 
@@ -187,7 +191,8 @@ def _coassociativity_through(d: int) -> str | None:
 
 def hopf_suite(max_degree: int, specs, seed: int) -> list[Check]:
     tangles = B.basis_tangles(max_degree)
-    small = B.basis_tangles(min(max_degree, 2))
+    small_bound = min(max_degree, 2)
+    small = B.basis_tangles(small_bound)
     checks: list[Check] = []
 
     checks.append(
@@ -238,7 +243,7 @@ def hopf_suite(max_degree: int, specs, seed: int) -> list[Check]:
                     return f"comul is not an algebra map on {b1}, {b2}"
         return None
 
-    checks.append(("coproduct is an algebra morphism (<= 2 strand factors)", comul_algebra_map))
+    checks.append((f"coproduct is an algebra morphism (<= {small_bound} strand factors)", comul_algebra_map))
 
     def rot_properties() -> str | None:
         gen = B.generator
@@ -262,7 +267,8 @@ def hopf_suite(max_degree: int, specs, seed: int) -> list[Check]:
                 return f"rot_* does not reverse the coproduct on {b}"
         return None
 
-    checks.append(("rot_*: involution, algebra map, coproduct-reversing", rot_properties))
+    checks.append((f"rot_*: involution (<= {max_degree} strands), algebra map, coproduct-reversing "
+                   f"(<= {small_bound} strands)", rot_properties))
 
     def product_relations() -> str | None:
         a, b, c, d = (B.generator(x) for x in "abcd")
@@ -283,6 +289,7 @@ def hopf_suite(max_degree: int, specs, seed: int) -> list[Check]:
 
 def iso_suite(max_degree: int, specs, seed: int) -> list[Check]:
     deg = min(max_degree, 3)
+    small_deg = min(deg, 2)
     monos = QS.pbw_monomials(deg)
     tangles = B.basis_tangles(deg)
     checks: list[Check] = []
@@ -310,7 +317,7 @@ def iso_suite(max_degree: int, specs, seed: int) -> list[Check]:
     checks.append((f"transport roundtrips on degree <= {deg}", roundtrip))
 
     def algebra_morphism() -> str | None:
-        small = QS.pbw_monomials(min(deg, 2))
+        small = QS.pbw_monomials(small_deg)
         for m1 in small:
             for m2 in small:
                 x, y = QS.HopfElement.of(m1), QS.HopfElement.of(m2)
@@ -318,10 +325,10 @@ def iso_suite(max_degree: int, specs, seed: int) -> list[Check]:
                     return f"transport breaks the product on {m1}, {m2}"
         return None
 
-    checks.append(("transport is an algebra morphism", algebra_morphism))
+    checks.append((f"transport is an algebra morphism on degree <= {small_deg}", algebra_morphism))
 
     def coalgebra_morphism() -> str | None:
-        for m in QS.pbw_monomials(min(deg, 2)):
+        for m in QS.pbw_monomials(small_deg):
             x = QS.HopfElement.of(m)
             left = B.TensorElement.zero(2)
             for (m1, m2), c in QS.comul(x).items():
@@ -332,10 +339,10 @@ def iso_suite(max_degree: int, specs, seed: int) -> list[Check]:
                 return f"transport breaks the coproduct on {m}"
         return None
 
-    checks.append(("transport is a coalgebra morphism", coalgebra_morphism))
+    checks.append((f"transport is a coalgebra morphism on degree <= {small_deg}", coalgebra_morphism))
 
     def counit_antipode_match() -> str | None:
-        for m in QS.pbw_monomials(min(deg, 2)):
+        for m in QS.pbw_monomials(small_deg):
             x = QS.HopfElement.of(m)
             if QS.counit(x) != B.counit(QS.to_skein(x)):
                 return f"counit mismatch on {m}"
@@ -343,7 +350,7 @@ def iso_suite(max_degree: int, specs, seed: int) -> list[Check]:
                 return f"antipode mismatch on {m}"
         return None
 
-    checks.append(("counit and antipode commute with transport", counit_antipode_match))
+    checks.append((f"counit and antipode commute with transport on degree <= {small_deg}", counit_antipode_match))
 
     def pairing_laws() -> str | None:
         gens = ["E", "F", "K", "Kinv"]
@@ -368,7 +375,7 @@ def iso_suite(max_degree: int, specs, seed: int) -> list[Check]:
                         return f"<S({g}), {m}> != <{g}, S({m})>"
         return None
 
-    checks.append(("dual pairing laws and commutator relation", pairing_laws))
+    checks.append(("dual pairing laws and commutator relation on degree <= 2", pairing_laws))
     return checks
 
 
@@ -377,6 +384,8 @@ def iso_suite(max_degree: int, specs, seed: int) -> list[Check]:
 
 def coquasi_suite(max_degree: int, specs, seed: int) -> list[Check]:
     checks: list[Check] = []
+    small_bound = min(max_degree, 2)
+    small = B.basis_tangles(small_bound)
     a, b, c, d = (B.generator(x) for x in "abcd")
 
     def r_values() -> str | None:
@@ -410,8 +419,8 @@ def coquasi_suite(max_degree: int, specs, seed: int) -> list[Check]:
     checks.append(("coribbon functional values -q^3 on a, d and 0 on b, c", theta_values))
 
     def exchange_law() -> str | None:
-        for b1 in B.basis_tangles(min(max_degree, 2)):
-            for b2 in B.basis_tangles(min(max_degree, 2)):
+        for b1 in small:
+            for b2 in small:
                 x, y = _el(b1), _el(b2)
                 left = SkeinElement.zero()
                 right = SkeinElement.zero()
@@ -424,10 +433,10 @@ def coquasi_suite(max_degree: int, specs, seed: int) -> list[Check]:
                     return f"coquasitriangular exchange fails on {b1}, {b2}"
         return None
 
-    checks.append(("exchange law m_op = R * m * R-bar (<= 2 strand pairs)", exchange_law))
+    checks.append((f"exchange law m_op = R * m * R-bar (<= {small_bound} strand pairs)", exchange_law))
 
     def theta_central() -> str | None:
-        for bt in B.basis_tangles(min(max_degree, 2)):
+        for bt in small:
             x = _el(bt)
             left = SkeinElement.zero()
             right = SkeinElement.zero()
@@ -438,7 +447,7 @@ def coquasi_suite(max_degree: int, specs, seed: int) -> list[Check]:
                 return f"coribbon functional is not central on {bt}"
         return None
 
-    checks.append(("coribbon functional centrality (<= 2 strands)", theta_central))
+    checks.append((f"coribbon functional centrality (<= {small_bound} strands)", theta_central))
 
     def braiding_oracle() -> str | None:
         if CM.braiding_matrix_VV() != CM.rt_evaluate(SliceWord(2, (("x", 0),))):
@@ -490,8 +499,10 @@ def halfribbon_suite(max_degree: int, specs, seed: int) -> list[Check]:
 
     checks.append((f"t * t = theta on <= {max_degree} strands", squares_to_twist))
 
+    factor_bound = min(max_degree, 2)
+
     def product_law() -> str | None:
-        small = B.basis_tangles(min(max_degree, 2))
+        small = B.basis_tangles(factor_bound)
         for b1 in small:
             for b2 in small:
                 if b1.n + b2.n > max_degree:
@@ -510,7 +521,8 @@ def halfribbon_suite(max_degree: int, specs, seed: int) -> list[Check]:
                     return f"t(xy) product law fails on {b1}, {b2}"
         return None
 
-    checks.append(("t(xy) = t(y_1) t(x_1) R(x_2 (x) y_2)", product_law))
+    checks.append((f"t(xy) = t(y_1) t(x_1) R(x_2 (x) y_2) (<= {factor_bound} strands per factor, "
+                   f"<= {max_degree} in all)", product_law))
 
     def inversion_identities() -> str | None:
         for bt in tangles:
@@ -523,10 +535,11 @@ def halfribbon_suite(max_degree: int, specs, seed: int) -> list[Check]:
                 return f"inv^-1 o inv != id on {bt}"
         return None
 
-    checks.append(("t = eps o inv^-1 and ht o inv = id at the east edge", inversion_identities))
+    checks.append((f"t = eps o inv^-1 and ht o inv = id at the east edge on <= {max_degree} strands",
+                   inversion_identities))
 
     def ht_squares_to_twist() -> str | None:
-        for bt in B.basis_tangles(min(max_degree, 2)):
+        for bt in B.basis_tangles(factor_bound):
             x = _el(bt)
             twisted = B.ht_coaction(B.ht_coaction(x))
             want = SkeinElement.zero()
@@ -536,7 +549,7 @@ def halfribbon_suite(max_degree: int, specs, seed: int) -> list[Check]:
                 return f"ht^2 != theta coaction on {bt}"
         return None
 
-    checks.append(("half-twist coaction squares to the twist (<= 2 strands)", ht_squares_to_twist))
+    checks.append((f"half-twist coaction squares to the twist (<= {factor_bound} strands)", ht_squares_to_twist))
     return checks
 
 
@@ -561,8 +574,10 @@ def leftright_suite(max_degree: int, specs, seed: int) -> list[Check]:
 
     checks.append((f"S(x_1) t(x_2) = rot(x_2) t(x_1) on <= {max_degree} strands", bridge))
 
+    west_bound = min(max_degree, 2)
+
     def west_conjugation() -> str | None:
-        for bt in B.basis_tangles(min(max_degree, 2)):
+        for bt in B.basis_tangles(west_bound):
             x = _el(bt)
             for inverse in (False, True):
                 if B.inv_edge(x, "west", inverse) != B.rot_star(
@@ -571,7 +586,8 @@ def leftright_suite(max_degree: int, specs, seed: int) -> list[Check]:
                     return f"west inversion is not the rotation conjugate on {bt}"
         return None
 
-    checks.append(("west inversion is the rotation conjugate of the east one", west_conjugation))
+    checks.append((f"west inversion is the rotation conjugate of the east one (<= {west_bound} strands)",
+                   west_conjugation))
     return checks
 
 
@@ -596,7 +612,7 @@ def braidop_suite(max_degree: int, specs, seed: int) -> list[Check]:
 
     return [
         (f"m o c equals the crossed-stacking diagram (<= {bound} strands)", compare),
-        ("braided opposite product is unital", unit_cases),
+        (f"braided opposite product is unital (<= {bound} strands)", unit_cases),
     ]
 
 
@@ -735,7 +751,10 @@ def comodule_suite(max_degree: int, specs, seed: int) -> list[Check]:
 # -- suite: st ------------------------------------------------------------------------
 
 
-def st_suite(max_points: int, specs, seed: int) -> list[Check]:
+def st_suite(max_degree: int, specs, seed: int) -> list[Check]:
+    """Matchings of at most 2 * max_degree boundary points: a matching of 2D
+    points has D arcs, the st analogue of D strands."""
+    max_points = 2 * max_degree
     checks: list[Check] = []
     splits = [
         (nw, ne)
@@ -765,7 +784,7 @@ def st_suite(max_points: int, specs, seed: int) -> list[Check]:
                         return witness
         return None
 
-    checks.append(("cap/cup naturality for every insertion", naturality))
+    checks.append((f"cap/cup naturality for every insertion (<= {max_points} points)", naturality))
 
     def counts() -> str | None:
         for nw, ne in splits:
@@ -775,7 +794,7 @@ def st_suite(max_points: int, specs, seed: int) -> list[Check]:
                 return f"matching count {got} != Catalan {want} at ({nw},{ne})"
         return None
 
-    checks.append(("matching enumeration is Catalan-complete", counts))
+    checks.append((f"matching enumeration is Catalan-complete (<= {max_points} points)", counts))
 
     def ranks() -> str | None:
         for s0 in specs:
@@ -785,7 +804,7 @@ def st_suite(max_points: int, specs, seed: int) -> list[Check]:
                     return f"rank/Catalan/Peter-Weyl mismatch at ({nw},{ne}), s0={s0}: {rank},{cat},{pw}"
         return None
 
-    checks.append(("rank = Catalan = Peter-Weyl at both specializations", ranks))
+    checks.append((f"rank = Catalan = Peter-Weyl at every specialization point (<= {max_points} points)", ranks))
 
     def products() -> str | None:
         factors = []
@@ -814,8 +833,9 @@ def excision_suite(max_degree: int, specs, seed: int) -> list[Check]:
     def containment() -> str | None:
         """Coassociativity puts the splitting image in the cotensor kernel.
 
-        The hopf suite checks the same identity, but ``verify excision`` runs
-        alone and its rank checks rest on this containment.
+        The hopf suite and each gluing case below check the same identity,
+        but ``verify excision`` runs alone, and from max_degree 3 on this case
+        reaches degree 3, where the gluing cases compute no dimension.
         """
         return _coassociativity_through(exact_bound)
 
@@ -824,18 +844,6 @@ def excision_suite(max_degree: int, specs, seed: int) -> list[Check]:
     )
 
     for n in range(dims_bound + 1):
-        def splitting(n=n) -> str | None:
-            for s0 in specs:
-                rep = EX.splitting_image_check(n, s0)
-                if not rep.passed:
-                    return (
-                        f"degree {n} at s0={s0}: image {rep.image_rank}, cotensor {rep.cotensor_dim}, "
-                        f"expected {rep.expected_filtration} (increment {rep.expected_increment})"
-                    )
-            return None
-
-        checks.append((f"splitting image rank and cotensor dimension in degree {n}", splitting))
-
         def gluing(n=n) -> str | None:
             for s0 in specs:
                 rep = EX.gluing_excision_check(n, s0, seed=seed)
@@ -853,19 +861,18 @@ def excision_suite(max_degree: int, specs, seed: int) -> list[Check]:
 # -- dispatch -------------------------------------------------------------------------
 
 
-#: Suite name -> builder of its checks from build_suite's arguments after the
-#: name (max_degree, specs, seed, max_points, oracle_words).
-_BUILDERS: dict[str, Callable[..., list[Check]]] = {
-    "hopf": lambda deg, specs, seed, *_: hopf_suite(deg, specs, seed),
-    "iso": lambda deg, specs, seed, *_: iso_suite(deg, specs, seed),
-    "coquasi": lambda deg, specs, seed, *_: coquasi_suite(deg, specs, seed),
-    "halfribbon": lambda deg, specs, seed, *_: halfribbon_suite(deg, specs, seed),
-    "leftright": lambda deg, specs, seed, *_: leftright_suite(deg, specs, seed),
-    "braidop": lambda deg, specs, seed, *_: braidop_suite(deg, specs, seed),
-    "rt": lambda deg, specs, seed, points, words: rt_suite(deg, specs, seed, words),
-    "comodule": lambda deg, specs, seed, *_: comodule_suite(deg, specs, seed),
-    "st": lambda deg, specs, seed, points, *_: st_suite(points, specs, seed),
-    "excision": lambda deg, specs, seed, *_: excision_suite(deg, specs, seed),
+#: Suite name -> builder of its checks from (max_degree, specs, seed).
+_BUILDERS: dict[str, Callable[[int, Sequence[Fraction], int], list[Check]]] = {
+    "hopf": hopf_suite,
+    "iso": iso_suite,
+    "coquasi": coquasi_suite,
+    "halfribbon": halfribbon_suite,
+    "leftright": leftright_suite,
+    "braidop": braidop_suite,
+    "rt": rt_suite,
+    "comodule": comodule_suite,
+    "st": st_suite,
+    "excision": excision_suite,
 }
 
 SUITES = tuple(_BUILDERS)
@@ -876,11 +883,9 @@ def build_suite(
     max_degree: int = 3,
     specs: Sequence[Fraction] = DEFAULT_SPECS,
     seed: int = 0,
-    max_points: int = 6,
-    oracle_words: int = 200,
 ) -> list[Check]:
     specs = tuple(specs)
-    args = (max_degree, specs, seed, max_points, oracle_words)
+    args = (max_degree, specs, seed)
     if name in _BUILDERS:
         return _BUILDERS[name](*args)
     if name == "all":
@@ -896,10 +901,8 @@ def run_suite(
     max_degree: int = 3,
     specs: Sequence[Fraction] = DEFAULT_SPECS,
     seed: int = 0,
-    max_points: int = 6,
-    oracle_words: int = 200,
 ) -> Report:
-    checks = build_suite(name, max_degree, specs, seed, max_points, oracle_words)
+    checks = build_suite(name, max_degree, specs, seed)
     start = time.monotonic()
     results = [(label, fn()) for label, fn in checks]
     report = Report(
@@ -908,8 +911,6 @@ def run_suite(
             "max_degree": max_degree,
             "specializations": [str(s) for s in specs],
             "seed": seed,
-            "max_points": max_points,
-            "oracle_words": oracle_words,
         },
     )
     for label, witness in results:

@@ -103,8 +103,8 @@ def _readme_cli_lines() -> list[tuple[list[str], str]]:
 
 
 def test_readme_cli_lines_run(capsys):
-    # st and verify runs are covered by the acceptance criteria.
-    lines = [(argv, comment) for argv, comment in _readme_cli_lines() if argv[0] not in ("st", "verify")]
+    # verify runs are covered by the acceptance criteria.
+    lines = [(argv, comment) for argv, comment in _readme_cli_lines() if argv[0] != "verify"]
     assert len(lines) == 10
     for argv, comment in lines:
         code, out, err = run_cli(capsys, *argv)
@@ -153,13 +153,14 @@ def test_unknown_suite_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
-def test_st_command_runs_the_st_suite(capsys):
-    reports = []
-    for argv in (("st",), ("verify", "st")):
-        code, out, _ = run_cli(capsys, *argv, "--max-points", "4", "--json")
-        assert code == EXIT_PASS
-        reports.append({k: v for k, v in json.loads(out).items() if k != "wall_time"})
-    assert reports[0] == reports[1]
+def test_st_degree_bounds_matching_points(capsys):
+    # D arcs are 2D boundary points; the report carries only the three parameters.
+    code, out, _ = run_cli(capsys, "verify", "st", "--max-degree", "2", "--json")
+    assert code == EXIT_PASS
+    data = json.loads(out)
+    assert data["totals"]["fail"] == 0
+    assert all("<= 4 points" in case["name"] for case in data["cases"])
+    assert set(data["parameters"]) == {"max_degree", "specializations", "seed"}
 
 
 def test_negative_bounds_are_usage_errors(capsys):
@@ -167,13 +168,16 @@ def test_negative_bounds_are_usage_errors(capsys):
     for argv in (
         ("verify", "hopf", "--max-degree", "-1"),
         ("verify", "excision", "--max-degree", "-1"),
-        ("verify", "st", "--max-points", "-1"),
-        ("verify", "rt", "--oracle-words", "-1"),
-        ("st", "--max-points", "-2"),
+        ("verify", "st", "--max-degree", "-1"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE, argv
         assert "non-negative" in err and not out
+    # Only verify runs suites, and --max-degree is its one size bound.
+    for argv in (("st",), ("verify", "st", "--max-points", "8"), ("verify", "rt", "--oracle-words", "5")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert not out
 
 
 def random_coeff(rng: random.Random) -> Fraction:

@@ -12,9 +12,6 @@ S1 = Fraction(11, 7)
 
 
 def test_component_bases():
-    comp = EX.GradedComponent(2)
-    assert comp.dimension == 9
-    assert len(comp.basis) == 9
     filt = EX.FiltrationComponent(2)
     assert filt.dimension == 10  # unit plus the nine 2-strand tangles
     assert EX.FiltrationComponent(3).dimension == 4 + 16
@@ -30,19 +27,19 @@ def test_coassociativity_exact():
 
 
 def test_splitting_degree_zero_and_one():
-    rep0 = EX.splitting_image_check(0, S0)
-    assert rep0.passed and rep0.image_rank == 1 and rep0.cotensor_dim == 1
-    rep1 = EX.splitting_image_check(1, S0)
+    rep0 = EX.gluing_excision_check(0, S0)
+    assert rep0.passed and rep0.dims["image"] == rep0.dims["cotensor"] == 1
+    rep1 = EX.gluing_excision_check(1, S0)
     assert rep1.passed
-    assert rep1.image_rank == 4 and rep1.cotensor_dim == 4
-    assert rep1.image_increment == 4 == rep1.expected_increment
+    assert rep1.dims["image"] == rep1.dims["cotensor"] == 4
+    assert rep1.increments["image"] == rep1.increments["cotensor"] == 4 == rep1.expected_increment
 
 
 def test_splitting_degree_two_increment_is_nine():
-    rep = EX.splitting_image_check(2, S0)
+    rep = EX.gluing_excision_check(2, S0)
     assert rep.passed
-    assert rep.image_rank == 10 and rep.cotensor_dim == 10
-    assert rep.image_increment == 9 == rep.expected_increment
+    assert rep.dims["image"] == rep.dims["cotensor"] == 10
+    assert rep.increments["image"] == rep.increments["cotensor"] == 9 == rep.expected_increment
 
 
 def test_invariants_variants_agree_degree_one():

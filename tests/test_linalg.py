@@ -33,9 +33,11 @@ def test_kernel_skips_dependent_rows():
 def test_row_space_comparison():
     a = [[F(1), F(0)], [F(0), F(1)]]
     b = [[F(1), F(1)], [F(1), F(-1)]]
-    assert linalg.same_row_space(a, b)
-    assert linalg.row_space_contains(a, [F(3), F(-5)])
-    assert not linalg.same_row_space(a, [[F(1), F(1)]])
+    # The basis is the canonical RREF, so equal row spaces give equal bases.
+    assert linalg.row_space_basis(a) == linalg.row_space_basis(b) == a
+    assert linalg.row_space_basis(a + [[F(3), F(-5)]]) == a
+    assert linalg.row_space_basis([[F(2), F(2)], [F(-1), F(-1)]]) == [[F(1), F(1)]]
+    assert linalg.row_space_basis(a) != linalg.row_space_basis([[F(1), F(1)]])
 
 
 def test_solve():

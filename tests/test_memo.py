@@ -23,8 +23,6 @@ MEMOS = {
     "bigon_skein._inv_edge_memo",
     "bigon_skein._r_memo",
     "bigon_skein._comul_memo",
-    "quantum_sl2._ANTIPODE_LETTER",
-    "quantum_sl2._to_skein_memo",
     "comodule_rt._rows_memo",
     "excision._defect_memo",
 }
@@ -45,7 +43,6 @@ def test_memo_clear_empties_every_memo():
     reduce(StatedWord(SliceWord(2, (("x", 0),)), (1, -1), (-1, 1)))
     B.t_form(a)
     B.r_form(a, a)
-    QS.antipode(QS.gen("a"))
     IS.check_st_intertwiner(IS.identity_matching(1))
     EX.invariants_subspace(0, "inv", Fraction(7, 5))
     CM.intertwiner_dimension(CM.standard_V(), CM.standard_V(), Fraction(7, 5))
