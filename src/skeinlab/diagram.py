@@ -46,8 +46,8 @@ returns the entry count of each:
 * ``bigon_skein._comul_memo``: the coproduct per basis tangle,
 * ``comodule_rt._rows_memo``: the exact intertwiner conditions per pair of
   comodules,
-* ``excision._defect_memo``: the symbolic image of a defect map per
-  (map name, basis pair), specialized afresh at every point.
+* ``excision._switch_memo``: the symbolic image of each one-sided map the
+  gluing defect maps are composed of, per (map name, basis tangle).
 
 verify runs in one thread; memos are not locked.
 """
@@ -604,14 +604,3 @@ def reduce(diagram: StatedWord) -> SkeinElement:
         out.add_scaled(evaluate_arcs(n_w, n_e, arcs, diagram.west, diagram.east), coeff)
     return out
 
-
-def parse_diagram(text: str) -> StatedWord:
-    from .syntax import parse_diagram as _parse
-
-    return _parse(text)
-
-
-def format_diagram(diagram: StatedWord) -> str:
-    from .syntax import format_diagram as _format
-
-    return _format(diagram)

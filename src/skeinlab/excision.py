@@ -26,6 +26,16 @@ The three descriptions of the glued subspace:
 
 whose mutual equality is the executable content of the half-twist bridge
 between the two switch functors.
+
+Every defect map is composed of maps of one basis tangle at a time: the
+coproduct, the right antipode switch b -> sum b_(2) (x) S(b_(1)), the left
+antipode switch a -> sum a_(1) (x) S(a_(2)) and the half-twist switch
+a -> sum a_(1) (x) rot(t(a_(2)) a_(3) t^-1(a_(4))).  ``cotensor``, ``hh0_L``
+and ``hh0_l_ht`` are b1 placed next to a one-sided map of b2 minus a
+one-sided map of b1 placed next to b2, and ``inv`` multiplies the east leg of
+comul(b1) against the right switch of b2.  Each one-sided image is symbolic,
+independent of the point and the degree, and computed once per process
+(``_switch_memo``); the pair images are recomposed at every point.
 """
 
 from __future__ import annotations
@@ -39,9 +49,6 @@ from . import bigon_skein, linalg
 from .bigon_skein import TensorElement
 from .diagram import BasisTangle, SkeinElement, register_memo
 from .scalar import MINUS_ONE, validate_generic_point
-
-Key2 = tuple[BasisTangle, BasisTangle]
-Key3 = tuple[BasisTangle, BasisTangle, BasisTangle]
 
 VARIANTS = ("inv", "hh0_L", "hh0_l_ht")
 
@@ -81,65 +88,63 @@ def degree_increment(n: int) -> int:
     return filtration_dimension(n) - filtration_dimension(n - 2)
 
 
-# -- iterated coproducts --------------------------------------------------------
+# -- one-sided switch maps and the defect maps built from them -----------------
 
 
-def _expand_last(t: TensorElement) -> TensorElement:
-    """Apply the coproduct to the last slot, raising arity by one."""
-    out = TensorElement.zero(t.arity + 1)
-    for key, c in t.items():
-        for (b1, b2), cc in bigon_skein.comul(SkeinElement.of(key[-1])).items():
-            out.add_term(key[:-1] + (b1, b2), c * cc)
+def _right_switch(b: BasisTangle) -> TensorElement:
+    """b -> sum b_(2) (x) S(b_(1)): the west leg switched by the antipode."""
+    out = TensorElement.zero(2)
+    for (bw, br), c in bigon_skein.comul(SkeinElement.of(b)).items():
+        for b3, c3 in bigon_skein.antipode(SkeinElement.of(bw)).items():
+            out.add_term((br, b3), c * c3)
     return out
 
 
-def comul_n(x: SkeinElement, folds: int) -> TensorElement:
-    if folds < 2:
-        raise ValueError("need at least a 2-fold coproduct")
-    out = bigon_skein.comul(x)
-    while out.arity < folds:
-        out = _expand_last(out)
+def _left_switch(a: BasisTangle) -> TensorElement:
+    """a -> sum a_(1) (x) S(a_(2)): the east leg switched by the antipode."""
+    out = TensorElement.zero(2)
+    for (a1, a2), c in bigon_skein.comul(SkeinElement.of(a)).items():
+        for b3, c3 in bigon_skein.antipode(SkeinElement.of(a2)).items():
+            out.add_term((a1, b3), c * c3)
     return out
 
 
-def check_coassociativity(n: int) -> tuple[bool, str | None]:
-    """(comul (x) id) o comul == (id (x) comul) o comul, exact, on F_n."""
-    for b in FiltrationComponent(n).basis:
-        x = SkeinElement.of(b)
-        two = bigon_skein.comul(x)
-        left = TensorElement.zero(3)
-        for (b1, b2), c in two.items():
-            for (b11, b12), cc in bigon_skein.comul(SkeinElement.of(b1)).items():
-                left.add_term((b11, b12, b2), c * cc)
-        right = _expand_last(two)
-        if left != right:
-            return False, f"coassociativity fails on {b}"
-    return True, None
+def _ht_switch(a: BasisTangle) -> TensorElement:
+    """a -> sum a_(1) (x) rot(t(a_(2)) a_(3) t^-1(a_(4))), with no antipode.
+
+    The legs split off as in the four-fold coproduct, the last leg expanded
+    each time: t is contracted into leg 2 as it splits off, and
+    ``ht_coaction_inverse`` splits the rest into legs 3 and 4.
+    """
+    out = TensorElement.zero(2)
+    for (a1, rest), c in bigon_skein.comul(SkeinElement.of(a)).items():
+        twisted = SkeinElement.zero()
+        for (a2, tail), c2 in bigon_skein.comul(SkeinElement.of(rest)).items():
+            w = bigon_skein.t_form(SkeinElement.of(a2)) * c2
+            if not w.is_zero():
+                twisted.add_scaled(bigon_skein.ht_coaction_inverse(SkeinElement.of(tail)), w)
+        for b3, c3 in bigon_skein.rot_star(twisted).items():
+            out.add_term((a1, b3), c * c3)
+    return out
 
 
-# -- linear-map plumbing over the tensor square of a filtration piece -----------
+#: The one-sided maps, by name.
+_SWITCHES: dict[str, Callable[[BasisTangle], TensorElement]] = {
+    "right": _right_switch,
+    "left": _left_switch,
+    "ht": _ht_switch,
+}
+
+_switch_memo: dict[tuple[str, BasisTangle], TensorElement] = register_memo("excision._switch_memo", {})
 
 
-def _pair_index(comp: FiltrationComponent) -> dict[Key2, int]:
-    d = comp.dimension
-    return {
-        (b1, b2): i * d + j
-        for i, b1 in enumerate(comp.basis)
-        for j, b2 in enumerate(comp.basis)
-    }
-
-
-def _kernel_of_map(comp: FiltrationComponent, name: str, s0: Fraction) -> list[list[Fraction]]:
-    """Kernel at s0 of the defect map ``_DEFECTS[name]`` on F_n (x) F_n."""
-    index = _pair_index(comp)
-    rows: dict[Key3, dict[int, Fraction]] = {}
-    for (b1, b2), col in index.items():
-        for key, coeff in _defect_image(name, b1, b2).items():
-            v = coeff.specialize(s0)
-            if v:
-                row = rows.setdefault(key, {})
-                row[col] = row.get(col, Fraction(0)) + v
-    return linalg.kernel_basis(rows.values(), comp.dimension**2)
+def _switch(name: str, b: BasisTangle) -> TensorElement:
+    """``_SWITCHES[name](b)``, computed once per process; callers must not mutate it."""
+    key = (name, b)
+    hit = _switch_memo.get(key)
+    if hit is None:
+        hit = _switch_memo[key] = _SWITCHES[name](b)
+    return hit
 
 
 def cotensor_defect(b1: BasisTangle, b2: BasisTangle) -> TensorElement:
@@ -161,13 +166,20 @@ def merged_invariance_defect(b1: BasisTangle, b2: BasisTangle) -> TensorElement:
     """
     out = TensorElement.zero(3)
     for (a1, a2), ca in bigon_skein.comul(SkeinElement.of(b1)).items():
-        for (bw, br), cb in bigon_skein.comul(SkeinElement.of(b2)).items():
-            prod = bigon_skein.mul(
-                SkeinElement.of(a2), bigon_skein.antipode(SkeinElement.of(bw))
-            )
-            for b3, c3 in prod.items():
+        for (br, y), cb in _switch("right", b2).items():
+            for b3, c3 in bigon_skein.mul(SkeinElement.of(a2), SkeinElement.of(y)).items():
                 out.add_term((a1, br, b3), ca * cb * c3)
     out.add_term((b1, b2, BasisTangle.unit()), MINUS_ONE)
+    return out
+
+
+def _switch_defect(b1: BasisTangle, b2: BasisTangle, left: str) -> TensorElement:
+    """b1 (x) right(b2) minus left(b1) with b2 placed in the middle slot."""
+    out = TensorElement.zero(3)
+    for (br, b3), c in _switch("right", b2).items():
+        out.add_term((b1, br, b3), c)
+    for (a1, b3), c in _switch(left, b1).items():
+        out.add_term((a1, b2, b3), -c)
     return out
 
 
@@ -176,40 +188,17 @@ def hh0_defect_L(b1: BasisTangle, b2: BasisTangle) -> TensorElement:
 
     Condition: sum a (x) b_(2) (x) S(b_(1))  ==  sum a_(1) (x) b (x) S(a_(2)).
     """
-    out = TensorElement.zero(3)
-    for (bw, br), cb in bigon_skein.comul(SkeinElement.of(b2)).items():
-        for b3, c3 in bigon_skein.antipode(SkeinElement.of(bw)).items():
-            out.add_term((b1, br, b3), cb * c3)
-    for (a1, a2), ca in bigon_skein.comul(SkeinElement.of(b1)).items():
-        for b3, c3 in bigon_skein.antipode(SkeinElement.of(a2)).items():
-            out.add_term((a1, b2, b3), -(ca * c3))
-    return out
+    return _switch_defect(b1, b2, "left")
 
 
 def hh0_defect_l_ht(b1: BasisTangle, b2: BasisTangle) -> TensorElement:
     """Same kernel with the A-side switched by rotation after the half twist.
 
-    The A-side avoids the antipode entirely: expand the coproduct four-fold,
-    contract the half-twist functional into leg 2 and its convolution inverse
-    into leg 4, rotate leg 3.  Agreement with the antipode route is the
-    executable form of the left-switch bridge identity.
+    The A-side avoids the antipode entirely (``_ht_switch``).  Agreement with
+    the antipode route is the executable form of the left-switch bridge
+    identity.
     """
-    out = TensorElement.zero(3)
-    for (bw, br), cb in bigon_skein.comul(SkeinElement.of(b2)).items():
-        for b3, c3 in bigon_skein.antipode(SkeinElement.of(bw)).items():
-            out.add_term((b1, br, b3), cb * c3)
-    four = comul_n(SkeinElement.of(b1), 4)
-    for (a1, a2, a3, a4), c in four.items():
-        w = (
-            bigon_skein.t_form(SkeinElement.of(a2))
-            * bigon_skein.t_inv_form(SkeinElement.of(a4))
-            * c
-        )
-        if w.is_zero():
-            continue
-        for b3, c3 in bigon_skein.rot_star(SkeinElement.of(a3)).items():
-            out.add_term((a1, b2, b3), -(w * c3))
-    return out
+    return _switch_defect(b1, b2, "ht")
 
 
 #: The cotensor defect, then one defect map per variant, by name.
@@ -220,22 +209,35 @@ _DEFECTS: dict[str, Callable[[BasisTangle, BasisTangle], TensorElement]] = {
     "hh0_l_ht": hh0_defect_l_ht,
 }
 
-_defect_memo: dict[tuple[str, BasisTangle, BasisTangle], TensorElement] = register_memo(
-    "excision._defect_memo", {}
-)
+
+def _splitting_defect(name: str, b: BasisTangle) -> TensorElement:
+    """The defect map ``name`` applied to comul(b)."""
+    total = TensorElement.zero(3)
+    for (u, v), c in bigon_skein.comul(SkeinElement.of(b)).items():
+        total.add_scaled(_DEFECTS[name](u, v), c)
+    return total
 
 
-def _defect_image(name: str, b1: BasisTangle, b2: BasisTangle) -> TensorElement:
-    """Symbolic image of a basis pair under a defect map, computed once per process.
+def check_coassociativity(n: int) -> tuple[bool, str | None]:
+    """(comul (x) id) o comul == (id (x) comul) o comul, exact, on F_n: the
+    cotensor defect kills every comul(b)."""
+    for b in FiltrationComponent(n).basis:
+        if _splitting_defect("cotensor", b):
+            return False, f"coassociativity fails on {b}"
+    return True, None
 
-    It does not depend on the specialization point or on the filtration
-    degree (F_(n-2) is spanned by part of the basis of F_n).
-    """
-    key = (name, b1, b2)
-    hit = _defect_memo.get(key)
-    if hit is None:
-        hit = _defect_memo[key] = _DEFECTS[name](b1, b2)
-    return hit
+
+def _kernel_of_map(comp: FiltrationComponent, name: str, s0: Fraction) -> list[list[Fraction]]:
+    """Kernel at s0 of the defect map ``_DEFECTS[name]`` on F_n (x) F_n."""
+    d = comp.dimension
+    rows: dict[tuple[BasisTangle, ...], dict[int, Fraction]] = {}
+    for i, b1 in enumerate(comp.basis):
+        for j, b2 in enumerate(comp.basis):
+            for key, coeff in _DEFECTS[name](b1, b2).items():
+                v = coeff.specialize(s0)
+                if v:
+                    rows.setdefault(key, {})[i * d + j] = v
+    return linalg.kernel_basis(rows.values(), d**2)
 
 
 def invariants_subspace(n: int, variant: str, s0: Fraction) -> list[list[Fraction]]:
@@ -249,12 +251,13 @@ def invariants_subspace(n: int, variant: str, s0: Fraction) -> list[list[Fractio
 def comul_image_rows(n: int, s0: Fraction) -> list[list[Fraction]]:
     """The splitting image: specialized coproducts of the F_n basis."""
     comp = FiltrationComponent(n)
-    index = _pair_index(comp)
+    d = comp.dimension
+    index = {b: i for i, b in enumerate(comp.basis)}
     rows = []
     for b in comp.basis:
-        vec = [Fraction(0)] * comp.dimension**2
+        vec = [Fraction(0)] * d**2
         for (u, v), c in bigon_skein.comul(SkeinElement.of(b)).items():
-            vec[index[(u, v)]] += c.specialize(s0)
+            vec[index[u] * d + index[v]] += c.specialize(s0)
         rows.append(vec)
     return rows
 
@@ -294,13 +297,7 @@ def _all_subspaces(n: int, s0: Fraction) -> dict[str, list[list[Fraction]]]:
 
 def splitting_image_in_kernel(n: int, name: str) -> bool:
     """Exact: the defect map ``name`` kills comul(b) for every basis tangle b of F_n."""
-    for b in FiltrationComponent(n).basis:
-        total = TensorElement.zero(3)
-        for (u, v), c in bigon_skein.comul(SkeinElement.of(b)).items():
-            total.add_scaled(_defect_image(name, u, v), c)
-        if total:
-            return False
-    return True
+    return not any(_splitting_defect(name, b) for b in FiltrationComponent(n).basis)
 
 
 def gluing_excision_check(n: int, s0: Fraction, seed: int = 0) -> GluingReport:

@@ -490,15 +490,6 @@ def halfribbon_suite(max_degree: int, specs, seed: int) -> list[Check]:
 
     checks.append((f"t * t^-1 = t^-1 * t = eps on <= {max_degree} strands", convolution_inverse))
 
-    def squares_to_twist() -> str | None:
-        for bt in tangles:
-            x = _el(bt)
-            if B.convolve(B.t_form, B.t_form)(x) != B.theta_form(x):
-                return f"t * t != theta on {bt}"
-        return None
-
-    checks.append((f"t * t = theta on <= {max_degree} strands", squares_to_twist))
-
     factor_bound = min(max_degree, 2)
 
     def product_law() -> str | None:
@@ -527,15 +518,13 @@ def halfribbon_suite(max_degree: int, specs, seed: int) -> list[Check]:
     def inversion_identities() -> str | None:
         for bt in tangles:
             x = _el(bt)
-            if B.t_form(x) != B.counit(B.inv_edge(x, "east", inverse=True)):
-                return f"t != eps o inv^-1 on {bt}"
             if B.ht_coaction(B.inv_edge(x, "east", inverse=False)) != x:
                 return f"half twist does not invert the east inversion on {bt}"
             if B.inv_edge(B.inv_edge(x, "east", False), "east", True) != x:
                 return f"inv^-1 o inv != id on {bt}"
         return None
 
-    checks.append((f"t = eps o inv^-1 and ht o inv = id at the east edge on <= {max_degree} strands",
+    checks.append((f"ht o inv = id and inv^-1 o inv = id at the east edge on <= {max_degree} strands",
                    inversion_identities))
 
     def ht_squares_to_twist() -> str | None:

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+import skeinlab.bigon_skein as B
 import skeinlab.excision as EX
 from skeinlab import linalg
-from skeinlab.diagram import BasisTangle, memo_clear
-from skeinlab.scalar import ONE, ScalarError
+from skeinlab.bigon_skein import TensorElement
+from skeinlab.diagram import BasisTangle, SkeinElement, memo_clear
+from skeinlab.scalar import MINUS_ONE, ONE, HalfLaurent, ScalarError
 
 S0 = Fraction(7, 5)
 S1 = Fraction(11, 7)
@@ -104,3 +106,92 @@ def test_gluing_check_degree_three():
     rep = EX.gluing_excision_check(3, S0)
     assert rep.passed and rep.pullback_ok and rep.image_in_kernels
     assert set(rep.dims.values()) == {20} and set(rep.increments.values()) == {16}
+
+
+# -- reference: each defect map written per basis pair, with no shared parts ----
+
+
+def _comul_n(x, folds):
+    out = B.comul(x)
+    while out.arity < folds:
+        longer = TensorElement.zero(out.arity + 1)
+        for key, c in out.items():
+            for (u, v), cc in B.comul(SkeinElement.of(key[-1])).items():
+                longer.add_term(key[:-1] + (u, v), c * cc)
+        out = longer
+    return out
+
+
+def _ref_cotensor(b1, b2):
+    out = TensorElement.zero(3)
+    for (u, v), c in B.comul(SkeinElement.of(b1)).items():
+        out.add_term((u, v, b2), c)
+    for (u, v), c in B.comul(SkeinElement.of(b2)).items():
+        out.add_term((b1, u, v), -c)
+    return out
+
+
+def _ref_inv(b1, b2):
+    out = TensorElement.zero(3)
+    for (a1, a2), ca in B.comul(SkeinElement.of(b1)).items():
+        for (bw, br), cb in B.comul(SkeinElement.of(b2)).items():
+            prod = B.mul(SkeinElement.of(a2), B.antipode(SkeinElement.of(bw)))
+            for b3, c3 in prod.items():
+                out.add_term((a1, br, b3), ca * cb * c3)
+    out.add_term((b1, b2, BasisTangle.unit()), MINUS_ONE)
+    return out
+
+
+def _ref_b_side(b1, b2):
+    out = TensorElement.zero(3)
+    for (bw, br), cb in B.comul(SkeinElement.of(b2)).items():
+        for b3, c3 in B.antipode(SkeinElement.of(bw)).items():
+            out.add_term((b1, br, b3), cb * c3)
+    return out
+
+
+def _ref_hh0_L(b1, b2):
+    out = _ref_b_side(b1, b2)
+    for (a1, a2), ca in B.comul(SkeinElement.of(b1)).items():
+        for b3, c3 in B.antipode(SkeinElement.of(a2)).items():
+            out.add_term((a1, b2, b3), -(ca * c3))
+    return out
+
+
+def _ref_hh0_l_ht(b1, b2):
+    out = _ref_b_side(b1, b2)
+    for (a1, a2, a3, a4), c in _comul_n(SkeinElement.of(b1), 4).items():
+        w = B.t_form(SkeinElement.of(a2)) * B.t_inv_form(SkeinElement.of(a4)) * c
+        if w.is_zero():
+            continue
+        for b3, c3 in B.rot_star(SkeinElement.of(a3)).items():
+            out.add_term((a1, b2, b3), -(w * c3))
+    return out
+
+
+REFERENCE = {"cotensor": _ref_cotensor, "inv": _ref_inv, "hh0_L": _ref_hh0_L, "hh0_l_ht": _ref_hh0_l_ht}
+
+
+def test_defect_maps_equal_the_per_pair_reference():
+    # The maps composed from one-sided images give exactly the per-pair
+    # formulas, signs included; all four kernels coincide, so a mixed-up or
+    # sign-flipped map could pass the dimension checks.
+    basis = B.basis_tangles(2)
+    assert set(REFERENCE) == set(EX._DEFECTS)
+    for name, ref in REFERENCE.items():
+        for b1 in basis:
+            for b2 in basis:
+                assert EX._DEFECTS[name](b1, b2) == ref(b1, b2), (name, b1, b2)
+
+
+def test_gluing_check_catches_a_scaled_half_twist_switch(monkeypatch):
+    exact = EX._SWITCHES["ht"]
+    q = HalfLaurent.q_pow(1)
+    monkeypatch.setitem(EX._SWITCHES, "ht", lambda a: exact(a).scale(q))
+    memo_clear()
+    try:
+        rep = EX.gluing_excision_check(1, S0)
+        assert not rep.passed
+        assert not EX.splitting_image_in_kernel(1, "hh0_l_ht")
+    finally:
+        memo_clear()

@@ -24,7 +24,7 @@ MEMOS = {
     "bigon_skein._r_memo",
     "bigon_skein._comul_memo",
     "comodule_rt._rows_memo",
-    "excision._defect_memo",
+    "excision._switch_memo",
 }
 
 
@@ -105,16 +105,17 @@ def test_t_forms_reduce_each_basis_tangle_once(monkeypatch):
     assert second == first
 
 
-def test_gluing_calls_each_defect_once_per_basis_pair(monkeypatch):
+def test_gluing_computes_each_one_sided_image_once(monkeypatch):
     calls = Counter()
-    for name, fn in list(EX._DEFECTS.items()):
-        monkeypatch.setitem(EX._DEFECTS, name, _counting(fn, calls, name))
+    for name, fn in list(EX._SWITCHES.items()):
+        monkeypatch.setitem(EX._SWITCHES, name, _counting(fn, calls, name))
     memo_clear()
     for s0 in DEFAULT_SPECS:
         assert EX.gluing_excision_check(2, s0).passed
     basis = EX.FiltrationComponent(2).basis
-    assert len(calls) == len(EX._DEFECTS) * len(basis) ** 2
+    assert set(calls) == {(name, b) for name in EX._SWITCHES for b in basis}
     assert set(calls.values()) == {1}
+    assert len(EX._switch_memo) == len(EX._SWITCHES) * len(basis)
 
 
 def test_cold_and_warm_values_agree():
@@ -142,12 +143,3 @@ def test_cold_and_warm_values_agree():
     memo_clear()
     assert values() == warm
 
-
-def test_defect_memo_returns_each_maps_own_image():
-    # Every description of the glued subspace has the same kernel, so a memo
-    # that mixed up the maps would pass the dimension checks.
-    basis = EX.FiltrationComponent(1).basis
-    for name, fn in EX._DEFECTS.items():
-        for b1 in basis:
-            for b2 in basis:
-                assert EX._defect_image(name, b1, b2) == fn(b1, b2)
