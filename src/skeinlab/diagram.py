@@ -25,7 +25,9 @@ matching of the boundary cut so far; the number of terms is at most the
 number of planar matchings of the widest cut, so the cost is linear in
 crossings and exponential only in the width (``SliceWord.width``).  The CLI
 refuses diagrams wider than ``MAX_CLI_WIDTH``.  ``evaluate_arcs`` then reduces
-each stated matching with the boundary relations.
+each stated matching in closed form: every returning arc is a scalar, so a
+matching is the product of its arc weights times the parallel diagram of its
+through strands, and only parallel diagrams are sorted and memoized.
 
 Memo policy: every memo in the package is process-global, unbounded and
 holds only a deterministic function of its key.  Each is registered here with
@@ -36,9 +38,10 @@ returns the entry count of each:
 * ``diagram._transition_memo``: each step of that resolution, keyed by
   ``(east arity, arcs, appended slices)``: the new matching and the loop
   factor, so each distinct step is traced once per process,
-* ``diagram._memo``: reduction per stated matching, keyed by
-  ``(arcs, west, east)``; each key part is interned in
-  ``diagram._key_parts`` so equal parts share one object,
+* ``diagram._memo``: reduction per stated parallel diagram, keyed by
+  ``(west, east)``,
+* ``diagram._plan_memo``: the returning arcs and through strands of each
+  matching,
 * ``diagram._parallel_arcs_memo``: the identity matching per strand count,
 * ``bigon_skein._inv_edge_memo``: edge inversion per (basis tangle, edge,
   inverse), so ``t_form`` and ``t_inv_form`` reduce each basis tangle once,
@@ -168,6 +171,12 @@ class BasisTangle:
             raise DiagramError("state vectors must have length n")
         if not (_is_decreasing(self.mu) and _is_decreasing(self.nu)):
             raise DiagramError(f"basis tangle needs decreasing states: {self.mu}, {self.nu}")
+        # Basis tangles key every skein element, so hash once; same value as
+        # the generated field hash.
+        object.__setattr__(self, "_hash", hash((self.n, self.mu, self.nu)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     @classmethod
     def unit(cls) -> BasisTangle:
@@ -420,10 +429,13 @@ def resolve_crossings(word: SliceWord) -> Resolved:
 
 # -- stated reduction ---------------------------------------------------------
 
-StateKey = tuple[Arcs, tuple[State, ...], tuple[State, ...]]
+ParallelKey = tuple[tuple[State, ...], tuple[State, ...]]  # (west, east)
+#: (east arcs, west arcs, through west rows, through east rows); each arc is
+#: (upper, lower), and through strand k joins the k-th entries of the last two.
+Plan = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]
 
-_memo: dict[StateKey, SkeinElement] = {}
-_key_parts: dict[tuple, tuple] = {}
+_memo: dict[ParallelKey, SkeinElement] = {}
+_plan_memo: dict[Arcs, Plan] = {}
 _resolve_memo: dict[SliceWord, Resolved] = {}
 #: Transition -> (new east arity, new arcs, LOOP**loops or None).
 _transition_memo: dict[Transition, tuple[int, Arcs, HalfLaurent | None]] = {}
@@ -433,7 +445,7 @@ _MEMOS: dict[str, dict] = {
     "diagram._resolve_memo": _resolve_memo,
     "diagram._transition_memo": _transition_memo,
     "diagram._memo": _memo,
-    "diagram._key_parts": _key_parts,
+    "diagram._plan_memo": _plan_memo,
     "diagram._parallel_arcs_memo": _parallel_arcs_memo,
 }
 
@@ -444,8 +456,8 @@ def register_memo(name: str, memo: dict) -> dict:
     return memo
 
 
-def memo_snapshot() -> dict[StateKey, SkeinElement]:
-    """A copy of the reduction memo."""
+def memo_snapshot() -> dict[ParallelKey, SkeinElement]:
+    """A copy of the parallel reduction memo."""
     return dict(_memo)
 
 
@@ -460,6 +472,16 @@ def memo_sizes() -> dict[str, int]:
     return {name: len(memo) for name, memo in _MEMOS.items()}
 
 
+def _plan(arcs: Arcs) -> Plan:
+    """Split a planar matching into its returning arcs and through strands."""
+    # Canonical pairs are sorted, so ("e", j) comes before ("w", i) and a
+    # returning arc reads (upper, lower).
+    east_arcs = tuple((a[1], b[1]) for a, b in arcs if a[0] == b[0] == "e")
+    west_arcs = tuple((a[1], b[1]) for a, b in arcs if a[0] == b[0] == "w")
+    through = sorted((b[1], a[1]) for a, b in arcs if a[0] != b[0])
+    return east_arcs, west_arcs, tuple(w for w, _ in through), tuple(e for _, e in through)
+
+
 def evaluate_arcs(
     n_west: int,
     n_east: int,
@@ -467,110 +489,55 @@ def evaluate_arcs(
     west: tuple[State, ...],
     east: tuple[State, ...],
 ) -> SkeinElement:
-    """Reduce a stated crossingless matching to the decreasing-state basis."""
-    # Every caller passes n_west == len(west) and n_east == len(east), so the
-    # arities are not part of the key.
-    key = (arcs, west, east)
-    hit = _memo.get(key)
-    if hit is not None:
-        return hit
-    result = _evaluate_arcs_uncached(n_west, n_east, arcs, west, east)
-    # Interned parts keep the memo from holding one fresh tuple per key.
-    parts = _key_parts.setdefault
-    _memo[(parts(arcs, arcs), parts(west, west), parts(east, east))] = result
-    return result
+    """Reduce a stated crossingless matching to the decreasing-state basis.
+
+    A returning arc is the scalar C (east edge) or Cbar (west edge) of its
+    (upper, lower) states, so the matching is the product of its arc weights
+    times the parallel diagram of its through strands.  The arities are
+    those of the states; the split of ``arcs`` is memoized in ``_plan_memo``.
+    """
+    plan = _plan_memo.get(arcs)
+    if plan is None:
+        plan = _plan_memo[arcs] = _plan(arcs)
+    east_arcs, west_arcs, through_w, through_e = plan
+    if not (east_arcs or west_arcs):
+        return reduce_parallel(west, east)
+    weight = ONE
+    for pairs, states, table in ((east_arcs, east, C), (west_arcs, west, CBAR)):
+        for upper, lower in pairs:
+            arc = table[states[upper], states[lower]]
+            if not arc:
+                return SkeinElement.zero()
+            weight = weight * arc
+    through = reduce_parallel(tuple(west[i] for i in through_w), tuple(east[j] for j in through_e))
+    return through.scale(weight)
 
 
-def _remove_edge_point(
-    arcs: Arcs, side: str, removed: tuple[int, int]
-) -> Arcs:
-    """Reindex after deleting two adjacent positions on one edge."""
-    lo = min(removed)
+def _sort_states(west: tuple[State, ...], east: tuple[State, ...]) -> SkeinElement:
+    """Sort the east states, then the west states, with the exchange relations.
 
-    def shift(p: Endpoint) -> Endpoint:
-        if p[0] == side and p[1] > lo + 1:
-            return (p[0], p[1] - 2)
-        return p
-
-    return _canon_arcs(
-        (shift(a), shift(b)) for a, b in arcs if a not in
-        {(side, removed[0]), (side, removed[1])} and b not in {(side, removed[0]), (side, removed[1])}
-    )
-
-
-def _evaluate_arcs_uncached(
-    n_west: int,
-    n_east: int,
-    arcs: Arcs,
-    west: tuple[State, ...],
-    east: tuple[State, ...],
-) -> SkeinElement:
-    partner: dict[Endpoint, Endpoint] = {}
-    for a, b in arcs:
-        partner[a] = b
-        partner[b] = a
-
-    # Step 1: evaluate a returning arc with adjacent endpoints, east first.
-    for side, count, states, table in (
-        ("e", n_east, east, C),
-        ("w", n_west, west, CBAR),
-    ):
-        for p in range(count - 1):
-            if partner.get((side, p)) == (side, p + 1):
-                weight = table[(states[p], states[p + 1])]
-                if weight.is_zero():
-                    return SkeinElement.zero()
-                rest_arcs = _remove_edge_point(arcs, side, (p, p + 1))
-                rest_states = states[:p] + states[p + 2 :]
-                if side == "e":
-                    sub = evaluate_arcs(n_west, n_east - 2, rest_arcs, west, rest_states)
-                else:
-                    sub = evaluate_arcs(n_west - 2, n_east, rest_arcs, rest_states, east)
-                return sub.scale(weight)
-
-    # No same-edge arcs remain: all strands run west to east in parallel.
-    if n_west != n_east:
-        raise DiagramError("non-planar matching survived arc removal")
-    n = n_west
-
-    # Step 2: sort east states, then west states, with the exchange relations.
-    for i in range(n - 1):
-        if east[i] == -1 and east[i + 1] == 1:
-            swapped = east[:i] + (1, -1) + east[i + 2 :]
-            out = evaluate_arcs(n_west, n_east, arcs, west, swapped).scale(EAST_EXCHANGE_SWAP)
-            # Joining the two strands near the east edge leaves a west arc.
-            joined = _canon_arcs(
-                [(("w", i), ("w", i + 1))]
-                + [
-                    (("w", j), ("e", j if j < i else j - 2))
-                    for j in range(n)
-                    if j not in (i, i + 1)
-                ]
-            )
-            out.add_scaled(
-                evaluate_arcs(n_west, n_east - 2, joined, west, east[:i] + east[i + 2 :]),
-                EAST_EXCHANGE_ARC,
-            )
+    An out-of-order pair (- above +) in rows i, i+1 rewrites to the swapped
+    pair plus the two strands joined near that edge.  The joined term is a
+    returning arc on the other edge, Cbar or C of its states, times the
+    parallel diagram without rows i and i+1.
+    """
+    for i in range(len(east) - 1):
+        if east[i] < east[i + 1]:
+            out = reduce_parallel(west, east[:i] + (1, -1) + east[i + 2 :]).scale(EAST_EXCHANGE_SWAP)
+            arc = CBAR[west[i], west[i + 1]]
+            if arc:
+                rest = reduce_parallel(west[:i] + west[i + 2 :], east[:i] + east[i + 2 :])
+                out.add_scaled(rest, EAST_EXCHANGE_ARC * arc)
             return out
-    for i in range(n - 1):
-        if west[i] == -1 and west[i + 1] == 1:
-            swapped = west[:i] + (1, -1) + west[i + 2 :]
-            out = evaluate_arcs(n_west, n_east, arcs, swapped, east).scale(WEST_EXCHANGE_SWAP)
-            joined = _canon_arcs(
-                [(("e", i), ("e", i + 1))]
-                + [
-                    (("w", j if j < i else j - 2), ("e", j))
-                    for j in range(n)
-                    if j not in (i, i + 1)
-                ]
-            )
-            out.add_scaled(
-                evaluate_arcs(n_west - 2, n_east, joined, west[:i] + west[i + 2 :], east),
-                WEST_EXCHANGE_ARC,
-            )
+    for i in range(len(west) - 1):
+        if west[i] < west[i + 1]:
+            out = reduce_parallel(west[:i] + (1, -1) + west[i + 2 :], east).scale(WEST_EXCHANGE_SWAP)
+            arc = C[east[i], east[i + 1]]
+            if arc:
+                rest = reduce_parallel(west[:i] + west[i + 2 :], east[:i] + east[i + 2 :])
+                out.add_scaled(rest, WEST_EXCHANGE_ARC * arc)
             return out
-
-    return SkeinElement.of(BasisTangle(n, west, east))
+    return SkeinElement.of(BasisTangle(len(west), west, east))
 
 
 def state_tuples(n: int) -> list[tuple[State, ...]]:
@@ -590,10 +557,13 @@ def parallel_arcs(n: int) -> Arcs:
 
 def reduce_parallel(west: tuple[State, ...], east: tuple[State, ...]) -> SkeinElement:
     """Reduce a parallel stated diagram (the workhorse for products)."""
-    n = len(west)
-    if len(east) != n:
-        raise DiagramError("parallel diagram needs equal arities")
-    return evaluate_arcs(n, n, parallel_arcs(n), west, east)
+    key = (west, east)
+    hit = _memo.get(key)
+    if hit is None:
+        if len(west) != len(east):
+            raise DiagramError("parallel diagram needs equal arities")
+        hit = _memo[key] = _sort_states(west, east)
+    return hit
 
 
 def reduce(diagram: StatedWord) -> SkeinElement:

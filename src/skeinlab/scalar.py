@@ -127,7 +127,7 @@ class HalfLaurent:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, HalfLaurent):
+        if type(other) is HalfLaurent:
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             return self == HalfLaurent.rational(other)
@@ -139,7 +139,7 @@ class HalfLaurent:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: HalfLaurent) -> HalfLaurent:
-        if not isinstance(other, HalfLaurent):
+        if type(other) is not HalfLaurent:
             return NotImplemented
         out = dict(self._terms)
         for e, c in other._terms.items():
@@ -162,10 +162,21 @@ class HalfLaurent:
         return res
 
     def __mul__(self, other: HalfLaurent | Rat) -> HalfLaurent:
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, HalfLaurent):
+        if type(other) is not HalfLaurent:
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
             return NotImplemented
+        # A zero, unit or monomial factor needs no merging; many are the unit.
+        small, big = (self, other) if len(self._terms) <= len(other._terms) else (other, self)
+        if len(small._terms) <= 1:
+            if not small._terms:
+                return small
+            ((e1, c1),) = small._terms.items()
+            if e1 == 0 and c1 == 1:
+                return big
+            res = HalfLaurent.__new__(HalfLaurent)
+            res._terms = {e1 + e2: c1 * c2 for e2, c2 in big._terms.items()}
+            return res
         out: dict[int, Rat] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
@@ -219,7 +230,15 @@ class HalfLaurent:
         s0 = Fraction(s0)
         if not s0:
             raise ScalarError("specialization point s0 must be nonzero")
-        return sum((c * s0**e for e, c in self._terms.items()), Fraction(0))
+        terms = self._terms
+        if not terms:
+            return Fraction(0)
+        # With s0 = p/r, the value is p^lo r^-hi sum c p^(e-lo) r^(hi-e): one
+        # integer sum (rational only for Fraction coefficients), one division.
+        p, r = s0.numerator, s0.denominator
+        lo, hi = min(terms), max(terms)
+        num = sum(c * p ** (e - lo) * r ** (hi - e) for e, c in terms.items())
+        return Fraction(num * p ** max(lo, 0) * r ** max(-hi, 0), r ** max(hi, 0) * p ** max(-lo, 0))
 
     # -- printing ----------------------------------------------------------
 
@@ -264,11 +283,15 @@ class LinearCombination:
 
     @classmethod
     def zero(cls):
-        return cls()
+        res = object.__new__(cls)
+        res._terms = {}
+        return res
 
     @classmethod
     def of(cls, key: Hashable, coeff: HalfLaurent = ONE):
-        return cls({key: coeff})
+        res = object.__new__(cls)
+        res._terms = {key: coeff} if coeff else {}
+        return res
 
     def _like(self, terms: dict[Hashable, HalfLaurent]):
         """A new element of the same type and shape holding ``terms``."""

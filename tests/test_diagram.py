@@ -226,6 +226,95 @@ def test_reduce_matches_oracle_with_warm_memos(d):
     assert reduce(d) == oracle_reduce(d)
 
 
+def _recursive_evaluator():
+    """The recursive matching evaluator that ``evaluate_arcs`` replaced.
+
+    It removes one adjacent returning arc at a time, east edge first, and
+    then sorts east and west states with the exchange relations, whose
+    joined term is again a matching.  Memoized per call of this function.
+    """
+    import functools
+
+    import skeinlab.diagram as D
+
+    def remove_edge_point(arcs, side, removed):
+        lo = min(removed)
+
+        def shift(p):
+            if p[0] == side and p[1] > lo + 1:
+                return (p[0], p[1] - 2)
+            return p
+
+        gone = {(side, removed[0]), (side, removed[1])}
+        return D._canon_arcs((shift(a), shift(b)) for a, b in arcs if a not in gone and b not in gone)
+
+    @functools.cache
+    def evaluate(n_west, n_east, arcs, west, east):
+        partner = {}
+        for a, b in arcs:
+            partner[a] = b
+            partner[b] = a
+        for side, count, states, table in (("e", n_east, east, D.C), ("w", n_west, west, D.CBAR)):
+            for p in range(count - 1):
+                if partner.get((side, p)) == (side, p + 1):
+                    weight = table[(states[p], states[p + 1])]
+                    if weight.is_zero():
+                        return SkeinElement.zero()
+                    rest_arcs = remove_edge_point(arcs, side, (p, p + 1))
+                    rest_states = states[:p] + states[p + 2 :]
+                    if side == "e":
+                        sub = evaluate(n_west, n_east - 2, rest_arcs, west, rest_states)
+                    else:
+                        sub = evaluate(n_west - 2, n_east, rest_arcs, rest_states, east)
+                    return sub.scale(weight)
+        n = n_west
+        for i in range(n - 1):
+            if east[i] == -1 and east[i + 1] == 1:
+                swapped = east[:i] + (1, -1) + east[i + 2 :]
+                out = evaluate(n_west, n_east, arcs, west, swapped).scale(D.EAST_EXCHANGE_SWAP)
+                joined = D._canon_arcs(
+                    [(("w", i), ("w", i + 1))]
+                    + [(("w", j), ("e", j if j < i else j - 2)) for j in range(n) if j not in (i, i + 1)]
+                )
+                sub = evaluate(n_west, n_east - 2, joined, west, east[:i] + east[i + 2 :])
+                out.add_scaled(sub, D.EAST_EXCHANGE_ARC)
+                return out
+        for i in range(n - 1):
+            if west[i] == -1 and west[i + 1] == 1:
+                swapped = west[:i] + (1, -1) + west[i + 2 :]
+                out = evaluate(n_west, n_east, arcs, swapped, east).scale(D.WEST_EXCHANGE_SWAP)
+                joined = D._canon_arcs(
+                    [(("e", i), ("e", i + 1))]
+                    + [(("w", j if j < i else j - 2), ("e", j)) for j in range(n) if j not in (i, i + 1)]
+                )
+                sub = evaluate(n_west - 2, n_east, joined, west[:i] + west[i + 2 :], east)
+                out.add_scaled(sub, D.WEST_EXCHANGE_ARC)
+                return out
+        return SkeinElement.of(BasisTangle(n, west, east))
+
+    return evaluate
+
+
+def test_closed_form_matches_recursive_reference():
+    from skeinlab.diagram import evaluate_arcs, state_tuples
+    from skeinlab.internal_skein import enumerate_matchings
+
+    reference = _recursive_evaluator()
+    memo_clear()
+    checked = 0
+    for total in range(0, 9, 2):
+        for n_west in range(total + 1):
+            for m in enumerate_matchings(n_west, total - n_west):
+                for west in state_tuples(m.n_west):
+                    for east in state_tuples(m.n_east):
+                        want = reference(m.n_west, m.n_east, m.pairs, west, east)
+                        assert evaluate_arcs(m.n_west, m.n_east, m.pairs, west, east) == want, (m, west, east)
+                        checked += 1
+    # Every state assignment of all 175 matchings of at most 8 points.
+    assert checked == 1 + 3 * 4 + 10 * 16 + 35 * 64 + 126 * 256
+    memo_clear()
+
+
 def _count_traces(monkeypatch) -> list[int]:
     """Empty the memos and count ``word_to_arcs`` calls in the returned cell."""
     import skeinlab.diagram as D

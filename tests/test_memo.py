@@ -1,6 +1,5 @@
 """Process-global memos: clearing, sizes, work bounds and cold/warm agreement."""
 
-import random
 from collections import Counter
 from fractions import Fraction
 
@@ -12,13 +11,13 @@ import skeinlab.internal_skein as IS
 import skeinlab.quantum_sl2 as QS
 from skeinlab.diagram import UNIT_TANGLE, SkeinElement, SliceWord, StatedWord, memo_clear, memo_sizes, reduce
 from skeinlab.scalar import ONE
-from skeinlab.suites import DEFAULT_SPECS, random_stated_word
+from skeinlab.suites import DEFAULT_SPECS
 
 MEMOS = {
     "diagram._resolve_memo",
     "diagram._transition_memo",
     "diagram._memo",
-    "diagram._key_parts",
+    "diagram._plan_memo",
     "diagram._parallel_arcs_memo",
     "bigon_skein._inv_edge_memo",
     "bigon_skein._r_memo",
@@ -53,23 +52,22 @@ def test_memo_clear_empties_every_memo():
     assert set(memo_sizes().values()) == {0}
 
 
-def test_reduction_memo_keys_share_their_parts():
-    # Keys built during reduction hold fresh tuples; the memo keeps one
-    # object per distinct arcs or state tuple.
-    rng = random.Random(7)
-    memo_clear()
-    for _ in range(80):
-        reduce(random_stated_word(rng))
-    parts = [p for key in D._memo for p in key]
-    assert len(D._memo) > 100
-    assert len({id(p) for p in parts}) == len(set(parts))
-    memo_clear()
-
-
 def _st_sweep(max_points):
     for total in range(0, max_points + 1, 2):
         for n_west in range(total + 1):
             yield from IS.enumerate_matchings(n_west, total - n_west)
+
+
+def test_reduction_memo_holds_only_parallel_diagrams():
+    # Matchings are evaluated in closed form; only the parallel diagrams of
+    # their through strands are memoized, at most 4^n for n strands.
+    memo_clear()
+    for m in _st_sweep(8):
+        IS.st_map(m)
+    assert all(len(west) == len(east) for west, east in D._memo)
+    assert len(D._memo) <= sum(4**n for n in range(5))
+    assert len(D._plan_memo) == 175
+    memo_clear()
 
 
 def test_st_intertwiner_sweep_builds_no_tensor_power(monkeypatch):
