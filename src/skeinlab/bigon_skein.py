@@ -48,10 +48,6 @@ def generator(name: str) -> SkeinElement:
     return SkeinElement.of(BasisTangle(1, (mu,), (nu,)))
 
 
-def unit() -> SkeinElement:
-    return SkeinElement.unit()
-
-
 class TensorElement(LinearCombination):
     """Linear combination of k-tuples of basis tangles (k-fold tensors)."""
 
@@ -131,7 +127,7 @@ def mul(x: SkeinElement, y: SkeinElement) -> SkeinElement:
 
 
 def mul_many(factors: Iterable[SkeinElement]) -> SkeinElement:
-    out = unit()
+    out = SkeinElement.unit()
     for f in factors:
         out = mul(out, f)
     return out

@@ -5,11 +5,13 @@ the row convention coact(e_j) = sum_i e_i (x) matrix[i][j].  The standard
 corepresentation V has matrix ((a, b), (c, d)); the degree-n part of the
 quantum plane (yx = q^2 xy) gives the simple comodule of dimension n+1.
 
-Slice words evaluate to matrices on tensor powers of V: the cap sends
-(v+, v-) |-> -q^(5/2), (v-, v+) |-> q^(1/2) and kills equal states; the cup
-produces q^(-1/2) (v+, v-) - q^(-5/2) (v-, v+); a crossing is q * id + q^-1 *
-(cup o cap).  These fixed matrices make the closed-diagram value of a slice
-word equal to its Kauffman bracket.
+Slice words evaluate to matrices on tensor powers of V.  Each west state
+tuple is carried through the word one slice at a time as a sparse
+combination of state tuples: the cap at row i sends (v+, v-) |-> -q^(5/2),
+(v-, v+) |-> q^(1/2) and kills equal states; the cup puts
+q^(-1/2) (v+, v-) - q^(-5/2) (v-, v+) into rows i, i+1; a crossing sends v to
+q v + q^-1 cup(cap(v)).  These fixed weights make the closed-diagram value of
+a slice word equal to its Kauffman bracket.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 from . import bigon_skein, linalg, quantum_sl2
 from .diagram import C, CBAR, CROSS_PARALLEL, CROSS_TURNBACK, SliceWord, State, register_memo, state_tuples
 from .quantum_sl2 import HopfElement, comul as hopf_comul, counit as hopf_counit, mul as hopf_mul
-from .scalar import ONE, ZERO, HalfLaurent
+from .scalar import ONE, ZERO, HalfLaurent, LinearCombination
 
 Matrix = list[list[HalfLaurent]]
 
@@ -139,7 +141,7 @@ CUP_VALUES = tuple(C[pair] for pair in state_tuples(2))
 
 
 def _zeros(rows: int, cols: int) -> Matrix:
-    return [[HalfLaurent.zero() for _ in range(cols)] for _ in range(rows)]
+    return [[ZERO] * cols for _ in range(rows)]
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -163,61 +165,38 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def _cap_matrix(rows: int, i: int) -> Matrix:
-    """Matrix of cap at row i: V^(x)rows -> V^(x)(rows-2)."""
-    out = _zeros(1 << (rows - 2), 1 << rows)
-    for states in state_tuples(rows):
-        w = CAP_VALUES[state_index(states[i : i + 2])]
-        if w.is_zero():
-            continue
-        tgt = states[:i] + states[i + 2 :]
-        out[state_index(tgt)][state_index(states)] = (
-            out[state_index(tgt)][state_index(states)] + w
-        )
-    return out
-
-
-def _cup_matrix(rows: int, i: int) -> Matrix:
-    """Matrix of cup at row i: V^(x)rows -> V^(x)(rows+2)."""
-    out = _zeros(1 << (rows + 2), 1 << rows)
-    for states in state_tuples(rows):
-        for pair in state_tuples(2):
-            w = CUP_VALUES[state_index(pair)]
-            if w.is_zero():
-                continue
-            tgt = states[:i] + pair + states[i:]
-            out[state_index(tgt)][state_index(states)] = (
-                out[state_index(tgt)][state_index(states)] + w
-            )
-    return out
-
-
-def _crossing_matrix(rows: int, i: int, over: bool) -> Matrix:
-    para, turn = (CROSS_PARALLEL, CROSS_TURNBACK) if over else (CROSS_TURNBACK, CROSS_PARALLEL)
-    ident = identity_matrix(1 << rows)
-    turnback = mat_mul(_cup_matrix(rows - 2, i), _cap_matrix(rows, i))
-    out = _zeros(1 << rows, 1 << rows)
-    for r in range(1 << rows):
-        for c in range(1 << rows):
-            out[r][c] = ident[r][c] * para + turnback[r][c] * turn
+def _apply_slice(v: LinearCombination, kind: str, i: int) -> LinearCombination:
+    """Image of a combination of state tuples under one slice at row i."""
+    out = LinearCombination.zero()
+    if kind == "cap":
+        for states, c in v.items():
+            out.add_term(states[:i] + states[i + 2 :], c * CAP_VALUES[state_index(states[i : i + 2])])
+    elif kind == "cup":
+        for states, c in v.items():
+            for pair, w in zip(state_tuples(2), CUP_VALUES):
+                out.add_term(states[:i] + pair + states[i:], c * w)
+    else:
+        para, turn = (CROSS_PARALLEL, CROSS_TURNBACK) if kind == "x" else (CROSS_TURNBACK, CROSS_PARALLEL)
+        out.add_scaled(v, para)
+        out.add_scaled(_apply_slice(_apply_slice(v, "cap", i), "cup", i), turn)
     return out
 
 
 def rt_evaluate(word: SliceWord) -> Matrix:
-    """Matrix of a slice word from V^(x)west to V^(x)east on state bases."""
-    rows = word.west_arity
-    mat = identity_matrix(1 << rows)
-    for kind, i in word.slices:
-        if kind == "cap":
-            step = _cap_matrix(rows, i)
-            rows -= 2
-        elif kind == "cup":
-            step = _cup_matrix(rows, i)
-            rows += 2
-        else:
-            step = _crossing_matrix(rows, i, over=(kind == "x"))
-        mat = mat_mul(step, mat)
-    return mat
+    """Matrix of a slice word from V^(x)west to V^(x)east on state bases.
+
+    Column j is the image of the j-th west state tuple, carried through the
+    slices one at a time as a sparse combination of state tuples.
+    """
+    out = _zeros(1 << word.east_arity, 1 << word.west_arity)
+    for west in state_tuples(word.west_arity):
+        v = LinearCombination.of(west)
+        for kind, i in word.slices:
+            v = _apply_slice(v, kind, i)
+        col = state_index(west)
+        for east, c in v.items():
+            out[state_index(east)][col] = c
+    return out
 
 
 # -- structure transported through the skein algebra ----------------------------

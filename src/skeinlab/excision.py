@@ -64,7 +64,7 @@ class FiltrationComponent:
         if self.n < 0:
             raise ValueError("degree must be nonnegative")
         tangles: list[BasisTangle] = []
-        for k in range(n_start(self.n), self.n + 1, 2):
+        for k in range(self.n % 2, self.n + 1, 2):
             tangles.extend(bigon_skein.strand_tangles(k))
         object.__setattr__(self, "basis", tuple(tangles))
 
@@ -73,14 +73,10 @@ class FiltrationComponent:
         return len(self.basis)
 
 
-def n_start(n: int) -> int:
-    return n % 2
-
-
 def filtration_dimension(n: int) -> int:
     if n < 0:
         return 0
-    return sum((k + 1) ** 2 for k in range(n_start(n), n + 1, 2))
+    return sum((k + 1) ** 2 for k in range(n % 2, n + 1, 2))
 
 
 def degree_increment(n: int) -> int:

@@ -9,8 +9,10 @@ power of the standard corepresentation into the bigon skein algebra.  The
 checks in this module make that correspondence executable:
 
 * each table is a two-sided comodule morphism (edge-wise lift identities),
-* composing with caps and cups commutes with the corresponding fixed
-  matrices (naturality), where each edge carries its own cap/cup weights,
+* composing a matching with a one-slice cap or cup word s on either edge
+  (``diagram.word_to_arcs`` of the composite word) gives, up to the loops
+  it closes, the table of the matching composed with the matrix of s
+  (naturality); planarity is likewise decided by ``diagram.arcs_to_word``,
 * the tables of distinct matchings stay linearly independent, with rank
   equal to both the Catalan number and the Peter-Weyl count.
 """
@@ -26,15 +28,19 @@ from . import bigon_skein, comodule_rt, linalg, quantum_sl2
 from .diagram import (
     Arcs,
     BasisTangle,
+    DiagramError,
     Endpoint,
     SkeinElement,
+    Slice,
+    SliceWord,
     State,
     _canon_arcs,
     arcs_to_word,
     evaluate_arcs,
     reduce_parallel,
+    word_to_arcs,
 )
-from .scalar import LOOP, ONE
+from .scalar import LOOP, ONE, validate_generic_point
 
 StateVec = tuple[State, ...]
 
@@ -62,27 +68,10 @@ class Matching:
         expected = {("w", i) for i in range(self.n_west)} | {("e", j) for j in range(self.n_east)}
         if seen != expected or 2 * len(self.pairs) != total:
             raise MatchingError("pairs must match every boundary point exactly once")
-        if not self._is_planar():
-            raise MatchingError("matching is not planar")
-
-    def _circular(self, p: Endpoint) -> int:
-        # West points top to bottom, then east points bottom to top.
-        return p[1] if p[0] == "w" else self.n_west + (self.n_east - 1 - p[1])
-
-    def _is_planar(self) -> bool:
-        total = self.n_west + self.n_east
-        partner = [-1] * total
-        for a, b in self.pairs:
-            ca, cb = self._circular(a), self._circular(b)
-            partner[ca], partner[cb] = cb, ca
-        stack: list[int] = []
-        for i in range(total):
-            if partner[i] > i:
-                stack.append(partner[i])
-            else:
-                if not stack or stack.pop() != i:
-                    return False
-        return not stack
+        try:
+            arcs_to_word(self.n_west, self.n_east, self.pairs)
+        except DiagramError as exc:
+            raise MatchingError("matching is not planar") from exc
 
     def __str__(self) -> str:
         body = ",".join(f"{a[0]}{a[1]}-{b[0]}{b[1]}" for a, b in self.pairs)
@@ -249,112 +238,55 @@ def _leg_product(
 
 # -- cap/cup naturality -----------------------------------------------------------
 
-#: Cap weights per edge on (++, +-, -+, --); cup weights likewise.  Each
-#: edge caps with its own returning-arc weights and cups with the other
-#: edge's, so either pair composes to the loop value.
-WEST_CAP = comodule_rt.CAP_VALUES
-WEST_CUP = comodule_rt.CUP_VALUES
-EAST_CAP = WEST_CUP
-EAST_CUP = WEST_CAP
+def _compose(m: Matching, kind: str, side: str, pos: int) -> tuple[Slice, Matching, int]:
+    """The one-slice word s that inserts a cap or cup at ``pos`` on one edge
+    of m, the composite matching and its loop count.
 
-
-def _shift_endpoint(p: Endpoint, side: str, at: int, by: int) -> Endpoint:
-    if p[0] == side and p[1] >= at:
-        return (p[0], p[1] + by)
-    return p
-
-
-def insert_cap(m: Matching, side: str, pos: int) -> Matching:
-    """New matching with a returning arc occupying positions pos, pos+1."""
-    n = m.n_west if side == "w" else m.n_east
-    if not 0 <= pos <= n:
-        raise MatchingError(f"cap position {pos} out of range")
-    shifted = tuple(
-        (_shift_endpoint(a, side, pos, 2), _shift_endpoint(b, side, pos, 2))
-        for a, b in m.pairs
-    )
-    pairs = shifted + (((side, pos), (side, pos + 1)),)
+    On the west s is prefixed to ``matching_word(m)`` and has the insertion's
+    kind; on the east it is appended and has the other kind, since a returning
+    arc on the east edge is a cup slice.
+    """
+    word = matching_word(m)
     if side == "w":
-        return Matching(m.n_west + 2, m.n_east, pairs)
-    return Matching(m.n_west, m.n_east + 2, pairs)
-
-
-def insert_cup(m: Matching, side: str, pos: int) -> tuple[Matching, int]:
-    """Join boundary points pos, pos+1 on one edge; returns (matching, loops)."""
-    n = m.n_west if side == "w" else m.n_east
-    if not 0 <= pos <= n - 2:
-        raise MatchingError(f"cup position {pos} out of range")
-    partner: dict[Endpoint, Endpoint] = {}
-    for a, b in m.pairs:
-        partner[a] = b
-        partner[b] = a
-    p1, p2 = (side, pos), (side, pos + 1)
-    loops = 0
-    new_pairs: list[tuple[Endpoint, Endpoint]]
-    if partner[p1] == p2:
-        loops = 1
-        new_pairs = [(a, b) for a, b in m.pairs if a != p1 and b != p1]
+        s = (kind, pos)
+        composite = SliceWord(m.n_west + (2 if kind == "cap" else -2), (s,) + word.slices)
     else:
-        q1, q2 = partner[p1], partner[p2]
-        new_pairs = [
-            (a, b) for a, b in m.pairs if p1 not in (a, b) and p2 not in (a, b)
-        ]
-        new_pairs.append((q1, q2))
-
-    def unshift(p: Endpoint) -> Endpoint:
-        if p[0] == side and p[1] > pos + 1:
-            return (p[0], p[1] - 2)
-        return p
-
-    out_pairs = tuple((unshift(a), unshift(b)) for a, b in new_pairs)
-    if side == "w":
-        return Matching(m.n_west - 2, m.n_east, out_pairs), loops
-    return Matching(m.n_west, m.n_east - 2, out_pairs), loops
+        s = ("cup" if kind == "cap" else "cap", pos)
+        composite = SliceWord(m.n_west, word.slices + (s,))
+    arcs, loops = word_to_arcs(composite)
+    return s, Matching(composite.west_arity, composite.east_arity, arcs), loops
 
 
 def check_st_naturality(
     m: Matching, kind: str, side: str, pos: int
 ) -> tuple[bool, str | None]:
-    """Compare the table of a composed matching against matrix composition.
+    """LOOP^loops st(m o s) = rt(s) o st(m) for the slice s of ``_compose``.
 
-    kind "cap": the composite has a new returning arc; its table must factor
-    as (cap weight) x (table of m).  kind "cup": the composite joins two of
-    m's points; its table must be the cup-weighted sum over inserted states.
+    The weights of s are ``CAP_VALUES`` or ``CUP_VALUES`` by its kind.  Kind
+    "cap" gives the composite two more points on the edge, so each entry is
+    the weight of their states times the entry of m without them; kind "cup"
+    takes two points away, so each entry is the weighted sum of m's entries
+    over the states of the two points put back.
     """
-    cap_w = {"w": WEST_CAP, "e": EAST_CAP}[side]
-    cup_w = {"w": WEST_CUP, "e": EAST_CUP}[side]
+    if kind not in ("cap", "cup") or side not in ("w", "e"):
+        raise ValueError("kind must be 'cap' or 'cup' and side 'w' or 'e'")
+    s, composite, loops = _compose(m, kind, side, pos)
+    weights = comodule_rt.CAP_VALUES if s[0] == "cap" else comodule_rt.CUP_VALUES
     table = st_map(m)
-    if kind == "cap":
-        comp = insert_cap(m, side, pos)
-        comp_table = st_map(comp)
-        for (west, east), val in comp_table.items():
-            full = west if side == "w" else east
-            pair = full[pos : pos + 2]
-            rest = full[:pos] + full[pos + 2 :]
-            key = (rest, east) if side == "w" else (west, rest)
-            want = table[key].scale(cap_w[comodule_rt.state_index(pair)])
-            if val != want:
-                return False, f"cap naturality fails at {m} {side}{pos} states {west}/{east}"
-        return True, None
-    if kind == "cup":
-        comp, loops = insert_cup(m, side, pos)
-        comp_table = st_map(comp)
-        factor = LOOP**loops
-        for (west, east), val in comp_table.items():
-            want = SkeinElement.zero()
-            for pair in comodule_rt.state_tuples(2):
-                w = cup_w[comodule_rt.state_index(pair)]
-                if w.is_zero():
-                    continue
-                if side == "w":
-                    key = (west[:pos] + pair + west[pos:], east)
-                else:
-                    key = (west, east[:pos] + pair + east[pos:])
-                want.add_scaled(table[key], w)
-            if val.scale(factor) != want:
-                return False, f"cup naturality fails at {m} {side}{pos} states {west}/{east}"
-        return True, None
-    raise ValueError("kind must be 'cap' or 'cup'")
+    factor = LOOP**loops
+    for (west, east), val in st_map(composite).items():
+        full = west if side == "w" else east
+        if kind == "cap":
+            terms = [(full[pos : pos + 2], full[:pos] + full[pos + 2 :])]
+        else:
+            terms = [(pair, full[:pos] + pair + full[pos:]) for pair in comodule_rt.state_tuples(2)]
+        want = SkeinElement.zero()
+        for pair, states in terms:
+            key = (states, east) if side == "w" else (west, states)
+            want.add_scaled(table[key], weights[comodule_rt.state_index(pair)])
+        if (val.scale(factor) if loops else val) != want:
+            return False, f"{kind} naturality fails at {m} {side}{pos} states {west}/{east}"
+    return True, None
 
 
 def all_naturality_checks(m: Matching) -> Iterator[tuple[str, str, int]]:
@@ -380,8 +312,6 @@ def peter_weyl_count(n_west: int, n_east: int) -> int:
 
 def st_rank(n_west: int, n_east: int, s0: Fraction) -> tuple[int, int, int]:
     """(rank of stacked tables at s0, Catalan count, Peter-Weyl count)."""
-    from .scalar import validate_generic_point
-
     s0 = validate_generic_point(s0)
     matchings = enumerate_matchings(n_west, n_east)
     columns: dict[tuple[StateVec, StateVec, BasisTangle], int] = {}
@@ -401,10 +331,7 @@ def check_product_compatibility(m1: Matching, m2: Matching) -> tuple[bool, str |
     stacked = Matching(
         m1.n_west + m2.n_west,
         m1.n_east + m2.n_east,
-        tuple(
-            ((a[0], a[1]), (b[0], b[1]))
-            for a, b in m1.pairs
-        )
+        m1.pairs
         + tuple(
             (
                 (a[0], a[1] + (m1.n_west if a[0] == "w" else m1.n_east)),

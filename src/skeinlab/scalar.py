@@ -400,10 +400,6 @@ def validate_generic_point(s0: Rat) -> Fraction:
 # for s^2.  The printer always emits in s; ``syntax.parse_scalar`` reads it back.
 
 
-def _coeff_str(c: Rat) -> str:
-    return str(c)
-
-
 def format_scalar(x: HalfLaurent) -> str:
     if x.is_zero():
         return "0"
@@ -411,10 +407,10 @@ def format_scalar(x: HalfLaurent) -> str:
     for e in sorted(x._terms, reverse=True):
         c = x._terms[e]
         if e == 0:
-            body = _coeff_str(abs(c))
+            body = str(abs(c))
         else:
             svar = "s" if e == 1 else f"s^{e}"
-            body = svar if abs(c) == 1 else f"{_coeff_str(abs(c))}*{svar}"
+            body = svar if abs(c) == 1 else f"{str(abs(c))}*{svar}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

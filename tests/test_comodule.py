@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,9 @@ import skeinlab.comodule_rt as CM
 import skeinlab.internal_skein as IS
 import skeinlab.quantum_sl2 as QS
 from skeinlab import linalg
-from skeinlab.diagram import SliceWord
+from skeinlab.diagram import CROSS_PARALLEL, CROSS_TURNBACK, SliceWord, state_tuples
 from skeinlab.scalar import LOOP, ONE, HalfLaurent
-from skeinlab.suites import DEFAULT_SPECS, comodule_suite
+from skeinlab.suites import DEFAULT_SPECS, comodule_suite, random_stated_word
 
 q = HalfLaurent.q_pow
 s = HalfLaurent.s_pow
@@ -45,6 +46,76 @@ def test_rt_identity_and_cap():
 def test_rt_loop_is_bracket():
     loop = CM.rt_evaluate(SliceWord(0, (("cup", 0), ("cap", 0))))
     assert loop[0][0] == LOOP
+
+
+# Dense reference: the slice matrices and their product, as rt_evaluate
+# computed them before it carried sparse state vectors.
+
+
+def _dense_cap(rows, i):
+    out = CM._zeros(1 << (rows - 2), 1 << rows)
+    for states in state_tuples(rows):
+        tgt = CM.state_index(states[:i] + states[i + 2 :])
+        src = CM.state_index(states)
+        out[tgt][src] = out[tgt][src] + CM.CAP_VALUES[CM.state_index(states[i : i + 2])]
+    return out
+
+
+def _dense_cup(rows, i):
+    out = CM._zeros(1 << (rows + 2), 1 << rows)
+    for states in state_tuples(rows):
+        for pair in state_tuples(2):
+            tgt = CM.state_index(states[:i] + pair + states[i:])
+            src = CM.state_index(states)
+            out[tgt][src] = out[tgt][src] + CM.CUP_VALUES[CM.state_index(pair)]
+    return out
+
+
+def _dense_crossing(rows, i, over):
+    para, turn = (CROSS_PARALLEL, CROSS_TURNBACK) if over else (CROSS_TURNBACK, CROSS_PARALLEL)
+    ident = CM.identity_matrix(1 << rows)
+    turnback = CM.mat_mul(_dense_cup(rows - 2, i), _dense_cap(rows, i))
+    return [[ident[r][c] * para + turnback[r][c] * turn for c in range(1 << rows)] for r in range(1 << rows)]
+
+
+def _dense_rt(word):
+    rows = word.west_arity
+    mat = CM.identity_matrix(1 << rows)
+    for kind, i in word.slices:
+        if kind == "cap":
+            step = _dense_cap(rows, i)
+            rows -= 2
+        elif kind == "cup":
+            step = _dense_cup(rows, i)
+            rows += 2
+        else:
+            step = _dense_crossing(rows, i, over=(kind == "x"))
+        mat = CM.mat_mul(step, mat)
+    return mat
+
+
+def test_sparse_rt_equals_dense_product():
+    rng = random.Random(2021)
+    crossed = 0
+    for _ in range(300):
+        word = random_stated_word(rng, max_crossings=3, max_points=8).word
+        assert CM.rt_evaluate(word) == _dense_rt(word), word
+        crossed += word.crossing_count() > 0
+    assert crossed >= 200
+
+
+def test_rt_is_functorial():
+    # rt(w1 w2) = rt(w2) rt(w1) for words split at a random slice.
+    rng = random.Random(15)
+    crossed = 0
+    for _ in range(100):
+        word = random_stated_word(rng, max_crossings=3, max_points=8).word
+        cut = rng.randrange(len(word.slices) + 1)
+        w1 = SliceWord(word.west_arity, word.slices[:cut])
+        w2 = SliceWord(w1.east_arity, word.slices[cut:])
+        assert CM.rt_evaluate(word) == CM.mat_mul(CM.rt_evaluate(w2), CM.rt_evaluate(w1)), (word, cut)
+        crossed += w1.crossing_count() > 0 and w2.crossing_count() > 0
+    assert crossed > 0
 
 
 def test_cap_cup_come_from_duality_map():

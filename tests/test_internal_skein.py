@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -150,9 +151,140 @@ def test_naturality_exhaustive_small():
 
 def test_cup_insertion_makes_loop():
     m = IS.Matching(0, 2, ((("e", 0), ("e", 1)),))
-    composite, loops = IS.insert_cup(m, "e", 0)
+    s, composite, loops = IS._compose(m, "cup", "e", 0)
+    assert s == ("cap", 0)
     assert loops == 1
     assert composite.n_east == 0
+
+
+# Endpoint-arithmetic reference: cap and cup insertion and the stack
+# planarity test, as the module computed them before it composed slice words.
+
+
+def _shift(p, side, at, by):
+    return (p[0], p[1] + by) if p[0] == side and p[1] >= at else p
+
+
+def _old_insert_cap(m, side, pos):
+    pairs = tuple((_shift(a, side, pos, 2), _shift(b, side, pos, 2)) for a, b in m.pairs)
+    pairs += (((side, pos), (side, pos + 1)),)
+    if side == "w":
+        return IS.Matching(m.n_west + 2, m.n_east, pairs)
+    return IS.Matching(m.n_west, m.n_east + 2, pairs)
+
+
+def _old_insert_cup(m, side, pos):
+    partner = {}
+    for a, b in m.pairs:
+        partner[a], partner[b] = b, a
+    p1, p2 = (side, pos), (side, pos + 1)
+    new_pairs = [(a, b) for a, b in m.pairs if not {a, b} & {p1, p2}]
+    loops = 1 if partner[p1] == p2 else 0
+    if not loops:
+        new_pairs.append((partner[p1], partner[p2]))
+    pairs = tuple((_shift(a, side, pos + 2, -2), _shift(b, side, pos + 2, -2)) for a, b in new_pairs)
+    if side == "w":
+        return IS.Matching(m.n_west - 2, m.n_east, pairs), loops
+    return IS.Matching(m.n_west, m.n_east - 2, pairs), loops
+
+
+def _old_is_planar(n_west, n_east, pairs):
+    circular = lambda p: p[1] if p[0] == "w" else n_west + (n_east - 1 - p[1])
+    partner = [-1] * (n_west + n_east)
+    for a, b in pairs:
+        partner[circular(a)], partner[circular(b)] = circular(b), circular(a)
+    stack = []
+    for i, j in enumerate(partner):
+        if j > i:
+            stack.append(j)
+        elif not stack or stack.pop() != i:
+            return False
+    return not stack
+
+
+def test_slice_composition_equals_endpoint_insertion():
+    compared = 0
+    for m in _matchings(8):
+        for kind, side, pos in IS.all_naturality_checks(m):
+            _, composite, loops = IS._compose(m, kind, side, pos)
+            want = (_old_insert_cap(m, side, pos), 0) if kind == "cap" else _old_insert_cup(m, side, pos)
+            assert (composite, loops) == want, (m, kind, side, pos)
+            compared += 1
+    assert compared == 2574
+
+
+def _perfect_matchings(points):
+    if not points:
+        yield ()
+        return
+    first, rest = points[0], points[1:]
+    for k, other in enumerate(rest):
+        for tail in _perfect_matchings(rest[:k] + rest[k + 1 :]):
+            yield ((first, other),) + tail
+
+
+def test_matching_planarity_equals_stack_check():
+    accepted = total = 0
+    for points in range(0, 11, 2):
+        for nw in range(points + 1):
+            ends = [("w", i) for i in range(nw)] + [("e", j) for j in range(points - nw)]
+            for pairs in _perfect_matchings(ends):
+                planar = _old_is_planar(nw, points - nw, pairs)
+                try:
+                    IS.Matching(nw, points - nw, pairs)
+                except IS.MatchingError:
+                    assert not planar, pairs
+                else:
+                    assert planar, pairs
+                    accepted += 1
+                total += 1
+    assert total == 11464
+    assert accepted == sum((n + 1) * IS.catalan(n // 2) for n in range(0, 11, 2))
+
+
+_KIND_SIDES = tuple(itertools.product(("cap", "cup"), ("w", "e")))
+
+
+def test_naturality_catches_a_scaled_weight(monkeypatch):
+    # Scaling one non-zero weight of the slice's table by q must fail the
+    # check for each (kind, side) on some matching of at most 4 points.
+    for kind, side in _KIND_SIDES:
+        name = "CAP_VALUES" if (kind == "cap") == (side == "w") else "CUP_VALUES"
+        weights = getattr(CM, name)
+        for idx, w in enumerate(weights):
+            if w.is_zero():
+                continue
+            monkeypatch.setattr(CM, name, weights[:idx] + (w * Q,) + weights[idx + 1 :])
+            results = [
+                IS.check_st_naturality(m, kind, side, pos)[0]
+                for m in _matchings(4)
+                for k, sd, pos in IS.all_naturality_checks(m)
+                if (k, sd) == (kind, side)
+            ]
+            monkeypatch.setattr(CM, name, weights)
+            assert not all(results), (kind, side, idx)
+
+
+def test_naturality_catches_a_scaled_entry(monkeypatch):
+    # Scaling one non-zero entry of m's table by q must fail the check
+    # whenever the entry meets a non-zero weight: always for a cap, and for
+    # a cup when the two states it joins are opposite.
+    st_map = IS.st_map
+    mutants = {ks: 0 for ks in _KIND_SIDES}
+    for m in _matchings(4):
+        table = st_map(m)
+        for kind, side, pos in IS.all_naturality_checks(m):
+            for key, elem in table.items():
+                if elem.is_zero():
+                    continue
+                mutated = {**table, key: elem.scale(Q)}
+                monkeypatch.setattr(IS, "st_map", lambda x: mutated if x == m else st_map(x))
+                ok, _ = IS.check_st_naturality(m, kind, side, pos)
+                pair = key[0 if side == "w" else 1][pos : pos + 2]
+                assert ok == (kind == "cup" and pair[0] == pair[1]), (m, kind, side, pos, key)
+                mutants[(kind, side)] += not ok
+    monkeypatch.setattr(IS, "st_map", st_map)
+    assert all(mutants.values()), mutants
 
 
 def test_st_rank_triples():
