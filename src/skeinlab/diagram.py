@@ -42,7 +42,6 @@ returns the entry count of each:
   ``(west, east)``,
 * ``diagram._plan_memo``: the returning arcs and through strands of each
   matching,
-* ``diagram._parallel_arcs_memo``: the identity matching per strand count,
 * ``bigon_skein._inv_edge_memo``: edge inversion per (basis tangle, edge,
   inverse), so ``t_form`` and ``t_inv_form`` reduce each basis tangle once,
 * ``bigon_skein._r_memo``: the co-R form per pair of basis tangles,
@@ -439,14 +438,12 @@ _plan_memo: dict[Arcs, Plan] = {}
 _resolve_memo: dict[SliceWord, Resolved] = {}
 #: Transition -> (new east arity, new arcs, LOOP**loops or None).
 _transition_memo: dict[Transition, tuple[int, Arcs, HalfLaurent | None]] = {}
-_parallel_arcs_memo: dict[int, Arcs] = {}
 #: Every process-global memo of the package, by qualified name.
 _MEMOS: dict[str, dict] = {
     "diagram._resolve_memo": _resolve_memo,
     "diagram._transition_memo": _transition_memo,
     "diagram._memo": _memo,
     "diagram._plan_memo": _plan_memo,
-    "diagram._parallel_arcs_memo": _parallel_arcs_memo,
 }
 
 
@@ -549,10 +546,7 @@ def state_tuples(n: int) -> list[tuple[State, ...]]:
 
 
 def parallel_arcs(n: int) -> Arcs:
-    arcs = _parallel_arcs_memo.get(n)
-    if arcs is None:
-        arcs = _parallel_arcs_memo[n] = _canon_arcs((("w", i), ("e", i)) for i in range(n))
-    return arcs
+    return _canon_arcs((("w", i), ("e", i)) for i in range(n))
 
 
 def reduce_parallel(west: tuple[State, ...], east: tuple[State, ...]) -> SkeinElement:

@@ -20,7 +20,7 @@ checks in this module make that correspondence executable:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -56,6 +56,8 @@ class Matching:
     n_west: int
     n_east: int
     pairs: Arcs
+    #: The canonical crossingless word, traced once by the planarity check.
+    word: SliceWord = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pairs", _canon_arcs(self.pairs))
@@ -69,7 +71,7 @@ class Matching:
         if seen != expected or 2 * len(self.pairs) != total:
             raise MatchingError("pairs must match every boundary point exactly once")
         try:
-            arcs_to_word(self.n_west, self.n_east, self.pairs)
+            object.__setattr__(self, "word", arcs_to_word(self.n_west, self.n_east, self.pairs))
         except DiagramError as exc:
             raise MatchingError("matching is not planar") from exc
 
@@ -129,9 +131,9 @@ def st_map(m: Matching) -> StTable:
     return table
 
 
-def matching_word(m: Matching):
+def matching_word(m: Matching) -> SliceWord:
     """Canonical crossingless slice word realizing the matching."""
-    return arcs_to_word(m.n_west, m.n_east, m.pairs)
+    return m.word
 
 
 # -- comodule-morphism (intertwiner) check ---------------------------------------

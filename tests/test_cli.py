@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import skeinlab.bigon_skein as B
+from skeinlab import suites
 from skeinlab.cli import EXIT_PASS, EXIT_USAGE, main
 from skeinlab.diagram import BasisTangle, SkeinElement
 from skeinlab.report import REPORT_SCHEMA, validate_report_dict
@@ -235,6 +237,29 @@ def test_report_json_roundtrip():
     data = json.loads(report.to_json())
     assert data == report.to_dict()
     assert data["totals"]["total"] == len(report.cases)
+
+
+def test_every_suite_passes_at_degree_zero():
+    report = run_suite("all", max_degree=0)
+    failed = [(case.name, case.witness) for case in report.cases if case.status != "pass"]
+    assert report.cases and not failed, failed
+
+
+def test_capped_labels_name_the_bound_their_case_runs_to(monkeypatch):
+    monkeypatch.setattr(suites, "PAIR_STRANDS", 1)
+    cases = dict(suites.build_suite("hopf", 3))
+    algebra_map = cases["coproduct is an algebra morphism (<= 1 strand factors)"]
+    assert algebra_map.keywords == {"strands": 1}
+    rot = cases["rot_*: involution (<= 3 strands), algebra map, coproduct-reversing (<= 1 strands)"]
+    assert rot.keywords == {"strands": 3, "pair_strands": 1}
+    enumerated = []
+    basis_tangles = B.basis_tangles
+    monkeypatch.setattr(B, "basis_tangles", lambda n: enumerated.append(n) or basis_tangles(n))
+    assert algebra_map() is None and enumerated == [1]
+    # A label must name every bound of its case, and only those.
+    for template, bounds in (("counit laws on <= 3 strands", {"strands": 2}), ("on <= {strands}", {})):
+        with pytest.raises(ValueError):
+            suites._case(template, suites.counit_law, **bounds)
 
 
 def test_help_exits_cleanly(capsys):

@@ -18,7 +18,6 @@ MEMOS = {
     "diagram._transition_memo",
     "diagram._memo",
     "diagram._plan_memo",
-    "diagram._parallel_arcs_memo",
     "bigon_skein._inv_edge_memo",
     "bigon_skein._r_memo",
     "bigon_skein._comul_memo",
