@@ -5,7 +5,9 @@ spanned by planar perfect matchings of the boundary points (west points read
 top to bottom, then east points back up, so planarity is the usual
 non-crossing condition on a circle).  Assigning all possible boundary states
 to a matching and reducing yields a table, i.e. a linear map from a tensor
-power of the standard corepresentation into the bigon skein algebra.  The
+power of the standard corepresentation into the bigon skein algebra.  A
+returning arc with equal states vanishes, so a table holds only the entries
+whose returning arcs have opposite states; every other entry is zero.  The
 checks in this module make that correspondence executable:
 
 * each table is a two-sided comodule morphism (edge-wise lift identities),
@@ -35,6 +37,7 @@ from .diagram import (
     SliceWord,
     State,
     _canon_arcs,
+    _plan,
     arcs_to_word,
     evaluate_arcs,
     reduce_parallel,
@@ -118,17 +121,40 @@ def catalan(m: int) -> int:
 # -- the state-assignment table -------------------------------------------------
 
 
+#: The non-zero entries of a table; a missing key is a zero entry.
 StTable = dict[tuple[StateVec, StateVec], SkeinElement]
 
 
 def st_map(m: Matching) -> StTable:
-    """Assign every boundary state vector and reduce; the matrix of the map
-    V^(x)n_west (x) V^(x)n_east -> bigon skein algebra."""
-    table: StTable = {}
-    for west in comodule_rt.state_tuples(m.n_west):
-        for east in comodule_rt.state_tuples(m.n_east):
-            table[(west, east)] = evaluate_arcs(m.n_west, m.n_east, m.pairs, west, east)
-    return table
+    """The matrix of the map V^(x)n_west (x) V^(x)n_east -> bigon skein
+    algebra, by boundary states, holding only its non-zero entries.
+
+    A returning arc is zero unless its two ends carry opposite states, so
+    only those state vectors are assigned and reduced: each returning arc
+    reads (+, -) or (-, +), and the through strands take every state.  Keys
+    come in the order of ``comodule_rt.state_tuples``, west before east.
+    """
+    east_arcs, west_arcs, _, _ = _plan(m.pairs)
+    return {
+        (west, east): evaluate_arcs(m.n_west, m.n_east, m.pairs, west, east)
+        for west in _opposite_states(m.n_west, west_arcs)
+        for east in _opposite_states(m.n_east, east_arcs)
+    }
+
+
+def _opposite_states(n: int, arcs: tuple[tuple[int, int], ...]) -> list[StateVec]:
+    """The state vectors of an edge that give each returning arc opposite
+    states, in ``comodule_rt.state_tuples`` order: a row takes both states
+    unless it is an arc's lower end, which takes the opposite of the upper."""
+    upper_of = {lower: upper for upper, lower in arcs}
+    out: list[StateVec] = [()]
+    for row in range(n):
+        upper = upper_of.get(row)
+        if upper is None:
+            out = [v + (s,) for v in out for s in (1, -1)]
+        else:
+            out = [v + (-v[upper],) for v in out]
+    return out
 
 
 def matching_word(m: Matching) -> SliceWord:
@@ -160,42 +186,52 @@ def check_st_intertwiner(m: Matching) -> tuple[bool, str | None]:
 
 
 def _check_lifts(m: Matching, table: StTable) -> tuple[bool, str | None]:
-    """The lift identities of :func:`check_st_intertwiner` for a given table."""
-    east_lifts, west_lifts = _lifts(m, table)
+    """The lift identities of :func:`check_st_intertwiner` for a given table.
+
+    One row of lifts at a time, each key's lift is compared with the
+    coproduct of its entry; at a key the table lacks, the entry and so its
+    coproduct are zero, and the lift must be too.
+    """
     zero = bigon_skein.TensorElement.zero(2)
-    for (west, east), elem in table.items():
-        got = bigon_skein.comul(elem)
-        if got != east_lifts[west].get(east, zero):
-            return False, f"east lift fails at {m} states {west}/{east}"
-        if got != west_lifts[east].get(west, zero):
-            return False, f"west lift fails at {m} states {west}/{east}"
+    for side, outer, entries, lifts in _lift_rows(m, table):
+        for inner in dict.fromkeys([*entries, *lifts]):
+            elem = entries.get(inner)
+            if lifts.get(inner, zero) != (zero if elem is None else bigon_skein.comul(elem)):
+                west, east = (outer, inner) if side == "east" else (inner, outer)
+                return False, f"{side} lift fails at {m} states {west}/{east}"
     return True, None
 
 
-Lifts = dict[StateVec, dict[StateVec, bigon_skein.TensorElement]]
+Row = dict[StateVec, SkeinElement]
 
 
-def _lifts(m: Matching, table: StTable) -> tuple[Lifts, Lifts]:
-    """East lifts by west then east state, and west lifts by east then west
-    state; a missing entry is zero."""
+def _lift_rows(
+    m: Matching, table: StTable
+) -> Iterator[tuple[str, StateVec, Row, dict[StateVec, bigon_skein.TensorElement]]]:
+    """("east", west state, its entries by east state, their east lifts by
+    east state) for each west state, then ("west", east state, its entries
+    by west state, their west lifts by west state) for each east state; a
+    missing entry or lift is zero.  Each row of lifts is built when it is
+    reached, so only one is held at a time."""
     v = comodule_rt.standard_V()
+    # A unit coefficient is stored as ONE, which ``_leg_product`` does not multiply by.
     x1 = {
-        (s, t): quantum_sl2.to_skein(v.coaction[i][j])
+        (s, t): SkeinElement({g: ONE if c == ONE else c for g, c in quantum_sl2.to_skein(v.coaction[i][j]).items()})
         for i, s in enumerate((1, -1))
         for j, t in enumerate((1, -1))
     }
     unit = SkeinElement.unit()
-    w_states = comodule_rt.state_tuples(m.n_west)
-    e_states = comodule_rt.state_tuples(m.n_east)
-    east_lifts = {
-        west: _contract({kappa: bigon_skein.tensor2(table[(west, kappa)], unit) for kappa in e_states}, 1, x1)
-        for west in w_states
-    }
-    west_lifts = {
-        east: _contract({kappa: bigon_skein.tensor2(unit, table[(kappa, east)]) for kappa in w_states}, 0, x1)
-        for east in e_states
-    }
-    return east_lifts, west_lifts
+    rows: dict[StateVec, Row] = {west: {} for west in comodule_rt.state_tuples(m.n_west)}
+    columns: dict[StateVec, Row] = {east: {} for east in comodule_rt.state_tuples(m.n_east)}
+    for (west, east), elem in table.items():
+        rows[west][east] = columns[east][west] = elem
+    for side, leg, lines in (("east", 1, rows), ("west", 0, columns)):
+        for outer, line in lines.items():
+            parts = {
+                inner: bigon_skein.tensor2(elem, unit) if leg else bigon_skein.tensor2(unit, elem)
+                for inner, elem in line.items()
+            }
+            yield side, outer, line, _contract(parts, leg, x1)
 
 
 def _contract(
@@ -207,8 +243,9 @@ def _contract(
 
     Step j replaces each key's j-th state k by every state t, right-multiplying
     ``leg`` by X1[k, t] on the east (leg 1) and by X1[t, k] on the west (leg 0).
+    No lifts (a row of zero entries) contract to none.
     """
-    n = len(next(iter(lifts)))
+    n = len(next(iter(lifts), ()))
     for j in range(n):
         out: dict[StateVec, bigon_skein.TensorElement] = {}
         for key, part in lifts.items():
@@ -232,7 +269,7 @@ def _leg_product(
     for key, c in t.items():
         b = key[leg]
         for g, cg in x.items():
-            cc = c * cg
+            cc = c if cg is ONE else c * cg
             for prod, cp in reduce_parallel(b.mu + g.mu, b.nu + g.nu).items():
                 new = (prod, key[1]) if leg == 0 else (key[0], prod)
                 out.add_term(new, cc if cp is ONE else cc * cp)
@@ -260,33 +297,44 @@ def _compose(m: Matching, kind: str, side: str, pos: int) -> tuple[Slice, Matchi
 
 
 def check_st_naturality(
-    m: Matching, kind: str, side: str, pos: int
+    m: Matching, kind: str, side: str, pos: int, table: StTable | None = None
 ) -> tuple[bool, str | None]:
     """LOOP^loops st(m o s) = rt(s) o st(m) for the slice s of ``_compose``.
 
-    The weights of s are ``CAP_VALUES`` or ``CUP_VALUES`` by its kind.  Kind
-    "cap" gives the composite two more points on the edge, so each entry is
-    the weight of their states times the entry of m without them; kind "cup"
-    takes two points away, so each entry is the weighted sum of m's entries
-    over the states of the two points put back.
+    ``table`` is ``st_map(m)``, built here if not given.  The weights of s
+    are ``CAP_VALUES`` or ``CUP_VALUES`` by its kind.  Each non-zero entry of
+    m is pushed through them: kind "cap" gives the composite two more points
+    on the edge, so the entry goes, times the weight of their states, to
+    every key with them put in; kind "cup" takes two points away, so the
+    entry goes, times the weight of their states, to the key without them.
+    The sums must equal the composite's entries at every key.
     """
     if kind not in ("cap", "cup") or side not in ("w", "e"):
         raise ValueError("kind must be 'cap' or 'cup' and side 'w' or 'e'")
     s, composite, loops = _compose(m, kind, side, pos)
     weights = comodule_rt.CAP_VALUES if s[0] == "cap" else comodule_rt.CUP_VALUES
-    table = st_map(m)
-    factor = LOOP**loops
-    for (west, east), val in st_map(composite).items():
+    pushed: StTable = {}
+    for (west, east), val in (st_map(m) if table is None else table).items():
         full = west if side == "w" else east
         if kind == "cap":
-            terms = [(full[pos : pos + 2], full[:pos] + full[pos + 2 :])]
-        else:
             terms = [(pair, full[:pos] + pair + full[pos:]) for pair in comodule_rt.state_tuples(2)]
-        want = SkeinElement.zero()
+        else:
+            terms = [(full[pos : pos + 2], full[:pos] + full[pos + 2 :])]
         for pair, states in terms:
+            weight = weights[comodule_rt.state_index(pair)]
+            if weight.is_zero():
+                continue
             key = (states, east) if side == "w" else (west, states)
-            want.add_scaled(table[key], weights[comodule_rt.state_index(pair)])
-        if (val.scale(factor) if loops else val) != want:
+            acc = pushed.get(key)
+            if acc is None:
+                acc = pushed[key] = SkeinElement.zero()
+            acc.add_scaled(val, weight)
+    factor = LOOP**loops
+    target = st_map(composite)
+    zero = SkeinElement.zero()
+    for west, east in dict.fromkeys([*target, *pushed]):
+        val = target.get((west, east), zero)
+        if (val.scale(factor) if loops else val) != pushed.get((west, east), zero):
             return False, f"{kind} naturality fails at {m} {side}{pos} states {west}/{east}"
     return True, None
 
@@ -312,15 +360,22 @@ def peter_weyl_count(n_west: int, n_east: int) -> int:
     )
 
 
-def st_rank(n_west: int, n_east: int, s0: Fraction) -> tuple[int, int, int]:
-    """(rank of stacked tables at s0, Catalan count, Peter-Weyl count)."""
+def st_rank(
+    n_west: int, n_east: int, s0: Fraction, tables: list[StTable] | None = None
+) -> tuple[int, int, int]:
+    """(rank of stacked tables at s0, Catalan count, Peter-Weyl count).
+
+    ``tables`` are the tables of ``enumerate_matchings(n_west, n_east)``,
+    built here if not given.
+    """
     s0 = validate_generic_point(s0)
-    matchings = enumerate_matchings(n_west, n_east)
+    if tables is None:
+        tables = [st_map(m) for m in enumerate_matchings(n_west, n_east)]
     columns: dict[tuple[StateVec, StateVec, BasisTangle], int] = {}
     rows: list[dict[int, Fraction]] = []
-    for m in matchings:
+    for table in tables:
         row: dict[int, Fraction] = {}
-        for key, elem in st_map(m).items():
+        for key, elem in table.items():
             for b, coeff in elem.items():
                 col = columns.setdefault((key[0], key[1], b), len(columns))
                 row[col] = coeff.specialize(s0)
@@ -328,8 +383,16 @@ def st_rank(n_west: int, n_east: int, s0: Fraction) -> tuple[int, int, int]:
     return linalg.rank(rows), catalan((n_west + n_east) // 2), peter_weyl_count(n_west, n_east)
 
 
-def check_product_compatibility(m1: Matching, m2: Matching) -> tuple[bool, str | None]:
-    """Side-by-side composite of matchings maps to the product of tables."""
+def check_product_compatibility(
+    m1: Matching, m2: Matching, t1: StTable | None = None, t2: StTable | None = None
+) -> tuple[bool, str | None]:
+    """Side-by-side composite of matchings maps to the product of tables.
+
+    ``t1`` and ``t2`` are ``st_map`` of m1 and m2, built here if not given.
+    The stacked entry at (w1 + w2, e1 + e2) must be the product of the
+    entries at (w1, e1) and (w2, e2).  Only products of two non-zero entries
+    are formed; every other stacked entry must be zero.
+    """
     stacked = Matching(
         m1.n_west + m2.n_west,
         m1.n_east + m2.n_east,
@@ -342,13 +405,23 @@ def check_product_compatibility(m1: Matching, m2: Matching) -> tuple[bool, str |
             for a, b in m2.pairs
         ),
     )
-    t1, t2, ts = st_map(m1), st_map(m2), st_map(stacked)
+    t1 = st_map(m1) if t1 is None else t1
+    t2 = st_map(m2) if t2 is None else t2
+    ts = st_map(stacked)
+    zero = SkeinElement.zero()
+    # Keys of equal arities concatenate injectively, so each stacked key is met at most once.
+    met = 0
     for (w1, e1), v1 in t1.items():
         for (w2, e2), v2 in t2.items():
-            got = ts[(w1 + w2, e1 + e2)]
-            want = bigon_skein.mul(v1, v2)
-            if got != want:
+            got = ts.get((w1 + w2, e1 + e2))
+            if got is None:
+                got = zero
+            else:
+                met += 1
+            if got != bigon_skein.mul(v1, v2):
                 return False, f"product compatibility fails at {m1} x {m2}"
+    if met != len(ts):
+        return False, f"product compatibility fails at {m1} x {m2}"
     return True, None
 
 

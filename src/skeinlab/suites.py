@@ -37,18 +37,14 @@ DEFAULT_SPECS = (Fraction(7, 5), Fraction(11, 7))
 ORACLE_WORDS = 200
 
 # Caps below --max-degree, each with what raising it costs in a cold process on a 2-core
-# AMD EPYC host (CPython 3.11), where all of ``verify all --max-degree 3`` takes 0.50 s.
+# AMD EPYC host (CPython 3.11), where all of ``verify all --max-degree 3`` takes 0.43 s.
 
 #: Strands per factor of the identities over pairs of basis tangles, and of the single-tangle
 #: cases grouped with them.  At 3, the coproduct-algebra-map case takes 280 ms instead of 19,
 #: the exchange law 209 ms instead of 18, and crossed stacking 105 ms instead of 8.
 PAIR_STRANDS = 2
-#: Transport roundtrips: degree 4 takes 3.8 ms instead of 2.2, degree 5 7.4 ms.
-TRANSPORT_DEGREE = 3
 #: Gluing dimensions: degree 3 adds 0.52 s.
 GLUING_DEGREE = 2
-#: Excision's exact containment, alone: degree 4 takes 15 ms instead of 4, degree 5 59 ms.
-CONTAINMENT_DEGREE = 3
 
 # Fixed bounds, independent of --max-degree.
 RT_WORDS, RT_POINTS = 60, 6  # one-sided random words whose rt vectors are compared, and their points
@@ -386,11 +382,10 @@ def pairing_laws(*, degree: int) -> str | None:
 
 
 def iso_suite(max_degree: int, specs, seed: int) -> list[Check]:
-    deg = min(max_degree, TRANSPORT_DEGREE)
-    pairs = min(deg, PAIR_STRANDS)
+    pairs = min(max_degree, PAIR_STRANDS)
     return [
         _case("generator dictionary a..d -> single-strand tangles", generator_dictionary),
-        _case("transport roundtrips on degree <= {degree}", roundtrip, degree=deg),
+        _case("transport roundtrips on degree <= {degree}", roundtrip, degree=max_degree),
         _case("transport is an algebra morphism on degree <= {degree}", algebra_morphism, degree=pairs),
         _case("transport is a coalgebra morphism on degree <= {degree}", coalgebra_morphism, degree=pairs),
         _case("counit and antipode commute with transport on degree <= {degree}", counit_antipode_match,
@@ -767,10 +762,11 @@ def intertwiners(*, points: int) -> str | None:
 def naturality(*, points: int) -> str | None:
     for nw, ne in _splits(points):
         for m in IS.enumerate_matchings(nw, ne):
+            table = IS.st_map(m)
             for kind, side, pos in IS.all_naturality_checks(m):
                 if (m.n_west + m.n_east + (2 if kind == "cap" else -2)) > points:
                     continue
-                ok, witness = IS.check_st_naturality(m, kind, side, pos)
+                ok, witness = IS.check_st_naturality(m, kind, side, pos, table)
                 if not ok:
                     return witness
     return None
@@ -786,21 +782,20 @@ def counts(*, points: int) -> str | None:
 
 
 def ranks(specs, *, points: int) -> str | None:
-    for s0 in specs:
-        for nw, ne in _splits(points):
-            rank, cat, pw = IS.st_rank(nw, ne, s0)
+    for nw, ne in _splits(points):
+        tables = [IS.st_map(m) for m in IS.enumerate_matchings(nw, ne)]
+        for s0 in specs:
+            rank, cat, pw = IS.st_rank(nw, ne, s0, tables)
             if not rank == cat == pw:
                 return f"rank/Catalan/Peter-Weyl mismatch at ({nw},{ne}), s0={s0}: {rank},{cat},{pw}"
     return None
 
 
 def products(*, points: int) -> str | None:
-    factors = []
-    for nw, ne in _splits(points):
-        factors.extend(IS.enumerate_matchings(nw, ne))
-    for m1 in factors:
-        for m2 in factors:
-            ok, witness = IS.check_product_compatibility(m1, m2)
+    factors = [(m, IS.st_map(m)) for nw, ne in _splits(points) for m in IS.enumerate_matchings(nw, ne)]
+    for m1, t1 in factors:
+        for m2, t2 in factors:
+            ok, witness = IS.check_product_compatibility(m1, m2, t1, t2)
             if not ok:
                 return witness
     return None
@@ -837,10 +832,10 @@ def gluing(specs, seed: int, *, n: int) -> str | None:
 def excision_suite(max_degree: int, specs, seed: int) -> list[Check]:
     # Coassociativity puts the splitting image in the cotensor kernel.  The hopf suite and each
     # gluing case check it too, but ``verify excision`` runs alone, and this case reaches
-    # CONTAINMENT_DEGREE, above the GLUING_DEGREE of the gluing cases.
+    # --max-degree, above the GLUING_DEGREE of the gluing cases.
     return [
         _case("exact containment of the splitting image in the cotensor kernel (n <= {strands})",
-              _coassociativity_through, strands=min(max_degree, CONTAINMENT_DEGREE)),
+              _coassociativity_through, strands=max_degree),
         *(
             _case("invariants variants match the splitting image in degree {n}", gluing, specs, seed, n=n)
             for n in range(min(max_degree, GLUING_DEGREE) + 1)

@@ -262,6 +262,20 @@ def test_capped_labels_name_the_bound_their_case_runs_to(monkeypatch):
             suites._case(template, suites.counit_law, **bounds)
 
 
+@pytest.mark.parametrize(
+    "suite, label",
+    [
+        ("iso", "transport roundtrips on degree <= 4"),
+        ("excision", "exact containment of the splitting image in the cotensor kernel (n <= 4)"),
+    ],
+)
+def test_uncapped_labels_read_the_max_degree(capsys, suite, label):
+    code, out, _ = run_cli(capsys, "verify", suite, "--max-degree", "4", "--json")
+    assert code == EXIT_PASS
+    statuses = {case["name"]: case["status"] for case in json.loads(out)["cases"]}
+    assert statuses[label] == "pass"
+
+
 def test_help_exits_cleanly(capsys):
     code = main(["--help"])
     assert code == EXIT_PASS

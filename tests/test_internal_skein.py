@@ -7,8 +7,8 @@ import skeinlab.bigon_skein as B
 import skeinlab.comodule_rt as CM
 import skeinlab.internal_skein as IS
 import skeinlab.quantum_sl2 as QS
-from skeinlab.diagram import SkeinElement, UNIT_TANGLE, BasisTangle
-from skeinlab.scalar import Q, HalfLaurent
+from skeinlab.diagram import SkeinElement, UNIT_TANGLE, BasisTangle, evaluate_arcs
+from skeinlab.scalar import LOOP, Q, HalfLaurent
 
 s = HalfLaurent.s_pow
 
@@ -36,7 +36,8 @@ def test_st_map_west_arc():
     table = IS.st_map(m)
     assert table[((1, -1), ())] == SkeinElement.of(UNIT_TANGLE, s(5, -1))
     assert table[((-1, 1), ())] == SkeinElement.of(UNIT_TANGLE, s(1))
-    assert table[((1, 1), ())].is_zero()
+    # Equal states on the arc give zero, which the table leaves out.
+    assert len(table) == 2
 
 
 def test_matching_word_realizes_matching():
@@ -49,7 +50,7 @@ def test_matching_word_realizes_matching():
             table = IS.st_map(m)
             for west in CM.state_tuples(nw):
                 for east in CM.state_tuples(ne):
-                    assert reduce(StatedWord(word, west, east)) == table[(west, east)]
+                    assert reduce(StatedWord(word, west, east)) == table.get((west, east), SkeinElement.zero())
 
 
 def test_st_map_through_strand():
@@ -88,17 +89,18 @@ def _direct_lifts(m, table):
         n: [[QS.to_skein(h) for h in row] for row in CM.tensor_power_V(n).coaction]
         for n in {m.n_west, m.n_east}
     }
+    zero = SkeinElement.zero()
     east, west = {}, {}
     for w in CM.state_tuples(m.n_west):
         for e in CM.state_tuples(m.n_east):
             e_sum = B.TensorElement.zero(2)
             for kappa in CM.state_tuples(m.n_east):
                 x = xs[m.n_east][CM.state_index(kappa)][CM.state_index(e)]
-                e_sum.add_scaled(B.tensor2(table[(w, kappa)], x))
+                e_sum.add_scaled(B.tensor2(table.get((w, kappa), zero), x))
             w_sum = B.TensorElement.zero(2)
             for kappa in CM.state_tuples(m.n_west):
                 x = xs[m.n_west][CM.state_index(w)][CM.state_index(kappa)]
-                w_sum.add_scaled(B.tensor2(x, table[(kappa, e)]))
+                w_sum.add_scaled(B.tensor2(x, table.get((kappa, e), zero)))
             east[(w, e)], west[(w, e)] = e_sum, w_sum
     return east, west
 
@@ -108,11 +110,11 @@ def test_factorized_lifts_equal_direct_sums():
     compared = 0
     for m in _matchings(6):
         table = IS.st_map(m)
-        east, west = IS._lifts(m, table)
+        lifts = {(side, outer): row for side, outer, _, row in IS._lift_rows(m, table)}
         direct_east, direct_west = _direct_lifts(m, table)
         for (w, e), want in direct_east.items():
-            assert east[w].get(e, zero) == want, (m, w, e)
-            assert west[e].get(w, zero) == direct_west[(w, e)], (m, w, e)
+            assert lifts[("east", w)].get(e, zero) == want, (m, w, e)
+            assert lifts[("west", e)].get(w, zero) == direct_west[(w, e)], (m, w, e)
             compared += 2
     assert compared == 4826
 
@@ -306,6 +308,136 @@ def test_product_compatibility_small():
         for m2 in IS.enumerate_matchings(2, 0):
             ok, witness = IS.check_product_compatibility(m1, m2)
             assert ok, witness
+
+
+def test_contract_of_a_zero_row_is_empty():
+    # West state (+,+) of a west arc has only zero entries, so the sparse
+    # table gives its row of east lifts nothing to contract.
+    m = IS.Matching(2, 0, ((("w", 0), ("w", 1)),))
+    rows = {(side, outer): (entries, lifts) for side, outer, entries, lifts in IS._lift_rows(m, IS.st_map(m))}
+    assert rows[("east", (1, 1))] == ({}, {})
+    assert IS._contract({}, 1, {}) == {}
+
+
+def test_lift_check_fails_on_a_lift_at_a_zero_key(monkeypatch):
+    # Where the table has no entry, the entry and its coproduct are zero, so
+    # a non-zero lift there breaks the identity.
+    m = IS.Matching(2, 0, ((("w", 0), ("w", 1)),))
+    table = IS.st_map(m)
+    lift_rows = IS._lift_rows
+    spurious = B.tensor2(SkeinElement.unit(), SkeinElement.unit())
+    for side, outer, inner in (("east", (1, 1), ()), ("west", (), (1, 1))):
+
+        def patched(m, table):
+            for s, o, entries, lifts in lift_rows(m, table):
+                yield s, o, entries, {**lifts, inner: spurious} if (s, o) == (side, outer) else lifts
+
+        monkeypatch.setattr(IS, "_lift_rows", patched)
+        assert IS._check_lifts(m, table) == (False, f"{side} lift fails at {m} states (1, 1)/()")
+
+
+# Dense reference: tables over every state vector, zeros included, and the
+# lift, naturality and product checks on such tables, as the module computed
+# them before a table held only its non-zero entries.
+
+
+def _dense_st_map(m):
+    return {
+        (west, east): evaluate_arcs(m.n_west, m.n_east, m.pairs, west, east)
+        for west in CM.state_tuples(m.n_west)
+        for east in CM.state_tuples(m.n_east)
+    }
+
+
+def _densify(m, table):
+    zero = SkeinElement.zero()
+    return {key: table.get(key, zero) for key in _dense_st_map(m)}
+
+
+def _dense_check_lifts(m, table):
+    east, west = _direct_lifts(m, table)
+    return all(B.comul(elem) == east[key] == west[key] for key, elem in table.items())
+
+
+def _dense_check_naturality(m, kind, side, pos, table):
+    s, composite, loops = IS._compose(m, kind, side, pos)
+    weights = CM.CAP_VALUES if s[0] == "cap" else CM.CUP_VALUES
+    factor = LOOP**loops
+    for (west, east), val in _dense_st_map(composite).items():
+        full = west if side == "w" else east
+        if kind == "cap":
+            terms = [(full[pos : pos + 2], full[:pos] + full[pos + 2 :])]
+        else:
+            terms = [(pair, full[:pos] + pair + full[pos:]) for pair in CM.state_tuples(2)]
+        want = SkeinElement.zero()
+        for pair, states in terms:
+            key = (states, east) if side == "w" else (west, states)
+            want.add_scaled(table[key], weights[CM.state_index(pair)])
+        if (val.scale(factor) if loops else val) != want:
+            return False
+    return True
+
+
+def _dense_check_product(m1, m2, t1, t2):
+    shift = lambda p: (p[0], p[1] + (m1.n_west if p[0] == "w" else m1.n_east))
+    stacked = IS.Matching(
+        m1.n_west + m2.n_west, m1.n_east + m2.n_east, m1.pairs + tuple((shift(a), shift(b)) for a, b in m2.pairs)
+    )
+    ts = _dense_st_map(stacked)
+    return all(
+        ts[(w1 + w2, e1 + e2)] == B.mul(v1, v2) for (w1, e1), v1 in t1.items() for (w2, e2), v2 in t2.items()
+    )
+
+
+def test_sparse_st_map_equals_nonzero_dense_entries():
+    matchings = 0
+    for m in _matchings(8):
+        nonzero = [(key, elem) for key, elem in _dense_st_map(m).items() if not elem.is_zero()]
+        assert list(IS.st_map(m).items()) == nonzero, m
+        matchings += 1
+    assert matchings == 175
+
+
+def _mutants(m, table):
+    """(kind, mutated table) for a scaled and a dropped non-zero entry, and
+    a spurious non-zero entry at a zero key."""
+    for key, elem in table.items():
+        yield "scaled", {**table, key: elem.scale(Q)}
+        yield "dropped", {k: v for k, v in table.items() if k != key}
+    for key in _dense_st_map(m):
+        if key not in table:
+            yield "spurious", {**table, key: SkeinElement.unit()}
+
+
+def test_sparse_checks_agree_with_dense_checks_on_mutants():
+    # Each mutant fails the lift and product checks and some naturality
+    # insertion, and every verdict equals the dense check's on the same
+    # table.  The empty matching is left out: its lift identities hold for
+    # any scalar entry, the zero one included.
+    small = list(_matchings(2))
+    mutants = {"scaled": 0, "dropped": 0, "spurious": 0}
+    for m in _matchings(4):
+        if not m.pairs:
+            continue
+        for kind, mutated in _mutants(m, IS.st_map(m)):
+            dense = _densify(m, mutated)
+            ok, witness = IS._check_lifts(m, mutated)
+            assert not ok and "lift fails" in witness, (m, kind)
+            assert not _dense_check_lifts(m, dense), (m, kind)
+            verdicts = []
+            for k, side, pos in IS.all_naturality_checks(m):
+                ok = IS.check_st_naturality(m, k, side, pos, mutated)[0]
+                assert ok == _dense_check_naturality(m, k, side, pos, dense), (m, kind, k, side, pos)
+                verdicts.append(ok)
+            assert not all(verdicts), (m, kind)
+            for m2 in small:
+                t2 = IS.st_map(m2)
+                assert not IS.check_product_compatibility(m, m2, mutated, t2)[0], (m, m2, kind)
+                assert not IS.check_product_compatibility(m2, m, t2, mutated)[0], (m2, m, kind)
+                assert not _dense_check_product(m, m2, dense, t2), (m, m2, kind)
+                assert not _dense_check_product(m2, m, t2, dense), (m2, m, kind)
+            mutants[kind] += 1
+    assert mutants == {"scaled": 76, "dropped": 76, "spurious": 96}
 
 
 def test_braided_opposite_degree_one():
