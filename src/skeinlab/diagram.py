@@ -28,6 +28,8 @@ refuses diagrams wider than ``MAX_CLI_WIDTH``.  ``evaluate_arcs`` then reduces
 each stated matching in closed form: every returning arc is a scalar, so a
 matching is the product of its arc weights times the parallel diagram of its
 through strands, and only parallel diagrams are sorted and memoized.
+``nonzero_states`` lists the boundary states at which that product can be
+non-zero: those that give every returning arc opposite states.
 
 Memo policy: every memo in the package is process-global, unbounded and
 holds only a deterministic function of its key.  Each is registered here with
@@ -479,6 +481,43 @@ def _plan(arcs: Arcs) -> Plan:
     return east_arcs, west_arcs, tuple(w for w, _ in through), tuple(e for _, e in through)
 
 
+def _memo_plan(arcs: Arcs) -> Plan:
+    plan = _plan_memo.get(arcs)
+    if plan is None:
+        plan = _plan_memo[arcs] = _plan(arcs)
+    return plan
+
+
+def nonzero_states(
+    n_west: int, n_east: int, arcs: Arcs
+) -> list[tuple[tuple[State, ...], tuple[State, ...]]]:
+    """The (west, east) states at which ``evaluate_arcs`` may be non-zero.
+
+    A returning arc is zero unless its (upper, lower) states have a non-zero
+    C or Cbar entry, i.e. are opposite; through strands take every state.
+    The vectors come in ``state_tuples`` order, west before east.
+    """
+    east_arcs, west_arcs, _, _ = _memo_plan(arcs)
+    return [
+        (west, east)
+        for west in _arc_states(n_west, west_arcs, CBAR)
+        for east in _arc_states(n_east, east_arcs, C)
+    ]
+
+
+def _arc_states(
+    n: int, arcs: tuple[tuple[int, int], ...], table: dict[tuple[State, State], HalfLaurent]
+) -> list[tuple[State, ...]]:
+    """The state vectors of one edge whose returning arcs all have a non-zero
+    ``table`` entry, in ``state_tuples`` order."""
+    upper_of = {lower: upper for upper, lower in arcs}
+    out: list[tuple[State, ...]] = [()]
+    for row in range(n):
+        upper = upper_of.get(row)
+        out = [v + (s,) for v in out for s in (1, -1) if upper is None or table[v[upper], s]]
+    return out
+
+
 def evaluate_arcs(
     n_west: int,
     n_east: int,
@@ -493,10 +532,7 @@ def evaluate_arcs(
     times the parallel diagram of its through strands.  The arities are
     those of the states; the split of ``arcs`` is memoized in ``_plan_memo``.
     """
-    plan = _plan_memo.get(arcs)
-    if plan is None:
-        plan = _plan_memo[arcs] = _plan(arcs)
-    east_arcs, west_arcs, through_w, through_e = plan
+    east_arcs, west_arcs, through_w, through_e = _memo_plan(arcs)
     if not (east_arcs or west_arcs):
         return reduce_parallel(west, east)
     weight = ONE

@@ -37,9 +37,9 @@ from .diagram import (
     SliceWord,
     State,
     _canon_arcs,
-    _plan,
     arcs_to_word,
     evaluate_arcs,
+    nonzero_states,
     reduce_parallel,
     word_to_arcs,
 )
@@ -130,31 +130,15 @@ def st_map(m: Matching) -> StTable:
     algebra, by boundary states, holding only its non-zero entries.
 
     A returning arc is zero unless its two ends carry opposite states, so
-    only those state vectors are assigned and reduced: each returning arc
-    reads (+, -) or (-, +), and the through strands take every state.  Keys
-    come in the order of ``comodule_rt.state_tuples``, west before east.
+    only those state vectors are assigned and reduced
+    (``diagram.nonzero_states``): each returning arc reads (+, -) or (-, +),
+    and the through strands take every state.  Keys come in the order of
+    ``comodule_rt.state_tuples``, west before east.
     """
-    east_arcs, west_arcs, _, _ = _plan(m.pairs)
     return {
         (west, east): evaluate_arcs(m.n_west, m.n_east, m.pairs, west, east)
-        for west in _opposite_states(m.n_west, west_arcs)
-        for east in _opposite_states(m.n_east, east_arcs)
+        for west, east in nonzero_states(m.n_west, m.n_east, m.pairs)
     }
-
-
-def _opposite_states(n: int, arcs: tuple[tuple[int, int], ...]) -> list[StateVec]:
-    """The state vectors of an edge that give each returning arc opposite
-    states, in ``comodule_rt.state_tuples`` order: a row takes both states
-    unless it is an arc's lower end, which takes the opposite of the upper."""
-    upper_of = {lower: upper for upper, lower in arcs}
-    out: list[StateVec] = [()]
-    for row in range(n):
-        upper = upper_of.get(row)
-        if upper is None:
-            out = [v + (s,) for v in out for s in (1, -1)]
-        else:
-            out = [v + (-v[upper],) for v in out]
-    return out
 
 
 def matching_word(m: Matching) -> SliceWord:
@@ -214,9 +198,8 @@ def _lift_rows(
     missing entry or lift is zero.  Each row of lifts is built when it is
     reached, so only one is held at a time."""
     v = comodule_rt.standard_V()
-    # A unit coefficient is stored as ONE, which ``_leg_product`` does not multiply by.
     x1 = {
-        (s, t): SkeinElement({g: ONE if c == ONE else c for g, c in quantum_sl2.to_skein(v.coaction[i][j]).items()})
+        (s, t): quantum_sl2.to_skein(v.coaction[i][j])
         for i, s in enumerate((1, -1))
         for j, t in enumerate((1, -1))
     }
@@ -265,7 +248,12 @@ def _contract(
 def _leg_product(
     t: bigon_skein.TensorElement, leg: int, x: SkeinElement, out: bigon_skein.TensorElement
 ) -> None:
-    """out += t with its ``leg`` right-multiplied by x."""
+    """out += t with its ``leg`` right-multiplied by x.
+
+    A transported coaction entry is one generator tangle whose coefficient
+    is ``ONE`` (``quantum_sl2`` stores unit coefficients so), which is not
+    multiplied in.
+    """
     for key, c in t.items():
         b = key[leg]
         for g, cg in x.items():
@@ -297,11 +285,11 @@ def _compose(m: Matching, kind: str, side: str, pos: int) -> tuple[Slice, Matchi
 
 
 def check_st_naturality(
-    m: Matching, kind: str, side: str, pos: int, table: StTable | None = None
+    m: Matching, kind: str, side: str, pos: int, table: StTable
 ) -> tuple[bool, str | None]:
     """LOOP^loops st(m o s) = rt(s) o st(m) for the slice s of ``_compose``.
 
-    ``table`` is ``st_map(m)``, built here if not given.  The weights of s
+    ``table`` is ``st_map(m)``.  The weights of s
     are ``CAP_VALUES`` or ``CUP_VALUES`` by its kind.  Each non-zero entry of
     m is pushed through them: kind "cap" gives the composite two more points
     on the edge, so the entry goes, times the weight of their states, to
@@ -314,7 +302,7 @@ def check_st_naturality(
     s, composite, loops = _compose(m, kind, side, pos)
     weights = comodule_rt.CAP_VALUES if s[0] == "cap" else comodule_rt.CUP_VALUES
     pushed: StTable = {}
-    for (west, east), val in (st_map(m) if table is None else table).items():
+    for (west, east), val in table.items():
         full = west if side == "w" else east
         if kind == "cap":
             terms = [(pair, full[:pos] + pair + full[pos:]) for pair in comodule_rt.state_tuples(2)]
@@ -361,16 +349,13 @@ def peter_weyl_count(n_west: int, n_east: int) -> int:
 
 
 def st_rank(
-    n_west: int, n_east: int, s0: Fraction, tables: list[StTable] | None = None
+    n_west: int, n_east: int, s0: Fraction, tables: list[StTable]
 ) -> tuple[int, int, int]:
     """(rank of stacked tables at s0, Catalan count, Peter-Weyl count).
 
-    ``tables`` are the tables of ``enumerate_matchings(n_west, n_east)``,
-    built here if not given.
+    ``tables`` are the tables of ``enumerate_matchings(n_west, n_east)``.
     """
     s0 = validate_generic_point(s0)
-    if tables is None:
-        tables = [st_map(m) for m in enumerate_matchings(n_west, n_east)]
     columns: dict[tuple[StateVec, StateVec, BasisTangle], int] = {}
     rows: list[dict[int, Fraction]] = []
     for table in tables:
@@ -384,11 +369,11 @@ def st_rank(
 
 
 def check_product_compatibility(
-    m1: Matching, m2: Matching, t1: StTable | None = None, t2: StTable | None = None
+    m1: Matching, m2: Matching, t1: StTable, t2: StTable
 ) -> tuple[bool, str | None]:
     """Side-by-side composite of matchings maps to the product of tables.
 
-    ``t1`` and ``t2`` are ``st_map`` of m1 and m2, built here if not given.
+    ``t1`` and ``t2`` are ``st_map`` of m1 and m2.
     The stacked entry at (w1 + w2, e1 + e2) must be the product of the
     entries at (w1, e1) and (w2, e2).  Only products of two non-zero entries
     are formed; every other stacked entry must be zero.
@@ -405,8 +390,6 @@ def check_product_compatibility(
             for a, b in m2.pairs
         ),
     )
-    t1 = st_map(m1) if t1 is None else t1
-    t2 = st_map(m2) if t2 is None else t2
     ts = st_map(stacked)
     zero = SkeinElement.zero()
     # Keys of equal arities concatenate injectively, so each stacked key is met at most once.

@@ -86,14 +86,18 @@ class HopfElement(LinearCombination):
 
 
 def _mono_times_letter(m: PBWMonomial, letter: str) -> HopfElement:
-    """Right-multiply a PBW monomial by one generator, renormalizing."""
+    """Right-multiply a PBW monomial by one generator, renormalizing.
+
+    A unit coefficient is ``ONE``, which ``LinearCombination.add_scaled`` and
+    the lift products of ``internal_skein`` do not multiply by.
+    """
     i, l, j, k = m.a_pow, m.d_pow, m.b_pow, m.c_pow
     if letter == "b":
         return HopfElement.of(PBWMonomial(i, l, j + 1, k))
     if letter == "c":
         return HopfElement.of(PBWMonomial(i, l, j, k + 1))
     if letter == "a":
-        coeff = HalfLaurent.q_pow(2 * (j + k))
+        coeff = HalfLaurent.q_pow(2 * (j + k)) if j + k else ONE
         if l == 0:
             return HopfElement.of(PBWMonomial(i + 1, 0, j, k), coeff)
         # d^l a = d^(l-1) + q^2 d^(l-1) b c
@@ -104,7 +108,7 @@ def _mono_times_letter(m: PBWMonomial, letter: str) -> HopfElement:
             }
         )
     if letter == "d":
-        coeff = HalfLaurent.q_pow(-2 * (j + k))
+        coeff = HalfLaurent.q_pow(-2 * (j + k)) if j + k else ONE
         if i == 0:
             return HopfElement.of(PBWMonomial(0, l + 1, j, k), coeff)
         # a^i d = a^(i-1) + q^-2 a^(i-1) b c

@@ -230,12 +230,14 @@ def test_criterion_08_st_suite():
         for m in IS.enumerate_matchings(nw, ne):
             ok, witness = IS.check_st_intertwiner(m)
             assert ok, witness
+            table = IS.st_map(m)
             for kind, side, pos in IS.all_naturality_checks(m):
-                ok, witness = IS.check_st_naturality(m, kind, side, pos)
+                ok, witness = IS.check_st_naturality(m, kind, side, pos, table)
                 assert ok, witness
-    for s0 in SPECS:
-        for nw, ne in splits:
-            rank, cat, pw = IS.st_rank(nw, ne, s0)
+    for nw, ne in splits:
+        tables = [IS.st_map(m) for m in IS.enumerate_matchings(nw, ne)]
+        for s0 in SPECS:
+            rank, cat, pw = IS.st_rank(nw, ne, s0, tables)
             assert rank == cat == pw, (nw, ne, s0, rank, cat, pw)
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"criterion 8 runtime {elapsed:.1f}s exceeds 2min"

@@ -139,15 +139,16 @@ def test_lift_check_catches_a_scaled_entry():
 
 def test_naturality_west_cap_into_identity():
     m = IS.identity_matching(2)
-    ok, witness = IS.check_st_naturality(m, "cap", "w", 0)
+    ok, witness = IS.check_st_naturality(m, "cap", "w", 0, IS.st_map(m))
     assert ok, witness
 
 
 def test_naturality_exhaustive_small():
     for nw, ne in ((0, 0), (1, 1), (0, 2), (2, 0), (2, 2)):
         for m in IS.enumerate_matchings(nw, ne):
+            table = IS.st_map(m)
             for kind, side, pos in IS.all_naturality_checks(m):
-                ok, witness = IS.check_st_naturality(m, kind, side, pos)
+                ok, witness = IS.check_st_naturality(m, kind, side, pos, table)
                 assert ok, witness
 
 
@@ -258,7 +259,7 @@ def test_naturality_catches_a_scaled_weight(monkeypatch):
                 continue
             monkeypatch.setattr(CM, name, weights[:idx] + (w * Q,) + weights[idx + 1 :])
             results = [
-                IS.check_st_naturality(m, kind, side, pos)[0]
+                IS.check_st_naturality(m, kind, side, pos, IS.st_map(m))[0]
                 for m in _matchings(4)
                 for k, sd, pos in IS.all_naturality_checks(m)
                 if (k, sd) == (kind, side)
@@ -267,34 +268,35 @@ def test_naturality_catches_a_scaled_weight(monkeypatch):
             assert not all(results), (kind, side, idx)
 
 
-def test_naturality_catches_a_scaled_entry(monkeypatch):
+def test_naturality_catches_a_scaled_entry():
     # Scaling one non-zero entry of m's table by q must fail the check
     # whenever the entry meets a non-zero weight: always for a cap, and for
     # a cup when the two states it joins are opposite.
-    st_map = IS.st_map
     mutants = {ks: 0 for ks in _KIND_SIDES}
     for m in _matchings(4):
-        table = st_map(m)
+        table = IS.st_map(m)
         for kind, side, pos in IS.all_naturality_checks(m):
             for key, elem in table.items():
                 if elem.is_zero():
                     continue
                 mutated = {**table, key: elem.scale(Q)}
-                monkeypatch.setattr(IS, "st_map", lambda x: mutated if x == m else st_map(x))
-                ok, _ = IS.check_st_naturality(m, kind, side, pos)
+                ok, _ = IS.check_st_naturality(m, kind, side, pos, mutated)
                 pair = key[0 if side == "w" else 1][pos : pos + 2]
                 assert ok == (kind == "cup" and pair[0] == pair[1]), (m, kind, side, pos, key)
                 mutants[(kind, side)] += not ok
-    monkeypatch.setattr(IS, "st_map", st_map)
     assert all(mutants.values()), mutants
+
+
+def _tables(nw: int, ne: int) -> list[IS.StTable]:
+    return [IS.st_map(m) for m in IS.enumerate_matchings(nw, ne)]
 
 
 def test_st_rank_triples():
     s0 = Fraction(7, 5)
-    assert IS.st_rank(0, 0, s0) == (1, 1, 1)
-    assert IS.st_rank(1, 1, s0) == (1, 1, 1)
-    assert IS.st_rank(2, 2, s0) == (2, 2, 2)
-    assert IS.st_rank(2, 0, s0) == (1, 1, 1)
+    assert IS.st_rank(0, 0, s0, _tables(0, 0)) == (1, 1, 1)
+    assert IS.st_rank(1, 1, s0, _tables(1, 1)) == (1, 1, 1)
+    assert IS.st_rank(2, 2, s0, _tables(2, 2)) == (2, 2, 2)
+    assert IS.st_rank(2, 0, s0, _tables(2, 0)) == (1, 1, 1)
 
 
 def test_peter_weyl_count():
@@ -306,7 +308,7 @@ def test_peter_weyl_count():
 def test_product_compatibility_small():
     for m1 in IS.enumerate_matchings(1, 1):
         for m2 in IS.enumerate_matchings(2, 0):
-            ok, witness = IS.check_product_compatibility(m1, m2)
+            ok, witness = IS.check_product_compatibility(m1, m2, IS.st_map(m1), IS.st_map(m2))
             assert ok, witness
 
 
