@@ -306,10 +306,8 @@ def _intertwiner_rows(w1: Comodule, w2: Comodule) -> IntertwinerRows:
 def intertwiner_dimension(w1: Comodule, w2: Comodule, s0: Fraction) -> int:
     """dim Hom(w1, w2) at s = s0, by rank-nullity from the rank of the
     condition rows: an upper bound on the generic dimension."""
-    rows = [
-        {col: v.specialize(s0) for col, v in row.items() if v}
-        for row in _intertwiner_rows(w1, w2)
-    ]
+    at = linalg.at_point(s0)
+    rows = [{col: at(v) for col, v in row.items() if v} for row in _intertwiner_rows(w1, w2)]
     return w1.dim * w2.dim - linalg.rank(rows)
 
 

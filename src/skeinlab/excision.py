@@ -48,6 +48,7 @@ from typing import Callable
 from . import bigon_skein, linalg
 from .bigon_skein import TensorElement
 from .diagram import BasisTangle, SkeinElement, register_memo
+from .linalg import SparseRow
 from .scalar import MINUS_ONE, validate_generic_point
 
 VARIANTS = ("inv", "hh0_L", "hh0_l_ht")
@@ -223,38 +224,41 @@ def check_coassociativity(n: int) -> tuple[bool, str | None]:
     return True, None
 
 
-def _kernel_of_map(comp: FiltrationComponent, name: str, s0: Fraction) -> list[list[Fraction]]:
+def _kernel_of_map(comp: FiltrationComponent, name: str, s0: Fraction) -> list[SparseRow]:
     """Kernel at s0 of the defect map ``_DEFECTS[name]`` on F_n (x) F_n."""
+    at = linalg.at_point(s0)
     d = comp.dimension
-    rows: dict[tuple[BasisTangle, ...], dict[int, Fraction]] = {}
+    rows: dict[tuple[BasisTangle, ...], SparseRow] = {}
     for i, b1 in enumerate(comp.basis):
         for j, b2 in enumerate(comp.basis):
             for key, coeff in _DEFECTS[name](b1, b2).items():
-                v = coeff.specialize(s0)
+                v = at(coeff)
                 if v:
                     rows.setdefault(key, {})[i * d + j] = v
     return linalg.kernel_basis(rows.values(), d**2)
 
 
-def invariants_subspace(n: int, variant: str, s0: Fraction) -> list[list[Fraction]]:
+def invariants_subspace(n: int, variant: str, s0: Fraction) -> list[SparseRow]:
     """Row basis (at s0) of one description of the glued subspace in F_n (x) F_n."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    s0 = validate_generic_point(s0)
     return _kernel_of_map(FiltrationComponent(n), variant, s0)
 
 
-def comul_image_rows(n: int, s0: Fraction) -> list[list[Fraction]]:
+def comul_image_rows(n: int, s0: Fraction) -> list[SparseRow]:
     """The splitting image: specialized coproducts of the F_n basis."""
+    at = linalg.at_point(s0)
     comp = FiltrationComponent(n)
     d = comp.dimension
     index = {b: i for i, b in enumerate(comp.basis)}
     rows = []
     for b in comp.basis:
-        vec = [Fraction(0)] * d**2
+        row: SparseRow = {}
         for (u, v), c in bigon_skein.comul(SkeinElement.of(b)).items():
-            vec[index[u] * d + index[v]] += c.specialize(s0)
-        rows.append(vec)
+            x = at(c)
+            if x:
+                row[index[u] * d + index[v]] = x
+        rows.append(row)
     return rows
 
 
@@ -281,7 +285,7 @@ class GluingReport:
         )
 
 
-def _all_subspaces(n: int, s0: Fraction) -> dict[str, list[list[Fraction]]]:
+def _all_subspaces(n: int, s0: Fraction) -> dict[str, list[SparseRow]]:
     if n < 0:
         return {}
     comp = FiltrationComponent(n)
@@ -310,7 +314,7 @@ def gluing_excision_check(n: int, s0: Fraction, seed: int = 0) -> GluingReport:
     """
     s0 = validate_generic_point(s0)
     spaces = _all_subspaces(n, s0)
-    canon = {name: linalg.row_space_basis(rows) for name, rows in spaces.items()}
+    canon = {name: linalg.rref(rows) for name, rows in spaces.items()}
     dims = {name: len(basis) for name, basis in canon.items()}
     prev_dims = {name: linalg.rank(rows) for name, rows in _all_subspaces(n - 2, s0).items()}
     increments = {name: dims[name] - prev_dims.get(name, 0) for name in dims}
@@ -319,23 +323,25 @@ def gluing_excision_check(n: int, s0: Fraction, seed: int = 0) -> GluingReport:
     # Pull a pseudorandom invariant vector back through the splitting map.
     rng = random.Random(seed)
     image = spaces["image"]
-    inv_rows = spaces["inv"]
     pullback_ok = True
-    if inv_rows:
-        target = [Fraction(0)] * len(inv_rows[0])
-        for row in inv_rows:
+    if spaces["inv"]:
+        target: SparseRow = {}
+        for row in spaces["inv"]:
             w = Fraction(rng.randint(-3, 3))
-            target = [t + w * x for t, x in zip(target, row)]
-        cols = [list(col) for col in zip(*image)]  # solve x . image = target
-        sol = linalg.solve(cols, target)
+            for j, x in row.items():
+                target[j] = target.get(j, 0) + w * x
+        cols: dict[int, SparseRow] = {j: {} for j in target}  # solve x . image = target
+        for i, row in enumerate(image):
+            for j, x in row.items():
+                cols.setdefault(j, {})[i] = x
+        sol = linalg.solve(cols.values(), [target.get(j, 0) for j in cols], len(image))
         pullback_ok = sol is not None
         if sol is not None:
-            residual = [
-                sum(sol[i] * image[i][j] for i in range(len(image)))
-                - target[j]
-                for j in range(len(target))
-            ]
-            pullback_ok = not any(residual)
+            residual = {j: -t for j, t in target.items()}
+            for i, x in sol.items():
+                for j, v in image[i].items():
+                    residual[j] = residual.get(j, 0) + x * v
+            pullback_ok = not any(residual.values())
     return GluingReport(
         n=n,
         s0=s0,

@@ -43,7 +43,7 @@ from .diagram import (
     reduce_parallel,
     word_to_arcs,
 )
-from .scalar import LOOP, ONE, validate_generic_point
+from .scalar import LOOP, ONE
 
 StateVec = tuple[State, ...]
 
@@ -141,16 +141,11 @@ def st_map(m: Matching) -> StTable:
     }
 
 
-def matching_word(m: Matching) -> SliceWord:
-    """Canonical crossingless slice word realizing the matching."""
-    return m.word
-
-
 # -- comodule-morphism (intertwiner) check ---------------------------------------
 
 
-def check_st_intertwiner(m: Matching) -> tuple[bool, str | None]:
-    """Edge-wise lift identities for the table of a matching.
+def check_st_intertwiner(m: Matching, table: StTable) -> tuple[bool, str | None]:
+    """Edge-wise lift identities for ``table``, which is ``st_map(m)``.
 
     East: comul(T(eps, eta)) = sum_kappa T(eps, kappa) (x) X[kappa, eta],
     West: comul(T(eps, eta)) = sum_kappa X[eps, kappa] (x) T(kappa, eta),
@@ -165,12 +160,6 @@ def check_st_intertwiner(m: Matching) -> tuple[bool, str | None]:
     tangle X1[kappa_j, eta_j]; the west lift does the same on the first leg
     with X1[eps_j, kappa_j].  Per fixed state on the other edge this costs
     n 2^(n+1) leg products instead of the 4^n terms of the direct sum.
-    """
-    return _check_lifts(m, st_map(m))
-
-
-def _check_lifts(m: Matching, table: StTable) -> tuple[bool, str | None]:
-    """The lift identities of :func:`check_st_intertwiner` for a given table.
 
     One row of lifts at a time, each key's lift is compared with the
     coproduct of its entry; at a key the table lacks, the entry and so its
@@ -186,12 +175,12 @@ def _check_lifts(m: Matching, table: StTable) -> tuple[bool, str | None]:
     return True, None
 
 
-Row = dict[StateVec, SkeinElement]
+Line = dict[StateVec, SkeinElement]
 
 
 def _lift_rows(
     m: Matching, table: StTable
-) -> Iterator[tuple[str, StateVec, Row, dict[StateVec, bigon_skein.TensorElement]]]:
+) -> Iterator[tuple[str, StateVec, Line, dict[StateVec, bigon_skein.TensorElement]]]:
     """("east", west state, its entries by east state, their east lifts by
     east state) for each west state, then ("west", east state, its entries
     by west state, their west lifts by west state) for each east state; a
@@ -204,8 +193,8 @@ def _lift_rows(
         for j, t in enumerate((1, -1))
     }
     unit = SkeinElement.unit()
-    rows: dict[StateVec, Row] = {west: {} for west in comodule_rt.state_tuples(m.n_west)}
-    columns: dict[StateVec, Row] = {east: {} for east in comodule_rt.state_tuples(m.n_east)}
+    rows: dict[StateVec, Line] = {west: {} for west in comodule_rt.state_tuples(m.n_west)}
+    columns: dict[StateVec, Line] = {east: {} for east in comodule_rt.state_tuples(m.n_east)}
     for (west, east), elem in table.items():
         rows[west][east] = columns[east][west] = elem
     for side, leg, lines in (("east", 1, rows), ("west", 0, columns)):
@@ -269,11 +258,11 @@ def _compose(m: Matching, kind: str, side: str, pos: int) -> tuple[Slice, Matchi
     """The one-slice word s that inserts a cap or cup at ``pos`` on one edge
     of m, the composite matching and its loop count.
 
-    On the west s is prefixed to ``matching_word(m)`` and has the insertion's
+    On the west s is prefixed to the word of m and has the insertion's
     kind; on the east it is appended and has the other kind, since a returning
     arc on the east edge is a cup slice.
     """
-    word = matching_word(m)
+    word = m.word
     if side == "w":
         s = (kind, pos)
         composite = SliceWord(m.n_west + (2 if kind == "cap" else -2), (s,) + word.slices)
@@ -355,15 +344,15 @@ def st_rank(
 
     ``tables`` are the tables of ``enumerate_matchings(n_west, n_east)``.
     """
-    s0 = validate_generic_point(s0)
+    at = linalg.at_point(s0)
     columns: dict[tuple[StateVec, StateVec, BasisTangle], int] = {}
-    rows: list[dict[int, Fraction]] = []
+    rows: list[linalg.SparseRow] = []
     for table in tables:
-        row: dict[int, Fraction] = {}
+        row: linalg.SparseRow = {}
         for key, elem in table.items():
             for b, coeff in elem.items():
                 col = columns.setdefault((key[0], key[1], b), len(columns))
-                row[col] = coeff.specialize(s0)
+                row[col] = at(coeff)
         rows.append(row)
     return linalg.rank(rows), catalan((n_west + n_east) // 2), peter_weyl_count(n_west, n_east)
 

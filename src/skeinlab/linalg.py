@@ -1,11 +1,18 @@
-"""Exact linear algebra over Q.
+"""Exact linear algebra over Q, on one row format.
 
 Rank and kernel computations back the generic-q dimension checks: matrices
-with Laurent polynomial entries in s are specialized at rational points and
-handled with Fraction arithmetic, so results are exact.  Every rank, row
-space, kernel and solution over Q comes from one sparse Gauss-Jordan
-elimination on ``{column: value}`` rows: the systems here are tall with about
-one non-zero per row, so pivot rows stay short and no dense basis is built.
+with Laurent polynomial entries in s are evaluated at a rational point and
+handled with Fraction arithmetic, so results are exact.  ``at_point(s0)`` is
+the one place a coefficient becomes a field element: it checks s0 once and
+returns the evaluation map, which callers apply entry by entry as they
+assemble their rows (a rank backend over another field would plug in here).
+
+A row or vector is a sparse ``{column: value}`` dict; a missing column is
+zero.  Every rank, row space, kernel and solution comes from one sparse
+Gauss-Jordan elimination: the systems here are tall with about one non-zero
+per row, so pivot rows stay short and no dense basis is built.  The RREF is
+returned as ``{pivot column: row}``; it is unique, so two row spaces are
+equal exactly when their RREF dicts are.
 
 Which way a point value bounds the generic one: the points used are nonzero
 rationals other than +/-1, never roots of unity, but a point can still be a
@@ -20,20 +27,20 @@ set gives a lower bound that meets such an upper bound.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable
 
-Vec = list[Fraction]
+from .scalar import HalfLaurent, Rat, validate_generic_point
+
 SparseRow = dict[int, Fraction]
-Row = Union[Sequence[Fraction], SparseRow]  # dense, or sparse {column: value}
 
 
-def _as_sparse(row: Row) -> SparseRow:
-    """The non-zero entries of ``row``, in a new dict."""
-    items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {j: c for j, c in items if c}
+def at_point(s0: Rat) -> Callable[[HalfLaurent], Fraction]:
+    """The evaluation c -> c(s0), after checking that s0 is generic."""
+    s0 = validate_generic_point(s0)
+    return lambda c: c.specialize(s0)
 
 
-def _echelon(rows: Iterable[Row]) -> dict[int, SparseRow]:
+def _echelon(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
     """The RREF of ``rows`` as {pivot column: row}.
 
     Pivot rows are kept fully reduced, so an incoming row needs one pass over
@@ -42,7 +49,7 @@ def _echelon(rows: Iterable[Row]) -> dict[int, SparseRow]:
     """
     pivots: dict[int, SparseRow] = {}
     for given in rows:
-        row = _as_sparse(given)
+        row = {j: c for j, c in given.items() if c}
         for p in [j for j in row if j in pivots]:
             f = row.pop(p)
             for j, c in pivots[p].items():
@@ -71,41 +78,24 @@ def _echelon(rows: Iterable[Row]) -> dict[int, SparseRow]:
     return pivots
 
 
-def _dense(row: SparseRow, n: int) -> Vec:
-    out = [Fraction(0)] * n
-    for j, c in row.items():
-        out[j] = c
-    return out
+def rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
+    """The reduced row echelon form, as {pivot column: row}."""
+    return _echelon(rows)
 
 
-def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form of dense rows; returns (nonzero rows, pivot columns)."""
-    mat = list(rows)
-    if not mat:
-        return [], []
-    pivots = _echelon(mat)
-    order = sorted(pivots)
-    return [_dense(pivots[p], len(mat[0])) for p in order], order
-
-
-def rank(rows: Iterable[Row]) -> int:
-    """Rank of dense or sparse rows."""
+def rank(rows: Iterable[SparseRow]) -> int:
+    """Rank of the rows."""
     return len(_echelon(rows))
 
 
-def row_space_basis(rows: Iterable[Sequence[Fraction]]) -> list[Vec]:
-    """Canonical basis (RREF rows) of the row space."""
-    return rref(rows)[0]
-
-
-def kernel_basis(rows: Iterable[SparseRow], n: int) -> list[Vec]:
-    """Basis of {x in Q^n : row . x = 0 for all rows}; rows are sparse dicts.
+def kernel_basis(rows: Iterable[SparseRow], n: int) -> list[SparseRow]:
+    """Basis of {x in Q^n : row . x = 0 for all rows}.
 
     One vector per free (non-pivot) column f of the RREF: x_f = 1, x_p =
     -R[p][f] for each pivot row R[p], and 0 elsewhere.
     """
     pivots = _echelon(rows)
-    basis = {f: _dense({f: Fraction(1)}, n) for f in range(n) if f not in pivots}
+    basis = {f: {f: Fraction(1)} for f in range(n) if f not in pivots}
     for p, row in pivots.items():
         for f, c in row.items():
             if f != p:
@@ -113,15 +103,10 @@ def kernel_basis(rows: Iterable[SparseRow], n: int) -> list[Vec]:
     return list(basis.values())
 
 
-def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec | None:
-    """One solution x of A x = b (A given by dense rows), or None."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    pivots = _echelon([*row, b] for row, b in zip(rows, rhs))
-    if ncols in pivots:
+def solve(rows: Iterable[SparseRow], rhs: Iterable[Fraction], n: int) -> SparseRow | None:
+    """One solution x in Q^n of row . x = b for each row and b of ``rhs``, or
+    None; with no equations it is the zero solution."""
+    pivots = _echelon({**row, n: b} for row, b in zip(rows, rhs))
+    if n in pivots:
         return None  # inconsistent: pivot in the augmented column
-    sol = [Fraction(0)] * ncols
-    for p, row in pivots.items():
-        sol[p] = Fraction(row.get(ncols, 0))
-    return sol
+    return {p: row[n] for p, row in pivots.items() if n in row}

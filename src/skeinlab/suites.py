@@ -711,14 +711,16 @@ def multiplicities(specs, *, max_n: int) -> str | None:
         if CM.multiplicity(k, n) != want:
             return f"multiplicity({k},{n}) != {want}"
     s0 = specs[0]
+    at = linalg.at_point(s0)
     for n in range(max_n + 1):
         w = CM.tensor_power_V(n)
         tl = []
         for m in IS.enumerate_matchings(n, n):
-            f = CM.rt_evaluate(IS.matching_word(m))
+            f = CM.rt_evaluate(m.word)
             if not CM.is_intertwiner(w, w, f):
                 return f"lower bound: the matrix of {m} is not an intertwiner"
-            tl.append([x.specialize(s0) for row in f for x in row])
+            flat = (x for row in f for x in row)
+            tl.append({i: at(x) for i, x in enumerate(flat) if x})
         lower = linalg.rank(tl)
         upper = CM.intertwiner_dimension(w, w, s0)
         want = sum(CM.multiplicity(k, n) ** 2 for k in range(n + 1))
@@ -753,7 +755,7 @@ def _splits(points: int) -> list[tuple[int, int]]:
 def intertwiners(*, points: int) -> str | None:
     for nw, ne in _splits(points):
         for m in IS.enumerate_matchings(nw, ne):
-            ok, witness = IS.check_st_intertwiner(m)
+            ok, witness = IS.check_st_intertwiner(m, IS.st_map(m))
             if not ok:
                 return witness
     return None

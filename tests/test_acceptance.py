@@ -228,7 +228,7 @@ def test_criterion_08_st_suite():
     ]
     for nw, ne in splits:
         for m in IS.enumerate_matchings(nw, ne):
-            ok, witness = IS.check_st_intertwiner(m)
+            ok, witness = IS.check_st_intertwiner(m, IS.st_map(m))
             assert ok, witness
             table = IS.st_map(m)
             for kind, side, pos in IS.all_naturality_checks(m):

@@ -118,6 +118,25 @@ def test_readme_cli_lines_run(capsys):
             assert parse_scalar(out) == parse_scalar(want), (argv, out)
 
 
+def test_readme_quick_tour_runs():
+    # Each commented line's value prints as its comment, up to an optional ": ".
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    imports, body = block.strip().split("\n\n", 1)
+    namespace: dict = {}
+    exec(imports, namespace)
+    checked = 0
+    for line in body.splitlines():
+        code, _, comment = line.partition("#")
+        if not comment:
+            exec(code, namespace)
+            continue
+        want = comment.strip().split(": ", 1)[0]
+        assert str(eval(code, namespace)) == want, line
+        checked += 1
+    assert checked == 6
+
+
 def test_mul_and_inv(capsys):
     code, out, _ = run_cli(capsys, "mul", "a", "d")
     assert code == EXIT_PASS and out == "beta(+-;+-)"

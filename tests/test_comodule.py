@@ -8,7 +8,7 @@ import skeinlab.internal_skein as IS
 import skeinlab.quantum_sl2 as QS
 from skeinlab import linalg
 from skeinlab.diagram import CROSS_PARALLEL, CROSS_TURNBACK, SliceWord, state_tuples
-from skeinlab.scalar import LOOP, ONE, HalfLaurent
+from skeinlab.scalar import LOOP, ONE, HalfLaurent, ScalarError
 from skeinlab.suites import DEFAULT_SPECS, comodule_suite, random_stated_word
 
 q = HalfLaurent.q_pow
@@ -209,22 +209,32 @@ def test_intertwiner_dimension_matches_multiplicity():
             assert got == CM.multiplicity(k, n)
 
 
+def test_intertwiner_dimension_rejects_non_generic_points():
+    v = CM.standard_V()
+    for bad in (0, 1, -1):
+        with pytest.raises(ScalarError):
+            CM.intertwiner_dimension(v, v, bad)
+
+
 def test_endomorphism_sandwich_closes_small():
     # The Temperley-Lieb matrices are exact intertwiners, so their rank at s0
     # bounds dim End below; the kernel dimension at s0 bounds it above.
     s0 = Fraction(7, 5)
     for n, want in ((1, 1), (2, 2)):
         w = CM.tensor_power_V(n)
-        tl = [CM.rt_evaluate(IS.matching_word(m)) for m in IS.enumerate_matchings(n, n)]
+        tl = [CM.rt_evaluate(m.word) for m in IS.enumerate_matchings(n, n)]
         assert all(CM.is_intertwiner(w, w, f) for f in tl)
-        lower = linalg.rank([x.specialize(s0) for row in f for x in row] for f in tl)
+        lower = linalg.rank(
+            {i * len(row) + j: x.specialize(s0) for i, row in enumerate(f) for j, x in enumerate(row)}
+            for f in tl
+        )
         assert lower == CM.intertwiner_dimension(w, w, s0) == want
 
 
 def test_perturbed_tl_matrix_fails_the_sandwich(monkeypatch):
     w = CM.tensor_power_V(2)
     [_, turnback] = IS.enumerate_matchings(2, 2)
-    f = CM.rt_evaluate(IS.matching_word(turnback))
+    f = CM.rt_evaluate(turnback.word)
     f[0][0] = f[0][0] + ONE
     assert not CM.is_intertwiner(w, w, f)
 

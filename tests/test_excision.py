@@ -45,15 +45,13 @@ def test_splitting_degree_two_increment_is_nine():
 
 
 def test_invariants_variants_agree_degree_one():
-    from skeinlab import linalg
-
     spaces = {v: EX.invariants_subspace(1, v, S0) for v in EX.VARIANTS}
     dims = {v: len(rows) for v, rows in spaces.items()}
     assert dims == {"inv": 4, "hh0_L": 4, "hh0_l_ht": 4}
     image = EX.comul_image_rows(1, S0)
-    canon = linalg.row_space_basis(image)
+    canon = linalg.rref(image)
     for v, rows in spaces.items():
-        assert linalg.row_space_basis(rows) == canon, v
+        assert linalg.rref(rows) == canon, v
 
 
 def test_invariants_rejects_bad_variant_and_point():
@@ -74,8 +72,8 @@ def test_gluing_check_small_degrees():
 def test_gluing_dims_are_ranks(monkeypatch):
     # Replacing one image row by a copy of another leaves D_1 = 4 rows of rank 3.
     rows = EX.comul_image_rows(1, S0)
-    rows[1] = list(rows[0])
-    monkeypatch.setattr(EX, "comul_image_rows", lambda n, s0: [list(r) for r in rows])
+    rows[1] = dict(rows[0])
+    monkeypatch.setattr(EX, "comul_image_rows", lambda n, s0: [dict(r) for r in rows])
     rep = EX.gluing_excision_check(1, S0)
     assert rep.dims["image"] == linalg.rank(rows) == 3
     assert rep.increments["image"] == 3

@@ -46,7 +46,7 @@ def test_matching_word_realizes_matching():
 
     for nw, ne in ((2, 2), (0, 4), (3, 1)):
         for m in IS.enumerate_matchings(nw, ne):
-            word = IS.matching_word(m)
+            word = m.word
             table = IS.st_map(m)
             for west in CM.state_tuples(nw):
                 for east in CM.state_tuples(ne):
@@ -72,7 +72,7 @@ def test_st_map_nested_east_arcs():
 def test_intertwiner_small():
     for nw, ne in ((1, 1), (2, 0), (0, 2), (2, 2)):
         for m in IS.enumerate_matchings(nw, ne):
-            ok, witness = IS.check_st_intertwiner(m)
+            ok, witness = IS.check_st_intertwiner(m, IS.st_map(m))
             assert ok, witness
 
 
@@ -125,13 +125,13 @@ def test_lift_check_catches_a_scaled_entry():
     mutants = 0
     for m in IS.enumerate_matchings(2, 2) + IS.enumerate_matchings(0, 4):
         table = IS.st_map(m)
-        assert IS._check_lifts(m, table) == (True, None)
+        assert IS.check_st_intertwiner(m, table) == (True, None)
         for key, elem in table.items():
             if elem.is_zero():
                 continue
             mutated = dict(table)
             mutated[key] = elem.scale(Q)
-            ok, witness = IS._check_lifts(m, mutated)
+            ok, witness = IS.check_st_intertwiner(m, mutated)
             assert not ok and "lift fails" in witness, (m, key)
             mutants += 1
     assert mutants == 28
@@ -335,7 +335,7 @@ def test_lift_check_fails_on_a_lift_at_a_zero_key(monkeypatch):
                 yield s, o, entries, {**lifts, inner: spurious} if (s, o) == (side, outer) else lifts
 
         monkeypatch.setattr(IS, "_lift_rows", patched)
-        assert IS._check_lifts(m, table) == (False, f"{side} lift fails at {m} states (1, 1)/()")
+        assert IS.check_st_intertwiner(m, table) == (False, f"{side} lift fails at {m} states (1, 1)/()")
 
 
 # Dense reference: tables over every state vector, zeros included, and the
@@ -423,7 +423,7 @@ def test_sparse_checks_agree_with_dense_checks_on_mutants():
             continue
         for kind, mutated in _mutants(m, IS.st_map(m)):
             dense = _densify(m, mutated)
-            ok, witness = IS._check_lifts(m, mutated)
+            ok, witness = IS.check_st_intertwiner(m, mutated)
             assert not ok and "lift fails" in witness, (m, kind)
             assert not _dense_check_lifts(m, dense), (m, kind)
             verdicts = []

@@ -1,17 +1,19 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeinlab import linalg
+from skeinlab.scalar import HalfLaurent, ScalarError
 
 F = Fraction
 
 
 def test_rank_and_rref():
-    rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
+    rows = [{0: F(1), 1: F(2), 2: F(3)}, {0: F(2), 1: F(4), 2: F(6)}, {1: F(1), 2: F(1)}]
     assert linalg.rank(rows) == 2
-    basis = linalg.row_space_basis(rows)
+    basis = linalg.rref(rows)
     assert len(basis) == 2
     assert basis[0][0] == 1
 
@@ -31,20 +33,31 @@ def test_kernel_skips_dependent_rows():
 
 
 def test_row_space_comparison():
-    a = [[F(1), F(0)], [F(0), F(1)]]
-    b = [[F(1), F(1)], [F(1), F(-1)]]
-    # The basis is the canonical RREF, so equal row spaces give equal bases.
-    assert linalg.row_space_basis(a) == linalg.row_space_basis(b) == a
-    assert linalg.row_space_basis(a + [[F(3), F(-5)]]) == a
-    assert linalg.row_space_basis([[F(2), F(2)], [F(-1), F(-1)]]) == [[F(1), F(1)]]
-    assert linalg.row_space_basis(a) != linalg.row_space_basis([[F(1), F(1)]])
+    a = [{0: F(1)}, {1: F(1)}]
+    b = [{0: F(1), 1: F(1)}, {0: F(1), 1: F(-1)}]
+    # The RREF is canonical, so equal row spaces give equal dicts.
+    assert linalg.rref(a) == linalg.rref(b) == dict(enumerate(a))
+    assert linalg.rref(a + [{0: F(3), 1: F(-5)}]) == dict(enumerate(a))
+    assert linalg.rref([{0: F(2), 1: F(2)}, {0: F(-1), 1: F(-1)}]) == {0: {0: F(1), 1: F(1)}}
+    assert linalg.rref(a) != linalg.rref([{0: F(1), 1: F(1)}])
 
 
 def test_solve():
-    rows = [[F(1), F(1)], [F(1), F(-1)], [F(2), F(0)]]
-    sol = linalg.solve(rows, [F(3), F(1), F(4)])
-    assert sol == [F(2), F(1)]
-    assert linalg.solve(rows, [F(3), F(1), F(5)]) is None
+    rows = [{0: F(1), 1: F(1)}, {0: F(1), 1: F(-1)}, {0: F(2)}]
+    sol = linalg.solve(rows, [F(3), F(1), F(4)], 2)
+    assert sol == {0: F(2), 1: F(1)}
+    assert linalg.solve(rows, [F(3), F(1), F(5)], 2) is None
+
+
+def test_solve_without_equations_is_the_zero_solution():
+    assert linalg.solve([], [], 3) == {}
+
+
+def test_at_point_rejects_non_generic_points():
+    for bad in (0, 1, -1, F(-1)):
+        with pytest.raises(ScalarError):
+            linalg.at_point(bad)
+    assert linalg.at_point(F(7, 5))(HalfLaurent({1: 2, -1: 1})) == F(14, 5) + F(5, 7)
 
 
 def _dense_rank(rows):
@@ -74,20 +87,54 @@ def _systems(draw):
     return n, rows, rhs
 
 
+def _dense(vec, n):
+    return [vec.get(j, F(0)) for j in range(n)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_systems())
 def test_sparse_elimination_matches_dense_reference(system):
     n, rows, rhs = system
     sparse = [{j: c for j, c in enumerate(row) if c} for row in rows]
     r = _dense_rank(rows)
-    assert linalg.rank(rows) == r == linalg.rank(sparse)
+    assert linalg.rank(sparse) == r
     ker = linalg.kernel_basis(sparse, n)
     assert len(ker) + r == n
-    assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows for v in ker)
-    assert _dense_rank(ker) == len(ker)
-    if rows:
-        sol = linalg.solve(rows, rhs)
-        augmented = [row + [b] for row, b in zip(rows, rhs)]
-        assert (sol is None) == (_dense_rank(augmented) > r)
-        if sol is not None:
-            assert [sum(a * x for a, x in zip(row, sol)) for row in rows] == rhs
+    assert all(sum(a * b for a, b in zip(row, _dense(v, n))) == 0 for row in rows for v in ker)
+    assert _dense_rank([_dense(v, n) for v in ker]) == len(ker)
+    sol = linalg.solve(sparse, rhs, n)
+    augmented = [row + [b] for row, b in zip(rows, rhs)]
+    assert (sol is None) == (_dense_rank(augmented) > r)
+    if sol is not None:
+        assert [sum(a * x for a, x in zip(row, _dense(sol, n))) for row in rows] == rhs
+
+
+# Laurent entries, some of which vanish at one of the points (s - 2 at 2,
+# s^2 - 1/4 at 1/2), so the rank at a point can drop below the generic one.
+_laurent = st.sampled_from(
+    [
+        HalfLaurent(),
+        HalfLaurent(),
+        HalfLaurent({0: 1}),
+        HalfLaurent({1: 1, 0: -2}),
+        HalfLaurent({2: 1, 0: F(-1, 4)}),
+        HalfLaurent({-3: 2, 4: -1}),
+        HalfLaurent({-1: F(1, 2)}),
+    ]
+)
+
+
+@st.composite
+def _laurent_systems(draw):
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, n - 1), _laurent, max_size=n), max_size=10))
+    return n, rows, draw(st.sampled_from([F(2), F(1, 2), F(7, 5), F(-11, 7)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_laurent_systems())
+def test_rank_at_a_point_matches_dense_specialization(system):
+    n, rows, s0 = system
+    at = linalg.at_point(s0)
+    dense = [[row[j].specialize(s0) if j in row else F(0) for j in range(n)] for row in rows]
+    assert linalg.rank({j: at(c) for j, c in row.items()} for row in rows) == _dense_rank(dense)

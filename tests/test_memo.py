@@ -41,7 +41,8 @@ def test_memo_clear_empties_every_memo():
     reduce(StatedWord(SliceWord(2, (("x", 0),)), (1, -1), (-1, 1)))
     B.t_form(a)
     B.r_form(a, a)
-    IS.check_st_intertwiner(IS.identity_matching(1))
+    m = IS.identity_matching(1)
+    IS.check_st_intertwiner(m, IS.st_map(m))
     EX.invariants_subspace(0, "inv", Fraction(7, 5))
     CM.intertwiner_dimension(CM.standard_V(), CM.standard_V(), Fraction(7, 5))
     sizes = memo_sizes()
@@ -75,7 +76,7 @@ def test_st_intertwiner_sweep_builds_no_tensor_power(monkeypatch):
     monkeypatch.setattr(CM, "tensor_power_V", _counting(CM.tensor_power_V, calls, "V"))
     memo_clear()
     for m in _st_sweep(6):
-        assert IS.check_st_intertwiner(m) == (True, None)
+        assert IS.check_st_intertwiner(m, IS.st_map(m)) == (True, None)
     assert not calls
 
 
@@ -86,7 +87,7 @@ def test_st_intertwiner_leg_products_per_matching(monkeypatch):
     monkeypatch.setattr(IS, "_leg_product", _counting(IS._leg_product, calls, "leg"))
     for m in _st_sweep(6):
         calls.clear()
-        assert IS.check_st_intertwiner(m) == (True, None)
+        assert IS.check_st_intertwiner(m, IS.st_map(m)) == (True, None)
         nw, ne = m.n_west, m.n_east
         bound = 2**nw * ne * 2 ** (ne + 1) + 2**ne * nw * 2 ** (nw + 1)
         assert sum(calls.values()) <= bound, m
