@@ -597,7 +597,12 @@ def reduce_parallel(west: tuple[State, ...], east: tuple[State, ...]) -> SkeinEl
 
 
 def reduce(diagram: StatedWord) -> SkeinElement:
-    """Canonical basis expansion of a stated sliced diagram."""
+    """Canonical basis expansion of a stated sliced diagram.
+
+    It is the sum of ``coeff * evaluate_arcs(n_w, n_e, arcs, west, east)`` over
+    ``resolve_crossings(word)``, so it depends on the word only through that
+    resolution: two words with equal resolutions reduce equally at every state pair.
+    """
     out = SkeinElement.zero()
     n_w = diagram.word.west_arity
     for n_e, arcs, coeff in resolve_crossings(diagram.word):

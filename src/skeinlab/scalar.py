@@ -227,7 +227,8 @@ class HalfLaurent:
 
     def specialize(self, s0: Rat) -> Fraction:
         """Exact evaluation at s = s0 (s0 must be nonzero)."""
-        s0 = Fraction(s0)
+        if not isinstance(s0, Fraction):
+            s0 = Fraction(s0)
         if not s0:
             raise ScalarError("specialization point s0 must be nonzero")
         terms = self._terms

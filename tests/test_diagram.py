@@ -11,11 +11,13 @@ from skeinlab.diagram import (
     SkeinElement,
     SliceWord,
     StatedWord,
+    evaluate_arcs,
     memo_clear,
     parallel_arcs,
     reduce,
     reduce_parallel,
     resolve_crossings,
+    state_tuples,
 )
 from skeinlab.oracle import oracle_reduce
 from skeinlab.scalar import LOOP, HalfLaurent
@@ -377,6 +379,76 @@ def test_reduce_traces_each_canonical_word_once(monkeypatch):
         reduce(StatedWord(word, west, east))
     assert calls[0] == 0
     memo_clear()
+
+
+def _reidemeister_words():
+    """Every word the RII and RIII cases of the rt suite compare."""
+    from skeinlab.suites import _braid_words
+
+    words = set()
+    for base in [w for n in range(3) for w in _braid_words(n)]:
+        words.add(base)
+        for pos in range(len(base) + 1):
+            for row in (0, 1):
+                for pair in ((("x", row), ("xb", row)), (("xb", row), ("x", row))):
+                    words.add(base[:pos] + pair + base[pos:])
+    for base in [w for n in range(2) for w in _braid_words(n)]:
+        words |= {base + (("x", 0), ("x", 1), ("x", 0)), base + (("x", 1), ("x", 0), ("x", 1))}
+    return {SliceWord(3, w) for w in words}
+
+
+def test_reduce_is_the_evaluated_resolution():
+    # The lemma behind the RII/RIII cases: reduce depends on the word only
+    # through resolve_crossings, whatever the boundary states.
+    from skeinlab.suites import random_stated_word
+
+    def evaluated(d):
+        out = SkeinElement.zero()
+        for n_e, arcs, coeff in resolve_crossings(d.word):
+            out.add_scaled(evaluate_arcs(d.word.west_arity, n_e, arcs, d.west, d.east), coeff)
+        return out
+
+    rng = random.Random(19)
+    checked = 0
+    while checked < 150:
+        d = random_stated_word(rng, max_crossings=3, max_points=6)
+        if d.word.crossing_count():
+            assert reduce(d) == evaluated(d), format_diagram(d)
+            checked += 1
+    states = state_tuples(3)
+    pairs = [(states[0], states[0]), (states[1], states[2]), (states[5], states[3]), (states[7], states[6])]
+    for word in _reidemeister_words():
+        for west, east in pairs:
+            d = StatedWord(word, west, east)
+            assert reduce(d) == evaluated(d), format_diagram(d)
+
+
+@pytest.fixture
+def wrong_loop(monkeypatch):
+    """Every diagram memo computed with the loop value -q^2 instead of -q^2 - q^-2."""
+    import skeinlab.diagram as D
+
+    memo_clear()
+    monkeypatch.setattr(D, "LOOP", HalfLaurent({4: -1}))
+    yield
+    memo_clear()
+
+
+def test_reidemeister_cases_fail_with_a_wrong_loop_value(wrong_loop):
+    from skeinlab.suites import reidemeister_ii, reidemeister_iii
+
+    assert reidemeister_ii().startswith("RII fails")
+    assert reidemeister_iii().startswith("RIII fails")
+    # The per-state comparison fails on the same mutant.
+    base, modified = SliceWord(3, ()), SliceWord(3, (("x", 0), ("xb", 0)))
+    states = state_tuples(3)
+    differ = [
+        (west, east)
+        for west in states
+        for east in states
+        if reduce(StatedWord(base, west, east)) != reduce(StatedWord(modified, west, east))
+    ]
+    assert differ
 
 
 def test_memo_clear_empties_both_memos():

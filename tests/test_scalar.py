@@ -47,6 +47,18 @@ def test_specialize_rejects_zero():
         S(2).specialize(0)
 
 
+def test_specialize_takes_int_and_fraction_points_alike():
+    x = LOOP + S(-3, Fraction(2, 3)) + S(1, -5)
+    for n in (2, -3, 7):
+        assert x.specialize(n) == x.specialize(Fraction(n))
+        assert type(x.specialize(n)) is type(x.specialize(Fraction(n))) is Fraction
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ScalarError):
+            x.specialize(zero)
+        with pytest.raises(ScalarError):
+            HalfLaurent.zero().specialize(zero)
+
+
 def test_generic_point_validation():
     assert validate_generic_point(Fraction(7, 5)) == Fraction(7, 5)
     for bad in (0, 1, -1):
