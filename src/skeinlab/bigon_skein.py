@@ -16,11 +16,11 @@ from typing import Callable, Iterable, Mapping
 from .diagram import (
     UNIT_TANGLE,
     BasisTangle,
+    C,
     SkeinElement,
     SliceWord,
     State,
     StatedWord,
-    arc_state_value,
     reduce as reduce_diagram,
     reduce_parallel,
     register_memo,
@@ -160,7 +160,7 @@ def counit(x: SkeinElement) -> HalfLaurent:
 def _arc_product(states: tuple[State, ...]) -> HalfLaurent:
     out = ONE
     for s in states:
-        out = out * arc_state_value(s)
+        out = out * C[-s, s]
     return out
 
 
@@ -240,7 +240,7 @@ def _inv_edge_basis(b: BasisTangle, edge: str, inverse: bool) -> SkeinElement:
         stated = StatedWord(word, new_edge, b.nu)
     coeff = ONE
     for s in states:
-        coeff = coeff * (arc_state_value(-s).inverse() if inverse else arc_state_value(s))
+        coeff = coeff * (C[s, -s].inverse() if inverse else C[-s, s])
     return reduce_diagram(stated).scale(coeff)
 
 

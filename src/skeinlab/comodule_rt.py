@@ -10,8 +10,8 @@ tuple is carried through the word one slice at a time as a sparse
 combination of state tuples: the cap at row i sends (v+, v-) |-> -q^(5/2),
 (v-, v+) |-> q^(1/2) and kills equal states; the cup puts
 q^(-1/2) (v+, v-) - q^(-5/2) (v-, v+) into rows i, i+1; a crossing sends v to
-q v + q^-1 cup(cap(v)).  These fixed weights make the closed-diagram value of
-a slice word equal to its Kauffman bracket.
+q v + q^-1 cup(cap(v)).  These weights (``diagram.CBAR``, ``diagram.C``) make
+the closed-diagram value of a slice word equal to its Kauffman bracket.
 """
 
 from __future__ import annotations
@@ -134,12 +134,6 @@ def state_index(states: Sequence[State]) -> int:
     return idx
 
 
-#: Cap matrix on (++, +-, -+, --) and cup column: the west and the east
-#: returning-arc weights of the diagram engine.
-CAP_VALUES = tuple(CBAR[pair] for pair in state_tuples(2))
-CUP_VALUES = tuple(C[pair] for pair in state_tuples(2))
-
-
 def _zeros(rows: int, cols: int) -> Matrix:
     return [[ZERO] * cols for _ in range(rows)]
 
@@ -170,10 +164,10 @@ def _apply_slice(v: LinearCombination, kind: str, i: int) -> LinearCombination:
     out = LinearCombination.zero()
     if kind == "cap":
         for states, c in v.items():
-            out.add_term(states[:i] + states[i + 2 :], c * CAP_VALUES[state_index(states[i : i + 2])])
+            out.add_term(states[:i] + states[i + 2 :], c * CBAR[states[i : i + 2]])
     elif kind == "cup":
         for states, c in v.items():
-            for pair, w in zip(state_tuples(2), CUP_VALUES):
+            for pair, w in C.items():
                 out.add_term(states[:i] + pair + states[i:], c * w)
     else:
         para, turn = (CROSS_PARALLEL, CROSS_TURNBACK) if kind == "x" else (CROSS_TURNBACK, CROSS_PARALLEL)
@@ -241,13 +235,6 @@ def u_action(g: str, w: Comodule) -> Matrix:
         [quantum_sl2.pairing([g], w.coaction[i][j]) for j in range(w.dim)]
         for i in range(w.dim)
     ]
-
-
-def u_word_action(word: Sequence[str], w: Comodule) -> Matrix:
-    mat = identity_matrix(w.dim)
-    for g in word:
-        mat = mat_mul(mat, u_action(g, w))
-    return mat
 
 
 def multiplicity(k: int, n: int) -> int:

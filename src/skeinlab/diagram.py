@@ -238,12 +238,6 @@ WEST_EXCHANGE_SWAP = HalfLaurent.q_pow(2)
 WEST_EXCHANGE_ARC = HalfLaurent.s_pow(5, -1)
 
 
-def arc_state_value(state: State) -> HalfLaurent:
-    """C(state) = value of an east arc reading (-state, state) top to bottom:
-    C(+) = -q^(-5/2), C(-) = q^(-1/2)."""
-    return C[(-state, state)]
-
-
 # -- crossing resolution ------------------------------------------------------
 
 

@@ -41,7 +41,7 @@ independent of the point and the degree, and computed once per process
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -54,24 +54,11 @@ from .scalar import MINUS_ONE, validate_generic_point
 VARIANTS = ("inv", "hh0_L", "hh0_l_ht")
 
 
-@dataclass(frozen=True)
-class FiltrationComponent:
+def filtration_basis(n: int) -> tuple[BasisTangle, ...]:
     """F_n: all basis tangles with at most n strands of the same parity."""
-
-    n: int
-    basis: tuple[BasisTangle, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("degree must be nonnegative")
-        tangles: list[BasisTangle] = []
-        for k in range(self.n % 2, self.n + 1, 2):
-            tangles.extend(bigon_skein.strand_tangles(k))
-        object.__setattr__(self, "basis", tuple(tangles))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    return tuple(b for k in range(n % 2, n + 1, 2) for b in bigon_skein.strand_tangles(k))
 
 
 def filtration_dimension(n: int) -> int:
@@ -88,21 +75,13 @@ def degree_increment(n: int) -> int:
 # -- one-sided switch maps and the defect maps built from them -----------------
 
 
-def _right_switch(b: BasisTangle) -> TensorElement:
-    """b -> sum b_(2) (x) S(b_(1)): the west leg switched by the antipode."""
+def _antipode_switch(b: BasisTangle, leg: int) -> TensorElement:
+    """comul(b) with leg ``leg`` switched by the antipode and put second:
+    leg 0 gives b -> sum b_(2) (x) S(b_(1)), leg 1 gives b -> sum b_(1) (x) S(b_(2))."""
     out = TensorElement.zero(2)
-    for (bw, br), c in bigon_skein.comul(SkeinElement.of(b)).items():
-        for b3, c3 in bigon_skein.antipode(SkeinElement.of(bw)).items():
-            out.add_term((br, b3), c * c3)
-    return out
-
-
-def _left_switch(a: BasisTangle) -> TensorElement:
-    """a -> sum a_(1) (x) S(a_(2)): the east leg switched by the antipode."""
-    out = TensorElement.zero(2)
-    for (a1, a2), c in bigon_skein.comul(SkeinElement.of(a)).items():
-        for b3, c3 in bigon_skein.antipode(SkeinElement.of(a2)).items():
-            out.add_term((a1, b3), c * c3)
+    for legs, c in bigon_skein.comul(SkeinElement.of(b)).items():
+        for b3, c3 in bigon_skein.antipode(SkeinElement.of(legs[leg])).items():
+            out.add_term((legs[1 - leg], b3), c * c3)
     return out
 
 
@@ -127,8 +106,8 @@ def _ht_switch(a: BasisTangle) -> TensorElement:
 
 #: The one-sided maps, by name.
 _SWITCHES: dict[str, Callable[[BasisTangle], TensorElement]] = {
-    "right": _right_switch,
-    "left": _left_switch,
+    "right": lambda b: _antipode_switch(b, 0),
+    "left": lambda b: _antipode_switch(b, 1),
     "ht": _ht_switch,
 }
 
@@ -218,19 +197,20 @@ def _splitting_defect(name: str, b: BasisTangle) -> TensorElement:
 def check_coassociativity(n: int) -> tuple[bool, str | None]:
     """(comul (x) id) o comul == (id (x) comul) o comul, exact, on F_n: the
     cotensor defect kills every comul(b)."""
-    for b in FiltrationComponent(n).basis:
+    for b in filtration_basis(n):
         if _splitting_defect("cotensor", b):
             return False, f"coassociativity fails on {b}"
     return True, None
 
 
-def _kernel_of_map(comp: FiltrationComponent, name: str, s0: Fraction) -> list[SparseRow]:
+def _kernel_of_map(n: int, name: str, s0: Fraction) -> list[SparseRow]:
     """Kernel at s0 of the defect map ``_DEFECTS[name]`` on F_n (x) F_n."""
     at = linalg.at_point(s0)
-    d = comp.dimension
+    basis = filtration_basis(n)
+    d = len(basis)
     rows: dict[tuple[BasisTangle, ...], SparseRow] = {}
-    for i, b1 in enumerate(comp.basis):
-        for j, b2 in enumerate(comp.basis):
+    for i, b1 in enumerate(basis):
+        for j, b2 in enumerate(basis):
             for key, coeff in _DEFECTS[name](b1, b2).items():
                 v = at(coeff)
                 if v:
@@ -242,17 +222,17 @@ def invariants_subspace(n: int, variant: str, s0: Fraction) -> list[SparseRow]:
     """Row basis (at s0) of one description of the glued subspace in F_n (x) F_n."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    return _kernel_of_map(FiltrationComponent(n), variant, s0)
+    return _kernel_of_map(n, variant, s0)
 
 
 def comul_image_rows(n: int, s0: Fraction) -> list[SparseRow]:
     """The splitting image: specialized coproducts of the F_n basis."""
     at = linalg.at_point(s0)
-    comp = FiltrationComponent(n)
-    d = comp.dimension
-    index = {b: i for i, b in enumerate(comp.basis)}
+    basis = filtration_basis(n)
+    d = len(basis)
+    index = {b: i for i, b in enumerate(basis)}
     rows = []
-    for b in comp.basis:
+    for b in basis:
         row: SparseRow = {}
         for (u, v), c in bigon_skein.comul(SkeinElement.of(b)).items():
             x = at(c)
@@ -274,30 +254,34 @@ class GluingReport:
     pullback_ok: bool
     image_in_kernels: bool
 
+    def failures(self) -> list[str]:
+        """The names of the fields that fail; the report passes when there are none."""
+        checks = {
+            "dims": all(d == self.expected_filtration for d in self.dims.values()),
+            "increments": all(d == self.expected_increment for d in self.increments.values()),
+            "subspaces_equal": self.subspaces_equal,
+            "pullback_ok": self.pullback_ok,
+            "image_in_kernels": self.image_in_kernels,
+        }
+        return [name for name, ok in checks.items() if not ok]
+
     @property
     def passed(self) -> bool:
-        return (
-            all(d == self.expected_filtration for d in self.dims.values())
-            and all(d == self.expected_increment for d in self.increments.values())
-            and self.subspaces_equal
-            and self.pullback_ok
-            and self.image_in_kernels
-        )
+        return not self.failures()
 
 
 def _all_subspaces(n: int, s0: Fraction) -> dict[str, list[SparseRow]]:
     if n < 0:
         return {}
-    comp = FiltrationComponent(n)
     spaces = {"image": comul_image_rows(n, s0)}
     for name in _DEFECTS:
-        spaces[name] = _kernel_of_map(comp, name, s0)
+        spaces[name] = _kernel_of_map(n, name, s0)
     return spaces
 
 
 def splitting_image_in_kernel(n: int, name: str) -> bool:
     """Exact: the defect map ``name`` kills comul(b) for every basis tangle b of F_n."""
-    return not any(_splitting_defect(name, b) for b in FiltrationComponent(n).basis)
+    return not any(_splitting_defect(name, b) for b in filtration_basis(n))
 
 
 def gluing_excision_check(n: int, s0: Fraction, seed: int = 0) -> GluingReport:

@@ -28,8 +28,10 @@ from typing import Iterator
 
 from . import bigon_skein, comodule_rt, linalg, quantum_sl2
 from .diagram import (
+    CBAR,
     Arcs,
     BasisTangle,
+    C,
     DiagramError,
     Endpoint,
     SkeinElement,
@@ -278,18 +280,19 @@ def check_st_naturality(
 ) -> tuple[bool, str | None]:
     """LOOP^loops st(m o s) = rt(s) o st(m) for the slice s of ``_compose``.
 
-    ``table`` is ``st_map(m)``.  The weights of s
-    are ``CAP_VALUES`` or ``CUP_VALUES`` by its kind.  Each non-zero entry of
-    m is pushed through them: kind "cap" gives the composite two more points
-    on the edge, so the entry goes, times the weight of their states, to
-    every key with them put in; kind "cup" takes two points away, so the
+    ``table`` is ``st_map(m)``.  The weight of s at a state pair is the
+    returning-arc value ``CBAR[pair]`` if s is a cap and ``C[pair]`` if it
+    is a cup, as in ``comodule_rt.rt_evaluate``.  Each non-zero entry of m
+    is pushed through these weights: kind "cap" gives the composite two more
+    points on the edge, so the entry goes, times the weight of their states,
+    to every key with them put in; kind "cup" takes two points away, so the
     entry goes, times the weight of their states, to the key without them.
     The sums must equal the composite's entries at every key.
     """
     if kind not in ("cap", "cup") or side not in ("w", "e"):
         raise ValueError("kind must be 'cap' or 'cup' and side 'w' or 'e'")
     s, composite, loops = _compose(m, kind, side, pos)
-    weights = comodule_rt.CAP_VALUES if s[0] == "cap" else comodule_rt.CUP_VALUES
+    weights = CBAR if s[0] == "cap" else C
     pushed: StTable = {}
     for (west, east), val in table.items():
         full = west if side == "w" else east
@@ -298,7 +301,7 @@ def check_st_naturality(
         else:
             terms = [(full[pos : pos + 2], full[:pos] + full[pos + 2 :])]
         for pair, states in terms:
-            weight = weights[comodule_rt.state_index(pair)]
+            weight = weights[pair]
             if weight.is_zero():
                 continue
             key = (states, east) if side == "w" else (west, states)

@@ -96,9 +96,6 @@ class HalfLaurent:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
     def bit_size(self) -> int:
         """Numerator plus denominator bits, summed over the terms."""
         out = 0

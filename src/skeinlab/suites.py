@@ -821,8 +821,8 @@ def gluing(specs, seed: int, *, n: int) -> str | None:
         rep = EX.gluing_excision_check(n, s0, seed=seed)
         if not rep.passed:
             return (
-                f"degree {n} at s0={s0}: dims {rep.dims}, increments {rep.increments}, "
-                f"image in every kernel {rep.image_in_kernels}"
+                f"degree {n} at s0={s0}: fails {', '.join(rep.failures())}; "
+                f"dims {rep.dims}, increments {rep.increments}"
             )
     return None
 

@@ -7,7 +7,7 @@ import skeinlab.comodule_rt as CM
 import skeinlab.internal_skein as IS
 import skeinlab.quantum_sl2 as QS
 from skeinlab import linalg
-from skeinlab.diagram import CROSS_PARALLEL, CROSS_TURNBACK, SliceWord, state_tuples
+from skeinlab.diagram import CBAR, CROSS_PARALLEL, CROSS_TURNBACK, C, SliceWord, state_tuples
 from skeinlab.scalar import LOOP, ONE, HalfLaurent, ScalarError
 from skeinlab.suites import DEFAULT_SPECS, comodule_suite, random_stated_word
 
@@ -57,7 +57,7 @@ def _dense_cap(rows, i):
     for states in state_tuples(rows):
         tgt = CM.state_index(states[:i] + states[i + 2 :])
         src = CM.state_index(states)
-        out[tgt][src] = out[tgt][src] + CM.CAP_VALUES[CM.state_index(states[i : i + 2])]
+        out[tgt][src] = out[tgt][src] + CBAR[states[i : i + 2]]
     return out
 
 
@@ -67,7 +67,7 @@ def _dense_cup(rows, i):
         for pair in state_tuples(2):
             tgt = CM.state_index(states[:i] + pair + states[i:])
             src = CM.state_index(states)
-            out[tgt][src] = out[tgt][src] + CM.CUP_VALUES[CM.state_index(pair)]
+            out[tgt][src] = out[tgt][src] + C[pair]
     return out
 
 
@@ -124,19 +124,19 @@ def test_cap_cup_come_from_duality_map():
     # corepresentation (w+/w- the dual basis): cap = ev o (phi (x) id) and
     # cup = (id (x) phi^-1) o coev.
     phi = {1: (-1, s(5, -1)), -1: (1, s(1))}  # state -> (dual index, coeff)
-    for (x, y), idx in (((1, 1), 0), ((1, -1), 1), ((-1, 1), 2), ((-1, -1), 3)):
+    for x, y in state_tuples(2):
         dual, coeff = phi[x]
         want = coeff if dual == y else HalfLaurent.zero()
-        assert CM.CAP_VALUES[idx] == want
+        assert CBAR[x, y] == want
     # coev(1) = sum_e e (x) e*, then phi^-1 on the second leg.
     phi_inv = {dual: (state, coeff.inverse()) for state, (dual, coeff) in phi.items()}
     got = {}
     for e in (1, -1):
         state, coeff = phi_inv[e]
         got[(e, state)] = coeff
-    for (x, y), idx in (((1, 1), 0), ((1, -1), 1), ((-1, 1), 2), ((-1, -1), 3)):
+    for x, y in state_tuples(2):
         want = got.get((x, y), HalfLaurent.zero())
-        assert CM.CUP_VALUES[idx] == want
+        assert C[x, y] == want
 
 
 def test_duality_map_is_comodule_morphism():
@@ -182,12 +182,6 @@ def test_u_action_matrices():
     for i in range(2):
         for j in range(2):
             assert (ef[i][j] - fe[i][j]) * coef == k[i][j] - ki[i][j]
-
-
-def test_u_word_action_composes():
-    v = CM.standard_V()
-    ef = CM.u_word_action(["E", "F"], v)
-    assert ef == CM.mat_mul(CM.u_action("E", v), CM.u_action("F", v))
 
 
 def test_multiplicity_examples():

@@ -8,15 +8,19 @@ from skeinlab import linalg
 from skeinlab.bigon_skein import TensorElement
 from skeinlab.diagram import BasisTangle, SkeinElement, memo_clear
 from skeinlab.scalar import MINUS_ONE, ONE, HalfLaurent, ScalarError
+from skeinlab.suites import DEFAULT_SPECS, gluing
 
 S0 = Fraction(7, 5)
 S1 = Fraction(11, 7)
 
 
 def test_component_bases():
-    filt = EX.FiltrationComponent(2)
-    assert filt.dimension == 10  # unit plus the nine 2-strand tangles
-    assert EX.FiltrationComponent(3).dimension == 4 + 16
+    assert len(EX.filtration_basis(2)) == 10  # unit plus the nine 2-strand tangles
+    assert len(EX.filtration_basis(3)) == 4 + 16
+    for n in range(6):
+        assert len(EX.filtration_basis(n)) == EX.filtration_dimension(n)
+    with pytest.raises(ValueError):
+        EX.filtration_basis(-1)
     assert EX.degree_increment(2) == 9
     assert EX.degree_increment(1) == 4
     assert EX.degree_increment(0) == 1
@@ -78,6 +82,15 @@ def test_gluing_dims_are_ranks(monkeypatch):
     assert rep.dims["image"] == linalg.rank(rows) == 3
     assert rep.increments["image"] == 3
     assert not rep.passed
+    assert {"dims", "increments"} <= set(rep.failures())
+
+
+def test_gluing_witness_names_a_failed_pullback(monkeypatch):
+    # Every dimension still equals D_1 when only the pullback solve fails, so
+    # the witness must name the pullback itself.
+    monkeypatch.setattr(linalg, "solve", lambda *args: None)
+    witness = gluing(DEFAULT_SPECS, 0, n=1)
+    assert witness is not None and "fails pullback_ok;" in witness
 
 
 def test_gluing_check_requires_the_image_in_every_kernel(monkeypatch):

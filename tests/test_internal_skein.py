@@ -7,7 +7,7 @@ import skeinlab.bigon_skein as B
 import skeinlab.comodule_rt as CM
 import skeinlab.internal_skein as IS
 import skeinlab.quantum_sl2 as QS
-from skeinlab.diagram import SkeinElement, UNIT_TANGLE, BasisTangle, evaluate_arcs
+from skeinlab.diagram import CBAR, SkeinElement, UNIT_TANGLE, BasisTangle, C, evaluate_arcs
 from skeinlab.scalar import LOOP, Q, HalfLaurent
 
 s = HalfLaurent.s_pow
@@ -252,20 +252,20 @@ def test_naturality_catches_a_scaled_weight(monkeypatch):
     # Scaling one non-zero weight of the slice's table by q must fail the
     # check for each (kind, side) on some matching of at most 4 points.
     for kind, side in _KIND_SIDES:
-        name = "CAP_VALUES" if (kind == "cap") == (side == "w") else "CUP_VALUES"
-        weights = getattr(CM, name)
-        for idx, w in enumerate(weights):
+        name = "CBAR" if (kind == "cap") == (side == "w") else "C"
+        weights = getattr(IS, name)
+        for pair, w in weights.items():
             if w.is_zero():
                 continue
-            monkeypatch.setattr(CM, name, weights[:idx] + (w * Q,) + weights[idx + 1 :])
+            monkeypatch.setattr(IS, name, {**weights, pair: w * Q})
             results = [
                 IS.check_st_naturality(m, kind, side, pos, IS.st_map(m))[0]
                 for m in _matchings(4)
                 for k, sd, pos in IS.all_naturality_checks(m)
                 if (k, sd) == (kind, side)
             ]
-            monkeypatch.setattr(CM, name, weights)
-            assert not all(results), (kind, side, idx)
+            monkeypatch.setattr(IS, name, weights)
+            assert not all(results), (kind, side, pair)
 
 
 def test_naturality_catches_a_scaled_entry():
@@ -363,7 +363,7 @@ def _dense_check_lifts(m, table):
 
 def _dense_check_naturality(m, kind, side, pos, table):
     s, composite, loops = IS._compose(m, kind, side, pos)
-    weights = CM.CAP_VALUES if s[0] == "cap" else CM.CUP_VALUES
+    weights = CBAR if s[0] == "cap" else C
     factor = LOOP**loops
     for (west, east), val in _dense_st_map(composite).items():
         full = west if side == "w" else east
@@ -374,7 +374,7 @@ def _dense_check_naturality(m, kind, side, pos, table):
         want = SkeinElement.zero()
         for pair, states in terms:
             key = (states, east) if side == "w" else (west, states)
-            want.add_scaled(table[key], weights[CM.state_index(pair)])
+            want.add_scaled(table[key], weights[pair])
         if (val.scale(factor) if loops else val) != want:
             return False
     return True

@@ -110,7 +110,7 @@ def test_gluing_computes_each_one_sided_image_once(monkeypatch):
     memo_clear()
     for s0 in DEFAULT_SPECS:
         assert EX.gluing_excision_check(2, s0).passed
-    basis = EX.FiltrationComponent(2).basis
+    basis = EX.filtration_basis(2)
     assert set(calls) == {(name, b) for name in EX._SWITCHES for b in basis}
     assert set(calls.values()) == {1}
     assert len(EX._switch_memo) == len(EX._SWITCHES) * len(basis)
