@@ -68,7 +68,9 @@ class TensorElement(LinearCombination):
 
     @classmethod
     def zero(cls, arity: int) -> TensorElement:
-        return cls(arity)
+        res = super().zero()
+        res.arity = arity
+        return res
 
     def _like(self, terms):
         res = super()._like(terms)

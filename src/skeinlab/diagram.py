@@ -53,7 +53,8 @@ returns the entry count of each:
 * ``excision._switch_memo``: the symbolic image of each one-sided map the
   gluing defect maps are composed of, per (map name, basis tangle).
 
-verify runs in one thread; memos are not locked.
+verify runs in one thread; memos are not locked.  Basis keys compare by
+identity, so ``memo_clear`` leaves their intern tables (``_interned``) alone.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .scalar import LOOP, ONE, HalfLaurent, LinearCombination
+from .scalar import LOOP, ONE, HalfLaurent, InternedKey, LinearCombination
 
 State = int  # +1 or -1
 Slice = tuple[str, int]  # ("x" | "xb" | "cap" | "cup", row index)
@@ -76,9 +77,9 @@ CROSS_TURNBACK = HalfLaurent.q_pow(-1)
 #: Widest diagram the CLI ``reduce`` and ``bracket`` commands accept: the
 #: widest width whose random 100-crossing braid (west = east = width rows;
 #: random rows, kinds and states; seeds 1-3, a fresh process each) reduces in
-#: under 10 s.  On a 2-core x86 host it took 1.2-1.7 s at width 7, 4.1-5.9 s
-#: at width 8 and 11.8-21.4 s at width 9.
-MAX_CLI_WIDTH = 8
+#: under 10 s.  On a 2-core x86 host it took 0.9-1.6 s at width 8, 3.1-5.4 s
+#: at width 9 and 10.3-21.9 s at width 10.
+MAX_CLI_WIDTH = 9
 
 
 class DiagramError(ValueError):
@@ -153,31 +154,26 @@ class StatedWord:
             )
 
 
-def _is_decreasing(states: tuple[State, ...]) -> bool:
-    return all(a >= b for a, b in zip(states, states[1:]))
-
-
-@dataclass(frozen=True, order=True)
-class BasisTangle:
+class BasisTangle(InternedKey):
     """Parallel n-strand diagram with decreasing states on both edges."""
 
+    __slots__ = ("n", "mu", "nu")
+    _interned: dict[tuple[int, tuple[State, ...], tuple[State, ...]], BasisTangle] = {}
     n: int
     mu: tuple[State, ...]  # west states, top to bottom
     nu: tuple[State, ...]  # east states, top to bottom
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", _check_states(self.mu))
-        object.__setattr__(self, "nu", _check_states(self.nu))
-        if len(self.mu) != self.n or len(self.nu) != self.n:
-            raise DiagramError("state vectors must have length n")
-        if not (_is_decreasing(self.mu) and _is_decreasing(self.nu)):
-            raise DiagramError(f"basis tangle needs decreasing states: {self.mu}, {self.nu}")
-        # Basis tangles key every skein element, so hash once; same value as
-        # the generated field hash.
-        object.__setattr__(self, "_hash", hash((self.n, self.mu, self.nu)))
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+    def __new__(cls, n: int, mu: Iterable[State], nu: Iterable[State]) -> BasisTangle:
+        mu, nu = tuple(mu), tuple(nu)
+        self = cls._interned.get((n, mu, nu))
+        if self is None:
+            _check_states(mu + nu)
+            if len(mu) != n or len(nu) != n:
+                raise DiagramError("state vectors must have length n")
+            if any(a < b for v in (mu, nu) for a, b in zip(v, v[1:])):
+                raise DiagramError(f"basis tangle needs decreasing states: {mu}, {nu}")
+            self = cls._make((n, mu, nu))
+        return self
 
     @classmethod
     def unit(cls) -> BasisTangle:
@@ -529,13 +525,13 @@ def evaluate_arcs(
     east_arcs, west_arcs, through_w, through_e = _memo_plan(arcs)
     if not (east_arcs or west_arcs):
         return reduce_parallel(west, east)
-    weight = ONE
+    weight = None
     for pairs, states, table in ((east_arcs, east, C), (west_arcs, west, CBAR)):
         for upper, lower in pairs:
             arc = table[states[upper], states[lower]]
-            if not arc:
+            if not arc._terms:
                 return SkeinElement.zero()
-            weight = weight * arc
+            weight = arc if weight is None else weight * arc
     through = reduce_parallel(tuple(west[i] for i in through_w), tuple(east[j] for j in through_e))
     return through.scale(weight)
 

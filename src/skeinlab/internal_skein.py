@@ -85,10 +85,6 @@ class Matching:
         return f"matching({self.n_west},{self.n_east}:{body})"
 
 
-def identity_matching(n: int) -> Matching:
-    return Matching(n, n, tuple((("w", i), ("e", i)) for i in range(n)))
-
-
 def enumerate_matchings(n_west: int, n_east: int) -> list[Matching]:
     """All planar matchings; the count is the Catalan number of half the points."""
     total = n_west + n_east

@@ -35,9 +35,18 @@ SparseRow = dict[int, Fraction]
 
 
 def at_point(s0: Rat) -> Callable[[HalfLaurent], Fraction]:
-    """The evaluation c -> c(s0), after checking that s0 is generic."""
+    """The evaluation c -> c(s0), once per distinct c; checks that s0 is generic."""
     s0 = validate_generic_point(s0)
-    return lambda c: c.specialize(s0)
+    values: dict[tuple, Fraction] = {}
+
+    def at(c: HalfLaurent) -> Fraction:
+        key = tuple(c._terms.items())
+        v = values.get(key)
+        if v is None:
+            v = values[key] = c.specialize(s0)
+        return v
+
+    return at
 
 
 def _echelon(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:

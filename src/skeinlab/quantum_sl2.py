@@ -17,30 +17,30 @@ bigon skein algebra (a <-> beta(+;+) etc.).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import bigon_skein
 from .diagram import SkeinElement
-from .scalar import ONE, ZERO, HalfLaurent, LinearCombination
+from .scalar import ONE, ZERO, HalfLaurent, InternedKey, LinearCombination
 
 U_GENERATORS = ("E", "F", "K", "Kinv")
 
 
-@dataclass(frozen=True, order=True)
-class PBWMonomial:
+class PBWMonomial(InternedKey):
     """a^a_pow d^d_pow b^b_pow c^c_pow with a_pow * d_pow == 0."""
 
-    a_pow: int
-    d_pow: int
-    b_pow: int
-    c_pow: int
+    __slots__ = ("a_pow", "d_pow", "b_pow", "c_pow")
+    _interned: dict[tuple[int, int, int, int], PBWMonomial] = {}
 
-    def __post_init__(self) -> None:
-        if min(self.a_pow, self.d_pow, self.b_pow, self.c_pow) < 0:
-            raise ValueError("negative exponent in PBW monomial")
-        if self.a_pow and self.d_pow:
-            raise ValueError("a and d cannot both appear in a PBW monomial")
+    def __new__(cls, a_pow: int, d_pow: int, b_pow: int, c_pow: int) -> PBWMonomial:
+        self = cls._interned.get((a_pow, d_pow, b_pow, c_pow))
+        if self is None:
+            if min(a_pow, d_pow, b_pow, c_pow) < 0:
+                raise ValueError("negative exponent in PBW monomial")
+            if a_pow and d_pow:
+                raise ValueError("a and d cannot both appear in a PBW monomial")
+            self = cls._make((a_pow, d_pow, b_pow, c_pow))
+        return self
 
     @property
     def degree(self) -> int:

@@ -19,6 +19,7 @@ finite sum of basis keys with such coefficients: :class:`LinearCombination`.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Hashable, Iterable, ItemsView, Mapping, Union
@@ -163,14 +164,15 @@ class HalfLaurent:
             if isinstance(other, (int, Fraction)):
                 return self.scale(other)
             return NotImplemented
-        # A zero, unit or monomial factor needs no merging; many are the unit.
+        # Many factors are the (immutable) unit constant.
+        if self is ONE or other is ONE:
+            return other if self is ONE else self
+        # A zero or monomial factor needs no merging.
         small, big = (self, other) if len(self._terms) <= len(other._terms) else (other, self)
         if len(small._terms) <= 1:
             if not small._terms:
                 return small
             ((e1, c1),) = small._terms.items()
-            if e1 == 0 and c1 == 1:
-                return big
             res = HalfLaurent.__new__(HalfLaurent)
             res._terms = {e1 + e2: c1 * c2 for e2, c2 in big._terms.items()}
             return res
@@ -204,7 +206,7 @@ class HalfLaurent:
     def __pow__(self, n: int) -> HalfLaurent:
         if n < 0:
             return self.inverse() ** (-n)
-        out = HalfLaurent.one()
+        out = ONE
         base = self
         while n:
             if n & 1:
@@ -257,6 +259,35 @@ LOOP = HalfLaurent({4: -1, -4: -1})
 MINUS_ONE = -ONE
 
 
+@functools.total_ordering
+class InternedKey:
+    """An immutable basis key with one instance per value, so the default
+    identity ``==`` and ``hash`` are value equality.  A subclass lists its fields
+    in ``__slots__`` and adds each new, validated value to ``_interned`` by ``_make``."""
+
+    __slots__ = ("_values",)
+
+    @classmethod
+    def _make(cls, values: tuple):
+        self = object.__new__(cls)
+        for name, v in zip(("_values",) + cls.__slots__, (values,) + values):
+            object.__setattr__(self, name, v)
+        cls._interned[values] = self
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __lt__(self, other: object) -> bool:
+        return self._values < other._values if type(other) is type(self) else NotImplemented
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self._values!r}"
+
+
 class LinearCombination:
     """Finite sum of hashable basis keys with HalfLaurent coefficients.
 
@@ -288,7 +319,7 @@ class LinearCombination:
     @classmethod
     def of(cls, key: Hashable, coeff: HalfLaurent = ONE):
         res = object.__new__(cls)
-        res._terms = {key: coeff} if coeff else {}
+        res._terms = {key: coeff} if coeff._terms else {}
         return res
 
     def _like(self, terms: dict[Hashable, HalfLaurent]):
@@ -304,7 +335,7 @@ class LinearCombination:
 
     def add_term(self, key: Hashable, c: HalfLaurent) -> None:
         """self += c * key."""
-        if not c:
+        if not c._terms:
             return
         terms = self._terms
         acc = terms.get(key)
@@ -319,15 +350,19 @@ class LinearCombination:
 
     def add_scaled(self, other: LinearCombination, c: HalfLaurent = ONE) -> None:
         """self += c * other."""
-        if not c:
+        if not c._terms:
             return
-        add = self.add_term
-        if c is ONE:
-            for key, v in other._terms.items():
-                add(key, v)
-        else:
-            for key, v in other._terms.items():
-                add(key, v * c)
+        terms = self._terms
+        for key, v in other._terms.items():
+            if c is not ONE:
+                v = v * c
+            acc = terms.get(key)
+            if acc is None:
+                terms[key] = v
+            elif (acc := acc + v)._terms:
+                terms[key] = acc
+            else:
+                del terms[key]
 
     # -- inspection -----------------------------------------------------------
 
@@ -372,8 +407,10 @@ class LinearCombination:
 
     def scale(self, coeff: HalfLaurent):
         # Q[s, s^-1] has no zero divisors, so no product below vanishes.
-        if not coeff:
+        if not coeff._terms:
             return self._like({})
+        if coeff is ONE:
+            return self.copy()
         return self._like({key: c * coeff for key, c in self._terms.items()})
 
     def __mul__(self, coeff: HalfLaurent):

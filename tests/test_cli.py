@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import skeinlab.bigon_skein as B
 from skeinlab import suites
 from skeinlab.cli import EXIT_PASS, EXIT_USAGE, main
-from skeinlab.diagram import BasisTangle, SkeinElement
+from skeinlab.diagram import MAX_CLI_WIDTH, BasisTangle, SkeinElement
 from skeinlab.report import REPORT_SCHEMA, validate_report_dict
 from skeinlab.scalar import HalfLaurent, ScalarError
 from skeinlab.suites import random_stated_word, run_suite
@@ -60,9 +60,10 @@ def test_parse_error_reports_position(capsys):
     code, out, err = run_cli(capsys, "mul", "1/0", "a")
     assert code == EXIT_USAGE
     assert "zero denominator" in err
-    code, out, err = run_cli(capsys, "reduce", "tangle(9){x0} west=+++++++++ east=+++++++++")
+    wide = MAX_CLI_WIDTH + 1
+    code, out, err = run_cli(capsys, "reduce", f"tangle({wide}){{x0}} west={'+' * wide} east={'+' * wide}")
     assert code == EXIT_USAGE
-    assert "width 9" in err and "bound 8" in err
+    assert f"width {wide}" in err and f"bound {MAX_CLI_WIDTH}" in err
     code, out, err = run_cli(capsys, "mul", "a^ 100000", "a")
     assert code == EXIT_USAGE
     assert "exponent 100000 exceeds the bound" in err and "column 4" in err

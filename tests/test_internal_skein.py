@@ -13,6 +13,10 @@ from skeinlab.scalar import LOOP, Q, HalfLaurent
 s = HalfLaurent.s_pow
 
 
+def identity_matching(n):
+    return IS.Matching(n, n, tuple((("w", i), ("e", i)) for i in range(n)))
+
+
 def test_enumeration_counts():
     assert len(IS.enumerate_matchings(2, 0)) == 1
     assert len(IS.enumerate_matchings(1, 1)) == 1
@@ -54,7 +58,7 @@ def test_matching_word_realizes_matching():
 
 
 def test_st_map_through_strand():
-    m = IS.identity_matching(1)
+    m = identity_matching(1)
     table = IS.st_map(m)
     assert table[((1,), (1,))] == SkeinElement.of(BasisTangle(1, (1,), (1,)))
     assert table[((1,), (-1,))] == SkeinElement.of(BasisTangle(1, (1,), (-1,)))
@@ -138,7 +142,7 @@ def test_lift_check_catches_a_scaled_entry():
 
 
 def test_naturality_west_cap_into_identity():
-    m = IS.identity_matching(2)
+    m = identity_matching(2)
     ok, witness = IS.check_st_naturality(m, "cap", "w", 0, IS.st_map(m))
     assert ok, witness
 

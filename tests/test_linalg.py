@@ -60,6 +60,24 @@ def test_at_point_rejects_non_generic_points():
     assert linalg.at_point(F(7, 5))(HalfLaurent({1: 2, -1: 1})) == F(14, 5) + F(5, 7)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(-9, 9)), max_size=5, unique_by=lambda t: t[0]),
+    st.sampled_from([F(2), F(1, 2), F(7, 5), F(-11, 7)]),
+)
+def test_at_point_is_specialize_on_every_form_of_a_coefficient(terms, s0):
+    at = linalg.at_point(s0)
+    c = HalfLaurent(terms)
+    # Products of Fraction coefficients keep Fraction(n, 1) in the term map.
+    forms = [c, HalfLaurent(terms[::-1]), HalfLaurent({0: F(1, 2)}) * HalfLaurent({e: 2 * v for e, v in terms})]
+    assert all(type(v) is Fraction for v in forms[2].terms.values())
+    others = [c + HalfLaurent({7: 1}), HalfLaurent(terms[1:])]
+    for x in forms + others + forms:
+        value = at(x)
+        assert type(value) is Fraction and value == x.specialize(s0)
+    assert {at(x) for x in forms} == {c.specialize(s0)}
+
+
 def _dense_rank(rows):
     """Reference rank: plain dense Gaussian elimination over Fractions."""
     mat = [[F(c) for c in row] for row in rows]

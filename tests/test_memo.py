@@ -1,7 +1,11 @@
 """Process-global memos: clearing, sizes, work bounds and cold/warm agreement."""
 
+import copy
+import pickle
 from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 import skeinlab.bigon_skein as B
 import skeinlab.comodule_rt as CM
@@ -41,7 +45,7 @@ def test_memo_clear_empties_every_memo():
     reduce(StatedWord(SliceWord(2, (("x", 0),)), (1, -1), (-1, 1)))
     B.t_form(a)
     B.r_form(a, a)
-    m = IS.identity_matching(1)
+    m = IS.Matching(1, 1, ((("w", 0), ("e", 0)),))
     IS.check_st_intertwiner(m, IS.st_map(m))
     EX.invariants_subspace(0, "inv", Fraction(7, 5))
     CM.intertwiner_dimension(CM.standard_V(), CM.standard_V(), Fraction(7, 5))
@@ -50,6 +54,53 @@ def test_memo_clear_empties_every_memo():
     assert all(sizes.values()), sizes
     memo_clear()
     assert set(memo_sizes().values()) == {0}
+
+
+@pytest.mark.parametrize(
+    "cls, table, fields, values, as_lists, invalid",
+    [
+        (
+            D.BasisTangle,
+            D.BasisTangle._interned,
+            ("n", "mu", "nu"),
+            (2, (1, -1), (1, 1)),
+            (2, [1, -1], [1, 1]),
+            [(2, (-1, 1), (1, 1)), (2, (1,), (1, 1)), (1, (0,), (1,))],
+        ),
+        (
+            QS.PBWMonomial,
+            QS.PBWMonomial._interned,
+            ("a_pow", "d_pow", "b_pow", "c_pow"),
+            (1, 0, 2, 3),
+            [1, 0, 2, 3],
+            [(1, 1, 0, 0), (0, -1, 0, 0)],
+        ),
+    ],
+)
+def test_basis_keys_are_interned_apart_from_the_memos(cls, table, fields, values, as_lists, invalid):
+    key = cls(*values)
+    assert cls(*as_lists) is key and key == cls(*values)
+    assert tuple(getattr(key, f) for f in fields) == values
+    assert copy.deepcopy(key) is key and pickle.loads(pickle.dumps(key)) is key
+    with pytest.raises(AttributeError):
+        setattr(key, fields[0], 0)
+    for bad in invalid:
+        with pytest.raises(ValueError):
+            cls(*bad)
+        assert bad not in table
+    memo_clear()
+    assert cls(*values) is key and table[values] is key
+    keys = list(table.values())[:40]
+
+    def fields_of(k):
+        return tuple(getattr(k, f) for f in fields)
+
+    # Keys order as the tuples of their fields did.
+    assert sorted(keys) == sorted(keys, key=fields_of)
+    pairs = [(a, b) for a in keys for b in keys]
+    assert [(a < b, a <= b, a > b, a >= b) for a, b in pairs] == [
+        (x < y, x <= y, x > y, x >= y) for x, y in ((fields_of(a), fields_of(b)) for a, b in pairs)
+    ]
 
 
 def _st_sweep(max_points):

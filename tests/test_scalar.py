@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from skeinlab.scalar import (
     LOOP,
+    MINUS_ONE,
+    ONE,
+    ZERO,
     HalfLaurent,
     ScalarError,
     format_scalar,
@@ -171,3 +174,42 @@ def test_linear_combination_accumulates_in_place():
     assert hash(y) == hash(SkeinElement.of(UNIT_TANGLE, S(1)))
     # Equal term maps of different element types never compare equal.
     assert SkeinElement.zero() != HopfElement.zero()
+
+
+operands = st.one_of(
+    st.sampled_from([ZERO, ONE, MINUS_ONE, LOOP, HalfLaurent(), HalfLaurent({0: 1})]),
+    st.builds(HalfLaurent.s_pow, st.integers(-6, 6), st.fractions(-5, 5, max_denominator=7)),
+    scalars,
+)
+
+
+@given(operands, operands)
+@settings(max_examples=150, deadline=None)
+def test_sum_and_product_match_the_reference_convolution(a, b):
+    a_terms, b_terms = a.terms, b.terms
+    product: dict = {}
+    for e1, c1 in a_terms.items():
+        for e2, c2 in b_terms.items():
+            product[e1 + e2] = product.get(e1 + e2, 0) + c1 * c2
+    total = dict(a_terms)
+    for e, c in b_terms.items():
+        total[e] = total.get(e, 0) + c
+    assert a * b == b * a == HalfLaurent(product)
+    assert a + b == b + a == HalfLaurent(total)
+    # A product may be one of its operands (x * ONE is x), so no operation
+    # may change an operand.
+    results = [a * b, b * a, a + b, a - b, -a, a * 3, a.scale(Fraction(1, 2)), a**2, b * ONE, ONE * b]
+    assert (a.terms, b.terms) == (a_terms, b_terms)
+    assert all(0 not in r.terms.values() for r in results)
+
+
+def test_scale_by_one_copies():
+    from skeinlab.diagram import UNIT_TANGLE, reduce_parallel
+
+    x = reduce_parallel((-1, 1), (1, -1))
+    entry = dict(x.items())
+    y = x.scale(ONE)
+    assert y == x and y is not x
+    y.add_term(UNIT_TANGLE, ONE)
+    y.add_scaled(x, MINUS_ONE)
+    assert reduce_parallel((-1, 1), (1, -1)) is x and dict(x.items()) == entry
