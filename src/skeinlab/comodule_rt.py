@@ -252,7 +252,8 @@ def multiplicity(k: int, n: int) -> int:
     return row.get(k, 0)
 
 
-IntertwinerRows = list[dict[int, HalfLaurent]]
+#: The condition rows, and per column the rows with a non-zero entry in it.
+IntertwinerRows = tuple[list[dict[int, HalfLaurent]], dict[int, list[dict[int, HalfLaurent]]]]
 
 _rows_memo: dict[tuple[Comodule, Comodule], IntertwinerRows] = register_memo(
     "comodule_rt._rows_memo", {}
@@ -266,12 +267,13 @@ def _intertwiner_rows(w1: Comodule, w2: Comodule) -> IntertwinerRows:
     It is an intertwiner iff entrywise sum_k w2[i][k] f[k][j] = sum_k f[i][k]
     w1[k][j]; each entry (i, j) gives one exact row per PBW monomial.  The
     rows are built once per pair of comodules and shared by the dimension
-    bound and every exact check.
+    bound and every exact check; a column's first entry is the coaction
+    coefficient itself, not a copy.
     """
     hit = _rows_memo.get((w1, w2))
     if hit is not None:
         return hit
-    rows: IntertwinerRows = []
+    rows: list[dict[int, HalfLaurent]] = []
     for i in range(w2.dim):
         for j in range(w1.dim):
             per_mono: dict[quantum_sl2.PBWMonomial, dict[int, HalfLaurent]] = {}
@@ -279,29 +281,34 @@ def _intertwiner_rows(w1: Comodule, w2: Comodule) -> IntertwinerRows:
                 for m, c in w2.coaction[i][k].items():
                     row = per_mono.setdefault(m, {})
                     col = k * w1.dim + j
-                    row[col] = row.get(col, ZERO) + c
+                    row[col] = row[col] + c if col in row else c
             for k in range(w1.dim):
                 for m, c in w1.coaction[k][j].items():
                     row = per_mono.setdefault(m, {})
                     col = i * w1.dim + k
-                    row[col] = row.get(col, ZERO) - c
+                    row[col] = row[col] - c if col in row else -c
             rows.extend(per_mono.values())
-    _rows_memo[(w1, w2)] = rows
-    return rows
+    by_col: dict[int, list[dict[int, HalfLaurent]]] = {}
+    for row in rows:
+        for col, v in row.items():
+            if v:
+                by_col.setdefault(col, []).append(row)
+    hit = _rows_memo[(w1, w2)] = rows, by_col
+    return hit
 
 
 def intertwiner_dimension(w1: Comodule, w2: Comodule, s0: Fraction) -> int:
     """dim Hom(w1, w2) at s = s0, by rank-nullity from the rank of the
     condition rows: an upper bound on the generic dimension."""
     at = linalg.at_point(s0)
-    rows = [{col: at(v) for col, v in row.items() if v} for row in _intertwiner_rows(w1, w2)]
+    rows = [{col: at(v) for col, v in row.items() if v} for row in _intertwiner_rows(w1, w2)[0]]
     return w1.dim * w2.dim - linalg.rank(rows)
 
 
 def is_intertwiner(w1: Comodule, w2: Comodule, f: Matrix) -> bool:
-    """Whether f (w2.dim x w1.dim) is exactly a comodule map w1 -> w2."""
+    """Whether f (w2.dim x w1.dim) is exactly a comodule map w1 -> w2; only the
+    condition rows that touch a non-zero entry of f can fail."""
     flat = [x for row in f for x in row]
-    return all(
-        not sum((v * flat[col] for col, v in row.items() if flat[col]), ZERO)
-        for row in _intertwiner_rows(w1, w2)
-    )
+    by_col = _intertwiner_rows(w1, w2)[1]
+    touched = {id(row): row for col, x in enumerate(flat) if x for row in by_col.get(col, ())}
+    return all(not sum((v * flat[col] for col, v in row.items() if flat[col]), ZERO) for row in touched.values())

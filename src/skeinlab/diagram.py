@@ -51,10 +51,12 @@ returns the entry count of each:
 * ``comodule_rt._rows_memo``: the exact intertwiner conditions per pair of
   comodules,
 * ``excision._switch_memo``: the symbolic image of each one-sided map the
-  gluing defect maps are composed of, per (map name, basis tangle).
+  gluing defect maps are composed of, per (map name, basis tangle),
+* ``excision._splitting_memo``: the exact splitting check per (degree, map),
+* ``scalar._product_memo``: the product of two interned scalars.
 
-verify runs in one thread; memos are not locked.  Basis keys compare by
-identity, so ``memo_clear`` leaves their intern tables (``_interned``) alone.
+verify runs in one thread; memos are not locked.  ``memo_clear`` leaves the
+intern tables of basis keys and scalars (``_interned``) alone.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .scalar import LOOP, ONE, HalfLaurent, InternedKey, LinearCombination
+from .scalar import LOOP, ONE, HalfLaurent, InternedKey, LinearCombination, _product_memo
 
 State = int  # +1 or -1
 Slice = tuple[str, int]  # ("x" | "xb" | "cap" | "cup", row index)
@@ -239,6 +241,8 @@ WEST_EXCHANGE_ARC = HalfLaurent.s_pow(5, -1)
 
 Endpoint = tuple[str, int]  # ("w" | "e", position)
 Arcs = tuple[tuple[Endpoint, Endpoint], ...]
+#: One shared tuple per boundary point, for the matchings the memos hold.
+_endpoints: dict[Endpoint, Endpoint] = {}
 
 
 def _canon_arcs(pairs: Iterable[tuple[Endpoint, Endpoint]]) -> Arcs:
@@ -284,9 +288,9 @@ def word_to_arcs(word: SliceWord) -> tuple[Arcs, int]:
     # Group boundary points by component.
     groups: dict[int, list[Endpoint]] = {}
     for i, t in enumerate(west_token):
-        groups.setdefault(find(t), []).append(("w", i))
+        groups.setdefault(find(t), []).append(_endpoints.setdefault(("w", i), ("w", i)))
     for j, t in enumerate(east_token):
-        groups.setdefault(find(t), []).append(("e", j))
+        groups.setdefault(find(t), []).append(_endpoints.setdefault(("e", j), ("e", j)))
     pairs = []
     for pts in groups.values():
         if len(pts) != 2:
@@ -367,9 +371,7 @@ def _extend(
             if hit is None:
                 hit = _transition_memo[step] = _transition(n_west, step)
             new_east, new_arcs, loop = hit
-            total = coeff * weight
-            if loop is not None:
-                total = total * loop
+            total = coeff * (weight if loop is None else weight * loop)  # weight * loop: a memo hit
             key = (new_east, new_arcs)
             acc = out.get(key)
             out[key] = total if acc is None else acc + total
@@ -436,6 +438,7 @@ _MEMOS: dict[str, dict] = {
     "diagram._transition_memo": _transition_memo,
     "diagram._memo": _memo,
     "diagram._plan_memo": _plan_memo,
+    "scalar._product_memo": _product_memo,
 }
 
 

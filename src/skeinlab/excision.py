@@ -279,9 +279,15 @@ def _all_subspaces(n: int, s0: Fraction) -> dict[str, list[SparseRow]]:
     return spaces
 
 
+_splitting_memo: dict[tuple[int, str], bool] = register_memo("excision._splitting_memo", {})
+
+
 def splitting_image_in_kernel(n: int, name: str) -> bool:
-    """Exact: the defect map ``name`` kills comul(b) for every basis tangle b of F_n."""
-    return not any(_splitting_defect(name, b) for b in filtration_basis(n))
+    """Exact, so memoized per (n, name): the defect map ``name`` kills comul(b) for every b in F_n."""
+    hit = _splitting_memo.get((n, name))
+    if hit is None:
+        hit = _splitting_memo[(n, name)] = not any(_splitting_defect(name, b) for b in filtration_basis(n))
+    return hit
 
 
 def gluing_excision_check(n: int, s0: Fraction, seed: int = 0) -> GluingReport:

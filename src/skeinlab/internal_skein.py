@@ -133,9 +133,14 @@ def st_map(m: Matching) -> StTable:
     and the through strands take every state.  Keys come in the order of
     ``comodule_rt.state_tuples``, west before east.
     """
+    return _table(m.n_west, m.n_east, m.pairs)
+
+
+def _table(n_west: int, n_east: int, arcs: Arcs) -> StTable:
+    """``st_map`` of a matching given by arcs that are planar by construction."""
     return {
-        (west, east): evaluate_arcs(m.n_west, m.n_east, m.pairs, west, east)
-        for west, east in nonzero_states(m.n_west, m.n_east, m.pairs)
+        (west, east): evaluate_arcs(n_west, n_east, arcs, west, east)
+        for west, east in nonzero_states(n_west, n_east, arcs)
     }
 
 
@@ -252,9 +257,9 @@ def _leg_product(
 
 # -- cap/cup naturality -----------------------------------------------------------
 
-def _compose(m: Matching, kind: str, side: str, pos: int) -> tuple[Slice, Matching, int]:
+def _compose(m: Matching, kind: str, side: str, pos: int) -> tuple[Slice, tuple[int, int, Arcs], int]:
     """The one-slice word s that inserts a cap or cup at ``pos`` on one edge
-    of m, the composite matching and its loop count.
+    of m, the composite as (west arity, east arity, arcs) and its loop count.
 
     On the west s is prefixed to the word of m and has the insertion's
     kind; on the east it is appended and has the other kind, since a returning
@@ -268,7 +273,7 @@ def _compose(m: Matching, kind: str, side: str, pos: int) -> tuple[Slice, Matchi
         s = ("cup" if kind == "cap" else "cap", pos)
         composite = SliceWord(m.n_west, word.slices + (s,))
     arcs, loops = word_to_arcs(composite)
-    return s, Matching(composite.west_arity, composite.east_arity, arcs), loops
+    return s, (composite.west_arity, composite.east_arity, arcs), loops
 
 
 def check_st_naturality(
@@ -306,7 +311,7 @@ def check_st_naturality(
                 acc = pushed[key] = SkeinElement.zero()
             acc.add_scaled(val, weight)
     factor = LOOP**loops
-    target = st_map(composite)
+    target = _table(*composite)
     zero = SkeinElement.zero()
     for west, east in dict.fromkeys([*target, *pushed]):
         val = target.get((west, east), zero)

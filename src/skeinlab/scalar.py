@@ -13,6 +13,15 @@ hash equal, so either form of an integral value is canonical.
 Rank computations elsewhere specialize s at nonzero rational points other
 than +/-1; ``linalg`` says which way such a value bounds the generic one.
 
+Interning: ``HalfLaurent(...)`` and its named constructors return one
+interned instance per value, never mutated and never freed, and the product
+of two interned values (the arc, loop, exchange and R-matrix weights the
+engine multiplies again and again) is interned and kept in ``_product_memo``.
+Sums, negations, ``scale`` and products with a transient operand stay
+transient: interning every sum of crossing resolution kept 1,430 values, not
+64, on ``braid_reduce`` (+1.3 MiB peak RSS).  ``==`` and ``hash`` are by value.
+A test that changes a constant rebinds it and calls ``diagram.memo_clear()``.
+
 Every algebra element (skein elements, tensors, PBW normal forms) is a
 finite sum of basis keys with such coefficients: :class:`LinearCombination`.
 """
@@ -45,12 +54,13 @@ class HalfLaurent:
     Coefficients are ``int``, or ``Fraction`` where not integral.
 
     Canonical form stores only nonzero coefficients, so ``==`` is exact
-    structural equality.  Instances are treated as immutable.
+    structural equality.  Instances are immutable.  ``_key`` is the frozenset
+    of the terms of an interned instance (its hash is cached), else None.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_key")
 
-    def __init__(self, terms: Mapping[int, Rat] | Iterable[tuple[int, Rat]] = ()):
+    def __new__(cls, terms: Mapping[int, Rat] | Iterable[tuple[int, Rat]] = ()):
         items = terms.items() if isinstance(terms, dict) else terms
         canon: dict[int, Rat] = {}
         for e, c in items:
@@ -59,10 +69,18 @@ class HalfLaurent:
                 acc = canon.get(e)
                 tot = c if acc is None else acc + c
                 if tot:
-                    canon[e] = tot
+                    canon[e] = _rat(tot)
                 elif acc is not None:
                     del canon[e]
-        self._terms = canon
+        key = frozenset(canon.items())
+        self = _interned.get(key)
+        if self is None:
+            self = _interned[key] = object.__new__(cls)
+            self._terms, self._key = canon, key
+        return self
+
+    def __reduce__(self):
+        return HalfLaurent, (self._terms,)
 
     # -- constructors ------------------------------------------------------
 
@@ -126,13 +144,13 @@ class HalfLaurent:
 
     def __eq__(self, other: object) -> bool:
         if type(other) is HalfLaurent:
-            return self._terms == other._terms
+            return self is other or self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self == HalfLaurent.rational(other)
+            return self._terms == ({0: other} if other else {})
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash(self._key if self._key is not None else frozenset(self._terms.items()))
 
     # -- ring operations ---------------------------------------------------
 
@@ -147,16 +165,16 @@ class HalfLaurent:
                 out[e] = tot
             elif acc is not None:
                 del out[e]
-        res = HalfLaurent.__new__(HalfLaurent)
-        res._terms = out
+        res = object.__new__(HalfLaurent)
+        res._terms, res._key = out, None
         return res
 
     def __sub__(self, other: HalfLaurent) -> HalfLaurent:
         return self + (-other)
 
     def __neg__(self) -> HalfLaurent:
-        res = HalfLaurent.__new__(HalfLaurent)
-        res._terms = {e: -c for e, c in self._terms.items()}
+        res = object.__new__(HalfLaurent)
+        res._terms, res._key = {e: -c for e, c in self._terms.items()}, None
         return res
 
     def __mul__(self, other: HalfLaurent | Rat) -> HalfLaurent:
@@ -167,27 +185,34 @@ class HalfLaurent:
         # Many factors are the (immutable) unit constant.
         if self is ONE or other is ONE:
             return other if self is ONE else self
+        a, b = self._terms, other._terms
+        if self._key is not None and other._key is not None:
+            key = (self._key, other._key)
+            hit = _product_memo.get(key)
+            if hit is None:
+                hit = _product_memo[key] = HalfLaurent((e1 + e2, c1 * c2) for e1, c1 in a.items() for e2, c2 in b.items())
+            return hit
         # A zero or monomial factor needs no merging.
-        small, big = (self, other) if len(self._terms) <= len(other._terms) else (other, self)
-        if len(small._terms) <= 1:
-            if not small._terms:
-                return small
-            ((e1, c1),) = small._terms.items()
-            res = HalfLaurent.__new__(HalfLaurent)
-            res._terms = {e1 + e2: c1 * c2 for e2, c2 in big._terms.items()}
-            return res
-        out: dict[int, Rat] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                acc = out.get(e)
-                tot = c1 * c2 if acc is None else acc + c1 * c2
-                if tot:
-                    out[e] = tot
-                elif acc is not None:
-                    del out[e]
-        res = HalfLaurent.__new__(HalfLaurent)
-        res._terms = out
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            ((e1, c1),) = a.items()
+            out = {e1 + e2: c1 * c2 for e2, c2 in b.items()}
+        elif not a:
+            return ZERO
+        else:
+            out = {}
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    acc = out.get(e)
+                    tot = c1 * c2 if acc is None else acc + c1 * c2
+                    if tot:
+                        out[e] = tot
+                    elif acc is not None:
+                        del out[e]
+        res = object.__new__(HalfLaurent)
+        res._terms, res._key = out, None
         return res
 
     def __rmul__(self, other: Rat) -> HalfLaurent:
@@ -198,9 +223,9 @@ class HalfLaurent:
     def scale(self, r: Rat) -> HalfLaurent:
         r = _rat(r)
         if not r:
-            return HalfLaurent.zero()
-        res = HalfLaurent.__new__(HalfLaurent)
-        res._terms = {e: c * r for e, c in self._terms.items()}
+            return ZERO
+        res = object.__new__(HalfLaurent)
+        res._terms, res._key = {e: c * r for e, c in self._terms.items()}, None
         return res
 
     def __pow__(self, n: int) -> HalfLaurent:
@@ -249,6 +274,11 @@ class HalfLaurent:
         return f"HalfLaurent({format_scalar(self)!r})"
 
 
+#: The interned instance per value, keyed by the frozenset of its terms.
+_interned: dict[frozenset, HalfLaurent] = {}
+#: (a._key, b._key) -> a * b, for interned a and b; registered in ``diagram``.
+_product_memo: dict[tuple[frozenset, frozenset], HalfLaurent] = {}
+
 ZERO = HalfLaurent.zero()
 ONE = HalfLaurent.one()
 Q = HalfLaurent.q_pow(1)
@@ -256,7 +286,7 @@ Q = HalfLaurent.q_pow(1)
 #: Kauffman loop value -q^2 - q^-2.
 LOOP = HalfLaurent({4: -1, -4: -1})
 
-MINUS_ONE = -ONE
+MINUS_ONE = HalfLaurent.rational(-1)
 
 
 @functools.total_ordering

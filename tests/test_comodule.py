@@ -8,7 +8,7 @@ import skeinlab.internal_skein as IS
 import skeinlab.quantum_sl2 as QS
 from skeinlab import linalg
 from skeinlab.diagram import CBAR, CROSS_PARALLEL, CROSS_TURNBACK, C, SliceWord, state_tuples
-from skeinlab.scalar import LOOP, ONE, HalfLaurent, ScalarError
+from skeinlab.scalar import LOOP, ONE, ZERO, HalfLaurent, ScalarError
 from skeinlab.suites import DEFAULT_SPECS, comodule_suite, random_stated_word
 
 q = HalfLaurent.q_pow
@@ -223,6 +223,31 @@ def test_endomorphism_sandwich_closes_small():
             for f in tl
         )
         assert lower == CM.intertwiner_dimension(w, w, s0) == want
+
+
+def _intertwines_by_every_row(w1, w2, f):
+    """Reference for ``is_intertwiner``: dot every condition row with f."""
+    flat = [x for row in f for x in row]
+    rows, _ = CM._intertwiner_rows(w1, w2)
+    return all(not sum((v * flat[col] for col, v in row.items()), ZERO) for row in rows)
+
+
+def test_intertwiner_check_visits_the_rows_it_needs():
+    # The column index skips only rows that f cannot violate: it agrees with
+    # the scan of every row on the TL matrices, the zero matrix and every
+    # one-entry perturbation of them.
+    w = CM.tensor_power_V(2)
+    tl = [CM.rt_evaluate(m.word) for m in IS.enumerate_matchings(2, 2)]
+    cases = tl + [[[ZERO] * 4 for _ in range(4)]]
+    for f in list(cases):
+        for i in range(4):
+            for j in range(4):
+                g = [row[:] for row in f]
+                g[i][j] = g[i][j] + LOOP
+                cases.append(g)
+    verdicts = [CM.is_intertwiner(w, w, f) for f in cases]
+    assert verdicts == [_intertwines_by_every_row(w, w, f) for f in cases]
+    assert verdicts[:3] == [True] * 3 and not any(verdicts[3:])
 
 
 def test_perturbed_tl_matrix_fails_the_sandwich(monkeypatch):

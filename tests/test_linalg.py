@@ -68,8 +68,10 @@ def test_at_point_rejects_non_generic_points():
 def test_at_point_is_specialize_on_every_form_of_a_coefficient(terms, s0):
     at = linalg.at_point(s0)
     c = HalfLaurent(terms)
-    # Products of Fraction coefficients keep Fraction(n, 1) in the term map.
-    forms = [c, HalfLaurent(terms[::-1]), HalfLaurent({0: F(1, 2)}) * HalfLaurent({e: 2 * v for e, v in terms})]
+    # A product with a transient operand (here a scaled value) keeps the
+    # Fraction(n, 1) of Fraction coefficients in its term map.
+    half = HalfLaurent({0: F(1, 2)}).scale(1)
+    forms = [c, HalfLaurent(terms[::-1]), half * HalfLaurent({e: 2 * v for e, v in terms})]
     assert all(type(v) is Fraction for v in forms[2].terms.values())
     others = [c + HalfLaurent({7: 1}), HalfLaurent(terms[1:])]
     for x in forms + others + forms:

@@ -27,6 +27,8 @@ MEMOS = {
     "bigon_skein._comul_memo",
     "comodule_rt._rows_memo",
     "excision._switch_memo",
+    "excision._splitting_memo",
+    "scalar._product_memo",
 }
 
 
@@ -48,6 +50,7 @@ def test_memo_clear_empties_every_memo():
     m = IS.Matching(1, 1, ((("w", 0), ("e", 0)),))
     IS.check_st_intertwiner(m, IS.st_map(m))
     EX.invariants_subspace(0, "inv", Fraction(7, 5))
+    EX.splitting_image_in_kernel(0, "inv")
     CM.intertwiner_dimension(CM.standard_V(), CM.standard_V(), Fraction(7, 5))
     sizes = memo_sizes()
     assert set(sizes) == MEMOS
@@ -158,6 +161,8 @@ def test_gluing_computes_each_one_sided_image_once(monkeypatch):
     calls = Counter()
     for name, fn in list(EX._SWITCHES.items()):
         monkeypatch.setitem(EX._SWITCHES, name, _counting(fn, calls, name))
+    splits = Counter()
+    monkeypatch.setattr(EX, "_splitting_defect", _counting(EX._splitting_defect, splits, "split"))
     memo_clear()
     for s0 in DEFAULT_SPECS:
         assert EX.gluing_excision_check(2, s0).passed
@@ -165,6 +170,10 @@ def test_gluing_computes_each_one_sided_image_once(monkeypatch):
     assert set(calls) == {(name, b) for name in EX._SWITCHES for b in basis}
     assert set(calls.values()) == {1}
     assert len(EX._switch_memo) == len(EX._SWITCHES) * len(basis)
+    # The exact splitting check is point-independent: once per degree and map.
+    assert set(splits) == {("split", name, b) for name in EX._DEFECTS for b in basis}
+    assert set(splits.values()) == {1}
+    assert set(EX._splitting_memo) == {(2, name) for name in EX._DEFECTS}
 
 
 def test_cold_and_warm_values_agree():

@@ -1,14 +1,19 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skeinlab import scalar
+from skeinlab.diagram import memo_clear
 from skeinlab.scalar import (
     LOOP,
     MINUS_ONE,
     ONE,
+    Q,
     ZERO,
     HalfLaurent,
     ScalarError,
@@ -213,3 +218,69 @@ def test_scale_by_one_copies():
     y.add_term(UNIT_TANGLE, ONE)
     y.add_scaled(x, MINUS_ONE)
     assert reduce_parallel((-1, 1), (1, -1)) is x and dict(x.items()) == entry
+
+
+# -- interned constants and the product memo ----------------------------------
+
+
+def _convolution(a_terms, b_terms):
+    out: dict = {}
+    for e1, c1 in a_terms.items():
+        for e2, c2 in b_terms.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@given(operands, operands)
+@settings(max_examples=150, deadline=None)
+def test_interned_products_match_the_reference_on_first_and_memoized_call(a, b):
+    a, b = HalfLaurent(a.terms), HalfLaurent(b.terms)  # the interned instances
+    want = _convolution(a.terms, b.terms)
+    scalar._product_memo.pop((a._key, b._key), None)
+    first = a * b
+    assert first.terms == want
+    assert first is HalfLaurent(want)  # the product is interned
+    assert (a * b) is first and (a * b).terms == want
+
+
+def test_equal_constructor_calls_return_one_instance():
+    assert HalfLaurent({-4: -1, 4: -1}) is HalfLaurent([(4, -1), (-4, -1)]) is LOOP
+    assert HalfLaurent({4: Fraction(-1), -4: Fraction(-2, 2)}) is LOOP
+    assert HalfLaurent([(4, -2), (1, 3), (-4, -1), (4, 1), (1, -3)]) is LOOP  # merged, cancelled
+    assert HalfLaurent.q_pow(1) is HalfLaurent.s_pow(2) is HalfLaurent({2: Fraction(1, 1)}) is Q
+    assert HalfLaurent.one() is HalfLaurent.rational(Fraction(3, 3)) is HalfLaurent.s_pow(0) is ONE
+    assert HalfLaurent.zero() is HalfLaurent() is HalfLaurent({3: 0}) is HalfLaurent.rational(0) is ZERO
+    assert HalfLaurent.rational(-1) is MINUS_ONE
+    assert HalfLaurent.s_pow(5, -2).inverse() is HalfLaurent.s_pow(-5, Fraction(-1, 2))
+    # A Fraction(n, 1) coefficient, given or merged, is stored as an int.
+    x = HalfLaurent([(0, Fraction(4, 2)), (1, Fraction(1, 2)), (1, Fraction(1, 2))])
+    assert x is HalfLaurent({0: 2, 1: 1}) and all(type(c) is int for c in x.terms.values())
+
+
+def test_transient_results_add_nothing_to_the_intern_tables():
+    x, y = HalfLaurent({1: 2, -3: Fraction(1, 2)}), HalfLaurent({7: 5, 2: -1})
+    t = x + y
+    sizes = len(scalar._interned), len(scalar._product_memo)
+    results = [x + y, x - y, -x, x.scale(3), x * 3, 3 * x, t * x, x * t, t * t, t**3, t * LOOP, MINUS_ONE * t]
+    assert (len(scalar._interned), len(scalar._product_memo)) == sizes
+    assert x * t == t * x == HalfLaurent(_convolution(x.terms, t.terms))
+    assert all(r == HalfLaurent(r.terms) for r in results)
+
+
+def test_copies_are_equal_and_leave_interned_values_intact():
+    t = LOOP + HalfLaurent.s_pow(1, Fraction(1, 3))
+    for x in (ZERO, ONE, MINUS_ONE, LOOP, t):
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and hash(y) == hash(x)
+            assert y is HalfLaurent(x.terms)  # a copy is the interned instance
+    assert (ZERO.terms, ONE.terms, MINUS_ONE.terms, LOOP.terms) == ({}, {0: 1}, {0: -1}, {4: -1, -4: -1})
+    assert HalfLaurent() is ZERO and HalfLaurent.one() is ONE and t.terms == {4: -1, -4: -1, 1: Fraction(1, 3)}
+
+
+def test_products_are_correct_after_memo_clear():
+    a, b = LOOP, HalfLaurent.s_pow(3, Fraction(2, 3))
+    before = a * b
+    memo_clear()
+    assert not scalar._product_memo
+    # The intern table survives the clear, so the product is the same instance.
+    assert (a * b) is before and before.terms == _convolution(a.terms, b.terms)
