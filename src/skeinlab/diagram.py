@@ -37,9 +37,9 @@ holds only a deterministic function of its key.  Each is registered here with
 returns the entry count of each:
 
 * ``diagram._resolve_memo``: crossing resolution per slice word,
-* ``diagram._transition_memo``: each step of that resolution, keyed by
-  ``(east arity, arcs, appended slices)``: the new matching and the loop
-  factor, so each distinct step is traced once per process,
+* ``diagram._transition_memo``: each step of that resolution, keyed by the
+  appended slices and then by matching id: the new matching's id and the
+  loop factor, so each distinct step is traced once per process,
 * ``diagram._memo``: reduction per stated parallel diagram, keyed by
   ``(west, east)``,
 * ``diagram._plan_memo``: the returning arcs and through strands of each
@@ -56,7 +56,8 @@ returns the entry count of each:
 * ``scalar._product_memo``: the product of two interned scalars.
 
 verify runs in one thread; memos are not locked.  ``memo_clear`` leaves the
-intern tables of basis keys and scalars (``_interned``) alone.
+intern tables of basis keys and scalars (``_interned``), boundary points
+(``_endpoints``) and matching ids (``_matchings``) alone.
 """
 
 from __future__ import annotations
@@ -79,9 +80,9 @@ CROSS_TURNBACK = HalfLaurent.q_pow(-1)
 #: Widest diagram the CLI ``reduce`` and ``bracket`` commands accept: the
 #: widest width whose random 100-crossing braid (west = east = width rows;
 #: random rows, kinds and states; seeds 1-3, a fresh process each) reduces in
-#: under 10 s.  On a 2-core x86 host it took 0.9-1.6 s at width 8, 3.1-5.4 s
-#: at width 9 and 10.3-21.9 s at width 10.
-MAX_CLI_WIDTH = 9
+#: under 10 s.  On a 2-core x86 host it took 1.3-2.5 s (36-41 MiB) at width 9,
+#: 4.6-9.7 s (80-114 MiB) at width 10 and 4.8-25.7 s at width 11.
+MAX_CLI_WIDTH = 10
 
 
 class DiagramError(ValueError):
@@ -337,12 +338,21 @@ def arcs_to_word(n_west: int, n_east: int, arcs: Arcs) -> SliceWord:
     return SliceWord(n_west, tuple(slices))
 
 
-Partial = dict[tuple[int, Arcs], HalfLaurent]  # (east arity, arcs) -> coefficient
-Transition = tuple[int, Arcs, tuple[Slice, ...]]  # (east arity, arcs, appended slices)
 Resolved = list[tuple[int, Arcs, HalfLaurent]]  # (east arity, arcs, coefficient), sorted
+#: The intern table of partial matchings, never cleared: ``_matchings[m]`` is
+#: the (east arity, arcs) numbered m and ``_matching_ids`` maps it back to m.
+_matching_ids: dict[tuple[int, Arcs], int] = {}
+_matchings: list[tuple[int, Arcs]] = []
 
 
-def _transition(n_west: int, step: Transition) -> tuple[int, Arcs, HalfLaurent | None]:
+def _matching_id(n_east: int, arcs: Arcs) -> int:
+    m = _matching_ids.setdefault((n_east, arcs), len(_matchings))
+    if m == len(_matchings):
+        _matchings.append((n_east, arcs))
+    return m
+
+
+def _transition(n_west: int, step: tuple[int, Arcs, tuple[Slice, ...]]) -> tuple[int, Arcs, HalfLaurent | None]:
     """Append slices to the canonical word of a matching and trace it back."""
     n_east, arcs, slices = step
     w = SliceWord(n_west, arcs_to_word(n_west, n_east, arcs).slices + slices)
@@ -352,30 +362,33 @@ def _transition(n_west: int, step: Transition) -> tuple[int, Arcs, HalfLaurent |
 
 def _extend(
     n_west: int,
-    terms: Partial,
+    terms: dict[int, HalfLaurent],
     pending: tuple[Slice, ...],
     smoothings: tuple[tuple[HalfLaurent, tuple[Slice, ...]], ...],
-) -> Partial:
+) -> dict[int, HalfLaurent]:
     """Append ``pending`` and then each smoothing to every partial matching.
 
-    Each extension is a transition of the matching, looked up in
-    ``_transition_memo`` and traced only on a miss; closed loops fold into
+    ``terms`` maps matching ids to coefficients.  Each step is looked up in
+    the smoothing's table of ``_transition_memo``, traced only on a miss;
+    appending nothing leaves a matching as it is.  Closed loops fold into
     the coefficient, equal matchings merge and cancelled ones are dropped.
     """
-    steps = [(weight, pending + tail) for weight, tail in smoothings]
-    out: Partial = {}
-    for (n_east, arcs), coeff in terms.items():
-        for weight, slices in steps:
-            step = (n_east, arcs, slices)
-            hit = _transition_memo.get(step)
-            if hit is None:
-                hit = _transition_memo[step] = _transition(n_west, step)
-            new_east, new_arcs, loop = hit
+    out: dict[int, HalfLaurent] = {}
+    for weight, tail in smoothings:
+        slices = pending + tail
+        table = _transition_memo.setdefault(slices, {}) if slices else None
+        for m, coeff in terms.items():
+            new, loop = m, None
+            if table is not None:
+                hit = table.get(m)
+                if hit is None:
+                    new_east, new_arcs, loop = _transition(n_west, (*_matchings[m], slices))
+                    hit = table[m] = (_matching_id(new_east, new_arcs), loop)
+                new, loop = hit
             total = coeff * (weight if loop is None else weight * loop)  # weight * loop: a memo hit
-            key = (new_east, new_arcs)
-            acc = out.get(key)
-            out[key] = total if acc is None else acc + total
-    return {key: c for key, c in out.items() if not c.is_zero()}
+            acc = out.get(new)
+            out[new] = total if acc is None else acc + total
+    return {m: c for m, c in out.items() if not c.is_zero()}
 
 
 def resolve_crossings(word: SliceWord) -> Resolved:
@@ -389,9 +402,10 @@ def resolve_crossings(word: SliceWord) -> Resolved:
     at once.  So the number of live terms never exceeds the number of planar
     matchings of the current boundary (Catalan(4) = 14 for a 4-strand braid),
     and the cost grows linearly in crossings and exponentially only in width.
-    Each step depends only on the matching and the appended slices, so it is
-    traced once per process (``_transition_memo``) and is a dict lookup after
-    that, in this word and in every later one.
+    Each matching met is numbered once (``_matchings``) and the terms are
+    kept by number.  A step depends only on the matching and the appended
+    slices, so it is traced once per process (``_transition_memo``) and is
+    an int-keyed lookup after that, in this word and in every later one.
 
     State-independent, so results are memoized per word; reducing one diagram
     under many state assignments resolves its crossings once.
@@ -400,7 +414,7 @@ def resolve_crossings(word: SliceWord) -> Resolved:
     if hit is not None:
         return hit
     n_w = word.west_arity
-    terms: Partial = {(n_w, parallel_arcs(n_w)): ONE}
+    terms = {_matching_id(n_w, parallel_arcs(n_w)): ONE}
     pending: list[Slice] = []
     for kind, i in word.slices:
         if kind in ("x", "xb"):
@@ -415,7 +429,7 @@ def resolve_crossings(word: SliceWord) -> Resolved:
             pending.append((kind, i))
     if pending:
         terms = _extend(n_w, terms, tuple(pending), ((ONE, ()),))
-    out = [(n_e, arcs, c) for (n_e, arcs), c in sorted(terms.items())]
+    out = sorted((*_matchings[m], c) for m, c in terms.items())
     _resolve_memo[word] = out
     return out
 
@@ -430,8 +444,8 @@ Plan = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], tuple[int
 _memo: dict[ParallelKey, SkeinElement] = {}
 _plan_memo: dict[Arcs, Plan] = {}
 _resolve_memo: dict[SliceWord, Resolved] = {}
-#: Transition -> (new east arity, new arcs, LOOP**loops or None).
-_transition_memo: dict[Transition, tuple[int, Arcs, HalfLaurent | None]] = {}
+#: Appended slices -> {matching id: (new matching id, LOOP**loops or None)}.
+_transition_memo: dict[tuple[Slice, ...], dict[int, tuple[int, HalfLaurent | None]]] = {}
 #: Every process-global memo of the package, by qualified name.
 _MEMOS: dict[str, dict] = {
     "diagram._resolve_memo": _resolve_memo,

@@ -381,6 +381,91 @@ def test_reduce_traces_each_canonical_word_once(monkeypatch):
     memo_clear()
 
 
+@pytest.fixture
+def fresh_matching_ids(monkeypatch):
+    """Empties the memos and gives ``diagram`` a new, empty matching table
+    on each call; the memos are emptied again before the table is restored."""
+    import skeinlab.diagram as D
+
+    def fresh():
+        monkeypatch.setattr(D, "_matching_ids", {})
+        monkeypatch.setattr(D, "_matchings", [])
+        memo_clear()
+        return D._matchings
+
+    yield fresh
+    memo_clear()
+
+
+def test_resolution_does_not_depend_on_matching_numbering(fresh_matching_ids):
+    # Matchings are numbered in the order they are met; resolving the same
+    # words in reverse order numbers them differently and changes nothing.
+    from skeinlab.suites import random_stated_word
+
+    rng = random.Random(2311)
+    words = [random_stated_word(rng, max_crossings=4) for _ in range(40)]
+    words += [
+        StatedWord(SliceWord(4, tuple((rng.choice(("x", "xb")), rng.randrange(3)) for _ in range(9))), w, e)
+        for w, e in zip(state_tuples(4)[::3], state_tuples(4)[::-3])
+    ]
+    first_ids = fresh_matching_ids()
+    first = [(resolve_crossings(d.word), reduce(d)) for d in words]
+    first_ids = list(first_ids)
+    again_ids = fresh_matching_ids()
+    again = [(resolve_crossings(d.word), reduce(d)) for d in reversed(words)]
+    assert sorted(again_ids) == sorted(first_ids) and again_ids != first_ids
+    assert again[::-1] == first
+
+
+def test_transition_memo_holds_only_matching_ids():
+    import skeinlab.diagram as D
+
+    memo_clear()
+    resolve_crossings(SliceWord(4, tuple(("x", i) for _ in range(5) for i in range(3))))
+    resolve_crossings(SliceWord(2, (("cup", 1), ("x", 0), ("xb", 2), ("cap", 1), ("x", 0))))
+    entries = [(m, hit) for table in D._transition_memo.values() for m, hit in table.items()]
+    assert entries
+    loops = 0
+    for m, hit in entries:
+        new, loop = hit
+        assert type(m) is int and type(new) is int
+        assert loop is None or type(loop) is HalfLaurent
+        loops += loop is not None
+    assert loops
+    memo_clear()
+
+
+def _wide_word(rng, width):
+    """A stated word whose widest cut has ``width`` rows, with at least one
+    cup, one cap and crossing, and at most 6 crossings."""
+    while True:
+        west = rows = rng.randrange(width % 2, width - 1, 2)
+        slices, crossings = [], 0
+        for _ in range(rng.randint(4, 12)):
+            kinds = ["cup"] if rows + 2 <= width else []
+            if rows >= 2:
+                kinds.append("cap")
+                if crossings < 6:
+                    kinds += ["x", "xb"]
+            kind = rng.choice(kinds)
+            i = rng.randrange(rows + 1) if kind == "cup" else rng.randrange(rows - 1)
+            rows += {"cup": 2, "cap": -2}.get(kind, 0)
+            crossings += kind in ("x", "xb")
+            slices.append((kind, i))
+        word = SliceWord(west, tuple(slices))
+        if word.width == width and crossings and {"cup", "cap"} <= {k for k, _ in slices}:
+            states = lambda n: tuple(rng.choice((1, -1)) for _ in range(n))
+            return StatedWord(word, states(west), states(rows))
+
+
+def test_reduce_matches_oracle_at_wider_cuts():
+    rng = random.Random(5767)
+    for width in (5, 6, 7):
+        for _ in range(12):
+            d = _wide_word(rng, width)
+            assert reduce(d) == oracle_reduce(d), format_diagram(d)
+
+
 def _reidemeister_words():
     """Every word the RII and RIII cases of the rt suite compare."""
     from skeinlab.suites import _braid_words
