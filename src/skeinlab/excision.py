@@ -49,7 +49,7 @@ from . import bigon_skein, linalg
 from .bigon_skein import TensorElement
 from .diagram import BasisTangle, SkeinElement, register_memo
 from .linalg import SparseRow
-from .scalar import MINUS_ONE, validate_generic_point
+from .scalar import MINUS_ONE, P, residue, validate_generic_point
 
 VARIANTS = ("inv", "hh0_L", "hh0_l_ht")
 
@@ -296,7 +296,7 @@ def gluing_excision_check(n: int, s0: Fraction, seed: int = 0) -> GluingReport:
     The splitting image lies exactly in the cotensor kernel and in each
     variant kernel (an identity of Laurent polynomials,
     ``splitting_image_in_kernel``; for the cotensor it is coassociativity).
-    At s0 the image rank is a lower bound on the generic dimension of the
+    At s0 mod P the image rank is a lower bound on the generic dimension of the
     image, and each kernel dimension an upper bound on the generic dimension
     of its kernel (see ``linalg``).  When all five dimensions equal D_n the
     bounds close, and the image equals every kernel generically, not only at
@@ -317,9 +317,9 @@ def gluing_excision_check(n: int, s0: Fraction, seed: int = 0) -> GluingReport:
     if spaces["inv"]:
         target: SparseRow = {}
         for row in spaces["inv"]:
-            w = Fraction(rng.randint(-3, 3))
+            w = residue(rng.randint(-3, 3))
             for j, x in row.items():
-                target[j] = target.get(j, 0) + w * x
+                target[j] = (target.get(j, 0) + w * x) % P
         cols: dict[int, SparseRow] = {j: {} for j in target}  # solve x . image = target
         for i, row in enumerate(image):
             for j, x in row.items():
@@ -331,7 +331,7 @@ def gluing_excision_check(n: int, s0: Fraction, seed: int = 0) -> GluingReport:
             for i, x in sol.items():
                 for j, v in image[i].items():
                     residual[j] = residual.get(j, 0) + x * v
-            pullback_ok = not any(residual.values())
+            pullback_ok = not any(v % P for v in residual.values())
     return GluingReport(
         n=n,
         s0=s0,

@@ -10,8 +10,8 @@ keeps all exponents integral and makes equality of scalars a structural
 comparison of canonical term maps; ``Fraction(n, 1)`` and ``n`` compare and
 hash equal, so either form of an integral value is canonical.
 
-Rank computations elsewhere specialize s at nonzero rational points other
-than +/-1; ``linalg`` says which way such a value bounds the generic one.
+Rank computations elsewhere evaluate s at the image in F_P, P = 2^31 - 1, of a
+rational point; ``linalg`` says why a rank there bounds the generic one below.
 
 Interning: ``HalfLaurent(...)`` and its named constructors return one
 interned instance per value, never mutated and never freed, and the product
@@ -34,6 +34,7 @@ from fractions import Fraction
 from typing import Hashable, Iterable, ItemsView, Mapping, Union
 
 Rat = Union[int, Fraction]
+P = 2**31 - 1  # the prime of the field F_P that every point rank is taken over (``linalg``)
 
 
 class ScalarError(ValueError):
@@ -249,21 +250,11 @@ class HalfLaurent:
 
     # -- evaluation --------------------------------------------------------
 
-    def specialize(self, s0: Rat) -> Fraction:
-        """Exact evaluation at s = s0 (s0 must be nonzero)."""
-        if not isinstance(s0, Fraction):
-            s0 = Fraction(s0)
-        if not s0:
-            raise ScalarError("specialization point s0 must be nonzero")
-        terms = self._terms
-        if not terms:
-            return Fraction(0)
-        # With s0 = p/r, the value is p^lo r^-hi sum c p^(e-lo) r^(hi-e): one
-        # integer sum (rational only for Fraction coefficients), one division.
-        p, r = s0.numerator, s0.denominator
-        lo, hi = min(terms), max(terms)
-        num = sum(c * p ** (e - lo) * r ** (hi - e) for e, c in terms.items())
-        return Fraction(num * p ** max(lo, 0) * r ** max(-hi, 0), r ** max(hi, 0) * p ** max(-lo, 0))
+    def specialize(self, s0: int) -> int:
+        """The value at s = s0 in F_P, for s0 a nonzero residue mod P (see ``residue``)."""
+        if not s0 % P:
+            raise ScalarError(f"specialization point s0 must be nonzero mod {P}")
+        return sum((c if type(c) is int else residue(c)) * pow(s0, e, P) for e, c in self._terms.items()) % P
 
     # -- printing ----------------------------------------------------------
 
@@ -451,11 +442,19 @@ class LinearCombination:
     __rmul__ = __mul__
 
 
+def residue(x: Rat) -> int:
+    """The image of the rational x in F_P; ScalarError when P divides its denominator."""
+    if not x.denominator % P:
+        raise ScalarError(f"{x} does not map into F_{P}: {P} divides its denominator")
+    return x.numerator * pow(x.denominator, -1, P) % P
+
+
 def validate_generic_point(s0: Rat) -> Fraction:
-    """Check that s0 is usable for generic-q rank computations."""
+    """Check that s0 is usable for generic-q rank computations: neither s0 nor
+    its image in F_P (which must exist) is 0, 1 or -1."""
     s0 = Fraction(s0)
-    if s0 in (0, 1, -1):
-        raise ScalarError(f"specialization point {s0} is not generic (0, 1, -1 excluded)")
+    if s0 in (0, 1, -1) or residue(s0) in (0, 1, P - 1):
+        raise ScalarError(f"specialization point {s0} is not generic (0, 1, -1 excluded, over Q and mod {P})")
     return s0
 
 

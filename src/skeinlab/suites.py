@@ -724,7 +724,7 @@ def multiplicities(specs, *, max_n: int) -> str | None:
             if got != want:
                 return (
                     f"{bound} bound {got} on the endomorphism dimension of the "
-                    f"{n}-fold power != {want} at s0={s0} (lower {lower}, upper {upper})"
+                    f"{n}-fold power != {want} at s0={s0} mod {linalg.P} (lower {lower}, upper {upper})"
                 )
     return None
 
@@ -785,7 +785,7 @@ def ranks(specs, *, points: int) -> str | None:
         for s0 in specs:
             rank, cat, pw = IS.st_rank(nw, ne, s0, tables)
             if not rank == cat == pw:
-                return f"rank/Catalan/Peter-Weyl mismatch at ({nw},{ne}), s0={s0}: {rank},{cat},{pw}"
+                return f"rank/Catalan/Peter-Weyl mismatch at ({nw},{ne}), s0={s0} mod {linalg.P}: {rank},{cat},{pw}"
     return None
 
 

@@ -170,6 +170,14 @@ def test_verify_rejects_degenerate_spec_point(capsys):
     assert "generic" in err
 
 
+def test_verify_rejects_a_spec_point_degenerate_mod_p(capsys):
+    # 2^31 = 1 mod P = 2^31 - 1, the prime every point rank is taken over.
+    for spec in ("2147483648", "1/2147483647"):
+        code, _, err = run_cli(capsys, "verify", "hopf", "--spec", spec)
+        assert code == EXIT_USAGE
+        assert spec in err and "2147483647" in err
+
+
 def test_unknown_suite_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "verify", "nonsense")
     assert code == EXIT_USAGE

@@ -6,6 +6,8 @@ import pytest
 import skeinlab.comodule_rt as CM
 import skeinlab.internal_skein as IS
 import skeinlab.quantum_sl2 as QS
+from q_reference import over_q
+
 from skeinlab import linalg
 from skeinlab.diagram import CBAR, CROSS_PARALLEL, CROSS_TURNBACK, C, SliceWord, state_tuples
 from skeinlab.scalar import LOOP, ONE, ZERO, HalfLaurent, ScalarError
@@ -218,11 +220,32 @@ def test_endomorphism_sandwich_closes_small():
         w = CM.tensor_power_V(n)
         tl = [CM.rt_evaluate(m.word) for m in IS.enumerate_matchings(n, n)]
         assert all(CM.is_intertwiner(w, w, f) for f in tl)
-        lower = linalg.rank(
-            {i * len(row) + j: x.specialize(s0) for i, row in enumerate(f) for j, x in enumerate(row)}
-            for f in tl
-        )
-        assert lower == CM.intertwiner_dimension(w, w, s0) == want
+        assert _tl_rank(tl, s0) == CM.intertwiner_dimension(w, w, s0) == want
+
+
+def _tl_rank(tl, s0):
+    at = linalg.at_point(s0)
+    return linalg.rank({i * len(row) + j: at(x) for i, row in enumerate(f) for j, x in enumerate(row)} for f in tl)
+
+
+@pytest.mark.parametrize("s0", DEFAULT_SPECS)
+def test_both_bounds_are_the_same_over_q_and_mod_p(s0, monkeypatch):
+    # The exact-Q reference ranks the same systems: they agree for n <= 3.
+    systems = []
+    for n in range(4):
+        w = CM.tensor_power_V(n)
+        tl = [CM.rt_evaluate(m.word) for m in IS.enumerate_matchings(n, n)]
+        systems.append((w, tl))
+    mod_p = [(_tl_rank(tl, s0), CM.intertwiner_dimension(w, w, s0)) for w, tl in systems]
+    over_q(monkeypatch)
+    assert [(_tl_rank(tl, s0), CM.intertwiner_dimension(w, w, s0)) for w, tl in systems] == mod_p
+    assert mod_p == [(1, 1), (1, 1), (2, 2), (5, 5)]
+
+
+def test_bound_witness_names_the_field(monkeypatch):
+    monkeypatch.setattr(CM, "intertwiner_dimension", lambda w1, w2, s0: 0)
+    [case] = [fn for label, fn in comodule_suite(1, DEFAULT_SPECS, 0) if "intertwiner" in label]
+    assert f"at s0=7/5 mod {linalg.P} (lower 1, upper 0)" in case()
 
 
 def _intertwines_by_every_row(w1, w2, f):

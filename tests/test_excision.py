@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from q_reference import over_q
 
 import skeinlab.bigon_skein as B
 import skeinlab.excision as EX
@@ -56,6 +57,20 @@ def test_invariants_variants_agree_degree_one():
     canon = linalg.rref(image)
     for v, rows in spaces.items():
         assert linalg.rref(rows) == canon, v
+
+
+def test_gluing_dimensions_are_the_same_over_q_and_mod_p(monkeypatch):
+    def dims():
+        out = {}
+        for n in range(4):
+            spaces = EX._all_subspaces(n, S0)
+            out[n] = {name: linalg.rank(rows) for name, rows in spaces.items()}
+        return out
+
+    mod_p = dims()
+    over_q(monkeypatch)
+    assert dims() == mod_p
+    assert all(set(d.values()) == {EX.filtration_dimension(n)} for n, d in mod_p.items())
 
 
 def test_invariants_rejects_bad_variant_and_point():

@@ -2,13 +2,15 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from q_reference import over_q
 
 import skeinlab.bigon_skein as B
 import skeinlab.comodule_rt as CM
 import skeinlab.internal_skein as IS
 import skeinlab.quantum_sl2 as QS
 from skeinlab.diagram import CBAR, SkeinElement, UNIT_TANGLE, BasisTangle, C, evaluate_arcs
-from skeinlab.scalar import LOOP, Q, HalfLaurent
+from skeinlab.scalar import LOOP, P, Q, HalfLaurent
+from skeinlab.suites import DEFAULT_SPECS, ranks
 
 s = HalfLaurent.s_pow
 
@@ -301,6 +303,22 @@ def test_st_rank_triples():
     assert IS.st_rank(1, 1, s0, _tables(1, 1)) == (1, 1, 1)
     assert IS.st_rank(2, 2, s0, _tables(2, 2)) == (2, 2, 2)
     assert IS.st_rank(2, 0, s0, _tables(2, 0)) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("s0", DEFAULT_SPECS)
+def test_st_ranks_are_the_same_over_q_and_mod_p(s0, monkeypatch):
+    splits = [(nw, total - nw) for total in range(0, 7, 2) for nw in range(total + 1)]
+    tables = {split: _tables(*split) for split in splits}
+    mod_p = {split: IS.st_rank(*split, s0, tables[split]) for split in splits}
+    over_q(monkeypatch)
+    assert {split: IS.st_rank(*split, s0, tables[split]) for split in splits} == mod_p
+    assert all(rank == cat == pw for rank, cat, pw in mod_p.values())
+
+
+def test_rank_witness_names_the_field(monkeypatch):
+    monkeypatch.setattr(IS, "st_rank", lambda nw, ne, s0, tables: (0, 1, 1))
+    witness = ranks(DEFAULT_SPECS, points=0)
+    assert witness == f"rank/Catalan/Peter-Weyl mismatch at (0,0), s0=7/5 mod {P}: 0,1,1"
 
 
 def test_peter_weyl_count():

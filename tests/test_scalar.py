@@ -7,17 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeinlab import scalar
+from skeinlab import linalg, scalar
 from skeinlab.diagram import memo_clear
 from skeinlab.scalar import (
     LOOP,
     MINUS_ONE,
     ONE,
+    P,
     Q,
     ZERO,
     HalfLaurent,
     ScalarError,
     format_scalar,
+    residue,
     validate_generic_point,
 )
 from skeinlab.syntax import MAX_EXPONENT, ParseError, parse_scalar
@@ -44,10 +46,11 @@ def test_additive_inverse_is_empty():
 
 
 def test_specialize_examples():
-    assert LOOP.specialize(1) == -2
-    assert S(1).specialize(Fraction(7, 5)) == Fraction(7, 5)
+    assert LOOP.specialize(1) == P - 2
+    assert S(1).specialize(residue(Fraction(7, 5))) == residue(Fraction(7, 5))
     q = HalfLaurent.q_pow(1)
-    assert (q - HalfLaurent.q_pow(-3)).specialize(2) == Fraction(255, 64)
+    assert (q - HalfLaurent.q_pow(-3)).specialize(2) == residue(Fraction(255, 64))
+    assert S(-1, Fraction(3, 2)).specialize(5) == residue(Fraction(3, 10))
 
 
 def test_specialize_rejects_zero():
@@ -55,22 +58,34 @@ def test_specialize_rejects_zero():
         S(2).specialize(0)
 
 
-def test_specialize_takes_int_and_fraction_points_alike():
+def test_specialize_takes_every_representative_of_a_residue_alike():
     x = LOOP + S(-3, Fraction(2, 3)) + S(1, -5)
     for n in (2, -3, 7):
-        assert x.specialize(n) == x.specialize(Fraction(n))
-        assert type(x.specialize(n)) is type(x.specialize(Fraction(n))) is Fraction
-    for zero in (0, Fraction(0)):
+        assert x.specialize(n) == x.specialize(n + P) == x.specialize(residue(Fraction(n)))
+        assert type(x.specialize(n)) is int and 0 <= x.specialize(n) < P
+    for zero in (0, P, -P):
         with pytest.raises(ScalarError):
             x.specialize(zero)
         with pytest.raises(ScalarError):
             HalfLaurent.zero().specialize(zero)
 
 
+def test_a_coefficient_outside_the_field_is_refused_by_name():
+    x = S(3, Fraction(1, P)) + S(0)
+    with pytest.raises(ScalarError, match=f"1/{P} does not map into F_{P}"):
+        x.specialize(2)
+    with pytest.raises(ScalarError, match=f"1/{P} does not map into F_{P}"):
+        linalg.at_point(Fraction(7, 5))(x)
+
+
 def test_generic_point_validation():
     assert validate_generic_point(Fraction(7, 5)) == Fraction(7, 5)
     for bad in (0, 1, -1):
         with pytest.raises(ScalarError):
+            validate_generic_point(bad)
+    # Points whose image in F_P is 0, 1 or -1, or which have none.
+    for bad in (P, P + 1, P - 1, Fraction(P + 2, 2), Fraction(2, P)):
+        with pytest.raises(ScalarError, match=str(bad)):
             validate_generic_point(bad)
 
 
@@ -138,9 +153,9 @@ def test_ring_axioms(x, y, z):
 @given(scalars, scalars)
 @settings(max_examples=60, deadline=None)
 def test_specialize_is_ring_homomorphism(x, y):
-    s0 = Fraction(7, 5)
-    assert (x * y).specialize(s0) == x.specialize(s0) * y.specialize(s0)
-    assert (x + y).specialize(s0) == x.specialize(s0) + y.specialize(s0)
+    s0 = residue(Fraction(7, 5))
+    assert (x * y).specialize(s0) == x.specialize(s0) * y.specialize(s0) % P
+    assert (x + y).specialize(s0) == (x.specialize(s0) + y.specialize(s0)) % P
 
 
 def _integral(x):
