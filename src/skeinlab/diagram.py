@@ -53,6 +53,8 @@ returns the entry count of each:
 * ``excision._switch_memo``: the symbolic image of each one-sided map the
   gluing defect maps are composed of, per (map name, basis tangle),
 * ``excision._splitting_memo``: the exact splitting check per (degree, map),
+* ``excision._torus_memo``: the exact premise of the torus-weight lemma per
+  (degree, map),
 * ``scalar._product_memo``: the product of two interned scalars.
 
 verify runs in one thread; memos are not locked.  ``memo_clear`` leaves the

@@ -37,13 +37,13 @@ DEFAULT_SPECS = (Fraction(7, 5), Fraction(11, 7))
 ORACLE_WORDS = 200
 
 # Caps below --max-degree, each with what raising it costs in a cold process on a 2-core
-# AMD EPYC host (CPython 3.11), where all of ``verify all --max-degree 3`` takes 0.27 s.
+# AMD EPYC host (CPython 3.11), where all of ``verify all --max-degree 3`` takes 0.19 s.
 
 #: Strands per factor of the identities over pairs of basis tangles, and of the single-tangle
 #: cases grouped with them.  At 3, the coproduct-algebra-map case takes 204 ms instead of 13,
 #: the exchange law 146 ms instead of 13, and crossed stacking 79 ms instead of 6.
 PAIR_STRANDS = 2
-#: Gluing dimensions: degree 3 adds 0.26 s.
+#: Gluing dimensions: degree 3 adds 0.07 s, at both points.
 GLUING_DEGREE = 2
 
 # Fixed bounds, independent of --max-degree.
@@ -823,6 +823,7 @@ def gluing(specs, seed: int, *, n: int) -> str | None:
             return (
                 f"degree {n} at s0={s0}: fails {', '.join(rep.failures())}; "
                 f"dims {rep.dims}, increments {rep.increments}"
+                + "".join(f"; {w}" for w in rep.torus_weights)
             )
     return None
 

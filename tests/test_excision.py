@@ -4,6 +4,7 @@ import pytest
 from q_reference import over_q
 
 import skeinlab.bigon_skein as B
+import skeinlab.diagram as D
 import skeinlab.excision as EX
 from skeinlab import linalg
 from skeinlab.bigon_skein import TensorElement
@@ -128,6 +129,11 @@ def test_gluing_check_requires_the_image_in_every_kernel(monkeypatch):
     memo_clear()
 
 
+def test_gluing_check_rejects_a_negative_degree():
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        EX.gluing_excision_check(-1, S0)
+
+
 def test_gluing_check_degree_three():
     rep = EX.gluing_excision_check(3, S0)
     assert rep.passed and rep.pullback_ok and rep.image_in_kernels
@@ -219,5 +225,76 @@ def test_gluing_check_catches_a_scaled_half_twist_switch(monkeypatch):
         rep = EX.gluing_excision_check(1, S0)
         assert not rep.passed
         assert not EX.splitting_image_in_kernel(1, "hh0_l_ht")
+    finally:
+        memo_clear()
+
+
+# -- torus weights: the kernels are solved on the balanced pairs only -------------
+
+
+def _full_kernel(n, name, s0):
+    """The kernel of ``_DEFECTS[name]`` on all D_n^2 pairs of F_n, with no restriction."""
+    at = linalg.at_point(s0)
+    basis = EX.filtration_basis(n)
+    d = len(basis)
+    rows = {}
+    for i, b1 in enumerate(basis):
+        for j, b2 in enumerate(basis):
+            for key, c in EX._DEFECTS[name](b1, b2).items():
+                if v := at(c):
+                    rows.setdefault(key, {})[i * d + j] = v
+    return linalg.kernel_basis(rows.values(), d * d)
+
+
+def test_balanced_kernels_equal_the_full_kernels():
+    for n in range(4):
+        for name in EX._DEFECTS:
+            for s0 in DEFAULT_SPECS:
+                assert linalg.rref(EX._kernel_of_map(n, name, s0)) == linalg.rref(_full_kernel(n, name, s0)), (n, name)
+
+
+def test_balanced_column_counts():
+    assert (len(EX.balanced_columns(2)), EX.filtration_dimension(2) ** 2) == (34, 100)
+    assert (len(EX.balanced_columns(5)), EX.filtration_dimension(5) ** 2) == (560, 3136)
+    basis = EX.filtration_basis(2)
+    for col in EX.balanced_columns(2):
+        assert sum(basis[col // 10].nu) == sum(basis[col % 10].mu)
+
+
+def test_gluing_check_catches_a_switch_off_its_torus_weight(monkeypatch):
+    # pi on the switched leg of right(a) must be K^-1 a; an added a (x) a term
+    # adds K a, and puts a term off the west sums that inv's argument uses.
+    a = BasisTangle(1, (1,), (1,))
+    exact = EX._SWITCHES["right"]
+
+    def perturbed(b):
+        out = exact(b)
+        if b == a:
+            out.add_term((a, a), ONE)
+        return out
+
+    monkeypatch.setitem(EX._SWITCHES, "right", perturbed)
+    memo_clear()
+    try:
+        assert "right(beta(+;+))" in EX.torus_premise(1, "hh0_L")
+        assert EX.torus_premise(1, "cotensor") is None
+        rep = EX.gluing_excision_check(1, S0)
+        assert not rep.passed and "torus_weights" in rep.failures()
+        assert {w.split(":")[0] for w in rep.torus_weights} == {"inv", "hh0_L", "hh0_l_ht"}
+        witness = gluing(DEFAULT_SPECS, 0, n=1)
+        assert witness is not None and "torus_weights" in witness and "hh0_L: pi on leg 1" in witness
+    finally:
+        memo_clear()
+
+
+@pytest.mark.parametrize("table, states, label", [(D.C, (1, 1), "C"), (D.CBAR, (-1, -1), "Cbar")])
+def test_inv_premise_needs_arc_weights_to_vanish_on_equal_states(monkeypatch, table, states, label):
+    # Otherwise an arc could remove two equal states and change an edge sum.
+    monkeypatch.setitem(table, states, ONE)
+    memo_clear()
+    try:
+        witness = EX.torus_premise(1, "inv")
+        assert witness == f"inv: {label} does not vanish on equal states"
+        assert EX.torus_premise(1, "hh0_L") is None
     finally:
         memo_clear()

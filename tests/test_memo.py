@@ -28,6 +28,7 @@ MEMOS = {
     "comodule_rt._rows_memo",
     "excision._switch_memo",
     "excision._splitting_memo",
+    "excision._torus_memo",
     "scalar._product_memo",
 }
 
@@ -51,6 +52,7 @@ def test_memo_clear_empties_every_memo():
     IS.check_st_intertwiner(m, IS.st_map(m))
     EX.invariants_subspace(0, "inv", Fraction(7, 5))
     EX.splitting_image_in_kernel(0, "inv")
+    EX.torus_premise(0, "inv")
     CM.intertwiner_dimension(CM.standard_V(), CM.standard_V(), Fraction(7, 5))
     sizes = memo_sizes()
     assert set(sizes) == MEMOS
