@@ -21,9 +21,9 @@ from .diagram import (
     SliceWord,
     State,
     StatedWord,
+    memoized,
     reduce as reduce_diagram,
     reduce_parallel,
-    register_memo,
     state_tuples,
 )
 from .scalar import ONE, ZERO, HalfLaurent, LinearCombination
@@ -138,21 +138,22 @@ def mul_many(factors: Iterable[SkeinElement]) -> SkeinElement:
 def comul(x: SkeinElement) -> TensorElement:
     """Coproduct: split along the middle arc, summing over middle states.
 
-    Each basis tangle is split once per process (``_comul_memo``); the
+    Each basis tangle is split once per process (``_comul_basis``); the
     returned element is fresh, so callers may mutate it.
     """
     out = TensorElement.zero(2)
     for b, c in x.items():
-        image = _comul_memo.get(b)
-        if image is None:
-            image = _comul_memo[b] = TensorElement.zero(2)
-            for eta in state_tuples(b.n):
-                image.add_scaled(tensor2(reduce_parallel(b.mu, eta), reduce_parallel(eta, b.nu)))
-        out.add_scaled(image, c)
+        out.add_scaled(_comul_basis(b), c)
     return out
 
 
-_comul_memo: dict[BasisTangle, TensorElement] = register_memo("bigon_skein._comul_memo", {})
+@memoized("bigon_skein._comul_memo")
+def _comul_basis(b: BasisTangle) -> TensorElement:
+    """The coproduct of one basis tangle."""
+    out = TensorElement.zero(2)
+    for eta in state_tuples(b.n):
+        out.add_scaled(tensor2(reduce_parallel(b.mu, eta), reduce_parallel(eta, b.nu)))
+    return out
 
 
 def counit(x: SkeinElement) -> HalfLaurent:
@@ -211,26 +212,14 @@ def inv_edge(x: SkeinElement, edge: str = "east", inverse: bool = False) -> Skei
     Reverses the height order of that edge's points (via a half-twist braid),
     negates each state eta, and weights by C(eta) -- or, for the inverse, by
     C(-eta)^(-1) with the opposite braid.  The image of each basis tangle is
-    reduced once per process (``_inv_edge_memo``).
+    reduced once per process (``_inv_edge_basis``).
     """
     if edge not in ("east", "west"):
         raise ValueError("edge must be 'east' or 'west'")
-
-    def on_basis(b: BasisTangle) -> SkeinElement:
-        key = (b, edge, inverse)
-        hit = _inv_edge_memo.get(key)
-        if hit is None:
-            hit = _inv_edge_memo[key] = _inv_edge_basis(b, edge, inverse)
-        return hit
-
-    return linear(on_basis)(x)
+    return linear(lambda b: _inv_edge_basis(b, edge, inverse))(x)
 
 
-_inv_edge_memo: dict[tuple[BasisTangle, str, bool], SkeinElement] = register_memo(
-    "bigon_skein._inv_edge_memo", {}
-)
-
-
+@memoized("bigon_skein._inv_edge_memo")
 def _inv_edge_basis(b: BasisTangle, edge: str, inverse: bool) -> SkeinElement:
     kind = HALF_TWIST_INVERSE_CROSSING if inverse else HALF_TWIST_CROSSING
     word = SliceWord(b.n, _reversal_braid(b.n, kind))
@@ -298,8 +287,6 @@ _R_GEN: dict[tuple[tuple[State, State], tuple[State, State]], HalfLaurent] = {
     ((1, -1), (-1, 1)): HalfLaurent.q_pow(1) + HalfLaurent.q_pow(-3, -1),
 }
 
-_r_memo: dict[tuple[BasisTangle, BasisTangle], HalfLaurent] = register_memo("bigon_skein._r_memo", {})
-
 
 def _split_first_strand(b: BasisTangle) -> tuple[BasisTangle, BasisTangle]:
     head = BasisTangle(1, (b.mu[0],), (b.nu[0],))
@@ -307,29 +294,23 @@ def _split_first_strand(b: BasisTangle) -> tuple[BasisTangle, BasisTangle]:
     return head, rest
 
 
+@memoized("bigon_skein._r_memo")
 def _r_basis(bx: BasisTangle, by: BasisTangle) -> HalfLaurent:
-    key = (bx, by)
-    hit = _r_memo.get(key)
-    if hit is not None:
-        return hit
     if bx.n == 0:
-        out = ONE if by.mu == by.nu else HalfLaurent.zero()
-    elif by.n == 0:
-        out = ONE if bx.mu == bx.nu else HalfLaurent.zero()
-    elif bx.n == 1 and by.n == 1:
-        out = _R_GEN.get(((bx.mu[0], bx.nu[0]), (by.mu[0], by.nu[0])), HalfLaurent.zero())
-    elif bx.n > 1:
+        return ONE if by.mu == by.nu else HalfLaurent.zero()
+    if by.n == 0:
+        return ONE if bx.mu == bx.nu else HalfLaurent.zero()
+    if bx.n == 1 and by.n == 1:
+        return _R_GEN.get(((bx.mu[0], bx.nu[0]), (by.mu[0], by.nu[0])), HalfLaurent.zero())
+    if bx.n > 1:
         # R(g x' (x) z) = sum R(g (x) z_(1)) R(x' (x) z_(2))
         g, rest = _split_first_strand(bx)
         legs = comul(SkeinElement.of(by)).items()
-        out = sum((_r_basis(g, z1) * _r_basis(rest, z2) * c for (z1, z2), c in legs), ZERO)
-    else:
-        # R(x (x) h y') = sum R(x_(1) (x) y') R(x_(2) (x) h)
-        h, rest = _split_first_strand(by)
-        legs = comul(SkeinElement.of(bx)).items()
-        out = sum((_r_basis(x1, rest) * _r_basis(x2, h) * c for (x1, x2), c in legs), ZERO)
-    _r_memo[key] = out
-    return out
+        return sum((_r_basis(g, z1) * _r_basis(rest, z2) * c for (z1, z2), c in legs), ZERO)
+    # R(x (x) h y') = sum R(x_(1) (x) y') R(x_(2) (x) h)
+    h, rest = _split_first_strand(by)
+    legs = comul(SkeinElement.of(bx)).items()
+    return sum((_r_basis(x1, rest) * _r_basis(x2, h) * c for (x1, x2), c in legs), ZERO)
 
 
 def r_form(x: SkeinElement, y: SkeinElement) -> HalfLaurent:

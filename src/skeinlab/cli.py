@@ -17,7 +17,7 @@ from .diagram import MAX_CLI_WIDTH, UNIT_TANGLE, StatedWord
 from .diagram import reduce as reduce_diagram
 from .report import Report
 from .scalar import format_scalar, validate_generic_point
-from .suites import DEFAULT_SPECS, SUITES, run_suite
+from .suites import DEFAULT_SPECS, MAX_CLI_DEGREE, SUITES, run_suite
 from .syntax import format_element, parse_diagram, parse_element
 
 EXIT_PASS = 0
@@ -51,11 +51,14 @@ def _parse_spec_points(values: list[str] | None, seed: int | None) -> tuple[Frac
     return tuple(points)
 
 
-def bound(text: str) -> int:
-    """A non-negative size bound: a negative one would pass vacuously."""
+def degree(text: str) -> int:
+    """A --max-degree: non-negative, since a negative one would pass vacuously, and at most
+    ``MAX_CLI_DEGREE``, since the suites grow exponentially in it."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    if value > MAX_CLI_DEGREE:
+        raise argparse.ArgumentTypeError(f"degree {value} exceeds the bound {MAX_CLI_DEGREE}")
     return value
 
 
@@ -90,8 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=SUITES + ("all",))
-    p.add_argument("--max-degree", type=bound, default=3,
-                   help="strand bound; for st, an arc bound (2D boundary points)")
+    p.add_argument("--max-degree", type=degree, default=3,
+                   help=f"strand bound, at most {MAX_CLI_DEGREE}; for st, an arc bound "
+                   "(2D boundary points)")
     p.add_argument("--spec", action="append", metavar="S0",
                    help="specialization point (rational, repeatable; default 7/5 and 11/7)")
     p.add_argument("--seed", type=int, default=None,

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import bigon_skein, linalg, quantum_sl2
-from .diagram import C, CBAR, CROSS_PARALLEL, CROSS_TURNBACK, SliceWord, State, register_memo, state_tuples
+from .diagram import C, CBAR, CROSS_PARALLEL, CROSS_TURNBACK, SliceWord, State, memoized, state_tuples
 from .quantum_sl2 import HopfElement, comul as hopf_comul, counit as hopf_counit, mul as hopf_mul
 from .scalar import ONE, ZERO, HalfLaurent, LinearCombination
 
@@ -255,11 +255,8 @@ def multiplicity(k: int, n: int) -> int:
 #: The condition rows, and per column the rows with a non-zero entry in it.
 IntertwinerRows = tuple[list[dict[int, HalfLaurent]], dict[int, list[dict[int, HalfLaurent]]]]
 
-_rows_memo: dict[tuple[Comodule, Comodule], IntertwinerRows] = register_memo(
-    "comodule_rt._rows_memo", {}
-)
 
-
+@memoized("comodule_rt._rows_memo")
 def _intertwiner_rows(w1: Comodule, w2: Comodule) -> IntertwinerRows:
     """The linear conditions for a map f: w1 -> w2 to be a comodule map.
 
@@ -270,9 +267,6 @@ def _intertwiner_rows(w1: Comodule, w2: Comodule) -> IntertwinerRows:
     bound and every exact check; a column's first entry is the coaction
     coefficient itself, not a copy.
     """
-    hit = _rows_memo.get((w1, w2))
-    if hit is not None:
-        return hit
     rows: list[dict[int, HalfLaurent]] = []
     for i in range(w2.dim):
         for j in range(w1.dim):
@@ -293,8 +287,7 @@ def _intertwiner_rows(w1: Comodule, w2: Comodule) -> IntertwinerRows:
         for col, v in row.items():
             if v:
                 by_col.setdefault(col, []).append(row)
-    hit = _rows_memo[(w1, w2)] = rows, by_col
-    return hit
+    return rows, by_col
 
 
 def intertwiner_dimension(w1: Comodule, w2: Comodule, s0: Fraction) -> int:

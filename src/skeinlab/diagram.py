@@ -32,18 +32,15 @@ through strands, and only parallel diagrams are sorted and memoized.
 non-zero: those that give every returning arc opposite states.
 
 Memo policy: every memo in the package is process-global, unbounded and
-holds only a deterministic function of its key.  Each is registered here with
-``register_memo``; ``memo_clear()`` empties all of them and ``memo_sizes()``
+holds only a deterministic function of its key; a hit is shared, so callers
+must not mutate it.  A memoized function is declared with ``memoized(name)``,
+which keeps its results in a plain dict registered in ``_MEMOS`` under
+``name``; ``memo_clear()`` empties every registered memo and ``memo_sizes()``
 returns the entry count of each:
 
-* ``diagram._resolve_memo``: crossing resolution per slice word,
-* ``diagram._transition_memo``: each step of that resolution, keyed by the
-  appended slices and then by matching id: the new matching's id and the
-  loop factor, so each distinct step is traced once per process,
-* ``diagram._memo``: reduction per stated parallel diagram, keyed by
-  ``(west, east)``,
-* ``diagram._plan_memo``: the returning arcs and through strands of each
-  matching,
+* ``diagram._resolve_memo``: ``resolve_crossings`` per slice word,
+* ``diagram._plan_memo``: ``_plan``, the returning arcs and through strands
+  of each matching,
 * ``bigon_skein._inv_edge_memo``: edge inversion per (basis tangle, edge,
   inverse), so ``t_form`` and ``t_inv_form`` reduce each basis tangle once,
 * ``bigon_skein._r_memo``: the co-R form per pair of basis tangles,
@@ -52,10 +49,24 @@ returns the entry count of each:
   comodules,
 * ``excision._switch_memo``: the symbolic image of each one-sided map the
   gluing defect maps are composed of, per (map name, basis tangle),
-* ``excision._splitting_memo``: the exact splitting check per (degree, map),
+* ``excision._splitting_memo``: the first tangle of F_n whose splitting a
+  defect map does not kill, per (degree, map),
 * ``excision._torus_memo``: the exact premise of the torus-weight lemma per
-  (degree, map),
-* ``scalar._product_memo``: the product of two interned scalars.
+  (degree, map).
+
+Three memos are plain dicts, registered by hand, because a wrapper does not
+fit them:
+
+* ``diagram._memo``: reduction per stated parallel diagram, keyed by
+  ``(west, east)``; ``reduce_parallel`` is the hot path of every product,
+  and ``memo_snapshot`` copies this dict,
+* ``diagram._transition_memo``: each step of crossing resolution, a table
+  per appended slices keyed by matching id, giving the new matching's id and
+  the loop factor; ``_extend`` fetches one table per smoothing and looks up
+  every term in it,
+* ``scalar._product_memo``: the product of two interned scalars, looked up
+  inside ``HalfLaurent.__mul__``; ``diagram`` imports ``scalar``, so
+  ``scalar`` cannot use the decorator.
 
 verify runs in one thread; memos are not locked.  ``memo_clear`` leaves the
 intern tables of basis keys and scalars (``_interned``), boundary points
@@ -64,8 +75,9 @@ intern tables of basis keys and scalars (``_interned``), boundary points
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .scalar import LOOP, ONE, HalfLaurent, InternedKey, LinearCombination, _product_memo
 
@@ -239,6 +251,55 @@ WEST_EXCHANGE_SWAP = HalfLaurent.q_pow(2)
 WEST_EXCHANGE_ARC = HalfLaurent.s_pow(5, -1)
 
 
+# -- memos ----------------------------------------------------------------------
+
+#: Every process-global memo of the package, by qualified name.  The values
+#: are the dicts themselves, never functions, so rebinding a memoized
+#: function leaves its memo covered.
+_MEMOS: dict[str, dict] = {"scalar._product_memo": _product_memo}
+_MISS = object()
+_F = TypeVar("_F", bound=Callable)
+
+
+def memoized(name: str) -> Callable[[_F], _F]:
+    """Cache a pure function of hashable arguments in a dict registered as ``name``.
+
+    The key is the argument itself for a function of one argument and the
+    argument tuple otherwise; arguments are passed by position.  A miss is
+    told apart by a sentinel, so ``None`` and ``False`` results are cached.
+    """
+
+    def decorate(fn: _F) -> _F:
+        memo = _MEMOS[name] = {}
+        if fn.__code__.co_argcount == 1:
+            def cached(key):
+                hit = memo.get(key, _MISS)
+                if hit is _MISS:
+                    hit = memo[key] = fn(key)
+                return hit
+
+        else:
+            def cached(*key):
+                hit = memo.get(key, _MISS)
+                if hit is _MISS:
+                    hit = memo[key] = fn(*key)
+                return hit
+        return functools.wraps(fn)(cached)  # type: ignore[return-value]
+
+    return decorate
+
+
+def memo_clear() -> None:
+    """Empty every registered memo."""
+    for memo in _MEMOS.values():
+        memo.clear()
+
+
+def memo_sizes() -> dict[str, int]:
+    """Entry count of every registered memo."""
+    return {name: len(memo) for name, memo in _MEMOS.items()}
+
+
 # -- crossing resolution ------------------------------------------------------
 
 
@@ -354,6 +415,11 @@ def _matching_id(n_east: int, arcs: Arcs) -> int:
     return m
 
 
+#: Appended slices -> {matching id: (new matching id, LOOP**loops or None)}.
+_transition_memo: dict[tuple[Slice, ...], dict[int, tuple[int, HalfLaurent | None]]] = {}
+_MEMOS["diagram._transition_memo"] = _transition_memo
+
+
 def _transition(n_west: int, step: tuple[int, Arcs, tuple[Slice, ...]]) -> tuple[int, Arcs, HalfLaurent | None]:
     """Append slices to the canonical word of a matching and trace it back."""
     n_east, arcs, slices = step
@@ -393,6 +459,7 @@ def _extend(
     return {m: c for m, c in out.items() if not c.is_zero()}
 
 
+@memoized("diagram._resolve_memo")
 def resolve_crossings(word: SliceWord) -> Resolved:
     """Resolve all crossings and remove loops; returns crossingless matchings
     with their coefficients, sorted by (east arity, arcs).
@@ -412,9 +479,6 @@ def resolve_crossings(word: SliceWord) -> Resolved:
     State-independent, so results are memoized per word; reducing one diagram
     under many state assignments resolves its crossings once.
     """
-    hit = _resolve_memo.get(word)
-    if hit is not None:
-        return hit
     n_w = word.west_arity
     terms = {_matching_id(n_w, parallel_arcs(n_w)): ONE}
     pending: list[Slice] = []
@@ -431,9 +495,7 @@ def resolve_crossings(word: SliceWord) -> Resolved:
             pending.append((kind, i))
     if pending:
         terms = _extend(n_w, terms, tuple(pending), ((ONE, ()),))
-    out = sorted((*_matchings[m], c) for m, c in terms.items())
-    _resolve_memo[word] = out
-    return out
+    return sorted((*_matchings[m], c) for m, c in terms.items())
 
 
 # -- stated reduction ---------------------------------------------------------
@@ -444,24 +506,7 @@ ParallelKey = tuple[tuple[State, ...], tuple[State, ...]]  # (west, east)
 Plan = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]
 
 _memo: dict[ParallelKey, SkeinElement] = {}
-_plan_memo: dict[Arcs, Plan] = {}
-_resolve_memo: dict[SliceWord, Resolved] = {}
-#: Appended slices -> {matching id: (new matching id, LOOP**loops or None)}.
-_transition_memo: dict[tuple[Slice, ...], dict[int, tuple[int, HalfLaurent | None]]] = {}
-#: Every process-global memo of the package, by qualified name.
-_MEMOS: dict[str, dict] = {
-    "diagram._resolve_memo": _resolve_memo,
-    "diagram._transition_memo": _transition_memo,
-    "diagram._memo": _memo,
-    "diagram._plan_memo": _plan_memo,
-    "scalar._product_memo": _product_memo,
-}
-
-
-def register_memo(name: str, memo: dict) -> dict:
-    """Add a process-global memo to those ``memo_clear`` and ``memo_sizes`` cover."""
-    _MEMOS[name] = memo
-    return memo
+_MEMOS["diagram._memo"] = _memo
 
 
 def memo_snapshot() -> dict[ParallelKey, SkeinElement]:
@@ -469,17 +514,7 @@ def memo_snapshot() -> dict[ParallelKey, SkeinElement]:
     return dict(_memo)
 
 
-def memo_clear() -> None:
-    """Empty every registered memo."""
-    for memo in _MEMOS.values():
-        memo.clear()
-
-
-def memo_sizes() -> dict[str, int]:
-    """Entry count of every registered memo."""
-    return {name: len(memo) for name, memo in _MEMOS.items()}
-
-
+@memoized("diagram._plan_memo")
 def _plan(arcs: Arcs) -> Plan:
     """Split a planar matching into its returning arcs and through strands."""
     # Canonical pairs are sorted, so ("e", j) comes before ("w", i) and a
@@ -488,13 +523,6 @@ def _plan(arcs: Arcs) -> Plan:
     west_arcs = tuple((a[1], b[1]) for a, b in arcs if a[0] == b[0] == "w")
     through = sorted((b[1], a[1]) for a, b in arcs if a[0] != b[0])
     return east_arcs, west_arcs, tuple(w for w, _ in through), tuple(e for _, e in through)
-
-
-def _memo_plan(arcs: Arcs) -> Plan:
-    plan = _plan_memo.get(arcs)
-    if plan is None:
-        plan = _plan_memo[arcs] = _plan(arcs)
-    return plan
 
 
 def nonzero_states(
@@ -506,7 +534,7 @@ def nonzero_states(
     C or Cbar entry, i.e. are opposite; through strands take every state.
     The vectors come in ``state_tuples`` order, west before east.
     """
-    east_arcs, west_arcs, _, _ = _memo_plan(arcs)
+    east_arcs, west_arcs, _, _ = _plan(arcs)
     return [
         (west, east)
         for west in _arc_states(n_west, west_arcs, CBAR)
@@ -539,9 +567,9 @@ def evaluate_arcs(
     A returning arc is the scalar C (east edge) or Cbar (west edge) of its
     (upper, lower) states, so the matching is the product of its arc weights
     times the parallel diagram of its through strands.  The arities are
-    those of the states; the split of ``arcs`` is memoized in ``_plan_memo``.
+    those of the states; the split of ``arcs`` is memoized (``_plan``).
     """
-    east_arcs, west_arcs, through_w, through_e = _memo_plan(arcs)
+    east_arcs, west_arcs, through_w, through_e = _plan(arcs)
     if not (east_arcs or west_arcs):
         return reduce_parallel(west, east)
     weight = None

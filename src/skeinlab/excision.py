@@ -35,7 +35,7 @@ and ``hh0_l_ht`` are b1 placed next to a one-sided map of b2 minus a
 one-sided map of b1 placed next to b2, and ``inv`` multiplies the east leg of
 comul(b1) against the right switch of b2.  Each one-sided image is symbolic,
 independent of the point and the degree, and computed once per process
-(``_switch_memo``); the pair images are recomposed at every point.
+(``_switch``); the pair images are recomposed at every point.
 
 Torus weights.  Reduction keeps the sum of the states on each edge, so the
 kernels need only the *balanced* pairs (b1, b2), those where the east states
@@ -83,7 +83,7 @@ from typing import Callable
 
 from . import bigon_skein, linalg
 from .bigon_skein import TensorElement
-from .diagram import CBAR, BasisTangle, C, SkeinElement, register_memo
+from .diagram import CBAR, BasisTangle, C, SkeinElement, memoized
 from .linalg import SparseRow
 from .scalar import MINUS_ONE, ONE, ZERO, HalfLaurent, P, residue, validate_generic_point
 
@@ -147,16 +147,10 @@ _SWITCHES: dict[str, Callable[[BasisTangle], TensorElement]] = {
     "ht": _ht_switch,
 }
 
-_switch_memo: dict[tuple[str, BasisTangle], TensorElement] = register_memo("excision._switch_memo", {})
-
-
+@memoized("excision._switch_memo")
 def _switch(name: str, b: BasisTangle) -> TensorElement:
     """``_SWITCHES[name](b)``, computed once per process; callers must not mutate it."""
-    key = (name, b)
-    hit = _switch_memo.get(key)
-    if hit is None:
-        hit = _switch_memo[key] = _SWITCHES[name](b)
-    return hit
+    return _SWITCHES[name](b)
 
 
 def cotensor_defect(b1: BasisTangle, b2: BasisTangle) -> TensorElement:
@@ -230,13 +224,23 @@ def _splitting_defect(name: str, b: BasisTangle) -> TensorElement:
     return total
 
 
+@memoized("excision._splitting_memo")
+def _splitting_failure(n: int, name: str) -> BasisTangle | None:
+    """Exact, so memoized per (n, name): the first b in F_n whose comul(b) the
+    defect map ``name`` does not kill, or None."""
+    return next((b for b in filtration_basis(n) if _splitting_defect(name, b)), None)
+
+
 def check_coassociativity(n: int) -> tuple[bool, str | None]:
     """(comul (x) id) o comul == (id (x) comul) o comul, exact, on F_n: the
     cotensor defect kills every comul(b)."""
-    for b in filtration_basis(n):
-        if _splitting_defect("cotensor", b):
-            return False, f"coassociativity fails on {b}"
-    return True, None
+    b = _splitting_failure(n, "cotensor")
+    return (True, None) if b is None else (False, f"coassociativity fails on {b}")
+
+
+def splitting_image_in_kernel(n: int, name: str) -> bool:
+    """The defect map ``name`` kills comul(b) for every b in F_n."""
+    return _splitting_failure(n, name) is None
 
 
 # -- torus weights: the premise of the lemma in the module docstring -------------
@@ -260,7 +264,10 @@ def _torus_leg(t: TensorElement, leg: int) -> dict[tuple[BasisTangle, int], Half
     return {k: c for k, c in out.items() if not c.is_zero()}
 
 
-def _torus_failure(n: int, name: str) -> str | None:
+@memoized("excision._torus_memo")
+def torus_premise(n: int, name: str) -> str | None:
+    """Exact, so memoized per (n, name): None when the lemma's premise holds for the defect
+    map ``name`` on F_n, else a witness naming the map and the tangle."""
     basis = filtration_basis(n)
     if name != "inv":
         for b in basis:
@@ -278,18 +285,6 @@ def _torus_failure(n: int, name: str) -> str | None:
         if any(sum(y.mu) != -sum(x.mu) for (x, y), _ in _switch("right", b).items()):
             return f"inv: the right switch of {b} has a term off its west sums"
     return None
-
-
-_torus_memo: dict[tuple[int, str], str | None] = register_memo("excision._torus_memo", {})
-
-
-def torus_premise(n: int, name: str) -> str | None:
-    """Exact, so memoized per (n, name): None when the lemma's premise holds for the defect
-    map ``name`` on F_n, else a witness naming the map and the tangle."""
-    key = (n, name)
-    if key not in _torus_memo:
-        _torus_memo[key] = _torus_failure(n, name)
-    return _torus_memo[key]
 
 
 def balanced_columns(n: int) -> list[int]:
@@ -378,17 +373,6 @@ def _all_subspaces(n: int, s0: Fraction) -> dict[str, list[SparseRow]]:
     for name in _DEFECTS:
         spaces[name] = _kernel_of_map(n, name, s0)
     return spaces
-
-
-_splitting_memo: dict[tuple[int, str], bool] = register_memo("excision._splitting_memo", {})
-
-
-def splitting_image_in_kernel(n: int, name: str) -> bool:
-    """Exact, so memoized per (n, name): the defect map ``name`` kills comul(b) for every b in F_n."""
-    hit = _splitting_memo.get((n, name))
-    if hit is None:
-        hit = _splitting_memo[(n, name)] = not any(_splitting_defect(name, b) for b in filtration_basis(n))
-    return hit
 
 
 def gluing_excision_check(n: int, s0: Fraction, seed: int = 0) -> GluingReport:

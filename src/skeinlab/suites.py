@@ -36,6 +36,12 @@ DEFAULT_SPECS = (Fraction(7, 5), Fraction(11, 7))
 #: Random words the rt suite reduces both by the engine and by the oracle.
 ORACLE_WORDS = 200
 
+#: Largest --max-degree the CLI ``verify`` accepts: the largest degree at which a cold
+#: ``verify all`` finishes in under 60 s.  On a 2-core AMD EPYC host (CPython 3.11) it took
+#: 11.1 s (62 MiB) at degree 5; at degree 6 it was stopped unfinished after 75 s and 324 MiB
+#: (the st cases alone take 172 s there), and each degree above multiplies the st matchings.
+MAX_CLI_DEGREE = 5
+
 # Caps below --max-degree, each with what raising it costs in a cold process on a 2-core
 # AMD EPYC host (CPython 3.11), where all of ``verify all --max-degree 3`` takes 0.19 s.
 

@@ -69,6 +69,23 @@ def test_parse_error_reports_position(capsys):
     assert "exponent 100000 exceeds the bound" in err and "column 4" in err
 
 
+def test_degrees_beyond_the_cli_bound_are_usage_errors(capsys):
+    # The suites grow exponentially in --max-degree: these ran until killed.
+    bound = suites.MAX_CLI_DEGREE
+    assert bound >= 5  # CI runs verify st and verify comodule at degree 5
+    for argv in (
+        ("verify", "st", "--max-degree", "40"),
+        ("verify", "hopf", "--max-degree", "40"),
+        ("verify", "excision", "--max-degree", "1000"),
+        ("verify", "all", "--max-degree", str(bound + 1)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert f"exceeds the bound {bound}" in err and not out
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    assert code == EXIT_PASS and f"at most {bound}" in out
+
+
 def test_powers_beyond_the_size_bound_are_usage_errors(capsys):
     for text, column in (("((1+s)^64)^64", 11), ("(9/7+s+q)^256", 10), ("(a+b+c+d)^16", 10)):
         for parse in (parse_element, parse_hopf):

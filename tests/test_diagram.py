@@ -13,6 +13,7 @@ from skeinlab.diagram import (
     StatedWord,
     evaluate_arcs,
     memo_clear,
+    memo_sizes,
     parallel_arcs,
     reduce,
     reduce_parallel,
@@ -537,12 +538,11 @@ def test_reidemeister_cases_fail_with_a_wrong_loop_value(wrong_loop):
 
 
 def test_memo_clear_empties_both_memos():
-    import skeinlab.diagram as D
-
+    names = ("diagram._memo", "diagram._resolve_memo")
     reduce(StatedWord(SliceWord(2, (("x", 0),)), (1, -1), (-1, 1)))
-    assert D._memo and D._resolve_memo
-    D.memo_clear()
-    assert not D._memo and not D._resolve_memo
+    assert all(memo_sizes()[name] for name in names)
+    memo_clear()
+    assert not any(memo_sizes()[name] for name in names)
 
 
 def test_width_counts_the_widest_cut():

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -122,7 +123,7 @@ def test_reduction_memo_holds_only_parallel_diagrams():
         IS.st_map(m)
     assert all(len(west) == len(east) for west, east in D._memo)
     assert len(D._memo) <= sum(4**n for n in range(5))
-    assert len(D._plan_memo) == 175
+    assert memo_sizes()["diagram._plan_memo"] == 175
     memo_clear()
 
 
@@ -171,11 +172,74 @@ def test_gluing_computes_each_one_sided_image_once(monkeypatch):
     basis = EX.filtration_basis(2)
     assert set(calls) == {(name, b) for name in EX._SWITCHES for b in basis}
     assert set(calls.values()) == {1}
-    assert len(EX._switch_memo) == len(EX._SWITCHES) * len(basis)
+    assert memo_sizes()["excision._switch_memo"] == len(EX._SWITCHES) * len(basis)
     # The exact splitting check is point-independent: once per degree and map.
     assert set(splits) == {("split", name, b) for name in EX._DEFECTS for b in basis}
     assert set(splits.values()) == {1}
-    assert set(EX._splitting_memo) == {(2, name) for name in EX._DEFECTS}
+    assert memo_sizes()["excision._splitting_memo"] == len(EX._DEFECTS)
+
+
+def test_memoized_keys_by_argument_and_caches_falsy_results(monkeypatch):
+    monkeypatch.setattr(D, "_MEMOS", dict(D._MEMOS))
+    calls = Counter()
+
+    @D.memoized("test.one")
+    def one(x):
+        calls[("one", x)] += 1
+        return None
+
+    @D.memoized("test.two")
+    def two(x, y):
+        calls[("two", x, y)] += 1
+        return False
+
+    assert [one(1), one(1), two(1, 2), two(1, 2), two(2, 1)] == [None, None, False, False, False]
+    assert calls == Counter({("one", 1): 1, ("two", 1, 2): 1, ("two", 2, 1): 1})
+    assert D._MEMOS["test.one"] == {1: None} and D._MEMOS["test.two"] == {(1, 2): False, (2, 1): False}
+    assert one.__name__ == "one"
+
+
+def test_passing_premise_and_failing_split_are_computed_once(monkeypatch):
+    # A torus premise that holds is None, and a splitting check that fails is
+    # False: both are memoized, not recomputed on every call.
+    witness = f"coassociativity fails on {EX.filtration_basis(1)[0]}"
+    bases = Counter()
+    monkeypatch.setattr(EX, "filtration_basis", _counting(EX.filtration_basis, bases, "basis"))
+    splits = Counter()
+    monkeypatch.setattr(EX, "_splitting_defect", _counting(lambda name, b: True, splits, "split"))
+    memo_clear()
+    try:
+        assert [EX.torus_premise(1, "hh0_L") for _ in range(3)] == [None] * 3
+        assert bases == Counter({("basis", 1): 1})
+        assert [EX.splitting_image_in_kernel(1, "inv") for _ in range(3)] == [False] * 3
+        assert EX.check_coassociativity(1) == EX.check_coassociativity(1) == (False, witness)
+        assert sum(splits.values()) == 2 and bases[("basis", 1)] == 3
+    finally:
+        memo_clear()
+
+
+def test_a_rebound_memoized_function_keeps_its_memo_covered(monkeypatch):
+    # A profiler that rebinds every name bound to a function (as bench/tracer.py
+    # does) must not replace a memo: the registry holds dicts, not functions.
+    orig = D.resolve_crossings
+    calls = Counter()
+    wrapper = _counting(orig, calls, "resolve")
+    for module in [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "skeinlab"]:
+        for key, value in list(vars(module).items()):
+            if value is orig:
+                monkeypatch.setattr(module, key, wrapper)
+            elif type(value) is dict:
+                for k, v in list(value.items()):
+                    if v is orig:
+                        monkeypatch.setitem(value, k, wrapper)
+    assert all(type(memo) is dict for memo in D._MEMOS.values())
+    memo_clear()
+    word = SliceWord(2, (("x", 0),))
+    for west in ((1, -1), (-1, 1)):
+        reduce(StatedWord(word, west, (-1, 1)))
+    assert sum(calls.values()) == 2 and memo_sizes()["diagram._resolve_memo"] == 1
+    memo_clear()
+    assert memo_sizes()["diagram._resolve_memo"] == 0
 
 
 def test_cold_and_warm_values_agree():
