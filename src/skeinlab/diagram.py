@@ -28,8 +28,8 @@ refuses diagrams wider than ``MAX_CLI_WIDTH``.  ``evaluate_arcs`` then reduces
 each stated matching in closed form: every returning arc is a scalar, so a
 matching is the product of its arc weights times the parallel diagram of its
 through strands, and only parallel diagrams are sorted and memoized.
-``nonzero_states`` lists the boundary states at which that product can be
-non-zero: those that give every returning arc opposite states.
+``evaluate_table`` gives a matching's value at once at every state pair
+where it can be non-zero: where each returning arc has opposite states.
 
 Memo policy: every memo in the package is process-global, unbounded and
 holds only a deterministic function of its key; a hit is shared, so callers
@@ -52,7 +52,9 @@ returns the entry count of each:
 * ``excision._splitting_memo``: the first tangle of F_n whose splitting a
   defect map does not kill, per (degree, map),
 * ``excision._torus_memo``: the exact premise of the torus-weight lemma per
-  (degree, map).
+  (degree, map),
+* ``internal_skein._x1_product_memo``: the products of a basis tangle by the
+  coaction entries of V that the lift check right-multiplies with.
 
 Three memos are plain dicts, registered by hand, because a wrapper does not
 fit them:
@@ -232,7 +234,11 @@ def _tangle_sort_key(b: BasisTangle):
 # -- boundary coefficients ----------------------------------------------------
 
 
-def _coeff_table(plus_minus: HalfLaurent, minus_plus: HalfLaurent) -> dict[tuple[State, State], HalfLaurent]:
+#: A returning arc's weight by its (upper, lower) states.
+ArcWeights = dict[tuple[State, State], HalfLaurent]
+
+
+def _coeff_table(plus_minus: HalfLaurent, minus_plus: HalfLaurent) -> ArcWeights:
     z = HalfLaurent.zero()
     return {(1, 1): z, (-1, -1): z, (1, -1): plus_minus, (-1, 1): minus_plus}
 
@@ -525,26 +531,7 @@ def _plan(arcs: Arcs) -> Plan:
     return east_arcs, west_arcs, tuple(w for w, _ in through), tuple(e for _, e in through)
 
 
-def nonzero_states(
-    n_west: int, n_east: int, arcs: Arcs
-) -> list[tuple[tuple[State, ...], tuple[State, ...]]]:
-    """The (west, east) states at which ``evaluate_arcs`` may be non-zero.
-
-    A returning arc is zero unless its (upper, lower) states have a non-zero
-    C or Cbar entry, i.e. are opposite; through strands take every state.
-    The vectors come in ``state_tuples`` order, west before east.
-    """
-    east_arcs, west_arcs, _, _ = _plan(arcs)
-    return [
-        (west, east)
-        for west in _arc_states(n_west, west_arcs, CBAR)
-        for east in _arc_states(n_east, east_arcs, C)
-    ]
-
-
-def _arc_states(
-    n: int, arcs: tuple[tuple[int, int], ...], table: dict[tuple[State, State], HalfLaurent]
-) -> list[tuple[State, ...]]:
+def _arc_states(n: int, arcs: tuple[tuple[int, int], ...], table: ArcWeights) -> list[tuple[State, ...]]:
     """The state vectors of one edge whose returning arcs all have a non-zero
     ``table`` entry, in ``state_tuples`` order."""
     upper_of = {lower: upper for upper, lower in arcs}
@@ -553,6 +540,19 @@ def _arc_states(
         upper = upper_of.get(row)
         out = [v + (s,) for v in out for s in (1, -1) if upper is None or table[v[upper], s]]
     return out
+
+
+def _edge_weight(
+    states: tuple[State, ...], arcs: tuple[tuple[int, int], ...], table: ArcWeights, weight: HalfLaurent = ONE
+) -> HalfLaurent:
+    """``weight`` times the ``table`` weights of one edge's returning arcs at
+    their (upper, lower) states, or zero as soon as one of them vanishes."""
+    for upper, lower in arcs:
+        arc = table[states[upper], states[lower]]
+        if not arc._terms:
+            return arc
+        weight = weight * arc
+    return weight
 
 
 def evaluate_arcs(
@@ -572,15 +572,34 @@ def evaluate_arcs(
     east_arcs, west_arcs, through_w, through_e = _plan(arcs)
     if not (east_arcs or west_arcs):
         return reduce_parallel(west, east)
-    weight = None
-    for pairs, states, table in ((east_arcs, east, C), (west_arcs, west, CBAR)):
-        for upper, lower in pairs:
-            arc = table[states[upper], states[lower]]
-            if not arc._terms:
-                return SkeinElement.zero()
-            weight = arc if weight is None else weight * arc
+    weight = _edge_weight(east, east_arcs, C)
+    if weight._terms:
+        weight = _edge_weight(west, west_arcs, CBAR, weight)
+    if not weight._terms:
+        return SkeinElement.zero()
     through = reduce_parallel(tuple(west[i] for i in through_w), tuple(east[j] for j in through_e))
     return through.scale(weight)
+
+
+def evaluate_table(n_west: int, n_east: int, arcs: Arcs) -> dict[ParallelKey, SkeinElement]:
+    """``evaluate_arcs`` at every (west, east) states where it can be non-zero:
+    where each returning arc has opposite states (``_arc_states``).
+
+    Each edge's vectors are listed once with their arc weight and through
+    states, so an entry is one ``reduce_parallel`` scaled by two weights.
+    Keys come in ``state_tuples`` order, west before east.
+    """
+    east_arcs, west_arcs, through_w, through_e = _plan(arcs)
+    edges = []
+    for n, edge_arcs, table, through in ((n_west, west_arcs, CBAR, through_w), (n_east, east_arcs, C, through_e)):
+        vectors = _arc_states(n, edge_arcs, table)
+        edges.append([(v, _edge_weight(v, edge_arcs, table), tuple(v[i] for i in through)) for v in vectors])
+    out = {}
+    for west, w_west, t_west in edges[0]:
+        for east, w_east, t_east in edges[1]:
+            entry, weight = reduce_parallel(t_west, t_east), w_east * w_west
+            out[west, east] = entry if weight is ONE else entry.scale(weight)
+    return out
 
 
 def _sort_states(west: tuple[State, ...], east: tuple[State, ...]) -> SkeinElement:

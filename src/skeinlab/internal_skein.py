@@ -29,6 +29,7 @@ from typing import Iterator
 from . import bigon_skein, comodule_rt, linalg, quantum_sl2
 from .diagram import (
     CBAR,
+    UNIT_TANGLE,
     Arcs,
     BasisTangle,
     C,
@@ -40,12 +41,12 @@ from .diagram import (
     State,
     _canon_arcs,
     arcs_to_word,
-    evaluate_arcs,
-    nonzero_states,
+    evaluate_table,
+    memoized,
     reduce_parallel,
     word_to_arcs,
 )
-from .scalar import LOOP, ONE
+from .scalar import LOOP, ONE, HalfLaurent
 
 StateVec = tuple[State, ...]
 
@@ -129,19 +130,11 @@ def st_map(m: Matching) -> StTable:
 
     A returning arc is zero unless its two ends carry opposite states, so
     only those state vectors are assigned and reduced
-    (``diagram.nonzero_states``): each returning arc reads (+, -) or (-, +),
+    (``diagram.evaluate_table``): each returning arc reads (+, -) or (-, +),
     and the through strands take every state.  Keys come in the order of
     ``comodule_rt.state_tuples``, west before east.
     """
-    return _table(m.n_west, m.n_east, m.pairs)
-
-
-def _table(n_west: int, n_east: int, arcs: Arcs) -> StTable:
-    """``st_map`` of a matching given by arcs that are planar by construction."""
-    return {
-        (west, east): evaluate_arcs(n_west, n_east, arcs, west, east)
-        for west, east in nonzero_states(n_west, n_east, arcs)
-    }
+    return evaluate_table(m.n_west, m.n_east, m.pairs)
 
 
 # -- comodule-morphism (intertwiner) check ---------------------------------------
@@ -162,7 +155,7 @@ def check_st_intertwiner(m: Matching, table: StTable) -> tuple[bool, str | None]
     sums over kappa_j and right-multiplies the second leg by the generator
     tangle X1[kappa_j, eta_j]; the west lift does the same on the first leg
     with X1[eps_j, kappa_j].  Per fixed state on the other edge this costs
-    n 2^(n+1) leg products instead of the 4^n terms of the direct sum.
+    n 2^(n+1) generator products instead of the 4^n terms of the direct sum.
 
     One row of lifts at a time, each key's lift is compared with the
     coproduct of its entry; at a key the table lacks, the entry and so its
@@ -179,6 +172,8 @@ def check_st_intertwiner(m: Matching, table: StTable) -> tuple[bool, str | None]
 
 
 Line = dict[StateVec, SkeinElement]
+#: A tensor of two basis tangles as a plain dict, while its lift is contracted.
+Terms = dict[tuple[BasisTangle, BasisTangle], HalfLaurent]
 
 
 def _lift_rows(
@@ -189,70 +184,70 @@ def _lift_rows(
     by west state, their west lifts by west state) for each east state; a
     missing entry or lift is zero.  Each row of lifts is built when it is
     reached, so only one is held at a time."""
-    v = comodule_rt.standard_V()
-    x1 = {
-        (s, t): quantum_sl2.to_skein(v.coaction[i][j])
-        for i, s in enumerate((1, -1))
-        for j, t in enumerate((1, -1))
-    }
-    unit = SkeinElement.unit()
     rows: dict[StateVec, Line] = {west: {} for west in comodule_rt.state_tuples(m.n_west)}
     columns: dict[StateVec, Line] = {east: {} for east in comodule_rt.state_tuples(m.n_east)}
     for (west, east), elem in table.items():
         rows[west][east] = columns[east][west] = elem
+    zero = bigon_skein.TensorElement.zero(2)
     for side, leg, lines in (("east", 1, rows), ("west", 0, columns)):
         for outer, line in lines.items():
             parts = {
-                inner: bigon_skein.tensor2(elem, unit) if leg else bigon_skein.tensor2(unit, elem)
+                inner: {((b, UNIT_TANGLE) if leg else (UNIT_TANGLE, b)): c for b, c in elem.items()}
                 for inner, elem in line.items()
             }
-            yield side, outer, line, _contract(parts, leg, x1)
+            yield side, outer, line, {inner: zero._like(terms) for inner, terms in _contract(parts, leg).items()}
 
 
-def _contract(
-    lifts: dict[StateVec, bigon_skein.TensorElement],
-    leg: int,
-    x1: dict[tuple[State, State], SkeinElement],
-) -> dict[StateVec, bigon_skein.TensorElement]:
+def _contract(lifts: dict[StateVec, Terms], leg: int) -> dict[StateVec, Terms]:
     """Contract the states of ``lifts`` with the coaction, one factor at a time.
 
-    Step j replaces each key's j-th state k by every state t, right-multiplying
+    Step j replaces each key's j-th state k by both states t, right-multiplying
     ``leg`` by X1[k, t] on the east (leg 1) and by X1[t, k] on the west (leg 0).
     No lifts (a row of zero entries) contract to none.
     """
     n = len(next(iter(lifts), ()))
     for j in range(n):
-        out: dict[StateVec, bigon_skein.TensorElement] = {}
+        out: dict[StateVec, Terms] = {}
         for key, part in lifts.items():
-            if part.is_zero():
-                continue
-            for t in (1, -1):
-                x = x1[(key[j], t) if leg else (t, key[j])]
-                target = key[:j] + (t,) + key[j + 1 :]
-                acc = out.get(target)
-                if acc is None:
-                    acc = out[target] = bigon_skein.TensorElement.zero(2)
-                _leg_product(part, leg, x, acc)
+            if part:
+                targets = [out.setdefault(key[:j] + (t,) + key[j + 1 :], {}) for t in (1, -1)]
+                _times_generators(part, leg, key[j], targets)
         lifts = out
     return lifts
 
 
-def _leg_product(
-    t: bigon_skein.TensorElement, leg: int, x: SkeinElement, out: bigon_skein.TensorElement
-) -> None:
-    """out += t with its ``leg`` right-multiplied by x.
+def _times_generators(part: Terms, leg: int, k: State, targets: list[Terms]) -> None:
+    """Add ``part`` with its ``leg`` right-multiplied by X1[k, t] (by X1[t, k]
+    on leg 0) to ``targets[0]`` for t = + and to ``targets[1]`` for t = -."""
+    pairs = ((k, 1), (k, -1)) if leg else ((1, k), (-1, k))
+    for legs, c in part.items():
+        products = _times_x1(legs[leg])
+        for pair, acc in zip(pairs, targets):
+            for prod, cp in products[pair]:
+                key = (legs[0], prod) if leg else (prod, legs[1])
+                cc = c if cp is ONE else c * cp
+                old = acc.get(key)
+                if old is not None and not (cc := old + cc)._terms:
+                    del acc[key]
+                else:
+                    acc[key] = cc
 
-    A transported coaction entry is one generator tangle whose coefficient
-    is ``ONE`` (``quantum_sl2`` stores unit coefficients so), which is not
-    multiplied in.
-    """
-    for key, c in t.items():
-        b = key[leg]
-        for g, cg in x.items():
-            cc = c if cg is ONE else c * cg
-            for prod, cp in reduce_parallel(b.mu + g.mu, b.nu + g.nu).items():
-                new = (prod, key[1]) if leg == 0 else (key[0], prod)
-                out.add_term(new, cc if cp is ONE else cc * cp)
+
+@memoized("internal_skein._x1_product_memo")
+def _times_x1(b: BasisTangle) -> dict[tuple[State, State], tuple[tuple[BasisTangle, HalfLaurent], ...]]:
+    """The terms of b X1[k, t] for each pair of states (k, t), where X1 is
+    V's coaction matrix transported into the bigon (one generator tangle per
+    entry, which ``quantum_sl2.to_skein`` gives the coefficient ``ONE``)."""
+    coaction = comodule_rt.standard_V().coaction
+    out = {}
+    for i, k in enumerate((1, -1)):
+        for j, t in enumerate((1, -1)):
+            out[k, t] = tuple(
+                (prod, cp * cg)
+                for g, cg in quantum_sl2.to_skein(coaction[i][j]).items()
+                for prod, cp in reduce_parallel(b.mu + g.mu, b.nu + g.nu).items()
+            )
+    return out
 
 
 # -- cap/cup naturality -----------------------------------------------------------
@@ -311,7 +306,7 @@ def check_st_naturality(
                 acc = pushed[key] = SkeinElement.zero()
             acc.add_scaled(val, weight)
     factor = LOOP**loops
-    target = _table(*composite)
+    target = evaluate_table(*composite)
     zero = SkeinElement.zero()
     for west, east in dict.fromkeys([*target, *pushed]):
         val = target.get((west, east), zero)

@@ -38,12 +38,12 @@ ORACLE_WORDS = 200
 
 #: Largest --max-degree the CLI ``verify`` accepts: the largest degree at which a cold
 #: ``verify all`` finishes in under 60 s.  On a 2-core AMD EPYC host (CPython 3.11) it took
-#: 11.1 s (62 MiB) at degree 5; at degree 6 it was stopped unfinished after 75 s and 324 MiB
-#: (the st cases alone take 172 s there), and each degree above multiplies the st matchings.
+#: 9.0 s (61 MiB) at degree 5; at degree 6 it was stopped unfinished after 75 s and 324 MiB
+#: (the st cases alone take 142 s there), and each degree above multiplies the st matchings.
 MAX_CLI_DEGREE = 5
 
 # Caps below --max-degree, each with what raising it costs in a cold process on a 2-core
-# AMD EPYC host (CPython 3.11), where all of ``verify all --max-degree 3`` takes 0.19 s.
+# AMD EPYC host (CPython 3.11), where all of ``verify all --max-degree 3`` takes 0.17 s.
 
 #: Strands per factor of the identities over pairs of basis tangles, and of the single-tangle
 #: cases grouped with them.  At 3, the coproduct-algebra-map case takes 204 ms instead of 13,

@@ -298,3 +298,23 @@ def test_inv_premise_needs_arc_weights_to_vanish_on_equal_states(monkeypatch, ta
         assert EX.torus_premise(1, "hh0_L") is None
     finally:
         memo_clear()
+
+
+# -- the half-twist bridge: ht(b) = left(b) on F_n ---------------------------------
+
+
+def test_half_twist_switch_equals_the_left_antipode_switch(monkeypatch):
+    # The half-twist map reaches the left antipode switch with no antipode,
+    # on every b of F_n for n <= 4 (F_3 and F_4 hold them all); with the
+    # twist crossing and its inverse swapped it no longer does.
+    for b in EX.filtration_basis(3) + EX.filtration_basis(4):
+        assert EX._switch("ht", b) == EX._switch("left", b), b
+    monkeypatch.setattr(B, "HALF_TWIST_CROSSING", B.HALF_TWIST_INVERSE_CROSSING)
+    monkeypatch.setattr(B, "HALF_TWIST_INVERSE_CROSSING", B.HALF_TWIST_CROSSING)
+    memo_clear()
+    try:
+        broken = [b for b in EX.filtration_basis(2) if EX._switch("ht", b) != EX._switch("left", b)]
+        assert len(broken) == 9
+    finally:
+        monkeypatch.undo()
+        memo_clear()

@@ -340,7 +340,7 @@ def test_contract_of_a_zero_row_is_empty():
     m = IS.Matching(2, 0, ((("w", 0), ("w", 1)),))
     rows = {(side, outer): (entries, lifts) for side, outer, entries, lifts in IS._lift_rows(m, IS.st_map(m))}
     assert rows[("east", (1, 1))] == ({}, {})
-    assert IS._contract({}, 1, {}) == {}
+    assert IS._contract({}, 1) == {}
 
 
 def test_lift_check_fails_on_a_lift_at_a_zero_key(monkeypatch):
