@@ -16,14 +16,13 @@ the closed-diagram value of a slice word equal to its Kauffman bracket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import bigon_skein, linalg, quantum_sl2
 from .diagram import C, CBAR, CROSS_PARALLEL, CROSS_TURNBACK, SliceWord, State, memoized, state_tuples
 from .quantum_sl2 import HopfElement, comul as hopf_comul, counit as hopf_counit, mul as hopf_mul
-from .scalar import ONE, ZERO, HalfLaurent, LinearCombination
+from .scalar import ONE, ZERO, HalfLaurent, LinearCombination, Value
 
 Matrix = list[list[HalfLaurent]]
 
@@ -32,18 +31,17 @@ class ComoduleError(ValueError):
     """Coaction matrix fails a comodule axiom."""
 
 
-@dataclass(frozen=True)
-class Comodule:
+class Comodule(Value):
     """Right comodule given by its coaction matrix."""
 
-    dim: int
-    coaction: tuple[tuple[HopfElement, ...], ...]
+    __slots__ = ("dim", "coaction")
 
-    def __post_init__(self) -> None:
-        if self.dim <= 0 or len(self.coaction) != self.dim or any(
-            len(row) != self.dim for row in self.coaction
-        ):
+    def __init__(self, dim: int, coaction: tuple[tuple[HopfElement, ...], ...]) -> None:
+        if dim <= 0 or len(coaction) != dim or any(len(row) != dim for row in coaction):
             raise ComoduleError("coaction must be a dim x dim matrix")
+        object.__setattr__(self, "_values", (dim, coaction))
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "coaction", coaction)
 
     def check_axioms(self) -> None:
         """Exact coassociativity and counit law for the coaction matrix."""

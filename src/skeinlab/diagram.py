@@ -78,10 +78,9 @@ intern tables of basis keys and scalars (``_interned``), boundary points
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Iterable, TypeVar
 
-from .scalar import LOOP, ONE, HalfLaurent, InternedKey, LinearCombination, _product_memo
+from .scalar import LOOP, ONE, HalfLaurent, InternedKey, LinearCombination, Value, _product_memo
 
 State = int  # +1 or -1
 Slice = tuple[str, int]  # ("x" | "xb" | "cap" | "cup", row index)
@@ -112,18 +111,17 @@ def _check_states(states: Iterable[State]) -> tuple[State, ...]:
     return t
 
 
-@dataclass(frozen=True)
-class SliceWord:
-    """An unstated sliced tangle diagram in the square."""
+class SliceWord(Value):
+    """An unstated sliced tangle diagram in the square.  ``width`` is the
+    largest row count over the west edge and every slice."""
 
-    west_arity: int
-    slices: tuple[Slice, ...] = ()
+    __slots__ = ("west_arity", "slices", "east_arity", "width")
 
-    def __post_init__(self) -> None:
-        if self.west_arity < 0:
+    def __init__(self, west_arity: int, slices: tuple[Slice, ...] = ()) -> None:
+        if west_arity < 0:
             raise DiagramError("negative west arity")
-        rows = width = self.west_arity
-        for kind, i in self.slices:
+        rows = width = west_arity
+        for kind, i in slices:
             if kind not in _SLICE_KINDS:
                 raise DiagramError(f"unknown slice kind {kind!r}")
             if kind == "cup":
@@ -136,41 +134,31 @@ class SliceWord:
                     raise DiagramError(f"{kind}{i} needs rows i, i+1 (have {rows} rows)")
                 if kind == "cap":
                     rows -= 2
-        object.__setattr__(self, "_east", rows)
-        object.__setattr__(self, "_width", width)
-
-    @property
-    def east_arity(self) -> int:
-        return self._east  # type: ignore[attr-defined]
-
-    @property
-    def width(self) -> int:
-        """Largest row count over the west edge and every slice."""
-        return self._width  # type: ignore[attr-defined]
+        object.__setattr__(self, "_values", (west_arity, slices))
+        object.__setattr__(self, "west_arity", west_arity)
+        object.__setattr__(self, "slices", slices)
+        object.__setattr__(self, "east_arity", rows)
+        object.__setattr__(self, "width", width)
 
     def crossing_count(self) -> int:
         return sum(1 for kind, _ in self.slices if kind in ("x", "xb"))
 
 
-@dataclass(frozen=True)
-class StatedWord:
+class StatedWord(Value):
     """A sliced diagram with boundary states, top to bottom on each edge."""
 
-    word: SliceWord
-    west: tuple[State, ...] = ()
-    east: tuple[State, ...] = ()
+    __slots__ = ("word", "west", "east")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "west", _check_states(self.west))
-        object.__setattr__(self, "east", _check_states(self.east))
-        if len(self.west) != self.word.west_arity:
-            raise DiagramError(
-                f"west states {len(self.west)} != west arity {self.word.west_arity}"
-            )
-        if len(self.east) != self.word.east_arity:
-            raise DiagramError(
-                f"east states {len(self.east)} != east arity {self.word.east_arity}"
-            )
+    def __init__(self, word: SliceWord, west: tuple[State, ...] = (), east: tuple[State, ...] = ()) -> None:
+        west, east = _check_states(west), _check_states(east)
+        if len(west) != word.west_arity:
+            raise DiagramError(f"west states {len(west)} != west arity {word.west_arity}")
+        if len(east) != word.east_arity:
+            raise DiagramError(f"east states {len(east)} != east arity {word.east_arity}")
+        object.__setattr__(self, "_values", (word, west, east))
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "west", west)
+        object.__setattr__(self, "east", east)
 
 
 class BasisTangle(InternedKey):

@@ -77,7 +77,6 @@ and a failure fails the gluing report (``GluingReport.torus_weights``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -336,18 +335,16 @@ def comul_image_rows(n: int, s0: Fraction) -> list[SparseRow]:
     return rows
 
 
-@dataclass
 class GluingReport:
-    n: int
-    s0: Fraction
-    dims: dict[str, int]
-    increments: dict[str, int]
-    expected_filtration: int
-    expected_increment: int
-    subspaces_equal: bool
-    pullback_ok: bool
-    image_in_kernels: bool
-    torus_weights: list[str]  # a witness per defect map whose torus_premise fails
+    def __init__(
+        self, n: int, s0: Fraction, dims: dict[str, int], increments: dict[str, int],
+        expected_filtration: int, expected_increment: int, subspaces_equal: bool, pullback_ok: bool,
+        image_in_kernels: bool, torus_weights: list[str],  # a witness per map whose torus_premise fails
+    ) -> None:
+        self.n, self.s0, self.dims, self.increments = n, s0, dims, increments
+        self.expected_filtration, self.expected_increment = expected_filtration, expected_increment
+        self.subspaces_equal, self.pullback_ok = subspaces_equal, pullback_ok
+        self.image_in_kernels, self.torus_weights = image_in_kernels, torus_weights
 
     def failures(self) -> list[str]:
         """The names of the fields that fail; the report passes when there are none."""

@@ -22,7 +22,6 @@ checks in this module make that correspondence executable:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -46,7 +45,7 @@ from .diagram import (
     reduce_parallel,
     word_to_arcs,
 )
-from .scalar import LOOP, ONE, HalfLaurent
+from .scalar import LOOP, ONE, HalfLaurent, Value
 
 StateVec = tuple[State, ...]
 
@@ -55,31 +54,33 @@ class MatchingError(ValueError):
     """Non-planar or arity-inconsistent matching data."""
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(Value):
     """Planar perfect matching of bigon boundary points."""
 
-    n_west: int
-    n_east: int
-    pairs: Arcs
-    #: The canonical crossingless word, traced once by the planarity check.
-    word: SliceWord = field(init=False, repr=False, compare=False)
+    #: ``word`` is the canonical crossingless word, traced once by the
+    #: planarity check; it is derived, so it stays out of ``==`` and the repr.
+    __slots__ = ("n_west", "n_east", "pairs", "word")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", _canon_arcs(self.pairs))
-        total = self.n_west + self.n_east
+    def __init__(self, n_west: int, n_east: int, pairs: Arcs) -> None:
+        pairs = _canon_arcs(pairs)
+        total = n_west + n_east
         if total % 2:
             raise MatchingError("odd number of boundary points")
         seen: set[Endpoint] = set()
-        for a, b in self.pairs:
+        for a, b in pairs:
             seen.update((a, b))
-        expected = {("w", i) for i in range(self.n_west)} | {("e", j) for j in range(self.n_east)}
-        if seen != expected or 2 * len(self.pairs) != total:
+        expected = {("w", i) for i in range(n_west)} | {("e", j) for j in range(n_east)}
+        if seen != expected or 2 * len(pairs) != total:
             raise MatchingError("pairs must match every boundary point exactly once")
         try:
-            object.__setattr__(self, "word", arcs_to_word(self.n_west, self.n_east, self.pairs))
+            word = arcs_to_word(n_west, n_east, pairs)
         except DiagramError as exc:
             raise MatchingError("matching is not planar") from exc
+        object.__setattr__(self, "_values", (n_west, n_east, pairs))
+        object.__setattr__(self, "n_west", n_west)
+        object.__setattr__(self, "n_east", n_east)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "word", word)
 
     def __str__(self) -> str:
         body = ",".join(f"{a[0]}{a[1]}-{b[0]}{b[1]}" for a, b in self.pairs)

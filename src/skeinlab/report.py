@@ -3,26 +3,27 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any
 
 
-@dataclass
 class Case:
-    name: str
-    status: str  # "pass" | "fail"
-    witness: str | None = None
+    def __init__(self, name: str, status: str, witness: str | None = None) -> None:
+        self.name = name
+        self.status = status  # "pass" | "fail"
+        self.witness = witness
 
     def to_dict(self) -> dict[str, Any]:
         return {"name": self.name, "status": self.status, "witness": self.witness}
 
 
-@dataclass
 class Report:
-    suite: str
-    parameters: dict[str, Any]
-    cases: list[Case] = field(default_factory=list)
-    wall_time: float = 0.0
+    def __init__(
+        self, suite: str, parameters: dict[str, Any], cases: list[Case] | None = None, wall_time: float = 0.0
+    ) -> None:
+        self.suite = suite
+        self.parameters = parameters
+        self.cases = [] if cases is None else cases
+        self.wall_time = wall_time
 
     @property
     def totals(self) -> dict[str, int]:
@@ -99,15 +100,23 @@ REPORT_SCHEMA: dict[str, Any] = {
 
 
 def validate_report_dict(data: dict[str, Any]) -> None:
-    """Minimal structural validation without external dependencies."""
+    """Check what ``REPORT_SCHEMA`` states, without external dependencies."""
     for key in REPORT_SCHEMA["required"]:
         if key not in data:
             raise ValueError(f"report missing key {key!r}")
     if set(data) - set(REPORT_SCHEMA["properties"]):
         raise ValueError("report has unexpected keys")
     totals = data["totals"]
+    if set(totals) != {"pass", "fail", "total"} or min(totals.values()) < 0:
+        raise ValueError("report totals must be exactly pass, fail and total, each at least 0")
     if totals["pass"] + totals["fail"] != totals["total"] or totals["total"] != len(data["cases"]):
         raise ValueError("report totals inconsistent with cases")
+    if not data["wall_time"] >= 0:
+        raise ValueError("report wall_time must be at least 0")
     for case in data["cases"]:
-        if case["status"] not in ("pass", "fail"):
-            raise ValueError("case status must be pass or fail")
+        if not {"name", "status"} <= set(case) <= {"name", "status", "witness"}:
+            raise ValueError("case must hold name and status, and no key but witness besides")
+        if case["status"] not in ("pass", "fail") or not isinstance(case["name"], str):
+            raise ValueError("case needs a string name and status pass or fail")
+        if not isinstance(case.get("witness"), (str, type(None))):
+            raise ValueError("case witness must be a string or null")

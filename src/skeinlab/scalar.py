@@ -280,13 +280,42 @@ LOOP = HalfLaurent({4: -1, -4: -1})
 MINUS_ONE = HalfLaurent.rational(-1)
 
 
-@functools.total_ordering
-class InternedKey:
-    """An immutable basis key with one instance per value, so the default
-    identity ``==`` and ``hash`` are value equality.  A subclass lists its fields
-    in ``__slots__`` and adds each new, validated value to ``_interned`` by ``_make``."""
+class Value:
+    """An immutable value.  Its constructor sets ``_values``, the tuple of its fields
+    (the leading names of ``__slots__``; later names are derived), by ``object.__setattr__``.
+    ``==`` and ``hash`` compare the class and ``_values``; copies and pickles rebuild the
+    object through its constructor, so the validation runs again."""
 
     __slots__ = ("_values",)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(type(self).__slots__, self._values))
+        return f"{type(self).__name__}({fields})"
+
+
+@functools.total_ordering
+class InternedKey(Value):
+    """A :class:`Value` with one instance per value, so identity ``==`` and
+    ``hash`` are value equality.  A subclass lists its fields in ``__slots__``
+    and adds each new, validated value to ``_interned`` by ``_make``."""
+
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @classmethod
     def _make(cls, values: tuple):
@@ -296,17 +325,8 @@ class InternedKey:
         cls._interned[values] = self
         return self
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     def __lt__(self, other: object) -> bool:
         return self._values < other._values if type(other) is type(self) else NotImplemented
-
-    def __reduce__(self):
-        return type(self), self._values
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}{self._values!r}"
 
 
 class LinearCombination:

@@ -24,7 +24,6 @@ canonical forms that parse back to equal values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from string import digits
 
@@ -54,10 +53,10 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-@dataclass
 class _Cursor:
-    text: str
-    pos: int = 0
+    def __init__(self, text: str, pos: int = 0) -> None:
+        self.text = text
+        self.pos = pos
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():

@@ -1,6 +1,9 @@
 import json
+import os
 import random
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +16,7 @@ import skeinlab.bigon_skein as B
 from skeinlab import suites
 from skeinlab.cli import EXIT_PASS, EXIT_USAGE, main
 from skeinlab.diagram import MAX_CLI_WIDTH, BasisTangle, SkeinElement
-from skeinlab.report import REPORT_SCHEMA, validate_report_dict
+from skeinlab.report import REPORT_SCHEMA, Case, Report, validate_report_dict
 from skeinlab.scalar import HalfLaurent, ScalarError
 from skeinlab.suites import random_stated_word, run_suite
 from skeinlab.syntax import (
@@ -173,6 +176,43 @@ def test_verify_json_schema(capsys, tmp_path):
     assert data["totals"]["fail"] == 0
 
 
+def _valid_report():
+    return Report("x", {}, [Case("ok", "pass"), Case("no", "fail", "witness")], 0.5).to_dict()
+
+
+def _case_without_name(data):
+    data["cases"][0] = {"status": "pass", "witness": None, "extra": 1}
+
+
+def _extra_total(data):
+    data["totals"]["skipped"] = 0
+
+
+def _negative_wall_time(data):
+    data["wall_time"] = -1.0
+
+
+@pytest.mark.parametrize("breaks", [_case_without_name, _extra_total, _negative_wall_time])
+def test_report_validation_follows_the_schema(breaks):
+    data = _valid_report()
+    jsonschema.validate(data, REPORT_SCHEMA)
+    validate_report_dict(data)
+    breaks(data)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(data, REPORT_SCHEMA)
+    with pytest.raises(ValueError):
+        validate_report_dict(data)
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # A fresh interpreter, as every CLI call is: start-up pays for each module imported.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import sys, skeinlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-s", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_verify_text_and_json_agree(capsys):
     code_t, out_t, _ = run_cli(capsys, "verify", "braidop", "--max-degree", "1")
     code_j, out_j, _ = run_cli(capsys, "verify", "braidop", "--max-degree", "1", "--json")
@@ -328,7 +368,6 @@ def test_help_exits_cleanly(capsys):
 
 def test_emit_report_exit_codes(capsys):
     from skeinlab.cli import _emit_report
-    from skeinlab.report import Case, Report
 
     good = Report(suite="x", parameters={}, cases=[Case("ok", "pass")])
     bad = Report(suite="x", parameters={}, cases=[Case("no", "fail", "witness")])
