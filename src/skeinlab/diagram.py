@@ -24,10 +24,48 @@ Kauffman relation slice by slice, keeping one coefficient per crossingless
 matching of the boundary cut so far; the number of terms is at most the
 number of planar matchings of the widest cut, so the cost is linear in
 crossings and exponential only in the width (``SliceWord.width``).  The CLI
-refuses diagrams wider than ``MAX_CLI_WIDTH``.  ``evaluate_arcs`` then reduces
-each stated matching in closed form: every returning arc is a scalar, so a
-matching is the product of its arc weights times the parallel diagram of its
-through strands, and only parallel diagrams are sorted and memoized.
+refuses diagrams wider than ``MAX_CLI_WIDTH``.
+
+Each coefficient is packed while crossings are resolved (Kronecker
+substitution).  Let g be the gcd of the exponent gaps inside
+``CROSS_PARALLEL``, ``CROSS_TURNBACK`` and ``LOOP``, of the difference of the
+two crossing weights' lowest exponents and of ``LOOP``'s lowest exponent (4
+for the Kauffman constants).  After k crossings every exponent of every
+coefficient is k r plus a multiple of g, with r the lowest exponent of
+``CROSS_PARALLEL``; a coefficient is kept as (p, n), where n is one int
+holding its balanced digits d_i (|d_i| < 2^(W-1)) in base 2^W and the
+digit d_i is the coefficient of s^(k r + g (p / W + i)).  A weight that
+is a unit monomial changes only p, ``LOOP`` is two shifted copies of n
+added together, and two terms merge by one int addition.  Each coefficient
+becomes a ``HalfLaurent`` once, at the end: interned with at most one term,
+else transient like a sum.  The constants are read at call time and must
+have integer coefficients.
+
+Width lemma.  Crossings are taken in windows of ``_WINDOW``.  With |x| the
+sum of the absolute values of the coefficients of x, let lambda =
+max(1, |LOOP|) and gamma = max(|CP| + |CT| lambda, |CT| + |CP| lambda) for
+CP, CT the two crossing weights.  At the start of a window let S be the
+sum of |d_i| over all digits of all terms.  If the window has k crossings
+and c caps are appended during it (the caps still pending from before its
+first crossing, those between its crossings and, in the last window, the
+caps after the last crossing), then every digit met during the window, in
+a term or in a partial sum, is at most S gamma^k lambda^c.  For an
+over-crossing with a pending caps maps a coefficient x to x CP LOOP^i +
+x CT LOOP^j, where i <= a and j <= a + 1 count the loops closed (a cap
+closes at most one loop and the turnback smoothing appends one cap; an
+under-crossing swaps CP and CT, hence the max in gamma).  |.| is
+subadditive and submultiplicative, so the sum of |d_i| over all terms grows
+by at most gamma lambda^a, and a digit is at most the sum of the absolute
+values of the contributions to it.  The window packs its terms at W = bit_length(S
+gamma^k lambda^c) + 1, so no digit reaches 2^(W-1) and every int sum is
+the packed sum of the digits.  Re-proving W per window keeps it near the
+real size of the coefficients; one bound for a whole word would grow by
+log2(gamma) bits a crossing.
+
+``evaluate_arcs`` then reduces each stated matching in closed form: every
+returning arc is a scalar, so a matching is the product of its arc weights
+times the parallel diagram of its through strands, and only parallel
+diagrams are sorted and memoized.
 ``evaluate_table`` gives a matching's value at once at every state pair
 where it can be non-zero: where each returning arc has opposite states.
 
@@ -41,6 +79,13 @@ returns the entry count of each:
 * ``diagram._resolve_memo``: ``resolve_crossings`` per slice word,
 * ``diagram._plan_memo``: ``_plan``, the returning arcs and through strands
   of each matching,
+* ``diagram._packing_memo``: g, r, gamma and lambda of the width lemma per
+  term sets of the three constants,
+* ``diagram._factor_memo``: ``_factors`` per term sets of the constants and
+  digit width, tables of the packed factors of each weight and of the two
+  smoothings of each crossing slice.  ``_extend`` and ``resolve_crossings``
+  add to these tables the loop factors and crossings they meet; an entry,
+  once made, never changes,
 * ``bigon_skein._inv_edge_memo``: edge inversion per (basis tangle, edge,
   inverse), so ``t_form`` and ``t_inv_form`` reduce each basis tangle once,
 * ``bigon_skein._r_memo``: the co-R form per pair of basis tangles,
@@ -78,6 +123,7 @@ intern tables of basis keys and scalars (``_interned``), boundary points
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Iterable, TypeVar
 
 from .scalar import LOOP, ONE, HalfLaurent, InternedKey, LinearCombination, Value, _product_memo
@@ -95,8 +141,12 @@ CROSS_TURNBACK = HalfLaurent.q_pow(-1)
 #: Widest diagram the CLI ``reduce`` and ``bracket`` commands accept: the
 #: widest width whose random 100-crossing braid (west = east = width rows;
 #: random rows, kinds and states; seeds 1-3, a fresh process each) reduces in
-#: under 10 s.  On a 2-core x86 host it took 1.3-2.5 s (36-41 MiB) at width 9,
-#: 4.6-9.7 s (80-114 MiB) at width 10 and 4.8-25.7 s at width 11.
+#: under 10 s.  On a 2-core x86 host it took 2.1-3.8 s (32-37 MiB) at width 9,
+#: 6.3-10.7 s (72-103 MiB) at width 10 and 10.0-46.7 s (98-268 MiB) at width
+#: 11, most of it tracing resolution steps (``_transition``).  That host was
+#: slow then: it ran the same braids with unpacked coefficients in 4.1-5.5 s,
+#: 10.6-21.0 s and 12.7-68.8 s, about twice the 1.3-2.5 s and 4.6-9.7 s it
+#: took at widths 9 and 10 when this bound was set.
 MAX_CLI_WIDTH = 10
 
 
@@ -419,38 +469,198 @@ def _transition(n_west: int, step: tuple[int, Arcs, tuple[Slice, ...]]) -> tuple
     n_east, arcs, slices = step
     w = SliceWord(n_west, arcs_to_word(n_west, n_east, arcs).slices + slices)
     new_arcs, loops = word_to_arcs(w)
-    return w.east_arity, new_arcs, LOOP**loops if loops else None
+    if not loops:
+        return w.east_arity, new_arcs, None
+    loop = LOOP**loops  # interned, so its ``_key`` is its term set (``_factors``)
+    return w.east_arity, new_arcs, loop if loop._key is not None else HalfLaurent(loop._terms)
+
+
+#: Crossings per window of ``resolve_crossings``: the digit width is proven
+#: anew, and every coefficient repacked, at the start of each window.
+_WINDOW = 32
+
+
+def _term_set(c: HalfLaurent) -> frozenset:
+    """The frozenset of the terms of c: its intern key, when it has one."""
+    return c._key if c._key is not None else frozenset(c._terms.items())
+
+
+@memoized("diagram._packing_memo")
+def _packing(constants: tuple[frozenset, frozenset, frozenset]) -> tuple[int, int, int, int]:
+    """(g, r, gamma, lambda) of the term sets of ``CROSS_PARALLEL``,
+    ``CROSS_TURNBACK`` and ``LOOP``: the exponent step g of the packed
+    digits, the exponent r a crossing adds modulo g, and the norms of the
+    width lemma (module docstring)."""
+    cp, ct, loop = (dict(terms) for terms in constants)
+    if not all(type(c) is int for terms in (cp, ct, loop) for c in terms.values()):
+        raise DiagramError(
+            "crossing resolution needs integer coefficients in CROSS_PARALLEL, CROSS_TURNBACK and LOOP, "
+            f"got {HalfLaurent(cp)}, {HalfLaurent(ct)} and {HalfLaurent(loop)}"
+        )
+    g = 0
+    for terms in (cp, ct, loop):
+        for e in terms:
+            g = math.gcd(g, e - min(terms))
+    if cp and ct:
+        g = math.gcd(g, min(cp) - min(ct))
+    if loop:
+        g = math.gcd(g, min(loop))
+    norm_p, norm_t, norm_loop = (sum(map(abs, terms.values())) for terms in (cp, ct, loop))
+    lam = max(1, norm_loop)
+    gamma = max(norm_p + norm_t * lam, norm_t + norm_p * lam)
+    return g or 1, min(cp or ct or (0,)), gamma, lam
+
+
+def _packed(c: HalfLaurent, base: int, g: int, width: int) -> tuple[int, int, tuple[tuple[int, int], ...]] | None:
+    """The factor c / s^base, whose exponents are base plus multiples of g, as
+    shift-adds on digits of ``width`` bits: (bit offset of its lowest term,
+    that term's coefficient, ((bit shift, coefficient), ...) of the others),
+    or None when c is zero."""
+    if not c._terms:
+        return None
+    (lo, k0), *rest = sorted(c._terms.items())
+    return (lo - base) // g * width, k0, tuple(((e - lo) // g * width, k) for e, k in rest)
+
+
+@memoized("diagram._factor_memo")
+def _factors(constants: tuple[frozenset, frozenset, frozenset], width: int) -> tuple[dict, dict, dict, dict]:
+    """The packed factors at ``width`` of ``CROSS_PARALLEL``, ``CROSS_TURNBACK``
+    and of 1 (after the last crossing), given the term sets of the constants:
+    each a dict from the term set of a loop factor, or None for no loop, to
+    the packed weight * loop; and a dict from a crossing slice to its two
+    smoothings for ``_extend``.  Both kinds of dict are filled as they are
+    met, by ``_extend`` and ``resolve_crossings``."""
+    g, r, _, _ = _packing(constants)
+    cp, ct = (HalfLaurent(dict(terms)) for terms in constants[:2])
+    return {None: _packed(cp, r, g, width)}, {None: _packed(ct, r, g, width)}, {None: _packed(ONE, 0, g, width)}, {}
+
+
+def _join(digits: list[int], width: int) -> int:
+    """Balanced digits, lowest first, each of absolute value below 2^(width - 1), as one int."""
+    half = 1 << (width - 1)
+    spec = f"0{width}b"
+    offset = int("".join([format(d + half, spec) for d in reversed(digits)]), 2)
+    return offset - half * (((1 << width * len(digits)) - 1) // ((1 << width) - 1))
+
+
+def _split(n: int, width: int) -> tuple[int, list[int]]:
+    """(j, digits): the balanced digits of the non-zero ``n`` in base 2^width,
+    lowest first, without the j zero digits below the first non-zero one.
+
+    Every digit is offset by half, so the digits are plain width-bit fields
+    of one binary string: linear time in the length of ``n``.
+    """
+    half = 1 << (width - 1)
+    count = abs(n).bit_length() // width + 1
+    bits = format(n + half * (((1 << width * count) - 1) // ((1 << width) - 1)), f"0{width * count}b")
+    digits = [int(bits[i - width : i], 2) - half for i in range(width * count, 0, -width)]
+    while not digits[-1]:
+        digits.pop()
+    j = 0
+    while not digits[j]:
+        j += 1
+    return j, digits[j:]
+
+
+def _times(n: int, k: int, rest: tuple[tuple[int, int], ...]) -> int:
+    """Packed digits ``n`` times a packed factor: k n plus a shifted copy per other term."""
+    out = n if k == 1 else -n if k == -1 else n * k
+    for bits, k in rest:
+        if k == 1:
+            out += n << bits
+        elif k == -1:
+            out -= n << bits
+        else:
+            out += (n << bits) * k
+    return out
 
 
 def _extend(
     n_west: int,
-    terms: dict[int, HalfLaurent],
+    terms: dict[int, tuple[int, int]],
     pending: tuple[Slice, ...],
-    smoothings: tuple[tuple[HalfLaurent, tuple[Slice, ...]], ...],
-) -> dict[int, HalfLaurent]:
+    smoothings: tuple[tuple[HalfLaurent, dict, int, tuple[Slice, ...]], ...],
+    g: int,
+    width: int,
+) -> dict[int, tuple[int, int]]:
     """Append ``pending`` and then each smoothing to every partial matching.
 
-    ``terms`` maps matching ids to coefficients.  Each step is looked up in
-    the smoothing's table of ``_transition_memo``, traced only on a miss;
-    appending nothing leaves a matching as it is.  Closed loops fold into
-    the coefficient, equal matchings merge and cancelled ones are dropped.
+    ``terms`` maps matching ids to packed coefficients (bit position, digits).
+    A smoothing is (weight, factors, base, tail): its weight, its packed
+    factors at ``width`` (``_factors``), the exponent it adds modulo g and
+    the slices it appends.  Each step is looked up in the smoothing's
+    table of ``_transition_memo``, traced only on a miss; appending nothing
+    leaves a matching as it is.  A factor is a sum of shifted copies of the
+    digits; equal matchings merge by one int addition and cancelled ones are
+    dropped.
     """
-    out: dict[int, HalfLaurent] = {}
-    for weight, tail in smoothings:
+    out: dict[int, tuple[int, int]] = {}
+    for weight, factors, base, tail in smoothings:
+        plain = factors[None]
+        if plain is None:
+            continue
+        shift, k, rest = plain
+        unit = k == 1 and not rest
         slices = pending + tail
         table = _transition_memo.setdefault(slices, {}) if slices else None
-        for m, coeff in terms.items():
-            new, loop = m, None
+        for m, (p, n) in terms.items():
+            loop = None
             if table is not None:
                 hit = table.get(m)
                 if hit is None:
                     new_east, new_arcs, loop = _transition(n_west, (*_matchings[m], slices))
                     hit = table[m] = (_matching_id(new_east, new_arcs), loop)
-                new, loop = hit
-            total = coeff * (weight if loop is None else weight * loop)  # weight * loop: a memo hit
-            acc = out.get(new)
-            out[new] = total if acc is None else acc + total
-    return {m: c for m, c in out.items() if not c.is_zero()}
+                m, loop = hit
+            if loop is None:
+                p += shift
+                if not unit:
+                    n = _times(n, k, rest)
+            else:
+                factor = factors.get(loop._key, _MISS)
+                if factor is _MISS:
+                    factor = factors[loop._key] = _packed(weight * loop, base, g, width)
+                if factor is None:
+                    continue
+                p += factor[0]
+                n = _times(n, factor[1], factor[2])
+            acc = out.get(m)
+            if acc is None:
+                out[m] = (p, n)
+            elif acc[0] == p:
+                out[m] = (p, acc[1] + n)
+            elif acc[0] < p:
+                out[m] = (acc[0], acc[1] + (n << (p - acc[0])))
+            else:
+                out[m] = (p, n + (acc[1] << (acc[0] - p)))
+    return {m: t for m, t in out.items() if t[1]}
+
+
+def _coefficient(n: int, e: int, g: int, width: int) -> HalfLaurent:
+    """The sum of the balanced base-2^width digits d_i of ``n`` times s^(e + g i):
+    interned with at most one term, else transient like a sum.
+
+    Read one digit a step, by shifts, in time quadratic in the length of
+    ``n``.  ``_split`` is linear but, on a 2-core x86 host with CPython 3.11,
+    costs 2-9x more per coefficient up to 64 digits, which covers every
+    coefficient of ``braid_reduce``; it overtakes shifts only past about 128
+    digits, met in braids of hundreds of crossings.
+    """
+    full = 1 << width
+    half = full >> 1
+    terms = {}
+    while n:
+        d = n & (full - 1)
+        if d >= half:
+            d -= full
+        if d:
+            terms[e] = d
+        n = (n - d) >> width
+        e += g
+    if len(terms) <= 1:
+        return HalfLaurent(terms)
+    out = object.__new__(HalfLaurent)
+    out._terms, out._key = terms, None
+    return out
 
 
 @memoized("diagram._resolve_memo")
@@ -469,27 +679,59 @@ def resolve_crossings(word: SliceWord) -> Resolved:
     kept by number.  A step depends only on the matching and the appended
     slices, so it is traced once per process (``_transition_memo``) and is
     an int-keyed lookup after that, in this word and in every later one.
+    Coefficients are packed integers, repacked per window of ``_WINDOW``
+    crossings (module docstring); a word without crossings is traced at once.
 
     State-independent, so results are memoized per word; reducing one diagram
     under many state assignments resolves its crossings once.
     """
     n_w = word.west_arity
-    terms = {_matching_id(n_w, parallel_arcs(n_w)): ONE}
-    pending: list[Slice] = []
-    for kind, i in word.slices:
-        if kind in ("x", "xb"):
-            para, turn = (CROSS_PARALLEL, CROSS_TURNBACK) if kind == "x" else (
-                CROSS_TURNBACK,
-                CROSS_PARALLEL,
-            )
-            smoothings = ((para, ()), (turn, (("cap", i), ("cup", i))))
-            terms = _extend(n_w, terms, tuple(pending), smoothings)
+    steps, caps_before, pending, caps = [], [], [], 0
+    for s in word.slices:
+        if s[0] == "x" or s[0] == "xb":
+            steps.append((tuple(pending), s))
+            caps_before.append(caps)
             pending = []
         else:
-            pending.append((kind, i))
+            pending.append(s)
+            caps += s[0] == "cap"
+    if not steps:
+        arcs, loops = word_to_arcs(word)
+        coeff = LOOP**loops if loops else ONE
+        return [(*_matchings[_matching_id(word.east_arity, arcs)], coeff)] if coeff._terms else []
+    cp, ct = CROSS_PARALLEL, CROSS_TURNBACK
+    constants = (_term_set(cp), _term_set(ct), _term_set(LOOP))
+    g, r, gamma, lam = _packing(constants)
+    # Matching id -> (p, n): after k crossings the coefficient is the sum of
+    # the balanced base-2^width digits d_i of n times s^(k r + g (p / width + i)).
+    terms = {_matching_id(n_w, parallel_arcs(n_w)): (0, 1)}
+    width, window = 0, _WINDOW
+    for first in range(0, len(steps), window):
+        end = first + window
+        chunk = steps[first:end]
+        # The caps appended from the crossing before the window to its last
+        # crossing, or to the end of the word.
+        spent = caps_before[first - 1] if first else 0
+        growth = gamma ** len(chunk) * lam ** ((caps if end >= len(steps) else caps_before[end - 1]) - spent)
+        if width:
+            split = {m: (p // width, *_split(n, width)) for m, (p, n) in terms.items()}
+            total = sum(sum(map(abs, digits)) for _, _, digits in split.values())
+            width = (total * growth).bit_length() + 1
+            terms = {m: ((j + lo) * width, _join(digits, width)) for m, (j, lo, digits) in split.items()}
+        else:
+            width = growth.bit_length() + 1  # the identity matching, coefficient 1
+        packs_p, packs_t, packs_one, smoothings = _factors(constants, width)
+        for before, s in chunk:
+            both = smoothings.get(s)
+            if both is None:
+                kind, i = s
+                para, turn = ((cp, packs_p), (ct, packs_t)) if kind == "x" else ((ct, packs_t), (cp, packs_p))
+                both = smoothings[s] = ((*para, r, ()), (*turn, r, (("cap", i), ("cup", i))))
+            terms = _extend(n_w, terms, before, both, g, width)
     if pending:
-        terms = _extend(n_w, terms, tuple(pending), ((ONE, ()),))
-    return sorted((*_matchings[m], c) for m, c in terms.items())
+        terms = _extend(n_w, terms, tuple(pending), ((ONE, packs_one, 0, ()),), g, width)
+    base = len(steps) * r
+    return sorted((*_matchings[m], _coefficient(n, base + g * (p // width), g, width)) for m, (p, n) in terms.items())
 
 
 # -- stated reduction ---------------------------------------------------------

@@ -99,22 +99,43 @@ REPORT_SCHEMA: dict[str, Any] = {
 }
 
 
+def _is_number(x: Any) -> bool:
+    """A JSON number: ``bool`` is not one, though Python makes it an ``int``."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_integer(x: Any) -> bool:
+    """A JSON integer: a number without a fractional part, as the schema's draft counts it."""
+    return _is_number(x) and (isinstance(x, int) or x.is_integer())
+
+
 def validate_report_dict(data: dict[str, Any]) -> None:
     """Check what ``REPORT_SCHEMA`` states, without external dependencies."""
+    if not isinstance(data, dict):
+        raise ValueError("report must be an object")
     for key in REPORT_SCHEMA["required"]:
         if key not in data:
             raise ValueError(f"report missing key {key!r}")
     if set(data) - set(REPORT_SCHEMA["properties"]):
         raise ValueError("report has unexpected keys")
+    if not isinstance(data["suite"], str):
+        raise ValueError("report suite must be a string")
+    if not isinstance(data["parameters"], dict):
+        raise ValueError("report parameters must be an object")
+    if not isinstance(data["cases"], list):
+        raise ValueError("report cases must be an array")
     totals = data["totals"]
-    if set(totals) != {"pass", "fail", "total"} or min(totals.values()) < 0:
-        raise ValueError("report totals must be exactly pass, fail and total, each at least 0")
+    if not isinstance(totals, dict) or set(totals) != {"pass", "fail", "total"}:
+        raise ValueError("report totals must be exactly pass, fail and total")
+    if not all(_is_integer(v) and v >= 0 for v in totals.values()):
+        raise ValueError("report totals must be integers, each at least 0")
     if totals["pass"] + totals["fail"] != totals["total"] or totals["total"] != len(data["cases"]):
         raise ValueError("report totals inconsistent with cases")
-    if not data["wall_time"] >= 0:
-        raise ValueError("report wall_time must be at least 0")
+    wall_time = data["wall_time"]
+    if not _is_number(wall_time) or not wall_time >= 0:
+        raise ValueError("report wall_time must be a number, at least 0")
     for case in data["cases"]:
-        if not {"name", "status"} <= set(case) <= {"name", "status", "witness"}:
+        if not isinstance(case, dict) or not {"name", "status"} <= set(case) <= {"name", "status", "witness"}:
             raise ValueError("case must hold name and status, and no key but witness besides")
         if case["status"] not in ("pass", "fail") or not isinstance(case["name"], str):
             raise ValueError("case needs a string name and status pass or fail")

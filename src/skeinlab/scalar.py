@@ -18,8 +18,12 @@ interned instance per value, never mutated and never freed, and the product
 of two interned values (the arc, loop, exchange and R-matrix weights the
 engine multiplies again and again) is interned and kept in ``_product_memo``.
 Sums, negations, ``scale`` and products with a transient operand stay
-transient: interning every sum of crossing resolution kept 1,430 values, not
-64, on ``braid_reduce`` (+1.3 MiB peak RSS).  ``==`` and ``hash`` are by value.
+transient.  Crossing resolution (``diagram``) builds each coefficient once,
+from its packed digits, and interns it only when it has at most one term:
+interning every coefficient kept 344 values, not 57, on ``braid_reduce``
+(a traced heap of 539 KiB, not 370 KiB), and leaving every one transient
+raised the traced heap of ``verify_all`` from 2,313 to 2,501 KiB.  ``==`` and
+``hash`` are by value.
 A test that changes a constant rebinds it and calls ``diagram.memo_clear()``.
 
 Every algebra element (skein elements, tensors, PBW normal forms) is a

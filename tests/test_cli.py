@@ -204,6 +204,33 @@ def test_report_validation_follows_the_schema(breaks):
         validate_report_dict(data)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("suite", 5),
+        ("parameters", []),
+        ("totals", {"pass": True, "fail": False, "total": 1}),
+        ("wall_time", True),
+    ],
+)
+def test_report_validation_checks_types_as_the_schema_does(key, value):
+    # bool is an int in Python but neither an integer nor a number in JSON Schema.
+    data = dict(_valid_report(), cases=[Case("ok", "pass").to_dict()], totals={"pass": 1, "fail": 0, "total": 1})
+    jsonschema.validate(data, REPORT_SCHEMA)
+    validate_report_dict(data)
+    data[key] = value
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(data, REPORT_SCHEMA)
+    with pytest.raises(ValueError):
+        validate_report_dict(data)
+
+
+def test_report_validation_takes_integral_floats_as_integers():
+    data = dict(_valid_report(), totals={"pass": 1.0, "fail": 1, "total": 2}, wall_time=3)
+    jsonschema.validate(data, REPORT_SCHEMA)
+    validate_report_dict(data)
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # A fresh interpreter, as every CLI call is: start-up pays for each module imported.
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}

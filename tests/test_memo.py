@@ -23,6 +23,8 @@ MEMOS = {
     "diagram._transition_memo",
     "diagram._memo",
     "diagram._plan_memo",
+    "diagram._packing_memo",
+    "diagram._factor_memo",
     "bigon_skein._inv_edge_memo",
     "bigon_skein._r_memo",
     "bigon_skein._comul_memo",
