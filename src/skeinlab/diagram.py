@@ -24,7 +24,11 @@ Kauffman relation slice by slice, keeping one coefficient per crossingless
 matching of the boundary cut so far; the number of terms is at most the
 number of planar matchings of the widest cut, so the cost is linear in
 crossings and exponential only in the width (``SliceWord.width``).  The CLI
-refuses diagrams wider than ``MAX_CLI_WIDTH``.
+refuses diagrams wider than ``MAX_CLI_WIDTH``.  Each partial matching is
+numbered once and held as a partner tuple (``_partners``), and appending
+caps and cups to it is the Temperley-Lieb product of that tuple with the
+slices' own (``_transition``): O(width) int work.  Each run of slices is
+traced once per row count (``_slice_partners``).
 
 Each coefficient is packed while crossings are resolved (Kronecker
 substitution).  Let g be the gcd of the exponent gaps inside
@@ -65,7 +69,8 @@ log2(gamma) bits a crossing.
 ``evaluate_arcs`` then reduces each stated matching in closed form: every
 returning arc is a scalar, so a matching is the product of its arc weights
 times the parallel diagram of its through strands, and only parallel
-diagrams are sorted and memoized.
+diagrams are sorted and memoized.  ``reduce`` evaluates only the matchings
+whose returning arcs all have non-zero weights at the boundary states.
 ``evaluate_table`` gives a matching's value at once at every state pair
 where it can be non-zero: where each returning arc has opposite states.
 
@@ -77,6 +82,9 @@ which keeps its results in a plain dict registered in ``_MEMOS`` under
 returns the entry count of each:
 
 * ``diagram._resolve_memo``: ``resolve_crossings`` per slice word,
+* ``diagram._slices_memo``: ``_slice_partners``, the partner tuple and the
+  loops of each crossingless run of slices on a row count, which
+  ``_transition`` composes with a matching's,
 * ``diagram._plan_memo``: ``_plan``, the returning arcs and through strands
   of each matching,
 * ``diagram._packing_memo``: g, r, gamma and lambda of the width lemma per
@@ -101,7 +109,7 @@ returns the entry count of each:
 * ``internal_skein._x1_product_memo``: the products of a basis tangle by the
   coaction entries of V that the lift check right-multiplies with.
 
-Three memos are plain dicts, registered by hand, because a wrapper does not
+Four memos are plain dicts, registered by hand, because a wrapper does not
 fit them:
 
 * ``diagram._memo``: reduction per stated parallel diagram, keyed by
@@ -111,13 +119,16 @@ fit them:
   per appended slices keyed by matching id, giving the new matching's id and
   the loop factor; ``_extend`` fetches one table per smoothing and looks up
   every term in it,
+* ``diagram._arc_masks_memo``: per slice word, the returning arcs of each
+  term of its resolution as a bit mask (``_arc_masks``); it is keyed by the
+  word, but built from the resolution ``reduce`` already holds,
 * ``scalar._product_memo``: the product of two interned scalars, looked up
   inside ``HalfLaurent.__mul__``; ``diagram`` imports ``scalar``, so
   ``scalar`` cannot use the decorator.
 
 verify runs in one thread; memos are not locked.  ``memo_clear`` leaves the
 intern tables of basis keys and scalars (``_interned``), boundary points
-(``_endpoints``) and matching ids (``_matchings``) alone.
+(``_endpoints``) and matching ids (``_matchings`` and ``_partners``) alone.
 """
 
 from __future__ import annotations
@@ -141,12 +152,14 @@ CROSS_TURNBACK = HalfLaurent.q_pow(-1)
 #: Widest diagram the CLI ``reduce`` and ``bracket`` commands accept: the
 #: widest width whose random 100-crossing braid (west = east = width rows;
 #: random rows, kinds and states; seeds 1-3, a fresh process each) reduces in
-#: under 10 s.  On a 2-core x86 host it took 2.1-3.8 s (32-37 MiB) at width 9,
-#: 6.3-10.7 s (72-103 MiB) at width 10 and 10.0-46.7 s (98-268 MiB) at width
-#: 11, most of it tracing resolution steps (``_transition``).  That host was
-#: slow then: it ran the same braids with unpacked coefficients in 4.1-5.5 s,
-#: 10.6-21.0 s and 12.7-68.8 s, about twice the 1.3-2.5 s and 4.6-9.7 s it
-#: took at widths 9 and 10 when this bound was set.
+#: under 10 s.  On a 2-core x86 host with CPython 3.11 it takes 0.9-1.7 s
+#: (33-38 MiB) at width 9, 2.5-5.5 s (75-108 MiB) at width 10 and
+#: 3.6-21.8 s (103-285 MiB) at width 11, where seeds 1 and 3 take 10.1-11.9
+#: and 16.1-21.8 s (three runs each).  The same host took 2.3-3.2 s,
+#: 6.5-14.6 s and 12.2-43.3 s while each resolution step traced its
+#: matching's whole word.  At width 11 the time goes to the packed arithmetic
+#: of ``_extend``, the composed steps (``_transition``) and the repack
+#: between windows, in that order.
 MAX_CLI_WIDTH = 10
 
 
@@ -353,6 +366,10 @@ Arcs = tuple[tuple[Endpoint, Endpoint], ...]
 _endpoints: dict[Endpoint, Endpoint] = {}
 
 
+def _endpoint(side: str, i: int) -> Endpoint:
+    return _endpoints.setdefault((side, i), (side, i))
+
+
 def _canon_arcs(pairs: Iterable[tuple[Endpoint, Endpoint]]) -> Arcs:
     return tuple(sorted(tuple(sorted(p)) for p in pairs))
 
@@ -396,9 +413,9 @@ def word_to_arcs(word: SliceWord) -> tuple[Arcs, int]:
     # Group boundary points by component.
     groups: dict[int, list[Endpoint]] = {}
     for i, t in enumerate(west_token):
-        groups.setdefault(find(t), []).append(_endpoints.setdefault(("w", i), ("w", i)))
+        groups.setdefault(find(t), []).append(_endpoint("w", i))
     for j, t in enumerate(east_token):
-        groups.setdefault(find(t), []).append(_endpoints.setdefault(("e", j), ("e", j)))
+        groups.setdefault(find(t), []).append(_endpoint("e", j))
     pairs = []
     for pts in groups.values():
         if len(pts) != 2:
@@ -446,17 +463,39 @@ def arcs_to_word(n_west: int, n_east: int, arcs: Arcs) -> SliceWord:
 
 
 Resolved = list[tuple[int, Arcs, HalfLaurent]]  # (east arity, arcs, coefficient), sorted
-#: The intern table of partial matchings, never cleared: ``_matchings[m]`` is
-#: the (east arity, arcs) numbered m and ``_matching_ids`` maps it back to m.
-_matching_ids: dict[tuple[int, Arcs], int] = {}
+#: A matching as one tuple over its west points and then its east points:
+#: the index of the point each one is joined to.
+Partners = tuple[int, ...]
+#: The intern table of partial matchings, never cleared: matching m is the
+#: (east arity, arcs) ``_matchings[m]`` with partner tuple ``_partners[m]``,
+#: and ``_matching_ids`` maps (east arity, partner tuple) back to m.
+_matching_ids: dict[tuple[int, Partners], int] = {}
 _matchings: list[tuple[int, Arcs]] = []
+_partners: list[Partners] = []
 
 
-def _matching_id(n_east: int, arcs: Arcs) -> int:
-    m = _matching_ids.setdefault((n_east, arcs), len(_matchings))
+def _matching_id(n_east: int, partners: Partners) -> int:
+    """The id of a matching, numbering it and building its arcs if it is new."""
+    m = _matching_ids.setdefault((n_east, partners), len(_matchings))
     if m == len(_matchings):
-        _matchings.append((n_east, arcs))
+        n_west = len(partners) - n_east
+        point = lambda i: _endpoint("w", i) if i < n_west else _endpoint("e", i - n_west)
+        _matchings.append((n_east, _canon_arcs((point(i), point(j)) for i, j in enumerate(partners) if i < j)))
+        _partners.append(partners)
     return m
+
+
+@memoized("diagram._slices_memo")
+def _slice_partners(n_rows: int, slices: tuple[Slice, ...]) -> tuple[int, Partners, int]:
+    """(east arity, partner tuple, loops) of the crossingless ``slices`` on ``n_rows`` rows."""
+    word = SliceWord(n_rows, slices)
+    arcs, loops = word_to_arcs(word)
+    partners = [0] * (n_rows + word.east_arity)
+    for (side_a, a), (side_b, b) in arcs:
+        a += n_rows if side_a == "e" else 0
+        b += n_rows if side_b == "e" else 0
+        partners[a], partners[b] = b, a
+    return word.east_arity, tuple(partners), loops
 
 
 #: Appended slices -> {matching id: (new matching id, LOOP**loops or None)}.
@@ -464,15 +503,52 @@ _transition_memo: dict[tuple[Slice, ...], dict[int, tuple[int, HalfLaurent | Non
 _MEMOS["diagram._transition_memo"] = _transition_memo
 
 
-def _transition(n_west: int, step: tuple[int, Arcs, tuple[Slice, ...]]) -> tuple[int, Arcs, HalfLaurent | None]:
-    """Append slices to the canonical word of a matching and trace it back."""
-    n_east, arcs, slices = step
-    w = SliceWord(n_west, arcs_to_word(n_west, n_east, arcs).slices + slices)
-    new_arcs, loops = word_to_arcs(w)
+def _transition(n_west: int, m: int, slices: tuple[Slice, ...]) -> tuple[int, HalfLaurent | None]:
+    """The id of matching m with crossingless ``slices`` appended, and
+    ``LOOP**loops`` for the loops that closes, or None for none.
+
+    The Temperley-Lieb product of two partner tuples: the matching's east
+    points are the slices' west points, and a path from an outer point
+    alternates between the two until it reaches another outer point.  The
+    middle points that no path visits lie on closed loops.
+    """
+    pm = _partners[m]
+    mid = len(pm) - n_west
+    new_east, ps, loops = _slice_partners(mid, slices)
+    outer = n_west + new_east
+    out = [-1] * outer
+    seen = [False] * mid
+    for p in range(outer):
+        if out[p] >= 0:
+            continue
+        # q indexes the matching's points while in_m holds, else the slices'.
+        q, in_m = (pm[p], True) if p < n_west else (ps[p - n_west + mid], False)
+        while True:
+            if in_m:
+                if q < n_west:
+                    break
+                q -= n_west
+                seen[q] = True
+                q, in_m = ps[q], False
+            else:
+                if q >= mid:
+                    q += n_west - mid
+                    break
+                seen[q] = True
+                q, in_m = pm[q + n_west], True
+        out[p], out[q] = q, p
+    for j in range(mid):
+        if not seen[j]:
+            loops += 1
+            while not seen[j]:
+                k = ps[j]
+                seen[j] = seen[k] = True
+                j = pm[k + n_west] - n_west
+    new = _matching_id(new_east, tuple(out))
     if not loops:
-        return w.east_arity, new_arcs, None
+        return new, None
     loop = LOOP**loops  # interned, so its ``_key`` is its term set (``_factors``)
-    return w.east_arity, new_arcs, loop if loop._key is not None else HalfLaurent(loop._terms)
+    return new, loop if loop._key is not None else HalfLaurent(loop._terms)
 
 
 #: Crossings per window of ``resolve_crossings``: the digit width is proven
@@ -589,7 +665,7 @@ def _extend(
     A smoothing is (weight, factors, base, tail): its weight, its packed
     factors at ``width`` (``_factors``), the exponent it adds modulo g and
     the slices it appends.  Each step is looked up in the smoothing's
-    table of ``_transition_memo``, traced only on a miss; appending nothing
+    table of ``_transition_memo``, composed only on a miss; appending nothing
     leaves a matching as it is.  A factor is a sum of shifted copies of the
     digits; equal matchings merge by one int addition and cancelled ones are
     dropped.
@@ -608,8 +684,7 @@ def _extend(
             if table is not None:
                 hit = table.get(m)
                 if hit is None:
-                    new_east, new_arcs, loop = _transition(n_west, (*_matchings[m], slices))
-                    hit = table[m] = (_matching_id(new_east, new_arcs), loop)
+                    hit = table[m] = _transition(n_west, m, slices)
                 m, loop = hit
             if loop is None:
                 p += shift
@@ -677,7 +752,7 @@ def resolve_crossings(word: SliceWord) -> Resolved:
     and the cost grows linearly in crossings and exponentially only in width.
     Each matching met is numbered once (``_matchings``) and the terms are
     kept by number.  A step depends only on the matching and the appended
-    slices, so it is traced once per process (``_transition_memo``) and is
+    slices, so it is composed once per process (``_transition_memo``) and is
     an int-keyed lookup after that, in this word and in every later one.
     Coefficients are packed integers, repacked per window of ``_WINDOW``
     crossings (module docstring); a word without crossings is traced at once.
@@ -698,13 +773,13 @@ def resolve_crossings(word: SliceWord) -> Resolved:
     if not steps:
         arcs, loops = word_to_arcs(word)
         coeff = LOOP**loops if loops else ONE
-        return [(*_matchings[_matching_id(word.east_arity, arcs)], coeff)] if coeff._terms else []
+        return [(word.east_arity, arcs, coeff)] if coeff._terms else []
     cp, ct = CROSS_PARALLEL, CROSS_TURNBACK
     constants = (_term_set(cp), _term_set(ct), _term_set(LOOP))
     g, r, gamma, lam = _packing(constants)
     # Matching id -> (p, n): after k crossings the coefficient is the sum of
     # the balanced base-2^width digits d_i of n times s^(k r + g (p / width + i)).
-    terms = {_matching_id(n_w, parallel_arcs(n_w)): (0, 1)}
+    terms = {_matching_id(n_w, (*range(n_w, 2 * n_w), *range(n_w))): (0, 1)}
     width, window = 0, _WINDOW
     for first in range(0, len(steps), window):
         end = first + window
@@ -867,10 +942,6 @@ def state_tuples(n: int) -> list[tuple[State, ...]]:
     return out
 
 
-def parallel_arcs(n: int) -> Arcs:
-    return _canon_arcs((("w", i), ("e", i)) for i in range(n))
-
-
 def reduce_parallel(west: tuple[State, ...], east: tuple[State, ...]) -> SkeinElement:
     """Reduce a parallel stated diagram (the workhorse for products)."""
     key = (west, east)
@@ -882,16 +953,59 @@ def reduce_parallel(west: tuple[State, ...], east: tuple[State, ...]) -> SkeinEl
     return hit
 
 
+Arc = tuple[int, int]  # a returning arc's (upper, lower) rows
+#: (each term's returning arcs as a bit mask, the distinct east arcs, the
+#: distinct west arcs): east arc k is bit k, west arc k the bit after them.
+ArcMasks = tuple[tuple[int, ...], tuple[Arc, ...], tuple[Arc, ...]]
+#: Slice word -> ``_arc_masks`` of its resolution.
+_arc_masks_memo: dict[SliceWord, ArcMasks] = {}
+_MEMOS["diagram._arc_masks_memo"] = _arc_masks_memo
+
+
+def _arc_masks(resolved: Resolved) -> ArcMasks:
+    """The returning arcs of each resolved matching as one bit mask, in the
+    order of ``resolved``, over the distinct returning arcs of all of them."""
+    east_bits: dict[Arc, int] = {}
+    west_bits: dict[Arc, int] = {}
+    pairs = []
+    for _, arcs, _ in resolved:
+        east_arcs, west_arcs, _, _ = _plan(arcs)
+        east = west = 0
+        for arc in east_arcs:
+            east |= 1 << east_bits.setdefault(arc, len(east_bits))
+        for arc in west_arcs:
+            west |= 1 << west_bits.setdefault(arc, len(west_bits))
+        pairs.append((east, west))
+    shift = len(east_bits)
+    return tuple(east | west << shift for east, west in pairs), tuple(east_bits), tuple(west_bits)
+
+
 def reduce(diagram: StatedWord) -> SkeinElement:
     """Canonical basis expansion of a stated sliced diagram.
 
     It is the sum of ``coeff * evaluate_arcs(n_w, n_e, arcs, west, east)`` over
     ``resolve_crossings(word)``, so it depends on the word only through that
     resolution: two words with equal resolutions reduce equally at every state pair.
+    A term one of whose returning arcs has a zero weight at the states is
+    zero, so only the terms whose returning arcs all have non-zero weights
+    are evaluated.  Each distinct returning arc of the resolution is read
+    once per call (``_arc_masks``), from ``C`` and ``CBAR`` as they are at
+    call time, as ``_edge_weight`` reads them.
     """
+    word, west, east = diagram.word, diagram.west, diagram.east
+    resolved = resolve_crossings(word)
+    arc_masks = _arc_masks_memo.get(word)
+    if arc_masks is None:
+        arc_masks = _arc_masks_memo[word] = _arc_masks(resolved)
+    masks, east_arcs, west_arcs = arc_masks
+    dead, bit = 0, 1
+    for states, arcs, table in ((east, east_arcs, C), (west, west_arcs, CBAR)):
+        for upper, lower in arcs:
+            if not table[states[upper], states[lower]]._terms:
+                dead |= bit
+            bit <<= 1
     out = SkeinElement.zero()
-    n_w = diagram.word.west_arity
-    for n_e, arcs, coeff in resolve_crossings(diagram.word):
-        out.add_scaled(evaluate_arcs(n_w, n_e, arcs, diagram.west, diagram.east), coeff)
+    for (n_e, arcs, coeff), mask in zip(resolved, masks):
+        if not mask & dead:
+            out.add_scaled(evaluate_arcs(word.west_arity, n_e, arcs, west, east), coeff)
     return out
-

@@ -14,7 +14,6 @@ from skeinlab.diagram import (
     evaluate_arcs,
     memo_clear,
     memo_sizes,
-    parallel_arcs,
     reduce,
     reduce_parallel,
     resolve_crossings,
@@ -46,7 +45,7 @@ def test_closed_loop_gives_loop_value():
 def test_reidemeister_ii_cancels_turnbacks():
     w = SliceWord(2, (("x", 0), ("xb", 0)))
     [(n_east, arcs, coeff)] = resolve_crossings(w)
-    assert n_east == 2 and arcs == parallel_arcs(2)
+    assert n_east == 2 and arcs == ((("e", 0), ("w", 0)), (("e", 1), ("w", 1)))
     assert coeff == HalfLaurent.one()
 
 
@@ -341,9 +340,9 @@ def _count_transitions(monkeypatch) -> list[int]:
     misses = [0]
     transition = D._transition
 
-    def counting(n_west, step):
+    def counting(n_west, m, slices):
         misses[0] += 1
-        return transition(n_west, step)
+        return transition(n_west, m, slices)
 
     monkeypatch.setattr(D, "_transition", counting)
     D.memo_clear()
@@ -368,8 +367,8 @@ def test_braid_resolution_work_is_linear_in_crossings(monkeypatch):
 
 
 def test_reduce_traces_each_canonical_word_once(monkeypatch):
-    # The resolution and the arcs of its canonical words do not depend on
-    # the boundary states, so only the first state pair traces words.
+    # The resolution and the slices its steps trace do not depend on the
+    # boundary states, so only the first state pair traces words.
     calls = _count_traces(monkeypatch)
     word = SliceWord(3, (("x", 0), ("xb", 1), ("cap", 0), ("cup", 1), ("x", 0)))
     states = [(w, e) for w in ((1, 1, -1), (-1, 1, 1), (1, -1, 1)) for e in ((1, 1, -1), (-1, 1, 1))]
@@ -391,6 +390,7 @@ def fresh_matching_ids(monkeypatch):
     def fresh():
         monkeypatch.setattr(D, "_matching_ids", {})
         monkeypatch.setattr(D, "_matchings", [])
+        monkeypatch.setattr(D, "_partners", [])
         memo_clear()
         return D._matchings
 
@@ -483,16 +483,18 @@ def _reidemeister_words():
     return {SliceWord(3, w) for w in words}
 
 
+def evaluated(d):
+    """The sum of every resolved matching's coefficient times its evaluation at the states."""
+    out = SkeinElement.zero()
+    for n_e, arcs, coeff in resolve_crossings(d.word):
+        out.add_scaled(evaluate_arcs(d.word.west_arity, n_e, arcs, d.west, d.east), coeff)
+    return out
+
+
 def test_reduce_is_the_evaluated_resolution():
     # The lemma behind the RII/RIII cases: reduce depends on the word only
     # through resolve_crossings, whatever the boundary states.
     from skeinlab.suites import random_stated_word
-
-    def evaluated(d):
-        out = SkeinElement.zero()
-        for n_e, arcs, coeff in resolve_crossings(d.word):
-            out.add_scaled(evaluate_arcs(d.word.west_arity, n_e, arcs, d.west, d.east), coeff)
-        return out
 
     rng = random.Random(19)
     checked = 0
@@ -507,6 +509,36 @@ def test_reduce_is_the_evaluated_resolution():
         for west, east in pairs:
             d = StatedWord(word, west, east)
             assert reduce(d) == evaluated(d), format_diagram(d)
+
+
+def test_reduce_evaluates_only_live_matchings(monkeypatch):
+    # reduce calls evaluate_arcs once per resolved matching whose returning
+    # arcs all have non-zero weights at the states, and reads C at each call:
+    # with C[+, +] made non-zero the skipped matchings count again.
+    import skeinlab.diagram as D
+
+    memo_clear()
+    calls = []
+    evaluate = D.evaluate_arcs
+    monkeypatch.setattr(D, "evaluate_arcs", lambda *args: calls.append(args[2]) or evaluate(*args))
+    word = SliceWord(4, tuple(("x" if k % 3 else "xb", k % 3) for k in range(10)))
+    d = StatedWord(word, (1, -1, 1, -1), (1, 1, 1, -1))
+
+    def is_live(arcs):
+        east_arcs, west_arcs, _, _ = D._plan(arcs)
+        return all(D.C[d.east[u], d.east[v]] for u, v in east_arcs) and all(
+            D.CBAR[d.west[u], d.west[v]] for u, v in west_arcs
+        )
+
+    live = [arcs for _, arcs, _ in resolve_crossings(word) if is_live(arcs)]
+    before = reduce(d)
+    assert sorted(calls) == sorted(live) and 0 < len(live) < len(resolve_crossings(word))
+    assert before == evaluated(d)
+    monkeypatch.setitem(D.C, (1, 1), HalfLaurent.s_pow(3))
+    memo_clear()
+    after = reduce(d)
+    assert after != before and after == evaluated(d)
+    memo_clear()
 
 
 @pytest.fixture

@@ -25,6 +25,8 @@ MEMOS = {
     "diagram._plan_memo",
     "diagram._packing_memo",
     "diagram._factor_memo",
+    "diagram._slices_memo",
+    "diagram._arc_masks_memo",
     "bigon_skein._inv_edge_memo",
     "bigon_skein._r_memo",
     "bigon_skein._comul_memo",

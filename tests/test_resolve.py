@@ -1,4 +1,5 @@
-"""Packed crossing resolution against the HalfLaurent reference, window by window."""
+"""Packed crossing resolution against the HalfLaurent reference, window by
+window, and each composed resolution step against a whole-word trace."""
 
 import random
 from fractions import Fraction
@@ -9,17 +10,18 @@ import skeinlab.diagram as D
 from skeinlab.diagram import DiagramError, SliceWord, memo_clear, resolve_crossings
 from skeinlab.scalar import HalfLaurent
 
-from resolve_reference import resolve_reference
+from resolve_reference import resolve_reference, trace_step
 
 
-def _random_word(rng, max_rows, max_slices):
-    """A word whose cuts have at most ``max_rows`` rows, with caps, cups and crossings."""
-    rows = west = rng.randrange(max_rows + 1)
+def _random_word(rng, max_rows, max_slices, west=None, crossings=True):
+    """A word whose cuts have at most ``max_rows`` rows, with caps, cups and,
+    unless ``crossings`` is false, crossings."""
+    rows = west = rng.randrange(max_rows + 1) if west is None else west
     slices = []
     for _ in range(rng.randint(0, max_slices)):
         kinds = ["cup"] if rows + 2 <= max_rows else []
         if rows >= 2:
-            kinds += ["cap", "x", "xb", "x", "xb"]
+            kinds += ["cap", "x", "xb", "x", "xb"] if crossings else ["cap"]
         if not kinds:
             break
         kind = rng.choice(kinds)
@@ -94,3 +96,35 @@ def test_resolution_rejects_a_constant_with_a_fractional_coefficient(cleared, mo
     monkeypatch.setattr(D, "CROSS_TURNBACK", HalfLaurent.q_pow(-1, Fraction(1, 2)))
     with pytest.raises(DiagramError, match="integer coefficients"):
         resolve_crossings(SliceWord(2, (("x", 0),)))
+
+
+def _partners(n_west, arcs):
+    """The partner tuple of ``arcs``: west points first, then east points."""
+    index = lambda p: p[1] if p[0] == "w" else n_west + p[1]
+    out = {}
+    for a, b in arcs:
+        out[index(a)], out[index(b)] = index(b), index(a)
+    return tuple(out[i] for i in range(len(out)))
+
+
+def test_composed_steps_match_the_whole_word_trace(cleared):
+    # A random planar matching of cuts of up to 10 rows, then random caps
+    # and cups on its east points: the composed step gives the arcs and the
+    # loops of tracing the matching's canonical word and the slices at once.
+    rng = random.Random(3102)
+    loops = 0
+    for _ in range(3000):
+        max_rows = rng.randint(1, 10)
+        word = _random_word(rng, max_rows, 12, crossings=False)
+        arcs, _ = D.word_to_arcs(word)
+        n_west, n_east = word.west_arity, word.east_arity
+        m = D._matching_id(n_east, _partners(n_west, arcs))
+        assert D._matchings[m] == (n_east, arcs)
+        slices = _random_word(rng, max_rows, 8, west=n_east, crossings=False).slices
+        new_east, new_arcs, want = trace_step(n_west, n_east, arcs, slices)
+        new, loop = D._transition(n_west, m, slices)
+        assert D._matchings[new] == (new_east, new_arcs), (word, slices)
+        assert D._partners[new] == _partners(n_west, new_arcs)
+        assert loop == (D.LOOP**want if want else None), (word, slices)
+        loops += want
+    assert loops > 300
