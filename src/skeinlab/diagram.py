@@ -505,7 +505,7 @@ _MEMOS["diagram._transition_memo"] = _transition_memo
 
 def _transition(n_west: int, m: int, slices: tuple[Slice, ...]) -> tuple[int, HalfLaurent | None]:
     """The id of matching m with crossingless ``slices`` appended, and
-    ``LOOP**loops`` for the loops that closes, or None for none.
+    ``LOOP**loops`` for the loops the slices close, or None if they close none.
 
     The Temperley-Lieb product of two partner tuples: the matching's east
     points are the slices' west points, and a path from an outer point
