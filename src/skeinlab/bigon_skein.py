@@ -262,19 +262,21 @@ def theta_form(x: SkeinElement) -> HalfLaurent:
     return convolve(t_form, t_form)(x)
 
 
-def ht_coaction(x: SkeinElement) -> SkeinElement:
-    """Half twist of the algebra coacting on itself: (id (x) t) o comul."""
+def _coact(x: SkeinElement, form: Callable[[SkeinElement], HalfLaurent]) -> SkeinElement:
     out = SkeinElement.zero()
     for (b1, b2), c in comul(x).items():
-        out.add_term(b1, t_form(SkeinElement.of(b2)) * c)
+        out.add_term(b1, form(SkeinElement.of(b2)) * c)
     return out
+
+
+def ht_coaction(x: SkeinElement) -> SkeinElement:
+    """Half twist of the algebra coacting on itself: (id (x) t) o comul."""
+    return _coact(x, t_form)
 
 
 def ht_coaction_inverse(x: SkeinElement) -> SkeinElement:
-    out = SkeinElement.zero()
-    for (b1, b2), c in comul(x).items():
-        out.add_term(b1, t_inv_form(SkeinElement.of(b2)) * c)
-    return out
+    """Inverse half twist: (id (x) t^-1) o comul."""
+    return _coact(x, t_inv_form)
 
 
 # -- coquasitriangular structure ----------------------------------------------

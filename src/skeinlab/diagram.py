@@ -860,13 +860,7 @@ def _edge_weight(
     return weight
 
 
-def evaluate_arcs(
-    n_west: int,
-    n_east: int,
-    arcs: Arcs,
-    west: tuple[State, ...],
-    east: tuple[State, ...],
-) -> SkeinElement:
+def evaluate_arcs(arcs: Arcs, west: tuple[State, ...], east: tuple[State, ...]) -> SkeinElement:
     """Reduce a stated crossingless matching to the decreasing-state basis.
 
     A returning arc is the scalar C (east edge) or Cbar (west edge) of its
@@ -983,7 +977,7 @@ def _arc_masks(resolved: Resolved) -> ArcMasks:
 def reduce(diagram: StatedWord) -> SkeinElement:
     """Canonical basis expansion of a stated sliced diagram.
 
-    It is the sum of ``coeff * evaluate_arcs(n_w, n_e, arcs, west, east)`` over
+    It is the sum of ``coeff * evaluate_arcs(arcs, west, east)`` over
     ``resolve_crossings(word)``, so it depends on the word only through that
     resolution: two words with equal resolutions reduce equally at every state pair.
     A term one of whose returning arcs has a zero weight at the states is
@@ -1005,7 +999,7 @@ def reduce(diagram: StatedWord) -> SkeinElement:
                 dead |= bit
             bit <<= 1
     out = SkeinElement.zero()
-    for (n_e, arcs, coeff), mask in zip(resolved, masks):
+    for (_, arcs, coeff), mask in zip(resolved, masks):
         if not mask & dead:
-            out.add_scaled(evaluate_arcs(word.west_arity, n_e, arcs, west, east), coeff)
+            out.add_scaled(evaluate_arcs(arcs, west, east), coeff)
     return out

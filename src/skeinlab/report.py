@@ -99,45 +99,42 @@ REPORT_SCHEMA: dict[str, Any] = {
 }
 
 
-def _is_number(x: Any) -> bool:
-    """A JSON number: ``bool`` is not one, though Python makes it an ``int``."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _is_type(x: Any, name: str) -> bool:
+    """A JSON type test: ``bool`` is neither a number nor an integer, and an
+    integral float is an integer, as the schema's draft counts them."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return isinstance(x, {"object": dict, "array": list, "string": str, "null": type(None)}.get(name, ()))
+    return name == "number" or name == "integer" and (isinstance(x, int) or x.is_integer())
 
 
-def _is_integer(x: Any) -> bool:
-    """A JSON integer: a number without a fractional part, as the schema's draft counts it."""
-    return _is_number(x) and (isinstance(x, int) or x.is_integer())
+def _check(x: Any, schema: dict[str, Any], path: str) -> None:
+    """Raise ``ValueError`` naming ``path`` where ``x`` breaks ``schema``.  Reads
+    only ``type``, ``enum``, ``minimum`` (``not x >= minimum``: NaN fails it),
+    ``required``, ``properties``, ``additionalProperties: false`` and ``items``."""
+    types = schema.get("type", [])
+    if types and not any(_is_type(x, t) for t in ([types] if isinstance(types, str) else types)):
+        raise ValueError(f"{path} must be of type {types}")
+    if "enum" in schema and x not in schema["enum"]:
+        raise ValueError(f"{path} must be one of {schema['enum']}")
+    if "minimum" in schema and _is_type(x, "number") and not x >= schema["minimum"]:
+        raise ValueError(f"{path} must be at least {schema['minimum']}")
+    if isinstance(x, dict):
+        missing = [key for key in schema.get("required", []) if key not in x]
+        if missing:
+            raise ValueError(f"{path} misses keys {missing}")
+        for key, value in x.items():
+            if key in schema.get("properties", {}):
+                _check(value, schema["properties"][key], f"{path}.{key}")
+            elif schema.get("additionalProperties") is False:
+                raise ValueError(f"{path} has unexpected key {key!r}")
+    if isinstance(x, list) and "items" in schema:
+        for i, item in enumerate(x):
+            _check(item, schema["items"], f"{path}[{i}]")
 
 
 def validate_report_dict(data: dict[str, Any]) -> None:
-    """Check what ``REPORT_SCHEMA`` states, without external dependencies."""
-    if not isinstance(data, dict):
-        raise ValueError("report must be an object")
-    for key in REPORT_SCHEMA["required"]:
-        if key not in data:
-            raise ValueError(f"report missing key {key!r}")
-    if set(data) - set(REPORT_SCHEMA["properties"]):
-        raise ValueError("report has unexpected keys")
-    if not isinstance(data["suite"], str):
-        raise ValueError("report suite must be a string")
-    if not isinstance(data["parameters"], dict):
-        raise ValueError("report parameters must be an object")
-    if not isinstance(data["cases"], list):
-        raise ValueError("report cases must be an array")
+    """Check ``data`` against ``REPORT_SCHEMA``, then its totals against its cases."""
+    _check(data, REPORT_SCHEMA, "report")
     totals = data["totals"]
-    if not isinstance(totals, dict) or set(totals) != {"pass", "fail", "total"}:
-        raise ValueError("report totals must be exactly pass, fail and total")
-    if not all(_is_integer(v) and v >= 0 for v in totals.values()):
-        raise ValueError("report totals must be integers, each at least 0")
     if totals["pass"] + totals["fail"] != totals["total"] or totals["total"] != len(data["cases"]):
         raise ValueError("report totals inconsistent with cases")
-    wall_time = data["wall_time"]
-    if not _is_number(wall_time) or not wall_time >= 0:
-        raise ValueError("report wall_time must be a number, at least 0")
-    for case in data["cases"]:
-        if not isinstance(case, dict) or not {"name", "status"} <= set(case) <= {"name", "status", "witness"}:
-            raise ValueError("case must hold name and status, and no key but witness besides")
-        if case["status"] not in ("pass", "fail") or not isinstance(case["name"], str):
-            raise ValueError("case needs a string name and status pass or fail")
-        if not isinstance(case.get("witness"), (str, type(None))):
-            raise ValueError("case witness must be a string or null")

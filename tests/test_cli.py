@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import random
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skeinlab.bigon_skein as B
+import skeinlab.report as report
 from skeinlab import suites
 from skeinlab.cli import EXIT_PASS, EXIT_USAGE, main
 from skeinlab.diagram import MAX_CLI_WIDTH, BasisTangle, SkeinElement
@@ -229,6 +231,108 @@ def test_report_validation_takes_integral_floats_as_integers():
     data = dict(_valid_report(), totals={"pass": 1.0, "fail": 1, "total": 2}, wall_time=3)
     jsonschema.validate(data, REPORT_SCHEMA)
     validate_report_dict(data)
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.integers(-4, 6).map(lambda n: n / 2)
+    | st.floats(allow_nan=False)
+    | st.sampled_from(["pass", "fail", "", "x"])
+)
+_JSON_VALUES = _JSON_LEAVES | st.lists(_JSON_LEAVES, max_size=2) | st.dictionaries(st.text(max_size=2), _JSON_LEAVES, max_size=2)
+#: Where a mutation replaces or drops a value: a top-level key, a totals
+#: entry, a case or a case's field, each known or unknown to the schema.
+_MUTATION_PATHS = [
+    *[(key,) for key in ("suite", "parameters", "cases", "totals", "wall_time", "extra")],
+    *[("totals", key) for key in ("pass", "fail", "total", "skipped")],
+    *[("cases", i) for i in range(3)],
+    *[("cases", 0, key) for key in ("name", "status", "witness", "extra")],
+]
+
+
+def _mutate(data, path, value):
+    """Put ``value[0]`` at ``path``, or drop what is there if ``value`` is None.
+    A path whose parent is gone or not a container is left alone; a case
+    one past the last is appended."""
+    *parents, last = path
+    for key in parents:
+        if not (isinstance(data, dict) and key in data or isinstance(data, list) and key < len(data)):
+            return
+        data = data[key]
+    if isinstance(data, dict):
+        data.pop(last, None)
+        if value:
+            data[last] = value[0]
+    elif isinstance(data, list) and isinstance(last, int) and last <= len(data):
+        data[last : last + 1] = value or []
+
+
+@settings(max_examples=400, deadline=None)
+@example([(("totals", "pass"), (0.5,)), (("totals", "fail"), (1.5,))])
+@given(st.lists(st.tuples(st.sampled_from(_MUTATION_PATHS), st.none() | st.tuples(_JSON_VALUES)), min_size=1, max_size=3))
+def test_report_validation_accepts_what_the_schema_and_the_totals_accept(mutations):
+    data = _valid_report()
+    for path, value in mutations:
+        _mutate(data, path, value)
+    totals = data.get("totals")
+    expected = jsonschema.Draft202012Validator(REPORT_SCHEMA).is_valid(data) and (
+        totals["pass"] + totals["fail"] == totals["total"] == len(data["cases"])
+    )
+    try:
+        validate_report_dict(data)
+    except ValueError:
+        assert not expected, data
+    else:
+        assert expected, data
+
+
+def test_report_validation_rejects_a_nan_wall_time():
+    # Stricter than jsonschema, which takes NaN as at least 0.
+    data = dict(_valid_report(), wall_time=float("nan"))
+    jsonschema.validate(data, REPORT_SCHEMA)
+    with pytest.raises(ValueError, match=r"report\.wall_time"):
+        validate_report_dict(data)
+
+
+def test_report_validation_reads_the_schema_itself(monkeypatch):
+    # A field added to the schema alone is checked: here a case's wall time.
+    schema = copy.deepcopy(REPORT_SCHEMA)
+    case_schema = schema["properties"]["cases"]["items"]
+    case_schema["required"].append("wall_time")
+    case_schema["properties"]["wall_time"] = {"type": "number", "minimum": 0}
+    monkeypatch.setattr(report, "REPORT_SCHEMA", schema)
+    data = _valid_report()
+    with pytest.raises(ValueError, match=r"report\.cases\[0\]"):
+        validate_report_dict(data)
+    for case in data["cases"]:
+        case["wall_time"] = 0.25
+    validate_report_dict(data)
+    data["cases"][1]["wall_time"] = "0.25"
+    with pytest.raises(ValueError, match=r"report\.cases\[1\]\.wall_time"):
+        validate_report_dict(data)
+
+
+#: The keywords that ``report._check`` reads, and ``$schema``, which names the draft.
+_CHECKED_KEYWORDS = {"$schema", "type", "enum", "minimum", "required", "properties", "additionalProperties", "items"}
+
+
+def _subschemas(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+def test_report_schema_uses_only_the_keywords_the_validator_reads():
+    for schema in _subschemas(REPORT_SCHEMA):
+        assert set(schema) <= _CHECKED_KEYWORDS, schema
+        # The validator knows only ``additionalProperties: false``, and tests
+        # ``enum`` with Python's ==, which agrees with JSON's on strings.
+        assert schema.get("additionalProperties", False) is False, schema
+        assert all(isinstance(v, str) for v in schema.get("enum", [])), schema
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

@@ -310,7 +310,7 @@ def test_closed_form_matches_recursive_reference():
                 for west in state_tuples(m.n_west):
                     for east in state_tuples(m.n_east):
                         want = reference(m.n_west, m.n_east, m.pairs, west, east)
-                        assert evaluate_arcs(m.n_west, m.n_east, m.pairs, west, east) == want, (m, west, east)
+                        assert evaluate_arcs(m.pairs, west, east) == want, (m, west, east)
                         checked += 1
     # Every state assignment of all 175 matchings of at most 8 points.
     assert checked == 1 + 3 * 4 + 10 * 16 + 35 * 64 + 126 * 256
@@ -486,8 +486,8 @@ def _reidemeister_words():
 def evaluated(d):
     """The sum of every resolved matching's coefficient times its evaluation at the states."""
     out = SkeinElement.zero()
-    for n_e, arcs, coeff in resolve_crossings(d.word):
-        out.add_scaled(evaluate_arcs(d.word.west_arity, n_e, arcs, d.west, d.east), coeff)
+    for _, arcs, coeff in resolve_crossings(d.word):
+        out.add_scaled(evaluate_arcs(arcs, d.west, d.east), coeff)
     return out
 
 
@@ -520,7 +520,7 @@ def test_reduce_evaluates_only_live_matchings(monkeypatch):
     memo_clear()
     calls = []
     evaluate = D.evaluate_arcs
-    monkeypatch.setattr(D, "evaluate_arcs", lambda *args: calls.append(args[2]) or evaluate(*args))
+    monkeypatch.setattr(D, "evaluate_arcs", lambda *args: calls.append(args[0]) or evaluate(*args))
     word = SliceWord(4, tuple(("x" if k % 3 else "xb", k % 3) for k in range(10)))
     d = StatedWord(word, (1, -1, 1, -1), (1, 1, 1, -1))
 

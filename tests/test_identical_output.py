@@ -1,25 +1,47 @@
 """Committed references for outputs that performance changes must leave unchanged.
 
-Each reference is a SHA-256 over formatted results of seeded inputs, drawn
+Each reference is a SHA-256 over formatted results: of seeded inputs, drawn
 here with ``random.Random`` so that no other module's generator can move
-them.  A change that alters one of these outputs on purpose updates the
-digest and says why.  The digests do not depend on ``PYTHONHASHSEED``: every
-formatted value is sorted or built in a fixed order, and pytest runs under a
-random hash seed unless one is set.
+them, of the ``verify all --max-degree 3 --json`` report without its wall
+time, and of the stdout of fixed CLI calls.  A change that alters one of
+these outputs on purpose updates the digest and says why.  The digests do
+not depend on ``PYTHONHASHSEED``: every formatted value is sorted or built
+in a fixed order, and pytest runs under a random hash seed unless one is
+set.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
 
 import skeinlab.diagram as D
+from skeinlab.cli import EXIT_PASS, main
 from skeinlab.diagram import SliceWord, StatedWord, memo_clear, reduce, resolve_crossings
+from skeinlab.report import validate_report_dict
 from skeinlab.scalar import format_scalar
 from skeinlab.syntax import format_element
 
 RESOLVE_DIGEST = "a0d6c3166e2226c6364a06e24fc57b777f354304f30d6d7e3644205356f44e15"
 BRAID_REDUCE_DIGEST = "f6860945c28cb7519c753e7b933b146ec44135a51dc9525a18e2fb5065824fd5"
+VERIFY_ALL_DIGEST = "c96712d816ee37ea66e2e008113e1c6034396eaf0f65e5071ac6cd10624dcb4e"
+CLI_DIGEST = "c3ab6a5ba9391118a64ff17aad24d48df68611ea0f3609e0da6df72bf2bd1ce9"
+
+#: CLI calls whose stdout is pinned: reductions of stated braids and of a
+#: capped tangle, brackets of closed diagrams, and bigon products.
+CLI_CALLS = [
+    ("reduce", "tangle(2){x0} west=+- east=+-"),
+    ("reduce", "tangle(3){x0;xb1;x0} west=+-+ east=-++"),
+    ("reduce", "tangle(4){x0;x1;x2;xb0;x1;xb2;x0} west=+-+- east=-+-+"),
+    ("reduce", "tangle(2){cup1;x0;x2;cap1} west=+- east=-+"),
+    ("bracket", "tangle(0){cup0;x0;cap0}"),
+    ("bracket", "tangle(0){cup0;cup1;x0;x0;x0;cap1;cap0}"),
+    ("bracket", "tangle(0){cup0;cup2;x1;xb1;x1;xb1;cap2;cap0}"),
+    ("mul", "a", "d"),
+    ("mul", "b", "c"),
+    ("mul", "(1+s)*a + q*d", "b^2 - c"),
+]
 
 
 def _random_word(rng, max_rows, max_slices):
@@ -85,3 +107,21 @@ def test_braid_reduce_output_is_unchanged(cold):
     assert len(calls) == 108
     text = "\n".join(format_element(reduce(d)) for d in calls)
     assert hashlib.sha256(text.encode()).hexdigest() == BRAID_REDUCE_DIGEST
+
+
+def test_verify_all_report_is_unchanged(capsys, cold):
+    # The report of the benchmark's verify_all workload, but for its wall time.
+    assert main(["verify", "all", "--max-degree", "3", "--json"]) == EXIT_PASS
+    data = json.loads(capsys.readouterr().out)
+    validate_report_dict(data)
+    assert data["totals"] == {"pass": 46, "fail": 0, "total": 46}
+    del data["wall_time"]
+    assert hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest() == VERIFY_ALL_DIGEST
+
+
+def test_cli_output_is_unchanged(capsys, cold):
+    text = []
+    for argv in CLI_CALLS:
+        code = main(list(argv))
+        text.append(f"{argv}|{code}|{capsys.readouterr().out}")
+    assert hashlib.sha256("\n".join(text).encode()).hexdigest() == CLI_DIGEST

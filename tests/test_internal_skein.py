@@ -367,7 +367,7 @@ def test_lift_check_fails_on_a_lift_at_a_zero_key(monkeypatch):
 
 def _dense_st_map(m):
     return {
-        (west, east): evaluate_arcs(m.n_west, m.n_east, m.pairs, west, east)
+        (west, east): evaluate_arcs(m.pairs, west, east)
         for west in CM.state_tuples(m.n_west)
         for east in CM.state_tuples(m.n_east)
     }
