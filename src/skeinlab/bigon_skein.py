@@ -7,6 +7,12 @@ corrections, and the half-twist functional t is the counit of an inversion
 along the east edge.  The coribbon functional theta is *defined* as the
 convolution square t * t; its generator values are asserted in tests rather
 than hard-coded, so there is a single source of truth for the twist.
+
+Each map is a form on basis tangles, ``f_basis``, plus its linear extension
+``f`` to elements.  The coproduct, antipode, co-R, t, t^-1 and theta forms
+are memoized; the product and rotation forms read the memoized
+``reduce_parallel``.  A form's result is shared, so callers must not mutate
+it; ``f`` returns a new element.
 """
 
 from __future__ import annotations
@@ -106,9 +112,11 @@ def tensor2(x: SkeinElement, y: SkeinElement) -> TensorElement:
     return out
 
 
-def linear(fn: Callable[[BasisTangle], SkeinElement]) -> Callable[[SkeinElement], SkeinElement]:
-    def ext(x: SkeinElement) -> SkeinElement:
-        out = SkeinElement.zero()
+def linear(fn: Callable[[BasisTangle], LinearCombination], zero: Callable[[], LinearCombination] = SkeinElement.zero):
+    """The linear extension of ``fn``; it returns a new element."""
+
+    def ext(x: SkeinElement):
+        out = zero()
         for b, c in x.items():
             out.add_scaled(fn(b), c)
         return out
@@ -116,15 +124,24 @@ def linear(fn: Callable[[BasisTangle], SkeinElement]) -> Callable[[SkeinElement]
     return ext
 
 
+def linear_form(fn: Callable[[BasisTangle], HalfLaurent]) -> Callable[[SkeinElement], HalfLaurent]:
+    """The linear extension of the functional ``fn``."""
+    return lambda x: sum((fn(b) * c for b, c in x.items()), ZERO)
+
+
 # -- Hopf structure -----------------------------------------------------------
 
 
+def mul_basis(bx: BasisTangle, by: BasisTangle) -> SkeinElement:
+    """Product: stack bx above by (bx's boundary points higher on both edges)."""
+    return reduce_parallel(bx.mu + by.mu, bx.nu + by.nu)
+
+
 def mul(x: SkeinElement, y: SkeinElement) -> SkeinElement:
-    """Product: stack x above y (x's boundary points higher on both edges)."""
     out = SkeinElement.zero()
     for bx, cx in x.items():
         for by, cy in y.items():
-            out.add_scaled(reduce_parallel(bx.mu + by.mu, bx.nu + by.nu), cx * cy)
+            out.add_scaled(mul_basis(bx, by), cx * cy)
     return out
 
 
@@ -135,29 +152,21 @@ def mul_many(factors: Iterable[SkeinElement]) -> SkeinElement:
     return out
 
 
-def comul(x: SkeinElement) -> TensorElement:
-    """Coproduct: split along the middle arc, summing over middle states.
-
-    Each basis tangle is split once per process (``_comul_basis``); the
-    returned element is fresh, so callers may mutate it.
-    """
-    out = TensorElement.zero(2)
-    for b, c in x.items():
-        out.add_scaled(_comul_basis(b), c)
-    return out
-
-
 @memoized("bigon_skein._comul_memo")
-def _comul_basis(b: BasisTangle) -> TensorElement:
-    """The coproduct of one basis tangle."""
+def comul_basis(b: BasisTangle) -> TensorElement:
+    """Coproduct: split along the middle arc, summing over middle states."""
     out = TensorElement.zero(2)
     for eta in state_tuples(b.n):
         out.add_scaled(tensor2(reduce_parallel(b.mu, eta), reduce_parallel(eta, b.nu)))
     return out
 
 
-def counit(x: SkeinElement) -> HalfLaurent:
-    return sum((c for b, c in x.items() if b.mu == b.nu), ZERO)
+def counit_basis(b: BasisTangle) -> HalfLaurent:
+    return ONE if b.mu == b.nu else ZERO
+
+
+comul = linear(comul_basis, lambda: TensorElement.zero(2))
+counit = linear_form(counit_basis)
 
 
 def _arc_product(states: tuple[State, ...]) -> HalfLaurent:
@@ -167,19 +176,16 @@ def _arc_product(states: tuple[State, ...]) -> HalfLaurent:
     return out
 
 
-def antipode(x: SkeinElement) -> SkeinElement:
+@memoized("bigon_skein._antipode_memo")
+def antipode_basis(b: BasisTangle) -> SkeinElement:
     """Rotate 180 degrees, negate states, correct by arc weights C(nu)/C(mu)."""
-
-    def on_basis(b: BasisTangle) -> SkeinElement:
-        coeff = _arc_product(b.nu) * _arc_product(b.mu).inverse()
-        west = tuple(-s for s in reversed(b.nu))
-        east = tuple(-s for s in reversed(b.mu))
-        return reduce_parallel(west, east).scale(coeff)
-
-    return linear(on_basis)(x)
+    coeff = _arc_product(b.nu) * _arc_product(b.mu).inverse()
+    west = tuple(-s for s in reversed(b.nu))
+    east = tuple(-s for s in reversed(b.mu))
+    return reduce_parallel(west, east).scale(coeff)
 
 
-def rot_star(x: SkeinElement) -> SkeinElement:
+def rot_star_basis(b: BasisTangle) -> SkeinElement:
     """Algebra automorphism induced by the 180 degree rotation of the bigon.
 
     The rotation swaps the two edges; boundary heights live in the thickening
@@ -187,11 +193,11 @@ def rot_star(x: SkeinElement) -> SkeinElement:
     rotation reverses the induced edge orientations, which is why it reverses
     the coproduct).  On generators: a, d fixed, b <-> c.
     """
+    return reduce_parallel(b.nu, b.mu)
 
-    def on_basis(b: BasisTangle) -> SkeinElement:
-        return reduce_parallel(b.nu, b.mu)
 
-    return linear(on_basis)(x)
+antipode = linear(antipode_basis)
+rot_star = linear(rot_star_basis)
 
 
 # -- inversion along an edge and the half-twist functional --------------------
@@ -235,34 +241,37 @@ def _inv_edge_basis(b: BasisTangle, edge: str, inverse: bool) -> SkeinElement:
     return reduce_diagram(stated).scale(coeff)
 
 
-def t_form(x: SkeinElement) -> HalfLaurent:
+@memoized("bigon_skein._t_memo")
+def t_form_basis(b: BasisTangle) -> HalfLaurent:
     """Half-coribbon functional: counit of the inverse inversion at the east edge."""
-    return counit(inv_edge(x, "east", inverse=True))
+    return counit(inv_edge(SkeinElement.of(b), "east", inverse=True))
 
 
-def t_inv_form(x: SkeinElement) -> HalfLaurent:
+@memoized("bigon_skein._t_inv_memo")
+def t_inv_form_basis(b: BasisTangle) -> HalfLaurent:
     """Convolution inverse of t: counit of the inversion at the east edge."""
-    return counit(inv_edge(x, "east", inverse=False))
+    return counit(inv_edge(SkeinElement.of(b), "east", inverse=False))
 
 
-def convolve(f: Callable[[SkeinElement], HalfLaurent], g: Callable[[SkeinElement], HalfLaurent]) -> Callable[[SkeinElement], HalfLaurent]:
-    """Convolution product of two linear functionals on the bigon algebra."""
-
-    def fg(x: SkeinElement) -> HalfLaurent:
-        return sum(
-            (f(SkeinElement.of(b1)) * g(SkeinElement.of(b2)) * c for (b1, b2), c in comul(x).items()),
-            ZERO,
-        )
-
-    return fg
+def convolve(f: Callable[[BasisTangle], HalfLaurent], g: Callable[[BasisTangle], HalfLaurent]) -> Callable[[BasisTangle], HalfLaurent]:
+    """Convolution product of two functionals, each given on basis tangles."""
+    return lambda b: sum((f(b1) * g(b2) * c for (b1, b2), c in comul_basis(b).items()), ZERO)
 
 
-def theta_form(x: SkeinElement) -> HalfLaurent:
+@memoized("bigon_skein._theta_memo")
+def theta_form_basis(b: BasisTangle) -> HalfLaurent:
     """Coribbon functional, defined as the convolution square t * t."""
-    return convolve(t_form, t_form)(x)
+    return convolve(t_form_basis, t_form_basis)(b)
+
+
+t_form = linear_form(t_form_basis)
+t_inv_form = linear_form(t_inv_form_basis)
+theta_form = linear_form(theta_form_basis)
 
 
 def _coact(x: SkeinElement, form: Callable[[SkeinElement], HalfLaurent]) -> SkeinElement:
+    # ``form`` is t_form or t_inv_form, looked up at call time: the gluing checks reach
+    # t_inv_form only here, and a traced run (bench/tracer.py) must see it called.
     out = SkeinElement.zero()
     for (b1, b2), c in comul(x).items():
         out.add_term(b1, form(SkeinElement.of(b2)) * c)
@@ -297,37 +306,38 @@ def _split_first_strand(b: BasisTangle) -> tuple[BasisTangle, BasisTangle]:
 
 
 @memoized("bigon_skein._r_memo")
-def _r_basis(bx: BasisTangle, by: BasisTangle) -> HalfLaurent:
+def r_form_basis(bx: BasisTangle, by: BasisTangle) -> HalfLaurent:
+    """Co-R-matrix as a bilinear functional on the bigon algebra."""
     if bx.n == 0:
-        return ONE if by.mu == by.nu else HalfLaurent.zero()
+        return counit_basis(by)
     if by.n == 0:
-        return ONE if bx.mu == bx.nu else HalfLaurent.zero()
+        return counit_basis(bx)
     if bx.n == 1 and by.n == 1:
-        return _R_GEN.get(((bx.mu[0], bx.nu[0]), (by.mu[0], by.nu[0])), HalfLaurent.zero())
+        return _R_GEN.get(((bx.mu[0], bx.nu[0]), (by.mu[0], by.nu[0])), ZERO)
     if bx.n > 1:
         # R(g x' (x) z) = sum R(g (x) z_(1)) R(x' (x) z_(2))
         g, rest = _split_first_strand(bx)
-        legs = comul(SkeinElement.of(by)).items()
-        return sum((_r_basis(g, z1) * _r_basis(rest, z2) * c for (z1, z2), c in legs), ZERO)
+        legs = comul_basis(by).items()
+        return sum((r_form_basis(g, z1) * r_form_basis(rest, z2) * c for (z1, z2), c in legs), ZERO)
     # R(x (x) h y') = sum R(x_(1) (x) y') R(x_(2) (x) h)
     h, rest = _split_first_strand(by)
-    legs = comul(SkeinElement.of(bx)).items()
-    return sum((_r_basis(x1, rest) * _r_basis(x2, h) * c for (x1, x2), c in legs), ZERO)
+    legs = comul_basis(bx).items()
+    return sum((r_form_basis(x1, rest) * r_form_basis(x2, h) * c for (x1, x2), c in legs), ZERO)
 
 
 def r_form(x: SkeinElement, y: SkeinElement) -> HalfLaurent:
-    """Co-R-matrix as a bilinear functional on the bigon algebra."""
-    return sum((_r_basis(bx, by) * cx * cy for bx, cx in x.items() for by, cy in y.items()), ZERO)
+    return sum((r_form_basis(bx, by) * cx * cy for bx, cx in x.items() for by, cy in y.items()), ZERO)
 
 
 def braided_opposite_mul(x: SkeinElement, y: SkeinElement) -> SkeinElement:
     """m o c: multiply after braiding, i.e. sum y_(1) x_(1) R(x_(2) (x) y_(2))."""
     out = SkeinElement.zero()
+    y_legs = comul(y).items()
     for (x1, x2), cx in comul(x).items():
-        for (y1, y2), cy in comul(y).items():
-            w = _r_basis(x2, y2) * cx * cy
+        for (y1, y2), cy in y_legs:
+            w = r_form_basis(x2, y2) * cx * cy
             if not w.is_zero():
-                out.add_scaled(mul(SkeinElement.of(y1), SkeinElement.of(x1)), w)
+                out.add_scaled(mul_basis(y1, x1), w)
     return out
 
 

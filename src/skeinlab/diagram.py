@@ -97,7 +97,10 @@ returns the entry count of each:
 * ``bigon_skein._inv_edge_memo``: edge inversion per (basis tangle, edge,
   inverse), so ``t_form`` and ``t_inv_form`` reduce each basis tangle once,
 * ``bigon_skein._r_memo``: the co-R form per pair of basis tangles,
-* ``bigon_skein._comul_memo``: the coproduct per basis tangle,
+* ``bigon_skein._comul_memo``, ``_antipode_memo``, ``_t_memo``,
+  ``_t_inv_memo`` and ``_theta_memo``: the coproduct, the antipode, t, its
+  inverse and theta per basis tangle (``comul_basis``, ``antipode_basis``,
+  ``t_form_basis``, ``t_inv_form_basis``, ``theta_form_basis``),
 * ``comodule_rt._rows_memo``: the exact intertwiner conditions per pair of
   comodules,
 * ``excision._switch_memo``: the symbolic image of each one-sided map the

@@ -218,26 +218,26 @@ def _coassociativity_through(*, strands: int) -> str | None:
 
 def counit_law(*, strands: int) -> str | None:
     for b in B.basis_tangles(strands):
-        x = _el(b)
         left = SkeinElement.zero()
         right = SkeinElement.zero()
-        for (b1, b2), c in B.comul(x).items():
-            left.add_term(b2, B.counit(_el(b1)) * c)
-            right.add_term(b1, B.counit(_el(b2)) * c)
-        if left != x or right != x:
+        for (b1, b2), c in B.comul_basis(b).items():
+            left.add_term(b2, B.counit_basis(b1) * c)
+            right.add_term(b1, B.counit_basis(b2) * c)
+        if left != _el(b) or right != _el(b):
             return f"counit law fails on {b}"
     return None
 
 
 def antipode_laws(*, strands: int) -> str | None:
     for b in B.basis_tangles(strands):
-        x = _el(b)
-        target = SkeinElement.unit().scale(B.counit(x))
+        target = SkeinElement.unit().scale(B.counit_basis(b))
         left = SkeinElement.zero()
         right = SkeinElement.zero()
-        for (b1, b2), c in B.comul(x).items():
-            left.add_scaled(B.mul(B.antipode(_el(b1)), _el(b2)), c)
-            right.add_scaled(B.mul(_el(b1), B.antipode(_el(b2))), c)
+        for (b1, b2), c in B.comul_basis(b).items():
+            for t, d in B.antipode_basis(b1).items():
+                left.add_scaled(B.mul_basis(t, b2), c * d)
+            for t, d in B.antipode_basis(b2).items():
+                right.add_scaled(B.mul_basis(b1, t), c * d)
         if left != target or right != target:
             return f"antipode convolution law fails on {b}"
     return None
@@ -247,12 +247,12 @@ def comul_algebra_map(*, strands: int) -> str | None:
     small = B.basis_tangles(strands)
     for b1 in small:
         for b2 in small:
-            x, y = _el(b1), _el(b2)
-            left = B.comul(B.mul(x, y))
+            left = B.comul(B.mul_basis(b1, b2))
             right = B.TensorElement.zero(2)
-            for (u1, u2), c in B.comul(x).items():
-                for (v1, v2), d in B.comul(y).items():
-                    right.add_scaled(B.tensor2(B.mul(_el(u1), _el(v1)), B.mul(_el(u2), _el(v2))), c * d)
+            y_legs = B.comul_basis(b2).items()
+            for (u1, u2), c in B.comul_basis(b1).items():
+                for (v1, v2), d in y_legs:
+                    right.add_scaled(B.tensor2(B.mul_basis(u1, v1), B.mul_basis(u2, v2)), c * d)
             if left != right:
                 return f"comul is not an algebra map on {b1}, {b2}"
     return None
@@ -433,14 +433,14 @@ def exchange_law(*, strands: int) -> str | None:
     small = B.basis_tangles(strands)
     for b1 in small:
         for b2 in small:
-            x, y = _el(b1), _el(b2)
             left = SkeinElement.zero()
             right = SkeinElement.zero()
-            for (x1, x2), cx in B.comul(x).items():
-                for (y1, y2), cy in B.comul(y).items():
+            y_legs = B.comul_basis(b2).items()
+            for (x1, x2), cx in B.comul_basis(b1).items():
+                for (y1, y2), cy in y_legs:
                     w = cx * cy
-                    left.add_scaled(B.mul(_el(y1), _el(x1)), B.r_form(_el(x2), _el(y2)) * w)
-                    right.add_scaled(B.mul(_el(x2), _el(y2)), B.r_form(_el(x1), _el(y1)) * w)
+                    left.add_scaled(B.mul_basis(y1, x1), B.r_form_basis(x2, y2) * w)
+                    right.add_scaled(B.mul_basis(x2, y2), B.r_form_basis(x1, y1) * w)
             if left != right:
                 return f"coquasitriangular exchange fails on {b1}, {b2}"
     return None
@@ -448,12 +448,11 @@ def exchange_law(*, strands: int) -> str | None:
 
 def theta_central(*, strands: int) -> str | None:
     for bt in B.basis_tangles(strands):
-        x = _el(bt)
         left = SkeinElement.zero()
         right = SkeinElement.zero()
-        for (x1, x2), cx in B.comul(x).items():
-            left.add_term(x2, B.theta_form(_el(x1)) * cx)
-            right.add_term(x1, B.theta_form(_el(x2)) * cx)
+        for (x1, x2), cx in B.comul_basis(bt).items():
+            left.add_term(x2, B.theta_form_basis(x1) * cx)
+            right.add_term(x1, B.theta_form_basis(x2) * cx)
         if left != right:
             return f"coribbon functional is not central on {bt}"
     return None
@@ -493,10 +492,9 @@ def t_generator_values() -> str | None:
 
 def convolution_inverse(*, strands: int) -> str | None:
     for bt in B.basis_tangles(strands):
-        x = _el(bt)
-        if B.convolve(B.t_form, B.t_inv_form)(x) != B.counit(x):
+        if B.convolve(B.t_form_basis, B.t_inv_form_basis)(bt) != B.counit_basis(bt):
             return f"t * t^-1 != eps on {bt}"
-        if B.convolve(B.t_inv_form, B.t_form)(x) != B.counit(x):
+        if B.convolve(B.t_inv_form_basis, B.t_form_basis)(bt) != B.counit_basis(bt):
             return f"t^-1 * t != eps on {bt}"
     return None
 
@@ -507,13 +505,13 @@ def product_law(*, strands: int, pair_strands: int) -> str | None:
         for b2 in small:
             if b1.n + b2.n > strands:
                 continue
-            x, y = _el(b1), _el(b2)
-            lhs = B.t_form(B.mul(x, y))
+            lhs = B.t_form(B.mul_basis(b1, b2))
+            y_legs = B.comul_basis(b2).items()
             rhs = sum(
                 (
-                    B.t_form(_el(y1)) * B.t_form(_el(x1)) * B.r_form(_el(x2), _el(y2)) * cx * cy
-                    for (x1, x2), cx in B.comul(x).items()
-                    for (y1, y2), cy in B.comul(y).items()
+                    B.t_form_basis(y1) * B.t_form_basis(x1) * B.r_form_basis(x2, y2) * cx * cy
+                    for (x1, x2), cx in B.comul_basis(b1).items()
+                    for (y1, y2), cy in y_legs
                 ),
                 HalfLaurent.zero(),
             )
@@ -537,8 +535,8 @@ def ht_squares_to_twist(*, strands: int) -> str | None:
         x = _el(bt)
         twisted = B.ht_coaction(B.ht_coaction(x))
         want = SkeinElement.zero()
-        for (x1, x2), c in B.comul(x).items():
-            want.add_term(x1, B.theta_form(_el(x2)) * c)
+        for (x1, x2), c in B.comul_basis(bt).items():
+            want.add_term(x1, B.theta_form_basis(x2) * c)
         if twisted != want:
             return f"ht^2 != theta coaction on {bt}"
     return None
@@ -562,12 +560,11 @@ def halfribbon_suite(max_degree: int, specs, seed: int) -> list[Check]:
 
 def bridge(*, strands: int) -> str | None:
     for bt in B.basis_tangles(strands):
-        x = _el(bt)
         lhs = SkeinElement.zero()
         rhs = SkeinElement.zero()
-        for (x1, x2), c in B.comul(x).items():
-            lhs.add_scaled(B.antipode(_el(x1)), B.t_form(_el(x2)) * c)
-            rhs.add_scaled(B.rot_star(_el(x2)), B.t_form(_el(x1)) * c)
+        for (x1, x2), c in B.comul_basis(bt).items():
+            lhs.add_scaled(B.antipode_basis(x1), B.t_form_basis(x2) * c)
+            rhs.add_scaled(B.rot_star_basis(x2), B.t_form_basis(x1) * c)
         if lhs != rhs:
             return f"left/right bridge fails on {bt}"
     return None

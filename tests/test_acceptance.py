@@ -182,9 +182,9 @@ def test_criterion_05_half_ribbon_axioms():
     tangles = B.basis_tangles(3)
     for bt in tangles:
         x = el(bt)
-        assert B.convolve(B.t_form, B.t_inv_form)(x) == B.counit(x)
-        assert B.convolve(B.t_inv_form, B.t_form)(x) == B.counit(x)
-        assert B.convolve(B.t_form, B.t_form)(x) == B.theta_form(x)
+        assert B.convolve(B.t_form_basis, B.t_inv_form_basis)(bt) == B.counit(x)
+        assert B.convolve(B.t_inv_form_basis, B.t_form_basis)(bt) == B.counit(x)
+        assert B.convolve(B.t_form_basis, B.t_form_basis)(bt) == B.theta_form(x)
         assert B.t_form(x) == B.counit(B.inv_edge(x, "east", inverse=True))
     small = B.basis_tangles(2)
     for b1 in small:

@@ -1,8 +1,12 @@
+import functools
+import operator
+import random
+
 import pytest
 
 import skeinlab.bigon_skein as B
 from skeinlab.diagram import BasisTangle, SkeinElement
-from skeinlab.scalar import HalfLaurent
+from skeinlab.scalar import HalfLaurent, LinearCombination
 
 a, b, c, d = (B.generator(x) for x in "abcd")
 unit = SkeinElement.unit()
@@ -156,8 +160,8 @@ def test_antipode_is_anti_coalgebra_map():
 def test_convolutions():
     for bt in B.basis_tangles(2):
         x = el(bt)
-        assert B.convolve(B.t_form, B.t_inv_form)(x) == B.counit(x)
-        assert B.convolve(B.t_form, B.t_form)(x) == B.theta_form(x)
+        assert B.convolve(B.t_form_basis, B.t_inv_form_basis)(bt) == B.counit(x)
+        assert B.convolve(B.t_form_basis, B.t_form_basis)(bt) == B.theta_form(x)
 
 
 def test_west_functional_is_rotation_conjugate():
@@ -179,6 +183,70 @@ def test_bridge_identity_small():
             lhs = lhs + B.antipode(el(x1)).scale(B.t_form(el(x2)) * coeff)
             rhs = rhs + B.rot_star(el(x2)).scale(B.t_form(el(x1)) * coeff)
         assert lhs == rhs
+
+
+#: (basis form, its linear extension) of each one-argument structure map.
+BASIS_FORMS = [
+    (B.comul_basis, B.comul),
+    (B.counit_basis, B.counit),
+    (B.antipode_basis, B.antipode),
+    (B.rot_star_basis, B.rot_star),
+    (B.t_form_basis, B.t_form),
+    (B.t_inv_form_basis, B.t_inv_form),
+    (B.theta_form_basis, B.theta_form),
+]
+PAIR_FORMS = [(B.mul_basis, B.mul), (B.r_form_basis, B.r_form)]
+
+
+def _form_ids(forms):
+    return [basis_form.__name__ for basis_form, _ in forms]
+
+
+def _seeded_elements(seed, tangles):
+    """Five elements of three distinct basis tangles each, with seeded Laurent coefficients."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(5):
+        x = SkeinElement.zero()
+        for bt in rng.sample(tangles, 3):
+            x.add_term(bt, HalfLaurent({rng.randrange(-6, 7): rng.choice((1, -1, 2)), rng.randrange(-6, 7): 1}))
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("basis_form, element_map", BASIS_FORMS, ids=_form_ids(BASIS_FORMS))
+def test_basis_form_is_the_map_on_each_basis_tangle(basis_form, element_map):
+    for bt in B.basis_tangles(3):
+        want = basis_form(bt)
+        shared = want.copy() if isinstance(want, LinearCombination) else want
+        got = element_map(el(bt))
+        assert got == want, bt
+        if isinstance(got, LinearCombination):
+            # The map returns a new element; the basis form's shared one stays intact.
+            got.add_scaled(got)
+            assert basis_form(bt) == shared, bt
+
+
+@pytest.mark.parametrize("basis_form, element_map", PAIR_FORMS, ids=_form_ids(PAIR_FORMS))
+def test_pair_form_is_the_map_on_each_pair_of_basis_tangles(basis_form, element_map):
+    tangles = B.basis_tangles(2)
+    for bx in tangles:
+        for by in tangles:
+            assert basis_form(bx, by) == element_map(el(bx), el(by)), (bx, by)
+
+
+@pytest.mark.parametrize("basis_form, element_map", BASIS_FORMS, ids=_form_ids(BASIS_FORMS))
+def test_map_is_the_linear_extension_of_its_basis_form(basis_form, element_map):
+    for x in _seeded_elements(3301, B.basis_tangles(3)):
+        assert element_map(x) == functools.reduce(operator.add, (basis_form(b) * c for b, c in x.items()))
+
+
+@pytest.mark.parametrize("basis_form, element_map", PAIR_FORMS, ids=_form_ids(PAIR_FORMS))
+def test_pair_map_is_the_bilinear_extension_of_its_basis_form(basis_form, element_map):
+    tangles = B.basis_tangles(2)
+    for x, y in zip(_seeded_elements(3302, tangles), _seeded_elements(3303, tangles)):
+        terms = (basis_form(bx, by) * (cx * cy) for bx, cx in x.items() for by, cy in y.items())
+        assert element_map(x, y) == functools.reduce(operator.add, terms)
 
 
 def test_tensor_element_interface():

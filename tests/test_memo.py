@@ -30,6 +30,10 @@ MEMOS = {
     "bigon_skein._inv_edge_memo",
     "bigon_skein._r_memo",
     "bigon_skein._comul_memo",
+    "bigon_skein._antipode_memo",
+    "bigon_skein._t_memo",
+    "bigon_skein._t_inv_memo",
+    "bigon_skein._theta_memo",
     "comodule_rt._rows_memo",
     "excision._switch_memo",
     "excision._splitting_memo",
@@ -53,6 +57,9 @@ def test_memo_clear_empties_every_memo():
     a = B.generator("a")
     reduce(StatedWord(SliceWord(2, (("x", 0),)), (1, -1), (-1, 1)))
     B.t_form(a)
+    B.t_inv_form(a)
+    B.theta_form(a)
+    B.antipode(a)
     B.r_form(a, a)
     m = IS.Matching(1, 1, ((("w", 0), ("e", 0)),))
     IS.check_st_intertwiner(m, IS.st_map(m))
