@@ -24,11 +24,14 @@ Kauffman relation slice by slice, keeping one coefficient per crossingless
 matching of the boundary cut so far; the number of terms is at most the
 number of planar matchings of the widest cut, so the cost is linear in
 crossings and exponential only in the width (``SliceWord.width``).  The CLI
-refuses diagrams wider than ``MAX_CLI_WIDTH``.  Each partial matching is
-numbered once and held as a partner tuple (``_partners``), and appending
-caps and cups to it is the Temperley-Lieb product of that tuple with the
-slices' own (``_transition``): O(width) int work.  Each run of slices is
-traced once per row count (``_slice_partners``).
+refuses diagrams wider than ``MAX_CLI_WIDTH``.  A crossingless matching has
+one form in the engine, its partner tuple (``Partners``): the index of each
+point's partner, west points first, then east points, from the trace of a
+word (``word_to_arcs``) to the resolution, the evaluation and the state
+tables.  Each partial matching is numbered once (``_partners``), and
+appending caps and cups to it is the Temperley-Lieb product of its tuple
+with the slices' own (``_transition``): O(width) int work.  Each run of
+slices is traced once per row count (``_slice_partners``).
 
 Each coefficient is packed while crossings are resolved (Kronecker
 substitution).  Let g be the gcd of the exponent gaps inside
@@ -86,7 +89,7 @@ returns the entry count of each:
   loops of each crossingless run of slices on a row count, which
   ``_transition`` composes with a matching's,
 * ``diagram._plan_memo``: ``_plan``, the returning arcs and through strands
-  of each matching,
+  of each matching, per (west arity, partner tuple),
 * ``diagram._packing_memo``: g, r, gamma and lambda of the width lemma per
   term sets of the three constants,
 * ``diagram._factor_memo``: ``_factors`` per term sets of the constants and
@@ -130,8 +133,8 @@ fit them:
   ``scalar`` cannot use the decorator.
 
 verify runs in one thread; memos are not locked.  ``memo_clear`` leaves the
-intern tables of basis keys and scalars (``_interned``), boundary points
-(``_endpoints``) and matching ids (``_matchings`` and ``_partners``) alone.
+intern tables of basis keys and scalars (``_interned``) and of matching ids
+(``_matching_ids`` and ``_partners``) alone.
 """
 
 from __future__ import annotations
@@ -155,14 +158,13 @@ CROSS_TURNBACK = HalfLaurent.q_pow(-1)
 #: Widest diagram the CLI ``reduce`` and ``bracket`` commands accept: the
 #: widest width whose random 100-crossing braid (west = east = width rows;
 #: random rows, kinds and states; seeds 1-3, a fresh process each) reduces in
-#: under 10 s.  On a 2-core x86 host with CPython 3.11 it takes 0.9-1.7 s
-#: (33-38 MiB) at width 9, 2.5-5.5 s (75-108 MiB) at width 10 and
-#: 3.6-21.8 s (103-285 MiB) at width 11, where seeds 1 and 3 take 10.1-11.9
-#: and 16.1-21.8 s (three runs each).  The same host took 2.3-3.2 s,
-#: 6.5-14.6 s and 12.2-43.3 s while each resolution step traced its
-#: matching's whole word.  At width 11 the time goes to the packed arithmetic
-#: of ``_extend``, the composed steps (``_transition``) and the repack
-#: between windows, in that order.
+#: under 10 s.  On a 2-core Intel Xeon host with CPython 3.11, whose speed
+#: swings by about 1.5x between phases, it takes 1.7-5.9 s (66-95 MiB) at
+#: width 10 (four to six runs per seed) and 1.9-13.2 s (86-238 MiB) at width
+#: 11 (five runs per seed), where seed 3 takes 9.0-13.2 s and three of its
+#: five runs miss the bound.  Under cProfile, width 11 spends about a third
+#: of its time each in the packed arithmetic of ``_extend``, the composed
+#: steps (``_transition``) and the repack between windows.
 MAX_CLI_WIDTH = 10
 
 
@@ -363,127 +365,84 @@ def memo_sizes() -> dict[str, int]:
 # -- crossing resolution ------------------------------------------------------
 
 
-Endpoint = tuple[str, int]  # ("w" | "e", position)
-Arcs = tuple[tuple[Endpoint, Endpoint], ...]
-#: One shared tuple per boundary point, for the matchings the memos hold.
-_endpoints: dict[Endpoint, Endpoint] = {}
+#: A matching as one tuple over its west points and then its east points:
+#: the index of the point each one is joined to.
+Partners = tuple[int, ...]
 
 
-def _endpoint(side: str, i: int) -> Endpoint:
-    return _endpoints.setdefault((side, i), (side, i))
+def word_to_arcs(word: SliceWord) -> tuple[Partners, int]:
+    """Trace a crossingless word to its boundary matching's partner tuple and loop count.
 
-
-def _canon_arcs(pairs: Iterable[tuple[Endpoint, Endpoint]]) -> Arcs:
-    return tuple(sorted(tuple(sorted(p)) for p in pairs))
-
-
-def word_to_arcs(word: SliceWord) -> tuple[Arcs, int]:
-    """Trace a crossingless word to its boundary matching and loop count."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    fresh = iter(range(10**9)).__next__
-    rows: list[int] = []
-    for i in range(word.west_arity):
-        t = fresh()
-        parent[t] = t
-        rows.append(t)
-    west_token = list(rows)
+    Token i < west arity is west point i; every row gets a new token.  Each
+    open path has two ends, and ``mate`` maps each end to the other: a cup
+    opens a path, and a cap joins the paths of its two rows, or closes a
+    loop when they are the two ends of one path.
+    """
+    n_west = word.west_arity
+    mate = [*range(n_west, 2 * n_west), *range(n_west)]
+    rows = list(range(n_west, 2 * n_west))
     loops = 0
     for kind, i in word.slices:
-        if kind in ("x", "xb"):
-            raise DiagramError("word_to_arcs needs a crossingless word")
         if kind == "cup":
-            a, b = fresh(), fresh()
-            parent[a] = a
-            parent[b] = b
-            parent[find(b)] = find(a)
-            rows[i:i] = [a, b]
-        else:  # cap
+            a = len(mate)
+            mate += (a + 1, a)
+            rows[i:i] = (a, a + 1)
+        elif kind == "cap":
             a, b = rows[i], rows[i + 1]
-            ra, rb = find(a), find(b)
-            if ra == rb:
+            if mate[a] == b:
                 loops += 1
             else:
-                parent[rb] = ra
+                x, y = mate[a], mate[b]
+                mate[x], mate[y] = y, x
             del rows[i : i + 2]
-    east_token = rows
-    # Group boundary points by component.
-    groups: dict[int, list[Endpoint]] = {}
-    for i, t in enumerate(west_token):
-        groups.setdefault(find(t), []).append(_endpoint("w", i))
-    for j, t in enumerate(east_token):
-        groups.setdefault(find(t), []).append(_endpoint("e", j))
-    pairs = []
-    for pts in groups.values():
-        if len(pts) != 2:
-            raise DiagramError(f"component with {len(pts)} endpoints; tangle is not a 1-manifold")
-        pairs.append((pts[0], pts[1]))
-    return _canon_arcs(pairs), loops
+        else:
+            raise DiagramError("word_to_arcs needs a crossingless word")
+    ends = [*range(n_west), *rows]
+    index = {t: p for p, t in enumerate(ends)}
+    return tuple(index[mate[t]] for t in ends), loops
 
 
-def arcs_to_word(n_west: int, n_east: int, arcs: Arcs) -> SliceWord:
+def partners_to_word(n_west: int, partners: Partners) -> SliceWord:
     """Canonical crossingless slice word realizing a planar boundary matching."""
-    partner: dict[Endpoint, Endpoint] = {}
-    for a, b in arcs:
-        partner[a] = b
-        partner[b] = a
     slices: list[Slice] = []
-    live: list[Endpoint] = [("w", i) for i in range(n_west)]
-    # Close west-west arcs innermost first: any adjacent matched pair caps off.
-    closed = True
-    while closed:
-        closed = False
-        for idx in range(len(live) - 1):
-            if partner.get(live[idx]) == live[idx + 1]:
-                slices.append(("cap", idx))
-                del live[idx : idx + 2]
-                closed = True
-                break
+    # Close west-west arcs innermost first: a point whose partner is the
+    # live row above it caps off with it.
+    live: list[int] = []
+    for p in range(n_west):
+        if live and partners[p] == live[-1]:
+            slices.append(("cap", len(live) - 1))
+            live.pop()
+        else:
+            live.append(p)
     # Remaining live rows are through strands; their east targets increase.
-    rows: list[int] = []
-    for p in live:
-        q = partner[p]
-        if q[0] != "e":
-            raise DiagramError("matching is not planar in the slice order")
-        rows.append(q[1])
-    # Create east-east arcs outermost first (sorted by upper endpoint).
-    east_arcs = sorted(
-        (min(a[1], b[1]), max(a[1], b[1])) for a, b in arcs if a[0] == "e" and b[0] == "e"
-    )
-    for lo, hi in east_arcs:
-        idx = sum(1 for r in rows if r < lo)
-        slices.append(("cup", idx))
-        rows[idx:idx] = [lo, hi]
-    if rows != sorted(rows) or rows != list(range(n_east)):
+    rows = [partners[p] - n_west for p in live]
+    if any(r < 0 for r in rows):
+        raise DiagramError("matching is not planar in the slice order")
+    # Create east-east arcs outermost first (by upper endpoint).
+    n_east = len(partners) - n_west
+    for lo in range(n_east):
+        hi = partners[n_west + lo] - n_west
+        if hi > lo:
+            idx = sum(1 for r in rows if r < lo)
+            slices.append(("cup", idx))
+            rows[idx:idx] = [lo, hi]
+    if rows != list(range(n_east)):
         raise DiagramError("matching is not planar in the slice order")
     return SliceWord(n_west, tuple(slices))
 
 
-Resolved = list[tuple[int, Arcs, HalfLaurent]]  # (east arity, arcs, coefficient), sorted
-#: A matching as one tuple over its west points and then its east points:
-#: the index of the point each one is joined to.
-Partners = tuple[int, ...]
-#: The intern table of partial matchings, never cleared: matching m is the
-#: (east arity, arcs) ``_matchings[m]`` with partner tuple ``_partners[m]``,
-#: and ``_matching_ids`` maps (east arity, partner tuple) back to m.
+Resolved = list[tuple[int, Partners, HalfLaurent]]  # (east arity, partners, coefficient), sorted
+#: The intern table of partial matchings, never cleared: matching m has the
+#: partner tuple ``_partners[m]``, and ``_matching_ids`` maps (east arity,
+#: partner tuple) back to m.
 _matching_ids: dict[tuple[int, Partners], int] = {}
-_matchings: list[tuple[int, Arcs]] = []
 _partners: list[Partners] = []
 
 
 def _matching_id(n_east: int, partners: Partners) -> int:
-    """The id of a matching, numbering it and building its arcs if it is new."""
-    m = _matching_ids.setdefault((n_east, partners), len(_matchings))
-    if m == len(_matchings):
-        n_west = len(partners) - n_east
-        point = lambda i: _endpoint("w", i) if i < n_west else _endpoint("e", i - n_west)
-        _matchings.append((n_east, _canon_arcs((point(i), point(j)) for i, j in enumerate(partners) if i < j)))
+    """The id of a matching, numbering it if it is new."""
+    m = _matching_ids.setdefault((n_east, partners), len(_partners))
+    if m == len(_partners):
         _partners.append(partners)
     return m
 
@@ -492,13 +451,7 @@ def _matching_id(n_east: int, partners: Partners) -> int:
 def _slice_partners(n_rows: int, slices: tuple[Slice, ...]) -> tuple[int, Partners, int]:
     """(east arity, partner tuple, loops) of the crossingless ``slices`` on ``n_rows`` rows."""
     word = SliceWord(n_rows, slices)
-    arcs, loops = word_to_arcs(word)
-    partners = [0] * (n_rows + word.east_arity)
-    for (side_a, a), (side_b, b) in arcs:
-        a += n_rows if side_a == "e" else 0
-        b += n_rows if side_b == "e" else 0
-        partners[a], partners[b] = b, a
-    return word.east_arity, tuple(partners), loops
+    return (word.east_arity, *word_to_arcs(word))
 
 
 #: Appended slices -> {matching id: (new matching id, LOOP**loops or None)}.
@@ -744,7 +697,7 @@ def _coefficient(n: int, e: int, g: int, width: int) -> HalfLaurent:
 @memoized("diagram._resolve_memo")
 def resolve_crossings(word: SliceWord) -> Resolved:
     """Resolve all crossings and remove loops; returns crossingless matchings
-    with their coefficients, sorted by (east arity, arcs).
+    as (east arity, partner tuple, coefficient), sorted by (east arity, partners).
 
     Works slice by slice, left to right, on the partial matchings of the
     west points and the rows cut so far, starting from the identity matching.
@@ -753,7 +706,7 @@ def resolve_crossings(word: SliceWord) -> Resolved:
     at once.  So the number of live terms never exceeds the number of planar
     matchings of the current boundary (Catalan(4) = 14 for a 4-strand braid),
     and the cost grows linearly in crossings and exponentially only in width.
-    Each matching met is numbered once (``_matchings``) and the terms are
+    Each matching met is numbered once (``_partners``) and the terms are
     kept by number.  A step depends only on the matching and the appended
     slices, so it is composed once per process (``_transition_memo``) and is
     an int-keyed lookup after that, in this word and in every later one.
@@ -774,9 +727,9 @@ def resolve_crossings(word: SliceWord) -> Resolved:
             pending.append(s)
             caps += s[0] == "cap"
     if not steps:
-        arcs, loops = word_to_arcs(word)
+        partners, loops = word_to_arcs(word)
         coeff = LOOP**loops if loops else ONE
-        return [(word.east_arity, arcs, coeff)] if coeff._terms else []
+        return [(word.east_arity, partners, coeff)] if coeff._terms else []
     cp, ct = CROSS_PARALLEL, CROSS_TURNBACK
     constants = (_term_set(cp), _term_set(ct), _term_set(LOOP))
     g, r, gamma, lam = _packing(constants)
@@ -809,7 +762,8 @@ def resolve_crossings(word: SliceWord) -> Resolved:
     if pending:
         terms = _extend(n_w, terms, tuple(pending), ((ONE, packs_one, 0, ()),), g, width)
     base = len(steps) * r
-    return sorted((*_matchings[m], _coefficient(n, base + g * (p // width), g, width)) for m, (p, n) in terms.items())
+    resolved = [(_partners[m], _coefficient(n, base + g * (p // width), g, width)) for m, (p, n) in terms.items()]
+    return sorted((len(pm) - n_w, pm, coeff) for pm, coeff in resolved)
 
 
 # -- stated reduction ---------------------------------------------------------
@@ -829,14 +783,13 @@ def memo_snapshot() -> dict[ParallelKey, SkeinElement]:
 
 
 @memoized("diagram._plan_memo")
-def _plan(arcs: Arcs) -> Plan:
-    """Split a planar matching into its returning arcs and through strands."""
-    # Canonical pairs are sorted, so ("e", j) comes before ("w", i) and a
-    # returning arc reads (upper, lower).
-    east_arcs = tuple((a[1], b[1]) for a, b in arcs if a[0] == b[0] == "e")
-    west_arcs = tuple((a[1], b[1]) for a, b in arcs if a[0] == b[0] == "w")
-    through = sorted((b[1], a[1]) for a, b in arcs if a[0] != b[0])
-    return east_arcs, west_arcs, tuple(w for w, _ in through), tuple(e for _, e in through)
+def _plan(n_west: int, partners: Partners) -> Plan:
+    """Split a planar matching with ``n_west`` west points into its returning
+    arcs and through strands."""
+    west_arcs = tuple((i, j) for i, j in enumerate(partners[:n_west]) if i < j < n_west)
+    east_arcs = tuple((i - n_west, j - n_west) for i, j in enumerate(partners) if n_west <= i < j)
+    through_w = tuple(i for i in range(n_west) if partners[i] >= n_west)
+    return east_arcs, west_arcs, through_w, tuple(partners[i] - n_west for i in through_w)
 
 
 def _arc_states(n: int, arcs: tuple[tuple[int, int], ...], table: ArcWeights) -> list[tuple[State, ...]]:
@@ -863,15 +816,15 @@ def _edge_weight(
     return weight
 
 
-def evaluate_arcs(arcs: Arcs, west: tuple[State, ...], east: tuple[State, ...]) -> SkeinElement:
+def evaluate_arcs(partners: Partners, west: tuple[State, ...], east: tuple[State, ...]) -> SkeinElement:
     """Reduce a stated crossingless matching to the decreasing-state basis.
 
     A returning arc is the scalar C (east edge) or Cbar (west edge) of its
     (upper, lower) states, so the matching is the product of its arc weights
     times the parallel diagram of its through strands.  The arities are
-    those of the states; the split of ``arcs`` is memoized (``_plan``).
+    those of the states; the split of ``partners`` is memoized (``_plan``).
     """
-    east_arcs, west_arcs, through_w, through_e = _plan(arcs)
+    east_arcs, west_arcs, through_w, through_e = _plan(len(west), partners)
     if not (east_arcs or west_arcs):
         return reduce_parallel(west, east)
     weight = _edge_weight(east, east_arcs, C)
@@ -883,7 +836,7 @@ def evaluate_arcs(arcs: Arcs, west: tuple[State, ...], east: tuple[State, ...]) 
     return through.scale(weight)
 
 
-def evaluate_table(n_west: int, n_east: int, arcs: Arcs) -> dict[ParallelKey, SkeinElement]:
+def evaluate_table(n_west: int, partners: Partners) -> dict[ParallelKey, SkeinElement]:
     """``evaluate_arcs`` at every (west, east) states where it can be non-zero:
     where each returning arc has opposite states (``_arc_states``).
 
@@ -891,8 +844,9 @@ def evaluate_table(n_west: int, n_east: int, arcs: Arcs) -> dict[ParallelKey, Sk
     states, so an entry is one ``reduce_parallel`` scaled by two weights.
     Keys come in ``state_tuples`` order, west before east.
     """
-    east_arcs, west_arcs, through_w, through_e = _plan(arcs)
+    east_arcs, west_arcs, through_w, through_e = _plan(n_west, partners)
     edges = []
+    n_east = len(partners) - n_west
     for n, edge_arcs, table, through in ((n_west, west_arcs, CBAR, through_w), (n_east, east_arcs, C, through_e)):
         vectors = _arc_states(n, edge_arcs, table)
         edges.append([(v, _edge_weight(v, edge_arcs, table), tuple(v[i] for i in through)) for v in vectors])
@@ -959,14 +913,15 @@ _arc_masks_memo: dict[SliceWord, ArcMasks] = {}
 _MEMOS["diagram._arc_masks_memo"] = _arc_masks_memo
 
 
-def _arc_masks(resolved: Resolved) -> ArcMasks:
-    """The returning arcs of each resolved matching as one bit mask, in the
-    order of ``resolved``, over the distinct returning arcs of all of them."""
+def _arc_masks(n_west: int, resolved: Resolved) -> ArcMasks:
+    """The returning arcs of each matching that a word of west arity ``n_west``
+    resolves to as one bit mask, in the order of ``resolved``, over the
+    distinct returning arcs of all of them."""
     east_bits: dict[Arc, int] = {}
     west_bits: dict[Arc, int] = {}
     pairs = []
-    for _, arcs, _ in resolved:
-        east_arcs, west_arcs, _, _ = _plan(arcs)
+    for _, partners, _ in resolved:
+        east_arcs, west_arcs, _, _ = _plan(n_west, partners)
         east = west = 0
         for arc in east_arcs:
             east |= 1 << east_bits.setdefault(arc, len(east_bits))
@@ -980,7 +935,7 @@ def _arc_masks(resolved: Resolved) -> ArcMasks:
 def reduce(diagram: StatedWord) -> SkeinElement:
     """Canonical basis expansion of a stated sliced diagram.
 
-    It is the sum of ``coeff * evaluate_arcs(arcs, west, east)`` over
+    It is the sum of ``coeff * evaluate_arcs(partners, west, east)`` over
     ``resolve_crossings(word)``, so it depends on the word only through that
     resolution: two words with equal resolutions reduce equally at every state pair.
     A term one of whose returning arcs has a zero weight at the states is
@@ -993,7 +948,7 @@ def reduce(diagram: StatedWord) -> SkeinElement:
     resolved = resolve_crossings(word)
     arc_masks = _arc_masks_memo.get(word)
     if arc_masks is None:
-        arc_masks = _arc_masks_memo[word] = _arc_masks(resolved)
+        arc_masks = _arc_masks_memo[word] = _arc_masks(word.west_arity, resolved)
     masks, east_arcs, west_arcs = arc_masks
     dead, bit = 0, 1
     for states, arcs, table in ((east, east_arcs, C), (west, west_arcs, CBAR)):
@@ -1002,7 +957,7 @@ def reduce(diagram: StatedWord) -> SkeinElement:
                 dead |= bit
             bit <<= 1
     out = SkeinElement.zero()
-    for (_, arcs, coeff), mask in zip(resolved, masks):
+    for (_, partners, coeff), mask in zip(resolved, masks):
         if not mask & dead:
-            out.add_scaled(evaluate_arcs(arcs, west, east), coeff)
+            out.add_scaled(evaluate_arcs(partners, west, east), coeff)
     return out

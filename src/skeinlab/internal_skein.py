@@ -12,9 +12,10 @@ checks in this module make that correspondence executable:
 
 * each table is a two-sided comodule morphism (edge-wise lift identities),
 * composing a matching with a one-slice cap or cup word s on either edge
-  (``diagram.word_to_arcs`` of the composite word) gives, up to the loops
-  it closes, the table of the matching composed with the matrix of s
-  (naturality); planarity is likewise decided by ``diagram.arcs_to_word``,
+  (the partner tuple ``diagram.word_to_arcs`` traces from the composite
+  word) gives, up to the loops it closes, the table of the matching
+  composed with the matrix of s (naturality); planarity is decided by
+  ``diagram.partners_to_word``,
 * the tables of distinct matchings stay linearly independent, with rank
   equal to both the Catalan number and the Peter-Weyl count.
 """
@@ -29,25 +30,25 @@ from . import bigon_skein, comodule_rt, linalg, quantum_sl2
 from .diagram import (
     CBAR,
     UNIT_TANGLE,
-    Arcs,
     BasisTangle,
     C,
     DiagramError,
-    Endpoint,
+    Partners,
     SkeinElement,
     Slice,
     SliceWord,
     State,
-    _canon_arcs,
-    arcs_to_word,
     evaluate_table,
     memoized,
+    partners_to_word,
     reduce_parallel,
     word_to_arcs,
 )
 from .scalar import LOOP, ONE, HalfLaurent, Value
 
 StateVec = tuple[State, ...]
+Endpoint = tuple[str, int]  # ("w" | "e", position)
+Arcs = tuple[tuple[Endpoint, Endpoint], ...]
 
 
 class MatchingError(ValueError):
@@ -55,31 +56,39 @@ class MatchingError(ValueError):
 
 
 class Matching(Value):
-    """Planar perfect matching of bigon boundary points."""
+    """Planar perfect matching of bigon boundary points, given by its arcs
+    between endpoints ("w" | "e", position)."""
 
-    #: ``word`` is the canonical crossingless word, traced once by the
-    #: planarity check; it is derived, so it stays out of ``==`` and the repr.
-    __slots__ = ("n_west", "n_east", "pairs", "word")
+    #: ``partners`` is the matching as ``diagram`` holds it, and ``word`` its
+    #: canonical crossingless word, traced once by the planarity check; both
+    #: are derived, so they stay out of ``==`` and the repr.
+    __slots__ = ("n_west", "n_east", "pairs", "partners", "word")
 
     def __init__(self, n_west: int, n_east: int, pairs: Arcs) -> None:
-        pairs = _canon_arcs(pairs)
+        pairs = tuple(sorted(tuple(sorted(p)) for p in pairs))
         total = n_west + n_east
         if total % 2:
             raise MatchingError("odd number of boundary points")
         seen: set[Endpoint] = set()
         for a, b in pairs:
             seen.update((a, b))
-        expected = {("w", i) for i in range(n_west)} | {("e", j) for j in range(n_east)}
-        if seen != expected or 2 * len(pairs) != total:
+        points = [("w", i) for i in range(n_west)] + [("e", j) for j in range(n_east)]
+        if seen != set(points) or 2 * len(pairs) != total:
             raise MatchingError("pairs must match every boundary point exactly once")
+        index = {p: i for i, p in enumerate(points)}
+        partner = [0] * total
+        for a, b in pairs:
+            partner[index[a]], partner[index[b]] = index[b], index[a]
+        partners = tuple(partner)
         try:
-            word = arcs_to_word(n_west, n_east, pairs)
+            word = partners_to_word(n_west, partners)
         except DiagramError as exc:
             raise MatchingError("matching is not planar") from exc
         object.__setattr__(self, "_values", (n_west, n_east, pairs))
         object.__setattr__(self, "n_west", n_west)
         object.__setattr__(self, "n_east", n_east)
         object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "partners", partners)
         object.__setattr__(self, "word", word)
 
     def __str__(self) -> str:
@@ -135,7 +144,7 @@ def st_map(m: Matching) -> StTable:
     and the through strands take every state.  Keys come in the order of
     ``comodule_rt.state_tuples``, west before east.
     """
-    return evaluate_table(m.n_west, m.n_east, m.pairs)
+    return evaluate_table(m.n_west, m.partners)
 
 
 # -- comodule-morphism (intertwiner) check ---------------------------------------
@@ -253,9 +262,9 @@ def _times_x1(b: BasisTangle) -> dict[tuple[State, State], tuple[tuple[BasisTang
 
 # -- cap/cup naturality -----------------------------------------------------------
 
-def _compose(m: Matching, kind: str, side: str, pos: int) -> tuple[Slice, tuple[int, int, Arcs], int]:
+def _compose(m: Matching, kind: str, side: str, pos: int) -> tuple[Slice, tuple[int, Partners], int]:
     """The one-slice word s that inserts a cap or cup at ``pos`` on one edge
-    of m, the composite as (west arity, east arity, arcs) and its loop count.
+    of m, the composite as (west arity, partner tuple) and its loop count.
 
     On the west s is prefixed to the word of m and has the insertion's
     kind; on the east it is appended and has the other kind, since a returning
@@ -268,8 +277,8 @@ def _compose(m: Matching, kind: str, side: str, pos: int) -> tuple[Slice, tuple[
     else:
         s = ("cup" if kind == "cap" else "cap", pos)
         composite = SliceWord(m.n_west, word.slices + (s,))
-    arcs, loops = word_to_arcs(composite)
-    return s, (composite.west_arity, composite.east_arity, arcs), loops
+    partners, loops = word_to_arcs(composite)
+    return s, (composite.west_arity, partners), loops
 
 
 def check_st_naturality(
@@ -367,19 +376,14 @@ def check_product_compatibility(
     entries at (w1, e1) and (w2, e2).  Only products of two non-zero entries
     are formed; every other stacked entry must be zero.
     """
-    stacked = Matching(
-        m1.n_west + m2.n_west,
-        m1.n_east + m2.n_east,
-        m1.pairs
-        + tuple(
-            (
-                (a[0], a[1] + (m1.n_west if a[0] == "w" else m1.n_east)),
-                (b[0], b[1] + (m1.n_west if b[0] == "w" else m1.n_east)),
-            )
-            for a, b in m2.pairs
-        ),
-    )
-    ts = st_map(stacked)
+    # Stacked, m1's points come first on each edge and m2's follow them.
+    n_west = m1.n_west + m2.n_west
+    stacked = [0] * (n_west + m1.n_east + m2.n_east)
+    for m, west_at, east_at in ((m1, 0, n_west), (m2, m1.n_west, n_west + m1.n_east)):
+        place = [*range(west_at, west_at + m.n_west), *range(east_at, east_at + m.n_east)]
+        for i, j in enumerate(m.partners):
+            stacked[place[i]] = place[j]
+    ts = evaluate_table(n_west, tuple(stacked))
     zero = SkeinElement.zero()
     # Keys of equal arities concatenate injectively, so each stacked key is met at most once.
     met = 0

@@ -43,13 +43,15 @@ ORACLE_WORDS = 200
 MAX_CLI_DEGREE = 5
 
 # Caps below --max-degree, each with what raising it costs in a cold process on a 2-core
-# AMD EPYC host (CPython 3.11), where all of ``verify all --max-degree 3`` takes 0.17 s.
+# Intel Xeon host (CPython 3.11, three runs), where all of ``verify all --max-degree 3``
+# takes 0.30-0.36 s.
 
 #: Strands per factor of the identities over pairs of basis tangles, and of the single-tangle
-#: cases grouped with them.  At 3, the coproduct-algebra-map case takes 204 ms instead of 13,
-#: the exchange law 146 ms instead of 13, and crossed stacking 79 ms instead of 6.
+#: cases grouped with them.  At 3, the coproduct-algebra-map case takes 309-349 ms instead of
+#: 17-29, the exchange law 104-138 ms instead of 8-13, and crossed stacking 82-96 ms instead
+#: of 8-13.
 PAIR_STRANDS = 2
-#: Gluing dimensions: degree 3 adds 0.07 s, at both points.
+#: Gluing dimensions: degree 3 adds 0.15-0.24 s, at both points.
 GLUING_DEGREE = 2
 
 # Fixed bounds, independent of --max-degree.

@@ -30,22 +30,24 @@ def unit_times(coeff):
 
 def test_no_crossings_is_identity_combination():
     w = SliceWord(2, (("cap", 0), ("cup", 0)))
-    [(n_east, arcs, coeff)] = resolve_crossings(w)
+    [(n_east, partners, coeff)] = resolve_crossings(w)
     assert coeff == HalfLaurent.one()
-    assert n_east == 2 and arcs == ((("e", 0), ("e", 1)), (("w", 0), ("w", 1)))
+    # w0-w1 and e0-e1: points w0, w1, e0, e1 are indices 0-3.
+    assert n_east == 2 and partners == (1, 0, 3, 2)
 
 
 def test_closed_loop_gives_loop_value():
     w = SliceWord(0, (("cup", 0), ("cap", 0)))
-    [(n_east, arcs, coeff)] = resolve_crossings(w)
-    assert n_east == 0 and arcs == ()
+    [(n_east, partners, coeff)] = resolve_crossings(w)
+    assert n_east == 0 and partners == ()
     assert coeff == LOOP
 
 
 def test_reidemeister_ii_cancels_turnbacks():
     w = SliceWord(2, (("x", 0), ("xb", 0)))
-    [(n_east, arcs, coeff)] = resolve_crossings(w)
-    assert n_east == 2 and arcs == ((("e", 0), ("w", 0)), (("e", 1), ("w", 1)))
+    [(n_east, partners, coeff)] = resolve_crossings(w)
+    # w0-e0 and w1-e1.
+    assert n_east == 2 and partners == (2, 3, 0, 1)
     assert coeff == HalfLaurent.one()
 
 
@@ -239,6 +241,9 @@ def _recursive_evaluator():
 
     import skeinlab.diagram as D
 
+    def canon(pairs):
+        return tuple(sorted(tuple(sorted(p)) for p in pairs))
+
     def remove_edge_point(arcs, side, removed):
         lo = min(removed)
 
@@ -248,7 +253,7 @@ def _recursive_evaluator():
             return p
 
         gone = {(side, removed[0]), (side, removed[1])}
-        return D._canon_arcs((shift(a), shift(b)) for a, b in arcs if a not in gone and b not in gone)
+        return canon((shift(a), shift(b)) for a, b in arcs if a not in gone and b not in gone)
 
     @functools.cache
     def evaluate(n_west, n_east, arcs, west, east):
@@ -274,7 +279,7 @@ def _recursive_evaluator():
             if east[i] == -1 and east[i + 1] == 1:
                 swapped = east[:i] + (1, -1) + east[i + 2 :]
                 out = evaluate(n_west, n_east, arcs, west, swapped).scale(D.EAST_EXCHANGE_SWAP)
-                joined = D._canon_arcs(
+                joined = canon(
                     [(("w", i), ("w", i + 1))]
                     + [(("w", j), ("e", j if j < i else j - 2)) for j in range(n) if j not in (i, i + 1)]
                 )
@@ -285,7 +290,7 @@ def _recursive_evaluator():
             if west[i] == -1 and west[i + 1] == 1:
                 swapped = west[:i] + (1, -1) + west[i + 2 :]
                 out = evaluate(n_west, n_east, arcs, swapped, east).scale(D.WEST_EXCHANGE_SWAP)
-                joined = D._canon_arcs(
+                joined = canon(
                     [(("e", i), ("e", i + 1))]
                     + [(("w", j if j < i else j - 2), ("e", j)) for j in range(n) if j not in (i, i + 1)]
                 )
@@ -310,7 +315,7 @@ def test_closed_form_matches_recursive_reference():
                 for west in state_tuples(m.n_west):
                     for east in state_tuples(m.n_east):
                         want = reference(m.n_west, m.n_east, m.pairs, west, east)
-                        assert evaluate_arcs(m.pairs, west, east) == want, (m, west, east)
+                        assert evaluate_arcs(m.partners, west, east) == want, (m, west, east)
                         checked += 1
     # Every state assignment of all 175 matchings of at most 8 points.
     assert checked == 1 + 3 * 4 + 10 * 16 + 35 * 64 + 126 * 256
@@ -389,10 +394,9 @@ def fresh_matching_ids(monkeypatch):
 
     def fresh():
         monkeypatch.setattr(D, "_matching_ids", {})
-        monkeypatch.setattr(D, "_matchings", [])
         monkeypatch.setattr(D, "_partners", [])
         memo_clear()
-        return D._matchings
+        return D._partners
 
     yield fresh
     memo_clear()
@@ -486,8 +490,8 @@ def _reidemeister_words():
 def evaluated(d):
     """The sum of every resolved matching's coefficient times its evaluation at the states."""
     out = SkeinElement.zero()
-    for _, arcs, coeff in resolve_crossings(d.word):
-        out.add_scaled(evaluate_arcs(arcs, d.west, d.east), coeff)
+    for _, partners, coeff in resolve_crossings(d.word):
+        out.add_scaled(evaluate_arcs(partners, d.west, d.east), coeff)
     return out
 
 
@@ -524,13 +528,13 @@ def test_reduce_evaluates_only_live_matchings(monkeypatch):
     word = SliceWord(4, tuple(("x" if k % 3 else "xb", k % 3) for k in range(10)))
     d = StatedWord(word, (1, -1, 1, -1), (1, 1, 1, -1))
 
-    def is_live(arcs):
-        east_arcs, west_arcs, _, _ = D._plan(arcs)
+    def is_live(partners):
+        east_arcs, west_arcs, _, _ = D._plan(word.west_arity, partners)
         return all(D.C[d.east[u], d.east[v]] for u, v in east_arcs) and all(
             D.CBAR[d.west[u], d.west[v]] for u, v in west_arcs
         )
 
-    live = [arcs for _, arcs, _ in resolve_crossings(word) if is_live(arcs)]
+    live = [partners for _, partners, _ in resolve_crossings(word) if is_live(partners)]
     before = reduce(d)
     assert sorted(calls) == sorted(live) and 0 < len(live) < len(resolve_crossings(word))
     assert before == evaluated(d)

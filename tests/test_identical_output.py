@@ -67,6 +67,14 @@ def _resolve_words():
     return [_random_word(rng, rows, 120) for rows in range(1, 7) for _ in range(200)]
 
 
+def _endpoint_arcs(n_east, partners):
+    """A partner tuple as the sorted endpoint arcs, (("e" | "w", position),
+    ...) pairs, that ``resolve_crossings`` returned when this digest was made."""
+    n_west = len(partners) - n_east
+    point = lambda i: ("w", i) if i < n_west else ("e", i - n_west)
+    return tuple(sorted(tuple(sorted((point(i), point(j)))) for i, j in enumerate(partners) if i < j))
+
+
 def _braid_words():
     """4-strand braid words of 6-14 crossings, four per crossing count, their
     rows cycling through 0, 1, 2 from a seeded start in a seeded direction,
@@ -97,7 +105,8 @@ def test_resolve_crossings_output_is_unchanged(cold):
     digest = hashlib.sha256()
     for word in words:
         digest.update(f"{word.west_arity}|{word.slices}\n".encode())
-        for n_east, arcs, coeff in resolve_crossings(word):
+        terms = [(n_east, _endpoint_arcs(n_east, p), coeff) for n_east, p, coeff in resolve_crossings(word)]
+        for n_east, arcs, coeff in sorted(terms, key=lambda t: t[:2]):
             digest.update(f"{n_east}|{arcs}|{format_scalar(coeff)}\n".encode())
     assert digest.hexdigest() == RESOLVE_DIGEST
 

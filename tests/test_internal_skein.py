@@ -19,6 +19,13 @@ def identity_matching(n):
     return IS.Matching(n, n, tuple((("w", i), ("e", i)) for i in range(n)))
 
 
+def partners_matching(n_west, partners):
+    """The ``Matching`` of a partner tuple with ``n_west`` west points."""
+    point = lambda i: ("w", i) if i < n_west else ("e", i - n_west)
+    pairs = tuple((point(i), point(j)) for i, j in enumerate(partners) if i < j)
+    return IS.Matching(n_west, len(partners) - n_west, pairs)
+
+
 def test_enumeration_counts():
     assert len(IS.enumerate_matchings(2, 0)) == 1
     assert len(IS.enumerate_matchings(1, 1)) == 1
@@ -57,6 +64,22 @@ def test_matching_word_realizes_matching():
             for west in CM.state_tuples(nw):
                 for east in CM.state_tuples(ne):
                     assert reduce(StatedWord(word, west, east)) == table.get((west, east), SkeinElement.zero())
+
+
+def test_canonical_word_traces_back_to_the_partner_tuple():
+    # The one conversion left between the two forms of a matching: the
+    # endpoint arcs a Matching is given, and the partner tuple diagram holds.
+    from skeinlab.diagram import word_to_arcs
+
+    checked = 0
+    for m in _matchings(10):
+        assert word_to_arcs(m.word) == (m.partners, 0), m
+        index = lambda p: p[1] if p[0] == "w" else m.n_west + p[1]
+        assert len(m.partners) == m.n_west + m.n_east == 2 * len(m.pairs), m
+        for a, b in m.pairs:
+            assert m.partners[index(a)] == index(b) and m.partners[index(b)] == index(a), m
+        checked += 1
+    assert checked == sum((n + 1) * IS.catalan(n // 2) for n in range(0, 11, 2))
 
 
 def test_st_map_through_strand():
@@ -163,7 +186,7 @@ def test_cup_insertion_makes_loop():
     s, composite, loops = IS._compose(m, "cup", "e", 0)
     assert s == ("cap", 0)
     assert loops == 1
-    assert composite[1] == 0
+    assert composite == (0, ())
 
 
 # Endpoint-arithmetic reference: cap and cup insertion and the stack
@@ -217,7 +240,7 @@ def test_slice_composition_equals_endpoint_insertion():
         for kind, side, pos in IS.all_naturality_checks(m):
             _, composite, loops = IS._compose(m, kind, side, pos)
             want = (_old_insert_cap(m, side, pos), 0) if kind == "cap" else _old_insert_cup(m, side, pos)
-            assert (IS.Matching(*composite), loops) == want, (m, kind, side, pos)
+            assert (partners_matching(*composite), loops) == want, (m, kind, side, pos)
             compared += 1
     assert compared == 2574
 
@@ -367,7 +390,7 @@ def test_lift_check_fails_on_a_lift_at_a_zero_key(monkeypatch):
 
 def _dense_st_map(m):
     return {
-        (west, east): evaluate_arcs(m.pairs, west, east)
+        (west, east): evaluate_arcs(m.partners, west, east)
         for west in CM.state_tuples(m.n_west)
         for east in CM.state_tuples(m.n_east)
     }
@@ -387,7 +410,7 @@ def _dense_check_naturality(m, kind, side, pos, table):
     s, composite, loops = IS._compose(m, kind, side, pos)
     weights = CBAR if s[0] == "cap" else C
     factor = LOOP**loops
-    for (west, east), val in _dense_st_map(IS.Matching(*composite)).items():
+    for (west, east), val in _dense_st_map(partners_matching(*composite)).items():
         full = west if side == "w" else east
         if kind == "cap":
             terms = [(full[pos : pos + 2], full[:pos] + full[pos + 2 :])]

@@ -98,33 +98,24 @@ def test_resolution_rejects_a_constant_with_a_fractional_coefficient(cleared, mo
         resolve_crossings(SliceWord(2, (("x", 0),)))
 
 
-def _partners(n_west, arcs):
-    """The partner tuple of ``arcs``: west points first, then east points."""
-    index = lambda p: p[1] if p[0] == "w" else n_west + p[1]
-    out = {}
-    for a, b in arcs:
-        out[index(a)], out[index(b)] = index(b), index(a)
-    return tuple(out[i] for i in range(len(out)))
-
-
 def test_composed_steps_match_the_whole_word_trace(cleared):
     # A random planar matching of cuts of up to 10 rows, then random caps
-    # and cups on its east points: the composed step gives the arcs and the
-    # loops of tracing the matching's canonical word and the slices at once.
+    # and cups on its east points: the composed step gives the matching and
+    # the loops of tracing the matching's canonical word and the slices at once.
     rng = random.Random(3102)
     loops = 0
     for _ in range(3000):
         max_rows = rng.randint(1, 10)
         word = _random_word(rng, max_rows, 12, crossings=False)
-        arcs, _ = D.word_to_arcs(word)
+        partners, _ = D.word_to_arcs(word)
         n_west, n_east = word.west_arity, word.east_arity
-        m = D._matching_id(n_east, _partners(n_west, arcs))
-        assert D._matchings[m] == (n_east, arcs)
+        m = D._matching_id(n_east, partners)
+        assert D._partners[m] == partners
         slices = _random_word(rng, max_rows, 8, west=n_east, crossings=False).slices
-        new_east, new_arcs, want = trace_step(n_west, n_east, arcs, slices)
+        new_east, new_partners, want = trace_step(n_west, partners, slices)
         new, loop = D._transition(n_west, m, slices)
-        assert D._matchings[new] == (new_east, new_arcs), (word, slices)
-        assert D._partners[new] == _partners(n_west, new_arcs)
+        assert D._matching_ids[new_east, new_partners] == new, (word, slices)
+        assert D._partners[new] == new_partners
         assert loop == (D.LOOP**want if want else None), (word, slices)
         loops += want
     assert loops > 300
