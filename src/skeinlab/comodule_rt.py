@@ -39,9 +39,7 @@ class Comodule(Value):
     def __init__(self, dim: int, coaction: tuple[tuple[HopfElement, ...], ...]) -> None:
         if dim <= 0 or len(coaction) != dim or any(len(row) != dim for row in coaction):
             raise ComoduleError("coaction must be a dim x dim matrix")
-        object.__setattr__(self, "_values", (dim, coaction))
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coaction", coaction)
+        self._set_fields((dim, coaction))
 
     def check_axioms(self) -> None:
         """Exact coassociativity and counit law for the coaction matrix."""

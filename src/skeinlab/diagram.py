@@ -45,8 +45,9 @@ digit d_i is the coefficient of s^(k r + g (p / W + i)).  A weight that
 is a unit monomial changes only p, ``LOOP`` is two shifted copies of n
 added together, and two terms merge by one int addition.  Each coefficient
 becomes a ``HalfLaurent`` once, at the end: interned with at most one term,
-else transient like a sum.  The constants are read at call time and must
-have integer coefficients.
+else transient like a sum.  The constants must have integer coefficients;
+they are read as the packing and factor memos are filled, so code that
+rebinds one calls ``memo_clear()`` (``scalar``).
 
 Width lemma.  Crossings are taken in windows of ``_WINDOW``.  With |x| the
 sum of the absolute values of the coefficients of x, let lambda =
@@ -90,13 +91,14 @@ returns the entry count of each:
   ``_transition`` composes with a matching's,
 * ``diagram._plan_memo``: ``_plan``, the returning arcs and through strands
   of each matching, per (west arity, partner tuple),
-* ``diagram._packing_memo``: g, r, gamma and lambda of the width lemma per
-  term sets of the three constants,
-* ``diagram._factor_memo``: ``_factors`` per term sets of the constants and
-  digit width, tables of the packed factors of each weight and of the two
-  smoothings of each crossing slice.  ``_extend`` and ``resolve_crossings``
-  add to these tables the loop factors and crossings they meet; an entry,
-  once made, never changes,
+* ``diagram._memo``: ``reduce_parallel`` per stated parallel diagram
+  ``(west, east)``, the hot path of every product; ``memo_snapshot`` copies
+  it,
+* ``diagram._packing_memo``: g, r, gamma and lambda of the width lemma, one
+  entry,
+* ``diagram._factor_memo``: ``_factors`` per digit width, tables of the
+  packed factors of each weight by loop count.  ``_extend`` adds the loop
+  counts it meets; an entry, once made, never changes,
 * ``bigon_skein._inv_edge_memo``: edge inversion per (basis tangle, edge,
   inverse), so ``t_form`` and ``t_inv_form`` reduce each basis tangle once,
 * ``bigon_skein._r_memo``: the co-R form per pair of basis tangles,
@@ -115,16 +117,13 @@ returns the entry count of each:
 * ``internal_skein._x1_product_memo``: the products of a basis tangle by the
   coaction entries of V that the lift check right-multiplies with.
 
-Four memos are plain dicts, registered by hand, because a wrapper does not
+Three memos are plain dicts, registered by hand, because a wrapper does not
 fit them:
 
-* ``diagram._memo``: reduction per stated parallel diagram, keyed by
-  ``(west, east)``; ``reduce_parallel`` is the hot path of every product,
-  and ``memo_snapshot`` copies this dict,
 * ``diagram._transition_memo``: each step of crossing resolution, a table
-  per appended slices keyed by matching id, giving the new matching's id and
-  the loop factor; ``_extend`` fetches one table per smoothing and looks up
-  every term in it,
+  per appended slices keyed by matching id, giving the new matching's id, or
+  (that id, loops) when the slices close loops; it holds only ints.
+  ``_extend`` fetches one table per smoothing and looks up every term in it,
 * ``diagram._arc_masks_memo``: per slice word, the returning arcs of each
   term of its resolution as a bit mask (``_arc_masks``); it is keyed by the
   word, but built from the resolution ``reduce`` already holds,
@@ -159,10 +158,10 @@ CROSS_TURNBACK = HalfLaurent.q_pow(-1)
 #: widest width whose random 100-crossing braid (west = east = width rows;
 #: random rows, kinds and states; seeds 1-3, a fresh process each) reduces in
 #: under 10 s.  On a 2-core Intel Xeon host with CPython 3.11, whose speed
-#: swings by about 1.5x between phases, it takes 1.7-5.9 s (66-95 MiB) at
-#: width 10 (four to six runs per seed) and 1.9-13.2 s (86-238 MiB) at width
-#: 11 (five runs per seed), where seed 3 takes 9.0-13.2 s and three of its
-#: five runs miss the bound.  Under cProfile, width 11 spends about a third
+#: swings by about 1.5x between phases, it takes 2.2-5.7 s (65-93 MiB) at
+#: width 10 (four runs per seed) and 2.1-15.8 s (85-220 MiB) at width 11
+#: (five runs per seed), where seed 3 takes 10.1-15.8 s and every one of its
+#: five runs misses the bound.  Under cProfile, width 11 spends about a third
 #: of its time each in the packed arithmetic of ``_extend``, the composed
 #: steps (``_transition``) and the repack between windows.
 MAX_CLI_WIDTH = 10
@@ -202,11 +201,7 @@ class SliceWord(Value):
                     raise DiagramError(f"{kind}{i} needs rows i, i+1 (have {rows} rows)")
                 if kind == "cap":
                     rows -= 2
-        object.__setattr__(self, "_values", (west_arity, slices))
-        object.__setattr__(self, "west_arity", west_arity)
-        object.__setattr__(self, "slices", slices)
-        object.__setattr__(self, "east_arity", rows)
-        object.__setattr__(self, "width", width)
+        self._set_fields((west_arity, slices), rows, width)
 
     def crossing_count(self) -> int:
         return sum(1 for kind, _ in self.slices if kind in ("x", "xb"))
@@ -223,10 +218,7 @@ class StatedWord(Value):
             raise DiagramError(f"west states {len(west)} != west arity {word.west_arity}")
         if len(east) != word.east_arity:
             raise DiagramError(f"east states {len(east)} != east arity {word.east_arity}")
-        object.__setattr__(self, "_values", (word, west, east))
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "west", west)
-        object.__setattr__(self, "east", east)
+        self._set_fields((word, west, east))
 
 
 class BasisTangle(InternedKey):
@@ -454,14 +446,15 @@ def _slice_partners(n_rows: int, slices: tuple[Slice, ...]) -> tuple[int, Partne
     return (word.east_arity, *word_to_arcs(word))
 
 
-#: Appended slices -> {matching id: (new matching id, LOOP**loops or None)}.
-_transition_memo: dict[tuple[Slice, ...], dict[int, tuple[int, HalfLaurent | None]]] = {}
+#: Appended slices -> {matching id: new matching id, or (new matching id,
+#: loops) when the slices close loops}.
+_transition_memo: dict[tuple[Slice, ...], dict[int, int | tuple[int, int]]] = {}
 _MEMOS["diagram._transition_memo"] = _transition_memo
 
 
-def _transition(n_west: int, m: int, slices: tuple[Slice, ...]) -> tuple[int, HalfLaurent | None]:
-    """The id of matching m with crossingless ``slices`` appended, and
-    ``LOOP**loops`` for the loops the slices close, or None if they close none.
+def _transition(n_west: int, m: int, slices: tuple[Slice, ...]) -> int | tuple[int, int]:
+    """The id of matching m with crossingless ``slices`` appended, or (that
+    id, loops) when the slices close loops.
 
     The Temperley-Lieb product of two partner tuples: the matching's east
     points are the slices' west points, and a path from an outer point
@@ -501,10 +494,7 @@ def _transition(n_west: int, m: int, slices: tuple[Slice, ...]) -> tuple[int, Ha
                 seen[j] = seen[k] = True
                 j = pm[k + n_west] - n_west
     new = _matching_id(new_east, tuple(out))
-    if not loops:
-        return new, None
-    loop = LOOP**loops  # interned, so its ``_key`` is its term set (``_factors``)
-    return new, loop if loop._key is not None else HalfLaurent(loop._terms)
+    return (new, loops) if loops else new
 
 
 #: Crossings per window of ``resolve_crossings``: the digit width is proven
@@ -512,22 +502,17 @@ def _transition(n_west: int, m: int, slices: tuple[Slice, ...]) -> tuple[int, Ha
 _WINDOW = 32
 
 
-def _term_set(c: HalfLaurent) -> frozenset:
-    """The frozenset of the terms of c: its intern key, when it has one."""
-    return c._key if c._key is not None else frozenset(c._terms.items())
-
-
 @memoized("diagram._packing_memo")
-def _packing(constants: tuple[frozenset, frozenset, frozenset]) -> tuple[int, int, int, int]:
-    """(g, r, gamma, lambda) of the term sets of ``CROSS_PARALLEL``,
-    ``CROSS_TURNBACK`` and ``LOOP``: the exponent step g of the packed
-    digits, the exponent r a crossing adds modulo g, and the norms of the
-    width lemma (module docstring)."""
-    cp, ct, loop = (dict(terms) for terms in constants)
+def _packing() -> tuple[int, int, int, int]:
+    """(g, r, gamma, lambda) of ``CROSS_PARALLEL``, ``CROSS_TURNBACK`` and
+    ``LOOP``: the exponent step g of the packed digits, the exponent r a
+    crossing adds modulo g, and the norms of the width lemma (module
+    docstring)."""
+    cp, ct, loop = (c._terms for c in (CROSS_PARALLEL, CROSS_TURNBACK, LOOP))
     if not all(type(c) is int for terms in (cp, ct, loop) for c in terms.values()):
         raise DiagramError(
             "crossing resolution needs integer coefficients in CROSS_PARALLEL, CROSS_TURNBACK and LOOP, "
-            f"got {HalfLaurent(cp)}, {HalfLaurent(ct)} and {HalfLaurent(loop)}"
+            f"got {CROSS_PARALLEL}, {CROSS_TURNBACK} and {LOOP}"
         )
     g = 0
     for terms in (cp, ct, loop):
@@ -555,16 +540,12 @@ def _packed(c: HalfLaurent, base: int, g: int, width: int) -> tuple[int, int, tu
 
 
 @memoized("diagram._factor_memo")
-def _factors(constants: tuple[frozenset, frozenset, frozenset], width: int) -> tuple[dict, dict, dict, dict]:
+def _factors(width: int) -> tuple[dict[int, tuple | None], ...]:
     """The packed factors at ``width`` of ``CROSS_PARALLEL``, ``CROSS_TURNBACK``
-    and of 1 (after the last crossing), given the term sets of the constants:
-    each a dict from the term set of a loop factor, or None for no loop, to
-    the packed weight * loop; and a dict from a crossing slice to its two
-    smoothings for ``_extend``.  Both kinds of dict are filled as they are
-    met, by ``_extend`` and ``resolve_crossings``."""
-    g, r, _, _ = _packing(constants)
-    cp, ct = (HalfLaurent(dict(terms)) for terms in constants[:2])
-    return {None: _packed(cp, r, g, width)}, {None: _packed(ct, r, g, width)}, {None: _packed(ONE, 0, g, width)}, {}
+    and of 1 (after the last crossing): each a dict from a loop count to the
+    packed weight * LOOP**loops, filled by ``_extend`` as loop counts are met."""
+    g, r, _, _ = _packing()
+    return tuple({0: _packed(c, base, g, width)} for c, base in ((CROSS_PARALLEL, r), (CROSS_TURNBACK, r), (ONE, 0)))
 
 
 def _join(digits: list[int], width: int) -> int:
@@ -619,16 +600,16 @@ def _extend(
 
     ``terms`` maps matching ids to packed coefficients (bit position, digits).
     A smoothing is (weight, factors, base, tail): its weight, its packed
-    factors at ``width`` (``_factors``), the exponent it adds modulo g and
-    the slices it appends.  Each step is looked up in the smoothing's
-    table of ``_transition_memo``, composed only on a miss; appending nothing
-    leaves a matching as it is.  A factor is a sum of shifted copies of the
-    digits; equal matchings merge by one int addition and cancelled ones are
-    dropped.
+    factors at ``width`` by loop count (``_factors``), the exponent it adds
+    modulo g and the slices it appends.  Each step is looked up in the
+    smoothing's table of ``_transition_memo``, composed only on a miss;
+    appending nothing leaves a matching as it is.  A factor is a sum of
+    shifted copies of the digits; equal matchings merge by one int addition
+    and cancelled ones are dropped.
     """
     out: dict[int, tuple[int, int]] = {}
     for weight, factors, base, tail in smoothings:
-        plain = factors[None]
+        plain = factors[0]
         if plain is None:
             continue
         shift, k, rest = plain
@@ -636,20 +617,20 @@ def _extend(
         slices = pending + tail
         table = _transition_memo.setdefault(slices, {}) if slices else None
         for m, (p, n) in terms.items():
-            loop = None
             if table is not None:
                 hit = table.get(m)
                 if hit is None:
                     hit = table[m] = _transition(n_west, m, slices)
-                m, loop = hit
-            if loop is None:
+                m = hit
+            if type(m) is int:
                 p += shift
                 if not unit:
                     n = _times(n, k, rest)
             else:
-                factor = factors.get(loop._key, _MISS)
+                m, loops = m
+                factor = factors.get(loops, _MISS)
                 if factor is _MISS:
-                    factor = factors[loop._key] = _packed(weight * loop, base, g, width)
+                    factor = factors[loops] = _packed(weight * LOOP**loops, base, g, width)
                 if factor is None:
                     continue
                 p += factor[0]
@@ -730,9 +711,7 @@ def resolve_crossings(word: SliceWord) -> Resolved:
         partners, loops = word_to_arcs(word)
         coeff = LOOP**loops if loops else ONE
         return [(word.east_arity, partners, coeff)] if coeff._terms else []
-    cp, ct = CROSS_PARALLEL, CROSS_TURNBACK
-    constants = (_term_set(cp), _term_set(ct), _term_set(LOOP))
-    g, r, gamma, lam = _packing(constants)
+    g, r, gamma, lam = _packing()
     # Matching id -> (p, n): after k crossings the coefficient is the sum of
     # the balanced base-2^width digits d_i of n times s^(k r + g (p / width + i)).
     terms = {_matching_id(n_w, (*range(n_w, 2 * n_w), *range(n_w))): (0, 1)}
@@ -751,14 +730,11 @@ def resolve_crossings(word: SliceWord) -> Resolved:
             terms = {m: ((j + lo) * width, _join(digits, width)) for m, (j, lo, digits) in split.items()}
         else:
             width = growth.bit_length() + 1  # the identity matching, coefficient 1
-        packs_p, packs_t, packs_one, smoothings = _factors(constants, width)
-        for before, s in chunk:
-            both = smoothings.get(s)
-            if both is None:
-                kind, i = s
-                para, turn = ((cp, packs_p), (ct, packs_t)) if kind == "x" else ((ct, packs_t), (cp, packs_p))
-                both = smoothings[s] = ((*para, r, ()), (*turn, r, (("cap", i), ("cup", i))))
-            terms = _extend(n_w, terms, before, both, g, width)
+        packs_p, packs_t, packs_one = _factors(width)
+        weights = (CROSS_PARALLEL, packs_p, r), (CROSS_TURNBACK, packs_t, r)
+        for before, (kind, i) in chunk:
+            para, turn = weights if kind == "x" else weights[::-1]
+            terms = _extend(n_w, terms, before, ((*para, ()), (*turn, (("cap", i), ("cup", i)))), g, width)
     if pending:
         terms = _extend(n_w, terms, tuple(pending), ((ONE, packs_one, 0, ()),), g, width)
     base = len(steps) * r
@@ -773,13 +749,10 @@ ParallelKey = tuple[tuple[State, ...], tuple[State, ...]]  # (west, east)
 #: (upper, lower), and through strand k joins the k-th entries of the last two.
 Plan = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]
 
-_memo: dict[ParallelKey, SkeinElement] = {}
-_MEMOS["diagram._memo"] = _memo
-
 
 def memo_snapshot() -> dict[ParallelKey, SkeinElement]:
     """A copy of the parallel reduction memo."""
-    return dict(_memo)
+    return dict(_MEMOS["diagram._memo"])
 
 
 @memoized("diagram._plan_memo")
@@ -893,15 +866,12 @@ def state_tuples(n: int) -> list[tuple[State, ...]]:
     return out
 
 
+@memoized("diagram._memo")
 def reduce_parallel(west: tuple[State, ...], east: tuple[State, ...]) -> SkeinElement:
     """Reduce a parallel stated diagram (the workhorse for products)."""
-    key = (west, east)
-    hit = _memo.get(key)
-    if hit is None:
-        if len(west) != len(east):
-            raise DiagramError("parallel diagram needs equal arities")
-        hit = _memo[key] = _sort_states(west, east)
-    return hit
+    if len(west) != len(east):
+        raise DiagramError("parallel diagram needs equal arities")
+    return _sort_states(west, east)
 
 
 Arc = tuple[int, int]  # a returning arc's (upper, lower) rows

@@ -84,12 +84,7 @@ class Matching(Value):
             word = partners_to_word(n_west, partners)
         except DiagramError as exc:
             raise MatchingError("matching is not planar") from exc
-        object.__setattr__(self, "_values", (n_west, n_east, pairs))
-        object.__setattr__(self, "n_west", n_west)
-        object.__setattr__(self, "n_east", n_east)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "partners", partners)
-        object.__setattr__(self, "word", word)
+        self._set_fields((n_west, n_east, pairs), partners, word)
 
     def __str__(self) -> str:
         body = ",".join(f"{a[0]}{a[1]}-{b[0]}{b[1]}" for a, b in self.pairs)

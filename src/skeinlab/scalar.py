@@ -24,7 +24,9 @@ interning every coefficient kept 344 values, not 57, on ``braid_reduce``
 (a traced heap of 539 KiB, not 370 KiB), and leaving every one transient
 raised the traced heap of ``verify_all`` from 2,313 to 2,501 KiB.  ``==`` and
 ``hash`` are by value.
-A test that changes a constant rebinds it and calls ``diagram.memo_clear()``.
+Code that changes a constant rebinds it and calls ``diagram.memo_clear()``:
+that is the contract every memo of crossing resolution relies on, for none of
+them is keyed by the constants.
 
 Every algebra element (skein elements, tensors, PBW normal forms) is a
 finite sum of basis keys with such coefficients: :class:`LinearCombination`.
@@ -286,11 +288,23 @@ MINUS_ONE = HalfLaurent.rational(-1)
 
 class Value:
     """An immutable value.  Its constructor sets ``_values``, the tuple of its fields
-    (the leading names of ``__slots__``; later names are derived), by ``object.__setattr__``.
+    (the leading names of ``__slots__``; later names are derived), by ``_set_fields``.
     ``==`` and ``hash`` compare the class and ``_values``; copies and pickles rebuild the
     object through its constructor, so the validation runs again."""
 
     __slots__ = ("_values",)
+
+    @classmethod
+    def _names(cls) -> tuple[str, ...]:
+        """The field names and then the derived ones: the ``__slots__`` of the
+        nearest class that names any, so a subclass may add none."""
+        return cls.__slots__ or next(c.__slots__ for c in cls.__mro__ if c.__dict__.get("__slots__"))
+
+    def _set_fields(self, values: tuple, *derived: object) -> None:
+        """Set ``_values`` to ``values``, and the slots to ``values`` and then ``derived``."""
+        object.__setattr__(self, "_values", values)
+        for name, v in zip(self._names(), values + derived):
+            object.__setattr__(self, name, v)
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self._values == other._values
@@ -307,7 +321,7 @@ class Value:
         return type(self), self._values
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(type(self).__slots__, self._values))
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._names(), self._values))
         return f"{type(self).__name__}({fields})"
 
 
@@ -324,8 +338,7 @@ class InternedKey(Value):
     @classmethod
     def _make(cls, values: tuple):
         self = object.__new__(cls)
-        for name, v in zip(("_values",) + cls.__slots__, (values,) + values):
-            object.__setattr__(self, name, v)
+        self._set_fields(values)
         cls._interned[values] = self
         return self
 

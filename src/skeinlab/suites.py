@@ -37,9 +37,10 @@ DEFAULT_SPECS = (Fraction(7, 5), Fraction(11, 7))
 ORACLE_WORDS = 200
 
 #: Largest --max-degree the CLI ``verify`` accepts: the largest degree at which a cold
-#: ``verify all`` finishes in under 60 s.  On a 2-core AMD EPYC host (CPython 3.11) it took
-#: 9.0 s (61 MiB) at degree 5; at degree 6 it was stopped unfinished after 75 s and 324 MiB
-#: (the st cases alone take 142 s there), and each degree above multiplies the st matchings.
+#: ``verify all`` finishes in under 60 s.  On a 2-core Intel Xeon host (CPython 3.11) it took
+#: 18.6-20.4 s (59 MiB) at degree 5; at degree 6 it was stopped unfinished after 75 s and
+#: 323 MiB (the st cases alone take 318 s there, 108 MiB), and each degree above multiplies
+#: the st matchings.
 MAX_CLI_DEGREE = 5
 
 # Caps below --max-degree, each with what raising it costs in a cold process on a 2-core

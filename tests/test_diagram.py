@@ -430,13 +430,34 @@ def test_transition_memo_holds_only_matching_ids():
     resolve_crossings(SliceWord(2, (("cup", 1), ("x", 0), ("xb", 2), ("cap", 1), ("x", 0))))
     entries = [(m, hit) for table in D._transition_memo.values() for m, hit in table.items()]
     assert entries
-    loops = 0
+    loopy = 0
     for m, hit in entries:
-        new, loop = hit
-        assert type(m) is int and type(new) is int
-        assert loop is None or type(loop) is HalfLaurent
-        loops += loop is not None
-    assert loops
+        new, loops = (hit, 0) if type(hit) is int else hit
+        assert type(m) is int and type(new) is int and type(loops) is int
+        assert type(hit) is int or loops >= 1
+        loopy += loops > 0
+    assert loopy
+    memo_clear()
+
+
+def test_loop_free_steps_are_bare_ids_and_loop_factors_are_packed_by_count():
+    import skeinlab.diagram as D
+
+    memo_clear()
+    # The turnback of the first crossing appends a cap and a cup and closes
+    # no loop; before the second crossing a cup and a cap close one loop.
+    resolve_crossings(SliceWord(2, (("x", 0), ("cup", 0), ("cap", 0), ("x", 0))))
+    loop_free = D._transition_memo[("cap", 0), ("cup", 0)]
+    assert loop_free and all(type(hit) is int for hit in loop_free.values())
+    loopy = D._transition_memo[("cup", 0), ("cap", 0)]
+    assert loopy and all(type(hit[0]) is int and hit[1] == 1 for hit in loopy.values())
+    g, r, _, _ = D._packing()
+    (width,) = D._MEMOS["diagram._factor_memo"]
+    for weight, factors in zip((D.CROSS_PARALLEL, D.CROSS_TURNBACK), D._factors(width)):
+        assert {0, 1} <= set(factors)
+        for loops, (bits, k0, rest) in factors.items():
+            packed = D._coefficient(D._times(1, k0, rest), r + g * (bits // width), g, width)
+            assert packed == weight * D.LOOP**loops
     memo_clear()
 
 
@@ -585,6 +606,12 @@ def test_width_counts_the_widest_cut():
     assert SliceWord(3, ()).width == 3
     assert SliceWord(0, (("cup", 0), ("cup", 1), ("cap", 0), ("cap", 0))).width == 4
     assert SliceWord(4, (("cap", 0), ("cup", 2), ("x", 0))).width == 4
+
+
+def test_a_subclass_without_slots_keeps_the_fields():
+    sub = type("Sub", (SliceWord,), {"__slots__": ()})(1, (("cup", 1),))
+    assert (sub.west_arity, sub.slices, sub.east_arity, sub.width) == (1, (("cup", 1),), 3, 3)
+    assert repr(sub) == "Sub(west_arity=1, slices=(('cup', 1),))"
 
 
 def test_validation_errors():

@@ -133,8 +133,9 @@ def test_reduction_memo_holds_only_parallel_diagrams():
     memo_clear()
     for m in _st_sweep(8):
         IS.st_map(m)
-    assert all(len(west) == len(east) for west, east in D._memo)
-    assert len(D._memo) <= sum(4**n for n in range(5))
+    memo = D._MEMOS["diagram._memo"]
+    assert all(len(west) == len(east) for west, east in memo)
+    assert len(memo) <= sum(4**n for n in range(5))
     assert memo_sizes()["diagram._plan_memo"] == 175
     memo_clear()
 
