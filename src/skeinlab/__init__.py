@@ -31,7 +31,7 @@ from .bigon_skein import (
 )
 from .quantum_sl2 import HopfElement, PBWMonomial, from_skein, normalize, pairing, to_skein
 from .comodule_rt import Comodule, multiplicity, quantum_plane_Vn, rt_evaluate, standard_V
-from .internal_skein import Matching, check_st_naturality, enumerate_matchings, st_map, st_rank
+from .internal_skein import Matching, check_st_naturality, entry_value, enumerate_matchings, st_map, st_rank
 from .excision import gluing_excision_check, invariants_subspace
 from .syntax import ParseError, format_diagram, format_element, parse_diagram, parse_element, parse_scalar
 
@@ -75,6 +75,7 @@ __all__ = [
     "standard_V",
     "Matching",
     "check_st_naturality",
+    "entry_value",
     "enumerate_matchings",
     "st_map",
     "st_rank",

@@ -76,7 +76,9 @@ times the parallel diagram of its through strands, and only parallel
 diagrams are sorted and memoized.  ``reduce`` evaluates only the matchings
 whose returning arcs all have non-zero weights at the boundary states.
 ``evaluate_table`` gives a matching's value at once at every state pair
-where it can be non-zero: where each returning arc has opposite states.
+where it can be non-zero (where each returning arc has opposite states),
+in that factored form: an arc weight and the through states, which
+``entry_value`` multiplies out.
 
 Memo policy: every memo in the package is process-global, unbounded and
 holds only a deterministic function of its key; a hit is shared, so callers
@@ -115,7 +117,17 @@ returns the entry count of each:
 * ``excision._torus_memo``: the exact premise of the torus-weight lemma per
   (degree, map),
 * ``internal_skein._x1_product_memo``: the products of a basis tangle by the
-  coaction entries of V that the lift check right-multiplies with.
+  coaction entries of V that the lift check right-multiplies with,
+* ``internal_skein._row_memo``: the verdict of each row of st lifts, keyed
+  by the row divided by its first weight (ints for the states, interned
+  ratios),
+* ``internal_skein._stack_memo``: whether two stacked parallel diagrams
+  reduce to the product of their reductions, per pair of through states,
+* ``quantum_sl2._mul_memo``, ``_comul_memo``, ``_pair_memo``,
+  ``_to_skein_memo`` and ``_from_skein_memo``: the product per pair of PBW
+  monomials, and the coproduct, the generator pairings and the transport
+  per monomial or basis tangle (``mul_basis``, ``comul_basis``,
+  ``_pair_gen_mono``, ``to_skein_basis``, ``from_skein_basis``).
 
 Three memos are plain dicts, registered by hand, because a wrapper does not
 fit them:
@@ -748,6 +760,9 @@ ParallelKey = tuple[tuple[State, ...], tuple[State, ...]]  # (west, east)
 #: (east arcs, west arcs, through west rows, through east rows); each arc is
 #: (upper, lower), and through strand k joins the k-th entries of the last two.
 Plan = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]
+#: A table entry in factored form: (weight, through states), standing for the
+#: weight times ``reduce_parallel`` of the through states.
+TableEntry = tuple[HalfLaurent, ParallelKey]
 
 
 def memo_snapshot() -> dict[ParallelKey, SkeinElement]:
@@ -809,13 +824,16 @@ def evaluate_arcs(partners: Partners, west: tuple[State, ...], east: tuple[State
     return through.scale(weight)
 
 
-def evaluate_table(n_west: int, partners: Partners) -> dict[ParallelKey, SkeinElement]:
-    """``evaluate_arcs`` at every (west, east) states where it can be non-zero:
-    where each returning arc has opposite states (``_arc_states``).
+def evaluate_table(n_west: int, partners: Partners) -> dict[ParallelKey, TableEntry]:
+    """``evaluate_arcs`` at every (west, east) states where it can be non-zero
+    (where each returning arc has opposite states, ``_arc_states``), each in
+    factored form: (weight, (through west, through east)).  The value of an
+    entry is its weight times the parallel diagram of its through states
+    (``entry_value``).
 
     Each edge's vectors are listed once with their arc weight and through
-    states, so an entry is one ``reduce_parallel`` scaled by two weights.
-    Keys come in ``state_tuples`` order, west before east.
+    states, so building a table reduces nothing.  Keys come in
+    ``state_tuples`` order, west before east.
     """
     east_arcs, west_arcs, through_w, through_e = _plan(n_west, partners)
     edges = []
@@ -823,12 +841,18 @@ def evaluate_table(n_west: int, partners: Partners) -> dict[ParallelKey, SkeinEl
     for n, edge_arcs, table, through in ((n_west, west_arcs, CBAR, through_w), (n_east, east_arcs, C, through_e)):
         vectors = _arc_states(n, edge_arcs, table)
         edges.append([(v, _edge_weight(v, edge_arcs, table), tuple(v[i] for i in through)) for v in vectors])
-    out = {}
-    for west, w_west, t_west in edges[0]:
-        for east, w_east, t_east in edges[1]:
-            entry, weight = reduce_parallel(t_west, t_east), w_east * w_west
-            out[west, east] = entry if weight is ONE else entry.scale(weight)
-    return out
+    return {
+        (west, east): (w_east * w_west, (t_west, t_east))
+        for west, w_west, t_west in edges[0]
+        for east, w_east, t_east in edges[1]
+    }
+
+
+def entry_value(entry: TableEntry) -> SkeinElement:
+    """The element a factored table entry stands for: weight * reduce_parallel(through)."""
+    weight, through = entry
+    value = reduce_parallel(*through)
+    return value if weight is ONE else value.scale(weight)
 
 
 def _sort_states(west: tuple[State, ...], east: tuple[State, ...]) -> SkeinElement:

@@ -18,6 +18,17 @@ checks in this module make that correspondence executable:
   ``diagram.partners_to_word``,
 * the tables of distinct matchings stay linearly independent, with rank
   equal to both the Catalan number and the Peter-Weyl count.
+
+A table entry is one arc weight times one reduced parallel diagram, and a
+table keeps it in that factored form (``diagram.evaluate_table``).  The
+checks read the factors: each row of lifts is contracted once per process
+up to a unit (``_row_failure``), a product of entries whose stacked entry
+is their two parallel diagrams side by side reduces to the product of
+those diagrams, checked once per pair (``_stacks_to_product``), a pushed
+entry that meets the composite's own parallel diagram compares weights,
+and the rank scales each coefficient by its weight at the point.  Every
+other entry is compared as an element, so each verdict and witness is that
+of the elementwise checks, on any table.
 """
 
 from __future__ import annotations
@@ -33,18 +44,21 @@ from .diagram import (
     BasisTangle,
     C,
     DiagramError,
+    ParallelKey,
     Partners,
     SkeinElement,
     Slice,
     SliceWord,
     State,
+    TableEntry,
+    entry_value,
     evaluate_table,
     memoized,
     partners_to_word,
     reduce_parallel,
     word_to_arcs,
 )
-from .scalar import LOOP, ONE, HalfLaurent, Value
+from .scalar import LOOP, ONE, ZERO, HalfLaurent, Value
 
 StateVec = tuple[State, ...]
 Endpoint = tuple[str, int]  # ("w" | "e", position)
@@ -125,8 +139,9 @@ def catalan(m: int) -> int:
 # -- the state-assignment table -------------------------------------------------
 
 
-#: The non-zero entries of a table; a missing key is a zero entry.
-StTable = dict[tuple[StateVec, StateVec], SkeinElement]
+#: The non-zero entries of a table in factored form (``diagram.TableEntry``);
+#: a missing key is a zero entry.
+StTable = dict[tuple[StateVec, StateVec], TableEntry]
 
 
 def st_map(m: Matching) -> StTable:
@@ -134,10 +149,11 @@ def st_map(m: Matching) -> StTable:
     algebra, by boundary states, holding only its non-zero entries.
 
     A returning arc is zero unless its two ends carry opposite states, so
-    only those state vectors are assigned and reduced
-    (``diagram.evaluate_table``): each returning arc reads (+, -) or (-, +),
-    and the through strands take every state.  Keys come in the order of
-    ``comodule_rt.state_tuples``, west before east.
+    only those state vectors are assigned (``diagram.evaluate_table``): each
+    returning arc reads (+, -) or (-, +), and the through strands take every
+    state.  Keys come in the order of ``comodule_rt.state_tuples``, west
+    before east.  Each entry is (arc weight, through states);
+    ``entry_value`` gives the element it stands for.
     """
     return evaluate_table(m.n_west, m.partners)
 
@@ -162,45 +178,95 @@ def check_st_intertwiner(m: Matching, table: StTable) -> tuple[bool, str | None]
     with X1[eps_j, kappa_j].  Per fixed state on the other edge this costs
     n 2^(n+1) generator products instead of the 4^n terms of the direct sum.
 
-    One row of lifts at a time, each key's lift is compared with the
-    coproduct of its entry; at a key the table lacks, the entry and so its
-    coproduct are zero, and the lift must be too.
+    One row of lifts at a time (``_lines``), each key's lift is compared
+    with the coproduct of its entry; at a key the table lacks, the entry and
+    so its coproduct are zero, and the lift must be too.  Lifts and
+    coproducts are linear and Z[s^+-1] is a domain, so a row that is a unit
+    times another fails exactly where the other does.  A row is therefore
+    checked in the form ``_row_key`` gives it, divided by its first weight,
+    and each such form is contracted once per process (``_row_failure``).
     """
-    zero = bigon_skein.TensorElement.zero(2)
-    for side, outer, entries, lifts in _lift_rows(m, table):
-        for inner in dict.fromkeys([*entries, *lifts]):
-            elem = entries.get(inner)
-            if lifts.get(inner, zero) != (zero if elem is None else bigon_skein.comul(elem)):
-                west, east = (outer, inner) if side == "east" else (inner, outer)
-                return False, f"{side} lift fails at {m} states {west}/{east}"
+    for side, outer, line in _lines(m, table):
+        inner = _row_failure(_row_key(side, line))
+        if inner is not None:
+            west, east = (outer, inner) if side == "east" else (inner, outer)
+            return False, f"{side} lift fails at {m} states {west}/{east}"
     return True, None
 
 
-Line = dict[StateVec, SkeinElement]
+Line = dict[StateVec, TableEntry]
 #: A tensor of two basis tangles as a plain dict, while its lift is contracted.
 Terms = dict[tuple[BasisTangle, BasisTangle], HalfLaurent]
+#: (leg, inner arity, then per entry its states as one int and its weight
+#: ratio); see ``_row_key``.
+RowKey = tuple[int, int, tuple]
 
 
-def _lift_rows(
-    m: Matching, table: StTable
-) -> Iterator[tuple[str, StateVec, Line, dict[StateVec, bigon_skein.TensorElement]]]:
-    """("east", west state, its entries by east state, their east lifts by
-    east state) for each west state, then ("west", east state, its entries
-    by west state, their west lifts by west state) for each east state; a
-    missing entry or lift is zero.  Each row of lifts is built when it is
-    reached, so only one is held at a time."""
+def _lines(m: Matching, table: StTable) -> Iterator[tuple[str, StateVec, Line]]:
+    """("east", west state, its entries by east state) for each west state,
+    then ("west", east state, its entries by west state) for each east
+    state, in ``state_tuples`` order; a row may be empty."""
     rows: dict[StateVec, Line] = {west: {} for west in comodule_rt.state_tuples(m.n_west)}
     columns: dict[StateVec, Line] = {east: {} for east in comodule_rt.state_tuples(m.n_east)}
-    for (west, east), elem in table.items():
-        rows[west][east] = columns[east][west] = elem
-    zero = bigon_skein.TensorElement.zero(2)
-    for side, leg, lines in (("east", 1, rows), ("west", 0, columns)):
+    for (west, east), entry in table.items():
+        rows[west][east] = columns[east][west] = entry
+    for side, lines in (("east", rows), ("west", columns)):
         for outer, line in lines.items():
-            parts = {
-                inner: {((b, UNIT_TANGLE) if leg else (UNIT_TANGLE, b)): c for b, c in elem.items()}
-                for inner, elem in line.items()
-            }
-            yield side, outer, line, {inner: zero._like(terms) for inner, terms in _contract(parts, leg).items()}
+            yield side, outer, line
+
+
+def _row_key(side: str, line: Line) -> RowKey:
+    """A row of entries divided by its first weight, in compact form.
+
+    An entry's inner states and through states are one int: a leading 1
+    bit, then one bit per state (set for -), inner states first, then the
+    through west and through east states of equal arity.  Its weight
+    ratio is an interned scalar.  The first weight is the divisor when it
+    is a monomial, as every product of arc weights is; otherwise the row is
+    kept undivided.
+    """
+    flat: list = []
+    unit = inverse = ONE
+    for inner, (weight, (t_west, t_east)) in line.items():
+        if not flat and len(weight._terms) == 1:
+            unit, inverse = weight, weight.inverse()
+        code = 1
+        for state in inner + t_west + t_east:
+            code = code << 1 | (state < 0)
+        flat += (code, ONE if weight is unit else weight * inverse)
+    return int(side == "east"), len(next(iter(line), ())), tuple(flat)
+
+
+@memoized("internal_skein._row_memo")
+def _row_failure(key: RowKey) -> StateVec | None:
+    """The first inner states at which the lifts of the row ``key`` stands
+    for differ from the coproducts of its entries, in the order of the
+    entries and then of the lifts, or None where they all agree."""
+    leg, n, flat = key
+    line: Line = {}
+    for code, ratio in zip(flat[::2], flat[1::2]):
+        states = tuple(-1 if code >> i & 1 else 1 for i in range(code.bit_length() - 2, -1, -1))
+        k = (len(states) - n) // 2
+        line[states[:n]] = (ratio, (states[n : n + k], states[n + k :]))
+    lifts = _row_lifts(line, leg)
+    zero = bigon_skein.TensorElement.zero(2)
+    for inner in dict.fromkeys([*line, *lifts]):
+        entry = line.get(inner)
+        if lifts.get(inner, zero) != (zero if entry is None else bigon_skein.comul(entry_value(entry))):
+            return inner
+    return None
+
+
+def _row_lifts(line: Line, leg: int) -> dict[StateVec, bigon_skein.TensorElement]:
+    """The lifts of one row: its entries on leg 0 of a tensor (the east
+    lift, ``leg`` 1) or on leg 1 (the west lift, ``leg`` 0), contracted with
+    the coaction on ``leg`` (``_contract``); a missing lift is zero."""
+    zero = bigon_skein.TensorElement.zero(2)
+    parts = {
+        inner: {((b, UNIT_TANGLE) if leg else (UNIT_TANGLE, b)): c for b, c in entry_value(entry).items()}
+        for inner, entry in line.items()
+    }
+    return {inner: zero._like(terms) for inner, terms in _contract(parts, leg).items()}
 
 
 def _contract(lifts: dict[StateVec, Terms], leg: int) -> dict[StateVec, Terms]:
@@ -288,35 +354,43 @@ def check_st_naturality(
     points on the edge, so the entry goes, times the weight of their states,
     to every key with them put in; kind "cup" takes two points away, so the
     entry goes, times the weight of their states, to the key without them.
-    The sums must equal the composite's entries at every key.
+    The sums must equal the composite's entries at every key.  Where every
+    term pushed to a key lies on the composite entry's own parallel diagram,
+    the weights decide; any other key is compared as elements.
     """
     if kind not in ("cap", "cup") or side not in ("w", "e"):
         raise ValueError("kind must be 'cap' or 'cup' and side 'w' or 'e'")
     s, composite, loops = _compose(m, kind, side, pos)
     weights = CBAR if s[0] == "cap" else C
-    pushed: StTable = {}
-    for (west, east), val in table.items():
+    nonzero = [(pair, weights[pair]) for pair in comodule_rt.state_tuples(2) if weights[pair]]
+    pushed: dict[tuple[StateVec, StateVec], list[TableEntry]] = {}
+    for (west, east), (entry_weight, through) in table.items():
         full = west if side == "w" else east
         if kind == "cap":
-            terms = [(pair, full[:pos] + pair + full[pos:]) for pair in comodule_rt.state_tuples(2)]
+            terms = [(weight, full[:pos] + pair + full[pos:]) for pair, weight in nonzero]
         else:
-            terms = [(full[pos : pos + 2], full[:pos] + full[pos + 2 :])]
-        for pair, states in terms:
-            weight = weights[pair]
-            if weight.is_zero():
-                continue
+            weight = weights[full[pos : pos + 2]]
+            terms = [(weight, full[:pos] + full[pos + 2 :])] if weight else []
+        for weight, states in terms:
             key = (states, east) if side == "w" else (west, states)
-            acc = pushed.get(key)
-            if acc is None:
-                acc = pushed[key] = SkeinElement.zero()
-            acc.add_scaled(val, weight)
+            pushed.setdefault(key, []).append((entry_weight * weight, through))
     factor = LOOP**loops
     target = evaluate_table(*composite)
-    zero = SkeinElement.zero()
-    for west, east in dict.fromkeys([*target, *pushed]):
-        val = target.get((west, east), zero)
-        if (val.scale(factor) if loops else val) != pushed.get((west, east), zero):
-            return False, f"{kind} naturality fails at {m} {side}{pos} states {west}/{east}"
+    for key in dict.fromkeys([*target, *pushed]):
+        entry, terms = target.get(key), pushed.get(key, ())
+        if entry is not None and all(through == entry[1] for _, through in terms):
+            # Every term is on the entry's own parallel diagram: the weights decide.
+            if entry[0] * factor == sum((weight for weight, _ in terms), ZERO) or not reduce_parallel(*entry[1]):
+                continue
+        else:
+            want = SkeinElement.zero()
+            for term in terms:
+                want.add_scaled(entry_value(term))
+            val = SkeinElement.zero() if entry is None else entry_value(entry)
+            if (val.scale(factor) if loops else val) == want:
+                continue
+        west, east = key
+        return False, f"{kind} naturality fails at {m} {side}{pos} states {west}/{east}"
     return True, None
 
 
@@ -353,10 +427,11 @@ def st_rank(
     rows: list[linalg.SparseRow] = []
     for table in tables:
         row: linalg.SparseRow = {}
-        for key, elem in table.items():
-            for b, coeff in elem.items():
-                col = columns.setdefault((key[0], key[1], b), len(columns))
-                row[col] = at(coeff)
+        for (west, east), (weight, through) in table.items():
+            scale = at(weight)
+            for b, coeff in reduce_parallel(*through).items():
+                col = columns.setdefault((west, east, b), len(columns))
+                row[col] = scale * at(coeff)
         rows.append(row)
     return linalg.rank(rows), catalan((n_west + n_east) // 2), peter_weyl_count(n_west, n_east)
 
@@ -369,7 +444,11 @@ def check_product_compatibility(
     ``t1`` and ``t2`` are ``st_map`` of m1 and m2.
     The stacked entry at (w1 + w2, e1 + e2) must be the product of the
     entries at (w1, e1) and (w2, e2).  Only products of two non-zero entries
-    are formed; every other stacked entry must be zero.
+    are formed; every other stacked entry must be zero.  Where the stacked
+    entry's weight is the product of the two weights and its through states
+    are theirs side by side, the identity is that of the parallel diagrams
+    alone (``_stacks_to_product``); any other pair of entries is compared
+    as elements.
     """
     # Stacked, m1's points come first on each edge and m2's follow them.
     n_west = m1.n_west + m2.n_west
@@ -379,21 +458,30 @@ def check_product_compatibility(
         for i, j in enumerate(m.partners):
             stacked[place[i]] = place[j]
     ts = evaluate_table(n_west, tuple(stacked))
-    zero = SkeinElement.zero()
     # Keys of equal arities concatenate injectively, so each stacked key is met at most once.
     met = 0
     for (w1, e1), v1 in t1.items():
         for (w2, e2), v2 in t2.items():
             got = ts.get((w1 + w2, e1 + e2))
-            if got is None:
-                got = zero
+            met += got is not None
+            (x1, a), (x2, b) = v1, v2
+            if got is not None and got[0] == x1 * x2 and got[1] == (a[0] + b[0], a[1] + b[1]):
+                ok = not got[0] or _stacks_to_product(a, b)
             else:
-                met += 1
-            if got != bigon_skein.mul(v1, v2):
+                value = SkeinElement.zero() if got is None else entry_value(got)
+                ok = value == bigon_skein.mul(entry_value(v1), entry_value(v2))
+            if not ok:
                 return False, f"product compatibility fails at {m1} x {m2}"
     if met != len(ts):
         return False, f"product compatibility fails at {m1} x {m2}"
     return True, None
+
+
+@memoized("internal_skein._stack_memo")
+def _stacks_to_product(a: ParallelKey, b: ParallelKey) -> bool:
+    """Whether the parallel diagram of a's states above b's reduces to the
+    product of their reductions."""
+    return reduce_parallel(a[0] + b[0], a[1] + b[1]) == bigon_skein.mul(reduce_parallel(*a), reduce_parallel(*b))
 
 
 def check_braided_opposite(degree_bound: int) -> tuple[bool, str | None]:

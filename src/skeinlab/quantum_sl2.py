@@ -13,6 +13,14 @@ families are a linear basis.
 Also provided: the dual pairing with the quantized enveloping algebra
 generators E, F, K, K^-1, and the transport isomorphism to and from the
 bigon skein algebra (a <-> beta(+;+) etc.).
+
+As in ``bigon_skein``, each map is a memoized form on basis keys plus its
+linear extension: ``mul_basis`` per pair of PBW monomials, ``comul_basis``
+and ``to_skein_basis`` per monomial, ``_pair_gen_mono`` per enveloping
+generator and monomial, and ``from_skein_basis`` per basis tangle.  A
+form's result is shared, so callers must not mutate it; ``mul``, ``comul``,
+``to_skein``, ``from_skein`` and ``pairing`` return new values, and
+``HopfTensor.mul`` multiplies leg by leg through ``mul_basis``.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from . import bigon_skein
-from .diagram import SkeinElement
+from .diagram import BasisTangle, SkeinElement, memoized
 from .scalar import ONE, ZERO, HalfLaurent, InternedKey, LinearCombination
 
 U_GENERATORS = ("E", "F", "K", "Kinv")
@@ -136,13 +144,20 @@ def normalize(word: Iterable[str]) -> HopfElement:
     return out
 
 
+@memoized("quantum_sl2._mul_memo")
+def mul_basis(m: PBWMonomial, n: PBWMonomial) -> HopfElement:
+    """Normal form of the product m n: m right-multiplied by n's letters."""
+    out = HopfElement.of(m)
+    for letter in n.letters():
+        out = _times_letter(out, letter)
+    return out
+
+
 def mul(x: HopfElement, y: HopfElement) -> HopfElement:
     out = HopfElement.zero()
-    for m, c in y.items():
-        part = x
-        for letter in m.letters():
-            part = _times_letter(part, letter)
-        out.add_scaled(part, c)
+    for m, c in x.items():
+        for n, d in y.items():
+            out.add_scaled(mul_basis(m, n), c * d)
     return out
 
 
@@ -177,10 +192,9 @@ class HopfTensor(LinearCombination):
         out = HopfTensor()
         for (m1, m2), c in self.items():
             for (n1, n2), d in other.items():
-                left = mul(HopfElement.of(m1), HopfElement.of(n1))
-                right = mul(HopfElement.of(m2), HopfElement.of(n2))
-                for p1, c1 in left.items():
-                    for p2, c2 in right.items():
+                right = mul_basis(m2, n2).items()
+                for p1, c1 in mul_basis(m1, n1).items():
+                    for p2, c2 in right:
                         out.add_term((p1, p2), c * d * c1 * c2)
         return out
 
@@ -193,18 +207,17 @@ class HopfTensor(LinearCombination):
         return f"HopfTensor({str(self)!r})"
 
 
-def comul(x: HopfElement) -> HopfTensor:
-    """Coproduct, extended to normal forms as an algebra map."""
-    out = HopfTensor()
-    for m, c in x.items():
-        part = HopfTensor.one()
-        for letter in m.letters():
-            step = HopfTensor(
-                {(_letter_mono(l1), _letter_mono(l2)): ONE for l1, l2 in _COPRODUCT_LETTER[letter]}
-            )
-            part = part.mul(step)
-        out.add_scaled(part, c)
+@memoized("quantum_sl2._comul_memo")
+def comul_basis(m: PBWMonomial) -> HopfTensor:
+    """Coproduct of a PBW monomial: the product of its letters' coproducts."""
+    out = HopfTensor.one()
+    for letter in m.letters():
+        step = HopfTensor({(_letter_mono(l1), _letter_mono(l2)): ONE for l1, l2 in _COPRODUCT_LETTER[letter]})
+        out = out.mul(step)
     return out
+
+
+comul = bigon_skein.linear(comul_basis, HopfTensor)
 
 
 def counit(x: HopfElement) -> HalfLaurent:
@@ -242,6 +255,7 @@ _PAIR_LETTER: dict[str, dict[str, HalfLaurent]] = {
 _U_COUNIT = {"K": ONE, "Kinv": ONE, "E": HalfLaurent.zero(), "F": HalfLaurent.zero()}
 
 
+@memoized("quantum_sl2._pair_memo")
 def _pair_gen_mono(g: str, m: PBWMonomial) -> HalfLaurent:
     """<g, m> for one enveloping-algebra generator and one PBW monomial."""
     letters = list(m.letters())
@@ -290,22 +304,20 @@ def pairing(word: Sequence[str], x: HopfElement) -> HalfLaurent:
 _TANGLE_TO_LETTER = {v: k for k, v in bigon_skein._GEN_KEYS.items()}
 
 
-def to_skein(x: HopfElement) -> SkeinElement:
-    """Send each PBW monomial to the product of its generator tangles."""
-    out = SkeinElement.zero()
-    for m, c in x.items():
-        factors = [bigon_skein.generator(letter) for letter in m.letters()]
-        out.add_scaled(bigon_skein.mul_many(factors), c)
-    return out
+@memoized("quantum_sl2._to_skein_memo")
+def to_skein_basis(m: PBWMonomial) -> SkeinElement:
+    """The product of the generator tangles of m's letters."""
+    return bigon_skein.mul_many(bigon_skein.generator(letter) for letter in m.letters())
 
 
-def from_skein(y: SkeinElement) -> HopfElement:
-    """Send each basis tangle to the normal form of its strand-wise word."""
-    out = HopfElement.zero()
-    for b, c in y.items():
-        word = [_TANGLE_TO_LETTER[(b.mu[i], b.nu[i])] for i in range(b.n)]
-        out.add_scaled(normalize(word), c)
-    return out
+@memoized("quantum_sl2._from_skein_memo")
+def from_skein_basis(b: BasisTangle) -> HopfElement:
+    """The normal form of b's strand-wise word."""
+    return normalize(_TANGLE_TO_LETTER[(b.mu[i], b.nu[i])] for i in range(b.n))
+
+
+to_skein = bigon_skein.linear(to_skein_basis)
+from_skein = bigon_skein.linear(from_skein_basis, HopfElement.zero)
 
 
 def pbw_monomials(max_degree: int) -> list[PBWMonomial]:

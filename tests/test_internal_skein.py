@@ -8,11 +8,17 @@ import skeinlab.bigon_skein as B
 import skeinlab.comodule_rt as CM
 import skeinlab.internal_skein as IS
 import skeinlab.quantum_sl2 as QS
-from skeinlab.diagram import CBAR, SkeinElement, UNIT_TANGLE, BasisTangle, C, evaluate_arcs
-from skeinlab.scalar import LOOP, P, Q, HalfLaurent
+from skeinlab.diagram import CBAR, SkeinElement, UNIT_TANGLE, BasisTangle, C, evaluate_arcs, memo_clear
+from skeinlab.scalar import LOOP, ONE, P, Q, HalfLaurent
 from skeinlab.suites import DEFAULT_SPECS, ranks
 
 s = HalfLaurent.s_pow
+
+
+def value(table, key):
+    """The element a table holds at ``key``: zero where it has no entry."""
+    entry = table.get(key)
+    return SkeinElement.zero() if entry is None else IS.entry_value(entry)
 
 
 def identity_matching(n):
@@ -47,8 +53,9 @@ def test_matching_validation():
 def test_st_map_west_arc():
     m = IS.Matching(2, 0, ((("w", 0), ("w", 1)),))
     table = IS.st_map(m)
-    assert table[((1, -1), ())] == SkeinElement.of(UNIT_TANGLE, s(5, -1))
-    assert table[((-1, 1), ())] == SkeinElement.of(UNIT_TANGLE, s(1))
+    assert table[((1, -1), ())] == (s(5, -1), ((), ()))
+    assert value(table, ((1, -1), ())) == SkeinElement.of(UNIT_TANGLE, s(5, -1))
+    assert value(table, ((-1, 1), ())) == SkeinElement.of(UNIT_TANGLE, s(1))
     # Equal states on the arc give zero, which the table leaves out.
     assert len(table) == 2
 
@@ -63,7 +70,7 @@ def test_matching_word_realizes_matching():
             table = IS.st_map(m)
             for west in CM.state_tuples(nw):
                 for east in CM.state_tuples(ne):
-                    assert reduce(StatedWord(word, west, east)) == table.get((west, east), SkeinElement.zero())
+                    assert reduce(StatedWord(word, west, east)) == value(table, (west, east))
 
 
 def test_canonical_word_traces_back_to_the_partner_tuple():
@@ -85,17 +92,18 @@ def test_canonical_word_traces_back_to_the_partner_tuple():
 def test_st_map_through_strand():
     m = identity_matching(1)
     table = IS.st_map(m)
-    assert table[((1,), (1,))] == SkeinElement.of(BasisTangle(1, (1,), (1,)))
-    assert table[((1,), (-1,))] == SkeinElement.of(BasisTangle(1, (1,), (-1,)))
+    assert table[((1,), (-1,))] == (ONE, ((1,), (-1,)))
+    assert value(table, ((1,), (1,))) == SkeinElement.of(BasisTangle(1, (1,), (1,)))
+    assert value(table, ((1,), (-1,))) == SkeinElement.of(BasisTangle(1, (1,), (-1,)))
 
 
 def test_st_map_nested_east_arcs():
     m = IS.Matching(0, 4, ((("e", 0), ("e", 3)), (("e", 1), ("e", 2))))
     table = IS.st_map(m)
     # Innermost (+,-) then outer (+,-) multiply the arc weights.
-    assert table[((), (1, 1, -1, -1))] == SkeinElement.of(UNIT_TANGLE, s(-1) * s(-1))
+    assert value(table, ((), (1, 1, -1, -1))) == SkeinElement.of(UNIT_TANGLE, s(-1) * s(-1))
     # Innermost (-,+) gives -q^(-5/2), outer then reads (+,-): q^(-1/2).
-    assert table[((), (1, -1, 1, -1))] == SkeinElement.of(UNIT_TANGLE, s(-6, -1))
+    assert value(table, ((), (1, -1, 1, -1))) == SkeinElement.of(UNIT_TANGLE, s(-6, -1))
 
 
 def test_intertwiner_small():
@@ -112,8 +120,9 @@ def _matchings(max_points):
 
 
 def _direct_lifts(m, table):
-    """The lift sums over all states kappa, with X the coaction matrix of
-    V^(x)n built in O_q(SL2) and transported entry by entry."""
+    """The lift sums over all states kappa of a table of elements (as
+    ``_densify`` gives), with X the coaction matrix of V^(x)n built in
+    O_q(SL2) and transported entry by entry."""
     xs = {
         n: [[QS.to_skein(h) for h in row] for row in CM.tensor_power_V(n).coaction]
         for n in {m.n_west, m.n_east}
@@ -139,8 +148,8 @@ def test_factorized_lifts_equal_direct_sums():
     compared = 0
     for m in _matchings(6):
         table = IS.st_map(m)
-        lifts = {(side, outer): row for side, outer, _, row in IS._lift_rows(m, table)}
-        direct_east, direct_west = _direct_lifts(m, table)
+        lifts = {(side, outer): IS._row_lifts(line, side == "east") for side, outer, line in IS._lines(m, table)}
+        direct_east, direct_west = _direct_lifts(m, _densify(m, table))
         for (w, e), want in direct_east.items():
             assert lifts[("east", w)].get(e, zero) == want, (m, w, e)
             assert lifts[("west", e)].get(w, zero) == direct_west[(w, e)], (m, w, e)
@@ -155,11 +164,11 @@ def test_lift_check_catches_a_scaled_entry():
     for m in IS.enumerate_matchings(2, 2) + IS.enumerate_matchings(0, 4):
         table = IS.st_map(m)
         assert IS.check_st_intertwiner(m, table) == (True, None)
-        for key, elem in table.items():
-            if elem.is_zero():
+        for key, (weight, through) in table.items():
+            if not weight:
                 continue
             mutated = dict(table)
-            mutated[key] = elem.scale(Q)
+            mutated[key] = (weight * Q, through)
             ok, witness = IS.check_st_intertwiner(m, mutated)
             assert not ok and "lift fails" in witness, (m, key)
             mutants += 1
@@ -305,10 +314,10 @@ def test_naturality_catches_a_scaled_entry():
     for m in _matchings(4):
         table = IS.st_map(m)
         for kind, side, pos in IS.all_naturality_checks(m):
-            for key, elem in table.items():
-                if elem.is_zero():
+            for key, (weight, through) in table.items():
+                if not weight:
                     continue
-                mutated = {**table, key: elem.scale(Q)}
+                mutated = {**table, key: (weight * Q, through)}
                 ok, _ = IS.check_st_naturality(m, kind, side, pos, mutated)
                 pair = key[0 if side == "w" else 1][pos : pos + 2]
                 assert ok == (kind == "cup" and pair[0] == pair[1]), (m, kind, side, pos, key)
@@ -361,7 +370,9 @@ def test_contract_of_a_zero_row_is_empty():
     # West state (+,+) of a west arc has only zero entries, so the sparse
     # table gives its row of east lifts nothing to contract.
     m = IS.Matching(2, 0, ((("w", 0), ("w", 1)),))
-    rows = {(side, outer): (entries, lifts) for side, outer, entries, lifts in IS._lift_rows(m, IS.st_map(m))}
+    rows = {
+        (side, outer): (line, IS._row_lifts(line, side == "east")) for side, outer, line in IS._lines(m, IS.st_map(m))
+    }
     assert rows[("east", (1, 1))] == ({}, {})
     assert IS._contract({}, 1) == {}
 
@@ -369,18 +380,26 @@ def test_contract_of_a_zero_row_is_empty():
 def test_lift_check_fails_on_a_lift_at_a_zero_key(monkeypatch):
     # Where the table has no entry, the entry and its coproduct are zero, so
     # a non-zero lift there breaks the identity.
+    # Row verdicts are memoized, so the memos are cleared around each
+    # patched check.  The first east row is the empty one of west state
+    # (1, 1); the west row of east state () has no entry at (1, 1).
     m = IS.Matching(2, 0, ((("w", 0), ("w", 1)),))
     table = IS.st_map(m)
-    lift_rows = IS._lift_rows
+    row_lifts = IS._row_lifts
     spurious = B.tensor2(SkeinElement.unit(), SkeinElement.unit())
     for side, outer, inner in (("east", (1, 1), ()), ("west", (), (1, 1))):
 
-        def patched(m, table):
-            for s, o, entries, lifts in lift_rows(m, table):
-                yield s, o, entries, {**lifts, inner: spurious} if (s, o) == (side, outer) else lifts
+        def patched(line, leg):
+            lifts = row_lifts(line, leg)
+            return {**lifts, inner: spurious} if leg == (side == "east") else lifts
 
-        monkeypatch.setattr(IS, "_lift_rows", patched)
-        assert IS.check_st_intertwiner(m, table) == (False, f"{side} lift fails at {m} states (1, 1)/()")
+        monkeypatch.setattr(IS, "_row_lifts", patched)
+        memo_clear()
+        try:
+            assert IS.check_st_intertwiner(m, table) == (False, f"{side} lift fails at {m} states (1, 1)/()")
+        finally:
+            monkeypatch.undo()
+            memo_clear()
 
 
 # Dense reference: tables over every state vector, zeros included, and the
@@ -397,8 +416,7 @@ def _dense_st_map(m):
 
 
 def _densify(m, table):
-    zero = SkeinElement.zero()
-    return {key: table.get(key, zero) for key in _dense_st_map(m)}
+    return {key: value(table, key) for key in _dense_st_map(m)}
 
 
 def _dense_check_lifts(m, table):
@@ -440,20 +458,20 @@ def test_sparse_st_map_equals_nonzero_dense_entries():
     matchings = 0
     for m in _matchings(8):
         nonzero = [(key, elem) for key, elem in _dense_st_map(m).items() if not elem.is_zero()]
-        assert list(IS.st_map(m).items()) == nonzero, m
+        assert [(key, IS.entry_value(entry)) for key, entry in IS.st_map(m).items()] == nonzero, m
         matchings += 1
     assert matchings == 175
 
 
 def _mutants(m, table):
     """(kind, mutated table) for a scaled and a dropped non-zero entry, and
-    a spurious non-zero entry at a zero key."""
-    for key, elem in table.items():
-        yield "scaled", {**table, key: elem.scale(Q)}
+    a spurious non-zero entry at a zero key, each in factored form."""
+    for key, (weight, through) in table.items():
+        yield "scaled", {**table, key: (weight * Q, through)}
         yield "dropped", {k: v for k, v in table.items() if k != key}
     for key in _dense_st_map(m):
         if key not in table:
-            yield "spurious", {**table, key: SkeinElement.unit()}
+            yield "spurious", {**table, key: (ONE, ((), ()))}
 
 
 def test_sparse_checks_agree_with_dense_checks_on_mutants():
@@ -481,8 +499,8 @@ def test_sparse_checks_agree_with_dense_checks_on_mutants():
                 t2 = IS.st_map(m2)
                 assert not IS.check_product_compatibility(m, m2, mutated, t2)[0], (m, m2, kind)
                 assert not IS.check_product_compatibility(m2, m, t2, mutated)[0], (m2, m, kind)
-                assert not _dense_check_product(m, m2, dense, t2), (m, m2, kind)
-                assert not _dense_check_product(m2, m, t2, dense), (m2, m, kind)
+                assert not _dense_check_product(m, m2, dense, _densify(m2, t2)), (m, m2, kind)
+                assert not _dense_check_product(m2, m, _densify(m2, t2), dense), (m2, m, kind)
             mutants[kind] += 1
     assert mutants == {"scaled": 76, "dropped": 76, "spurious": 96}
 
@@ -490,3 +508,129 @@ def test_sparse_checks_agree_with_dense_checks_on_mutants():
 def test_braided_opposite_degree_one():
     ok, witness = IS.check_braided_opposite(1)
     assert ok, witness
+
+
+# Factored tables: each row of lifts is contracted once per process in its
+# normalized form, and the product and naturality checks compare weights
+# where the parallel diagrams agree.
+
+
+def _normalized_rows(m, table):
+    """Each row of lifts as tuples: its side, then per entry its inner
+    states, through states and weight over the row's first weight."""
+    rows = {("east", west): [] for west in CM.state_tuples(m.n_west)}
+    rows.update({("west", east): [] for east in CM.state_tuples(m.n_east)})
+    for (west, east), (weight, through) in table.items():
+        rows[("east", west)].append((east, through, weight))
+        rows[("west", east)].append((west, through, weight))
+    for (side, _), row in rows.items():
+        unit = row[0][2] if row else ONE
+        yield side, tuple((inner, through, weight * unit.inverse()) for inner, through, weight in row)
+
+
+def _counting_contract(monkeypatch):
+    calls = []
+    contract = IS._contract
+
+    def counting(lifts, leg):
+        calls.append(leg)
+        return contract(lifts, leg)
+
+    monkeypatch.setattr(IS, "_contract", counting)
+    return calls
+
+
+def test_lift_check_contracts_each_normalized_row_once(monkeypatch):
+    calls = _counting_contract(monkeypatch)
+    memo_clear()
+    rows, distinct = 0, set()
+    for m in _matchings(6):
+        table = IS.st_map(m)
+        assert IS.check_st_intertwiner(m, table) == (True, None)
+        normalized = list(_normalized_rows(m, table))
+        rows += len(normalized)
+        distinct.update(normalized)
+    assert len(calls) == len(distinct)
+    assert (rows, len(distinct)) == (1410, 100)
+    memo_clear()
+
+
+def _reference_lift_witness(m, table):
+    """The first failing lift identity of ``table`` from the direct sums: east
+    rows by west state, then west rows by east state, and in a row its
+    entries in table order, then its other states."""
+    east, west = _direct_lifts(m, _densify(m, table))
+    west_states, east_states = CM.state_tuples(m.n_west), CM.state_tuples(m.n_east)
+    sides = (("east", east, west_states, east_states), ("west", west, east_states, west_states))
+    for side, lifts, outers, inners in sides:
+        for outer in outers:
+            key_of = (lambda inner: (outer, inner)) if side == "east" else (lambda inner: (inner, outer))
+            order = [i for i in inners if key_of(i) in table] + [i for i in inners if key_of(i) not in table]
+            for inner in order:
+                if lifts[key_of(inner)] != B.comul(value(table, key_of(inner))):
+                    w, e = key_of(inner)
+                    return f"{side} lift fails at {m} states {w}/{e}"
+    return None
+
+
+def test_lift_check_fails_a_unit_multiple_with_one_entry_scaled(monkeypatch):
+    # Every row of a unit multiple of a checked table is a unit times a row
+    # that passed, so it is not contracted again and passes.  Scaling one of
+    # its entries by q makes a new row, which fails where the direct sums do
+    # (except on the empty matching, whose lift identities hold for any
+    # scalar entry).
+    unit = s(3, -1)
+    calls = _counting_contract(monkeypatch)
+    failed = 0
+    for m in _matchings(4):
+        table = IS.st_map(m)
+        assert IS.check_st_intertwiner(m, table) == (True, None)
+        multiple = {key: (unit * weight, through) for key, (weight, through) in table.items()}
+        calls.clear()
+        assert IS.check_st_intertwiner(m, multiple) == (True, None)
+        assert not calls, m
+        for key, (weight, through) in multiple.items():
+            mutated = {**multiple, key: (weight * Q, through)}
+            witness = _reference_lift_witness(m, mutated)
+            assert IS.check_st_intertwiner(m, mutated) == (witness is None, witness), (m, key)
+            failed += witness is not None
+    assert failed == 76
+    m = IS.Matching(1, 3, ((("w", 0), ("e", 2)), (("e", 0), ("e", 1))))
+    multiple = {key: (unit * weight, through) for key, (weight, through) in IS.st_map(m).items()}
+    key = ((-1,), (1, -1, -1))
+    mutated = {**multiple, key: (multiple[key][0] * Q, multiple[key][1])}
+    assert IS.check_st_intertwiner(m, mutated) == (False, f"east lift fails at {m} states (-1,)/(1, -1, 1)")
+
+
+def test_product_shortcut_agrees_with_elementwise_comparison(monkeypatch):
+    # On the unmutated tables every pair of entries takes the shortcut; on
+    # the mutants the verdict is the dense elementwise one.
+    from skeinlab.suites import PRODUCT_POINTS
+
+    shortcuts = []
+    stacks_to_product = IS._stacks_to_product
+    monkeypatch.setattr(IS, "_stacks_to_product", lambda a, b: shortcuts.append((a, b)) or stacks_to_product(a, b))
+    factors = [(m, IS.st_map(m)) for m in _matchings(PRODUCT_POINTS)]
+    pairs = entry_pairs = 0
+    for m1, t1 in factors:
+        for m2, t2 in factors:
+            assert IS.check_product_compatibility(m1, m2, t1, t2) == (True, None)
+            assert _dense_check_product(m1, m2, _densify(m1, t1), _densify(m2, t2))
+            pairs += 1
+            entry_pairs += len(t1) * len(t2)
+    assert pairs == 196 and len(shortcuts) == entry_pairs
+    mutants = 0
+    for m in _matchings(4):
+        for _, mutated in _mutants(m, IS.st_map(m)):
+            dense = _densify(m, mutated)
+            for m2 in _matchings(2):
+                t2 = IS.st_map(m2)
+                assert IS.check_product_compatibility(m, m2, mutated, t2)[0] == _dense_check_product(
+                    m, m2, dense, _densify(m2, t2)
+                ), (m, m2)
+                assert IS.check_product_compatibility(m2, m, t2, mutated)[0] == _dense_check_product(
+                    m2, m, _densify(m2, t2), dense
+                ), (m2, m)
+            mutants += 1
+    # The mutants of the non-empty matchings, and a scaled and a dropped entry of the empty one.
+    assert mutants == 76 + 76 + 96 + 2

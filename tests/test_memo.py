@@ -39,6 +39,13 @@ MEMOS = {
     "excision._splitting_memo",
     "excision._torus_memo",
     "internal_skein._x1_product_memo",
+    "internal_skein._row_memo",
+    "internal_skein._stack_memo",
+    "quantum_sl2._mul_memo",
+    "quantum_sl2._comul_memo",
+    "quantum_sl2._pair_memo",
+    "quantum_sl2._to_skein_memo",
+    "quantum_sl2._from_skein_memo",
     "scalar._product_memo",
 }
 
@@ -63,6 +70,12 @@ def test_memo_clear_empties_every_memo():
     B.r_form(a, a)
     m = IS.Matching(1, 1, ((("w", 0), ("e", 0)),))
     IS.check_st_intertwiner(m, IS.st_map(m))
+    IS.check_product_compatibility(m, m, IS.st_map(m), IS.st_map(m))
+    x = QS.gen("a")
+    QS.mul(x, x)
+    QS.comul(x)
+    QS.pairing(["K"], x)
+    QS.from_skein(QS.to_skein(x))
     EX.invariants_subspace(0, "inv", Fraction(7, 5))
     EX.splitting_image_in_kernel(0, "inv")
     EX.torus_premise(0, "inv")
@@ -132,8 +145,10 @@ def test_reduction_memo_holds_only_parallel_diagrams():
     # their through strands are memoized, at most 4^n for n strands.
     memo_clear()
     for m in _st_sweep(8):
-        IS.st_map(m)
+        for entry in IS.st_map(m).values():
+            IS.entry_value(entry)
     memo = D._MEMOS["diagram._memo"]
+    assert memo
     assert all(len(west) == len(east) for west, east in memo)
     assert len(memo) <= sum(4**n for n in range(5))
     assert memo_sizes()["diagram._plan_memo"] == 175
@@ -154,6 +169,7 @@ def test_st_intertwiner_leg_products_per_matching(monkeypatch):
     # Each edge's lift makes n 2^(n+1) generator products per state of the
     # other edge, where the direct sum makes 4^n tensor products.  A call of
     # the kernel's step multiplies one part by X1[k, +] and by X1[k, -].
+    # Rows are contracted once per process, so each matching starts cold.
     calls = Counter()
     times_generators = IS._times_generators
 
@@ -164,6 +180,7 @@ def test_st_intertwiner_leg_products_per_matching(monkeypatch):
     monkeypatch.setattr(IS, "_times_generators", counting)
     for m in _st_sweep(6):
         calls.clear()
+        memo_clear()
         assert IS.check_st_intertwiner(m, IS.st_map(m)) == (True, None)
         nw, ne = m.n_west, m.n_east
         bound = 2**nw * ne * 2 ** (ne + 1) + 2**ne * nw * 2 ** (nw + 1)

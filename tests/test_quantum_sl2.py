@@ -1,5 +1,11 @@
+import functools
+import itertools
+import operator
+import random
+
 import pytest
 
+import skeinlab.bigon_skein as B
 import skeinlab.quantum_sl2 as QS
 from skeinlab.diagram import BasisTangle, SkeinElement
 from skeinlab.scalar import ONE, HalfLaurent
@@ -111,3 +117,53 @@ def test_roundtrip_degree_three():
     for m in QS.pbw_monomials(3):
         x = QS.HopfElement.of(m)
         assert QS.from_skein(QS.to_skein(x)) == x
+
+
+def _seeded_elements(seed, basis, zero):
+    """Five elements of three distinct basis keys each, with seeded Laurent coefficients."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(5):
+        x = zero()
+        for key in rng.sample(basis, 3):
+            x.add_term(key, HalfLaurent({rng.randrange(-6, 7): rng.choice((1, -1, 2)), rng.randrange(-6, 7): 1}))
+        out.append(x)
+    return out
+
+
+def _sum(terms, zero):
+    return functools.reduce(operator.add, terms, zero())
+
+
+def test_mul_basis_is_the_normal_form_of_the_concatenated_letters():
+    monomials = QS.pbw_monomials(3)
+    for m in monomials:
+        for n in monomials:
+            assert QS.mul_basis(m, n) == QS.normalize([*m.letters(), *n.letters()]), (m, n)
+
+
+def test_element_maps_are_the_linear_extensions_of_their_basis_forms():
+    monomials = QS.pbw_monomials(3)
+    xs = _seeded_elements(3701, monomials, QS.HopfElement.zero)
+    ys = _seeded_elements(3702, monomials, QS.HopfElement.zero)
+    for x, y in zip(xs, ys):
+        pairs = ((QS.mul_basis(m, n), c * d) for m, c in x.items() for n, d in y.items())
+        assert QS.mul(x, y) == _sum((form * c for form, c in pairs), QS.HopfElement.zero)
+        assert QS.comul(x) == _sum((QS.comul_basis(m) * c for m, c in x.items()), QS.HopfTensor)
+        assert QS.to_skein(x) == _sum((QS.to_skein_basis(m) * c for m, c in x.items()), SkeinElement.zero)
+        for g in QS.U_GENERATORS:
+            assert QS.pairing([g], x) == sum((QS._pair_gen_mono(g, m) * c for m, c in x.items()), HalfLaurent.zero())
+    for y in _seeded_elements(3703, B.basis_tangles(3), SkeinElement.zero):
+        assert QS.from_skein(y) == _sum((QS.from_skein_basis(b) * c for b, c in y.items()), QS.HopfElement.zero)
+
+
+def test_hopf_tensor_product_reads_the_product_forms():
+    # HopfTensor.mul multiplies leg by leg: (m1 (x) m2)(n1 (x) n2) = m1 n1 (x) m2 n2.
+    monomials = QS.pbw_monomials(2)
+    for m1, m2, n1, n2 in itertools.product(monomials[:6], repeat=4):
+        got = QS.HopfTensor.of((m1, m2)).mul(QS.HopfTensor.of((n1, n2)))
+        want = QS.HopfTensor()
+        for p1, c1 in QS.normalize([*m1.letters(), *n1.letters()]).items():
+            for p2, c2 in QS.normalize([*m2.letters(), *n2.letters()]).items():
+                want.add_term((p1, p2), c1 * c2)
+        assert got == want, (m1, m2, n1, n2)
