@@ -3,9 +3,11 @@
 Morphism spaces of the Temperley-Lieb category sitting in the bigon are
 spanned by planar perfect matchings of the boundary points (west points read
 top to bottom, then east points back up, so planarity is the usual
-non-crossing condition on a circle).  Assigning all possible boundary states
-to a matching and reducing yields a table, i.e. a linear map from a tensor
-power of the standard corepresentation into the bigon skein algebra.  A
+non-crossing condition on a circle).  A ``Matching`` is its partner tuple
+(``diagram.Partners``), the one form in which it is validated, enumerated,
+traced, tabulated and printed.  Assigning all possible boundary states to a
+matching and reducing yields a table, i.e. a linear map from a tensor power
+of the standard corepresentation into the bigon skein algebra.  A
 returning arc with equal states vanishes, so a table holds only the entries
 whose returning arcs have opposite states; every other entry is zero.  The
 checks in this module make that correspondence executable:
@@ -61,8 +63,6 @@ from .diagram import (
 from .scalar import LOOP, ONE, ZERO, HalfLaurent, Value
 
 StateVec = tuple[State, ...]
-Endpoint = tuple[str, int]  # ("w" | "e", position)
-Arcs = tuple[tuple[Endpoint, Endpoint], ...]
 
 
 class MatchingError(ValueError):
@@ -70,43 +70,41 @@ class MatchingError(ValueError):
 
 
 class Matching(Value):
-    """Planar perfect matching of bigon boundary points, given by its arcs
-    between endpoints ("w" | "e", position)."""
+    """Planar perfect matching of bigon boundary points, given by its partner
+    tuple (``diagram.Partners``): for each west point and then each east
+    point, the index of the point it is joined to.
 
-    #: ``partners`` is the matching as ``diagram`` holds it, and ``word`` its
-    #: canonical crossingless word, traced once by the planarity check; both
-    #: are derived, so they stay out of ``==`` and the repr.
-    __slots__ = ("n_west", "n_east", "pairs", "partners", "word")
+    ``n_east`` and ``word``, the canonical crossingless word traced by the
+    planarity check, are derived, so they stay out of ``==`` and the repr.
+    """
 
-    def __init__(self, n_west: int, n_east: int, pairs: Arcs) -> None:
-        pairs = tuple(sorted(tuple(sorted(p)) for p in pairs))
-        total = n_west + n_east
-        if total % 2:
-            raise MatchingError("odd number of boundary points")
-        seen: set[Endpoint] = set()
-        for a, b in pairs:
-            seen.update((a, b))
-        points = [("w", i) for i in range(n_west)] + [("e", j) for j in range(n_east)]
-        if seen != set(points) or 2 * len(pairs) != total:
-            raise MatchingError("pairs must match every boundary point exactly once")
-        index = {p: i for i, p in enumerate(points)}
-        partner = [0] * total
-        for a, b in pairs:
-            partner[index[a]], partner[index[b]] = index[b], index[a]
-        partners = tuple(partner)
+    __slots__ = ("n_west", "partners", "n_east", "word")
+
+    def __init__(self, n_west: int, partners: Partners) -> None:
+        partners = tuple(partners)
+        total = len(partners)
+        if not 0 <= n_west <= total:
+            raise MatchingError(f"west arity {n_west} out of range for {total} points")
+        if any(not 0 <= j < total or j == i or partners[j] != i for i, j in enumerate(partners)):
+            raise MatchingError("partners must join every boundary point to another exactly once")
         try:
             word = partners_to_word(n_west, partners)
         except DiagramError as exc:
             raise MatchingError("matching is not planar") from exc
-        self._set_fields((n_west, n_east, pairs), partners, word)
+        self._set_fields((n_west, partners), total - n_west, word)
 
     def __str__(self) -> str:
-        body = ",".join(f"{a[0]}{a[1]}-{b[0]}{b[1]}" for a, b in self.pairs)
+        """``matching(nw,ne:...)``, its arcs between endpoints ("w" | "e", position) sorted."""
+        point = lambda i: ("w", i) if i < self.n_west else ("e", i - self.n_west)
+        arcs = sorted(sorted((point(i), point(j))) for i, j in enumerate(self.partners) if i < j)
+        body = ",".join(f"{a}{i}-{b}{j}" for (a, i), (b, j) in arcs)
         return f"matching({self.n_west},{self.n_east}:{body})"
 
 
 def enumerate_matchings(n_west: int, n_east: int) -> list[Matching]:
-    """All planar matchings; the count is the Catalan number of half the points."""
+    """All planar matchings; the count is the Catalan number of half the points.
+    The recursion pairs circular positions: west points top to bottom, then
+    east points back up (``point`` maps them to the partner tuple's indices)."""
     total = n_west + n_east
     if total % 2:
         raise MatchingError("odd number of boundary points")
@@ -120,15 +118,13 @@ def enumerate_matchings(n_west: int, n_east: int) -> list[Matching]:
                 for outer in points(j + 1, hi):
                     yield ((lo, j),) + inner + outer
 
-    def from_circular(i: int) -> Endpoint:
-        if i < n_west:
-            return ("w", i)
-        return ("e", n_east - 1 - (i - n_west))
-
+    point = [*range(n_west), *range(total - 1, n_west - 1, -1)]
     out = []
     for circ_pairs in points(0, total - 1):
-        pairs = tuple((from_circular(a), from_circular(b)) for a, b in circ_pairs)
-        out.append(Matching(n_west, n_east, pairs))
+        partners = [0] * total
+        for a, b in circ_pairs:
+            partners[point[a]], partners[point[b]] = point[b], point[a]
+        out.append(Matching(n_west, partners))
     return out
 
 

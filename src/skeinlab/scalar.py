@@ -248,11 +248,12 @@ class HalfLaurent:
         return out
 
     def inverse(self) -> HalfLaurent:
-        """Inverse of a monomial c*s^e; other elements are not units here."""
+        """Inverse of a monomial c*s^e; other elements are not units here.
+        A unit c (every arc weight's) builds no ``Fraction``."""
         if len(self._terms) != 1:
             raise ScalarError(f"not an invertible monomial: {self}")
         ((e, c),) = self._terms.items()
-        return HalfLaurent({-e: Fraction(1, c)})
+        return HalfLaurent({-e: c if c in (1, -1) else Fraction(1, c)})
 
     # -- evaluation --------------------------------------------------------
 

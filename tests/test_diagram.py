@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from endpoint_reference import arcs_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -314,7 +315,7 @@ def test_closed_form_matches_recursive_reference():
             for m in enumerate_matchings(n_west, total - n_west):
                 for west in state_tuples(m.n_west):
                     for east in state_tuples(m.n_east):
-                        want = reference(m.n_west, m.n_east, m.pairs, west, east)
+                        want = reference(m.n_west, m.n_east, arcs_of(m), west, east)
                         assert evaluate_arcs(m.partners, west, east) == want, (m, west, east)
                         checked += 1
     # Every state assignment of all 175 matchings of at most 8 points.

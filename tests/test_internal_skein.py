@@ -1,7 +1,10 @@
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
+from endpoint_reference import arcs_of, endpoint_arc_lists, from_arcs, matching_str
 from q_reference import over_q
 
 import skeinlab.bigon_skein as B
@@ -22,14 +25,7 @@ def value(table, key):
 
 
 def identity_matching(n):
-    return IS.Matching(n, n, tuple((("w", i), ("e", i)) for i in range(n)))
-
-
-def partners_matching(n_west, partners):
-    """The ``Matching`` of a partner tuple with ``n_west`` west points."""
-    point = lambda i: ("w", i) if i < n_west else ("e", i - n_west)
-    pairs = tuple((point(i), point(j)) for i, j in enumerate(partners) if i < j)
-    return IS.Matching(n_west, len(partners) - n_west, pairs)
+    return from_arcs(n, n, tuple((("w", i), ("e", i)) for i in range(n)))
 
 
 def test_enumeration_counts():
@@ -45,13 +41,67 @@ def test_enumeration_counts():
 def test_matching_validation():
     with pytest.raises(IS.MatchingError):
         # Crossing pair pattern west0-east1 / west1-east0 is non-planar.
-        IS.Matching(2, 2, ((("w", 0), ("e", 1)), (("w", 1), ("e", 0))))
+        from_arcs(2, 2, ((("w", 0), ("e", 1)), (("w", 1), ("e", 0))))
     with pytest.raises(ValueError):
-        IS.Matching(2, 0, ((("w", 0), ("w", 0)),))
+        from_arcs(2, 0, ((("w", 0), ("w", 0)),))
+
+
+@pytest.mark.parametrize(
+    "n_west, partners, message",
+    [
+        (3, (1, 0, 1), "exactly once"),  # an odd count
+        (1, (1, 0, 2), "exactly once"),  # an odd count with a fixed point
+        (2, (0, 1), "exactly once"),  # fixed points
+        (0, (1, 2, 3, 0), "exactly once"),  # not an involution
+        (0, (1, 4, 3, 2), "exactly once"),  # an index out of range
+        (2, (1, -1), "exactly once"),  # a negative index
+        (3, (1, 0), "out of range"),  # a west arity out of range
+        (-1, (1, 0), "out of range"),
+        (2, (3, 2, 1, 0), "not planar"),  # w0-e1 crosses w1-e0
+        (0, (2, 3, 0, 1), "not planar"),  # e0-e2 crosses e1-e3
+    ],
+)
+def test_matching_constructor_rejects(n_west, partners, message):
+    with pytest.raises(IS.MatchingError, match=message):
+        IS.Matching(n_west, partners)
+
+
+def test_matching_from_its_partner_tuple():
+    m = IS.Matching(1, [3, 2, 1, 0])
+    assert (m.n_west, m.partners, m.n_east) == (1, (3, 2, 1, 0), 3)
+    assert m == from_arcs(1, 3, ((("w", 0), ("e", 2)), (("e", 0), ("e", 1))))
+    assert str(m) == "matching(1,3:e0-e1,e2-w0)"
+    assert repr(m) == "Matching(n_west=1, partners=(3, 2, 1, 0))"
+
+
+def test_enumeration_equals_endpoint_reference():
+    # str, partner tuple, word and order of every split of at most 10 points.
+    matchings = 0
+    for total in range(0, 11, 2):
+        for nw in range(total + 1):
+            ne = total - nw
+            want = []
+            for arcs in endpoint_arc_lists(nw, ne):
+                m = from_arcs(nw, ne, arcs)
+                want.append((matching_str(nw, ne, arcs), m.partners, m.word))
+            assert [(str(m), m.partners, m.word) for m in IS.enumerate_matchings(nw, ne)] == want
+            matchings += len(want)
+    assert matchings == 637
+
+
+def test_copies_and_pickles_rebuild_through_the_constructor(monkeypatch):
+    m = IS.Matching(2, (1, 0, 3, 2))
+    built = []
+    init = IS.Matching.__init__
+    monkeypatch.setattr(IS.Matching, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    copies = [copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))]
+    assert built == [(2, (1, 0, 3, 2))] * 3
+    for c in copies:
+        assert c == m and c is not m and (c.n_east, c.word) == (m.n_east, m.word)
 
 
 def test_st_map_west_arc():
-    m = IS.Matching(2, 0, ((("w", 0), ("w", 1)),))
+    m = from_arcs(2, 0, ((("w", 0), ("w", 1)),))
     table = IS.st_map(m)
     assert table[((1, -1), ())] == (s(5, -1), ((), ()))
     assert value(table, ((1, -1), ())) == SkeinElement.of(UNIT_TANGLE, s(5, -1))
@@ -74,16 +124,16 @@ def test_matching_word_realizes_matching():
 
 
 def test_canonical_word_traces_back_to_the_partner_tuple():
-    # The one conversion left between the two forms of a matching: the
-    # endpoint arcs a Matching is given, and the partner tuple diagram holds.
+    # A matching's word traces back to its partner tuple, and the tuple
+    # joins the ends of each of its endpoint arcs.
     from skeinlab.diagram import word_to_arcs
 
     checked = 0
     for m in _matchings(10):
         assert word_to_arcs(m.word) == (m.partners, 0), m
         index = lambda p: p[1] if p[0] == "w" else m.n_west + p[1]
-        assert len(m.partners) == m.n_west + m.n_east == 2 * len(m.pairs), m
-        for a, b in m.pairs:
+        assert len(m.partners) == m.n_west + m.n_east == 2 * len(arcs_of(m)), m
+        for a, b in arcs_of(m):
             assert m.partners[index(a)] == index(b) and m.partners[index(b)] == index(a), m
         checked += 1
     assert checked == sum((n + 1) * IS.catalan(n // 2) for n in range(0, 11, 2))
@@ -98,7 +148,7 @@ def test_st_map_through_strand():
 
 
 def test_st_map_nested_east_arcs():
-    m = IS.Matching(0, 4, ((("e", 0), ("e", 3)), (("e", 1), ("e", 2))))
+    m = from_arcs(0, 4, ((("e", 0), ("e", 3)), (("e", 1), ("e", 2))))
     table = IS.st_map(m)
     # Innermost (+,-) then outer (+,-) multiply the arc weights.
     assert value(table, ((), (1, 1, -1, -1))) == SkeinElement.of(UNIT_TANGLE, s(-1) * s(-1))
@@ -191,7 +241,7 @@ def test_naturality_exhaustive_small():
 
 
 def test_cup_insertion_makes_loop():
-    m = IS.Matching(0, 2, ((("e", 0), ("e", 1)),))
+    m = from_arcs(0, 2, ((("e", 0), ("e", 1)),))
     s, composite, loops = IS._compose(m, "cup", "e", 0)
     assert s == ("cap", 0)
     assert loops == 1
@@ -207,26 +257,26 @@ def _shift(p, side, at, by):
 
 
 def _old_insert_cap(m, side, pos):
-    pairs = tuple((_shift(a, side, pos, 2), _shift(b, side, pos, 2)) for a, b in m.pairs)
+    pairs = tuple((_shift(a, side, pos, 2), _shift(b, side, pos, 2)) for a, b in arcs_of(m))
     pairs += (((side, pos), (side, pos + 1)),)
     if side == "w":
-        return IS.Matching(m.n_west + 2, m.n_east, pairs)
-    return IS.Matching(m.n_west, m.n_east + 2, pairs)
+        return from_arcs(m.n_west + 2, m.n_east, pairs)
+    return from_arcs(m.n_west, m.n_east + 2, pairs)
 
 
 def _old_insert_cup(m, side, pos):
     partner = {}
-    for a, b in m.pairs:
+    for a, b in arcs_of(m):
         partner[a], partner[b] = b, a
     p1, p2 = (side, pos), (side, pos + 1)
-    new_pairs = [(a, b) for a, b in m.pairs if not {a, b} & {p1, p2}]
+    new_pairs = [(a, b) for a, b in arcs_of(m) if not {a, b} & {p1, p2}]
     loops = 1 if partner[p1] == p2 else 0
     if not loops:
         new_pairs.append((partner[p1], partner[p2]))
     pairs = tuple((_shift(a, side, pos + 2, -2), _shift(b, side, pos + 2, -2)) for a, b in new_pairs)
     if side == "w":
-        return IS.Matching(m.n_west - 2, m.n_east, pairs), loops
-    return IS.Matching(m.n_west, m.n_east - 2, pairs), loops
+        return from_arcs(m.n_west - 2, m.n_east, pairs), loops
+    return from_arcs(m.n_west, m.n_east - 2, pairs), loops
 
 
 def _old_is_planar(n_west, n_east, pairs):
@@ -249,7 +299,7 @@ def test_slice_composition_equals_endpoint_insertion():
         for kind, side, pos in IS.all_naturality_checks(m):
             _, composite, loops = IS._compose(m, kind, side, pos)
             want = (_old_insert_cap(m, side, pos), 0) if kind == "cap" else _old_insert_cup(m, side, pos)
-            assert (partners_matching(*composite), loops) == want, (m, kind, side, pos)
+            assert (IS.Matching(*composite), loops) == want, (m, kind, side, pos)
             compared += 1
     assert compared == 2574
 
@@ -272,7 +322,7 @@ def test_matching_planarity_equals_stack_check():
             for pairs in _perfect_matchings(ends):
                 planar = _old_is_planar(nw, points - nw, pairs)
                 try:
-                    IS.Matching(nw, points - nw, pairs)
+                    from_arcs(nw, points - nw, pairs)
                 except IS.MatchingError:
                     assert not planar, pairs
                 else:
@@ -369,7 +419,7 @@ def test_product_compatibility_small():
 def test_contract_of_a_zero_row_is_empty():
     # West state (+,+) of a west arc has only zero entries, so the sparse
     # table gives its row of east lifts nothing to contract.
-    m = IS.Matching(2, 0, ((("w", 0), ("w", 1)),))
+    m = from_arcs(2, 0, ((("w", 0), ("w", 1)),))
     rows = {
         (side, outer): (line, IS._row_lifts(line, side == "east")) for side, outer, line in IS._lines(m, IS.st_map(m))
     }
@@ -383,7 +433,7 @@ def test_lift_check_fails_on_a_lift_at_a_zero_key(monkeypatch):
     # Row verdicts are memoized, so the memos are cleared around each
     # patched check.  The first east row is the empty one of west state
     # (1, 1); the west row of east state () has no entry at (1, 1).
-    m = IS.Matching(2, 0, ((("w", 0), ("w", 1)),))
+    m = from_arcs(2, 0, ((("w", 0), ("w", 1)),))
     table = IS.st_map(m)
     row_lifts = IS._row_lifts
     spurious = B.tensor2(SkeinElement.unit(), SkeinElement.unit())
@@ -428,7 +478,7 @@ def _dense_check_naturality(m, kind, side, pos, table):
     s, composite, loops = IS._compose(m, kind, side, pos)
     weights = CBAR if s[0] == "cap" else C
     factor = LOOP**loops
-    for (west, east), val in _dense_st_map(partners_matching(*composite)).items():
+    for (west, east), val in _dense_st_map(IS.Matching(*composite)).items():
         full = west if side == "w" else east
         if kind == "cap":
             terms = [(full[pos : pos + 2], full[:pos] + full[pos + 2 :])]
@@ -445,8 +495,8 @@ def _dense_check_naturality(m, kind, side, pos, table):
 
 def _dense_check_product(m1, m2, t1, t2):
     shift = lambda p: (p[0], p[1] + (m1.n_west if p[0] == "w" else m1.n_east))
-    stacked = IS.Matching(
-        m1.n_west + m2.n_west, m1.n_east + m2.n_east, m1.pairs + tuple((shift(a), shift(b)) for a, b in m2.pairs)
+    stacked = from_arcs(
+        m1.n_west + m2.n_west, m1.n_east + m2.n_east, arcs_of(m1) + tuple((shift(a), shift(b)) for a, b in arcs_of(m2))
     )
     ts = _dense_st_map(stacked)
     return all(
@@ -482,7 +532,7 @@ def test_sparse_checks_agree_with_dense_checks_on_mutants():
     small = list(_matchings(2))
     mutants = {"scaled": 0, "dropped": 0, "spurious": 0}
     for m in _matchings(4):
-        if not m.pairs:
+        if not m.partners:
             continue
         for kind, mutated in _mutants(m, IS.st_map(m)):
             dense = _densify(m, mutated)
@@ -595,7 +645,7 @@ def test_lift_check_fails_a_unit_multiple_with_one_entry_scaled(monkeypatch):
             assert IS.check_st_intertwiner(m, mutated) == (witness is None, witness), (m, key)
             failed += witness is not None
     assert failed == 76
-    m = IS.Matching(1, 3, ((("w", 0), ("e", 2)), (("e", 0), ("e", 1))))
+    m = from_arcs(1, 3, ((("w", 0), ("e", 2)), (("e", 0), ("e", 1))))
     multiple = {key: (unit * weight, through) for key, (weight, through) in IS.st_map(m).items()}
     key = ((-1,), (1, -1, -1))
     mutated = {**multiple, key: (multiple[key][0] * Q, multiple[key][1])}

@@ -68,7 +68,7 @@ def test_memo_clear_empties_every_memo():
     B.theta_form(a)
     B.antipode(a)
     B.r_form(a, a)
-    m = IS.Matching(1, 1, ((("w", 0), ("e", 0)),))
+    m = IS.Matching(1, (1, 0))
     IS.check_st_intertwiner(m, IS.st_map(m))
     IS.check_product_compatibility(m, m, IS.st_map(m), IS.st_map(m))
     x = QS.gen("a")
@@ -184,7 +184,7 @@ def test_st_intertwiner_leg_products_per_matching(monkeypatch):
         assert IS.check_st_intertwiner(m, IS.st_map(m)) == (True, None)
         nw, ne = m.n_west, m.n_east
         bound = 2**nw * ne * 2 ** (ne + 1) + 2**ne * nw * 2 ** (nw + 1)
-        assert 0 < sum(calls.values()) <= bound or not m.pairs, m
+        assert 0 < sum(calls.values()) <= bound or not m.partners, m
 
 
 def test_lift_products_follow_a_changed_exchange_constant(monkeypatch):

@@ -96,6 +96,28 @@ def test_monomial_inverse():
         (S(1) + S(2)).inverse()
 
 
+def test_unit_monomial_inverse_builds_no_fraction(monkeypatch):
+    # Every arc weight is +-s^e, whose inverse keeps the int coefficient;
+    # any other coefficient c still inverts to Fraction(1, c).
+    from skeinlab.diagram import CBAR, C
+
+    weights = [w for table in (C, CBAR) for w in table.values() if w]
+    assert len(weights) == 4
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built")
+
+    monkeypatch.setattr(scalar, "Fraction", no_fraction)
+    inverses = [w.inverse() for w in weights]
+    monkeypatch.undo()
+    for w, inverse in zip(weights, inverses):
+        ((e, c),) = inverse.terms.items()
+        assert type(c) is int and inverse is S(e, c), w
+        assert w * inverse is ONE, w
+    assert parse_scalar("(2*s)^-2") is S(-2, Fraction(1, 4))
+    assert S(3, 2).inverse().terms == {-3: Fraction(1, 2)}
+
+
 def test_parse_examples():
     assert parse_scalar("-3/2*s^-5 + s^4") == S(4) + S(-5, Fraction(-3, 2))
     assert parse_scalar("q") == S(2)

@@ -11,10 +11,10 @@ from skeinlab.internal_skein import Matching, MatchingError
 from skeinlab.quantum_sl2 import HopfElement, gen
 from skeinlab.report import Report
 
-ONE_STRAND = ((("w", 0), ("e", 0)),)
-THROUGH = (("w", 0), ("e", 0)), (("w", 1), ("e", 1))
-TURNBACK = (("w", 0), ("w", 1)), (("e", 0), ("e", 1))
-CROSSED = (("w", 0), ("e", 1)), (("w", 1), ("e", 0))
+# Partner tuples of two west and two east points (indices 0, 1 west, 2, 3 east).
+THROUGH = (2, 3, 0, 1)  # w0-e0, w1-e1
+TURNBACK = (1, 0, 3, 2)  # w0-w1, e0-e1
+CROSSED = (3, 2, 1, 0)  # w0-e1, w1-e0
 
 VALUES = [
     # (class, its field names, args, the args with one field changed, invalid args, error)
@@ -27,7 +27,7 @@ VALUES = [
         (SliceWord(1), (1,), ()),
         DiagramError,
     ),
-    (Matching, ("n_west", "n_east", "pairs"), (2, 2, THROUGH), (2, 2, TURNBACK), (2, 2, CROSSED), MatchingError),
+    (Matching, ("n_west", "partners"), (2, THROUGH), (2, TURNBACK), (2, CROSSED), MatchingError),
     (
         Comodule,
         ("dim", "coaction"),
@@ -63,17 +63,17 @@ def test_value_semantics(cls, names, args, changed, invalid, error):
     with pytest.raises(error):
         cls(*invalid)
 
-    # The repr lists the fields only: a matching's traced word stays out of it.
+    # The repr lists the fields only: a matching's east arity and traced word stay out of it.
     fields = ", ".join(f"{name}={getattr(value, name)!r}" for name in names)
     assert repr(value) == f"{cls.__name__}({fields})"
 
 
 def test_derived_fields_are_rebuilt_and_hidden():
-    m, w = Matching(1, 1, ONE_STRAND), SliceWord(1, (("cup", 1),))
-    assert m.word == SliceWord(1) and "word" not in repr(m)
+    m, w = Matching(1, (1, 0)), SliceWord(1, (("cup", 1),))
+    assert (m.n_east, m.word) == (1, SliceWord(1)) and "word" not in repr(m) and "n_east" not in repr(m)
     assert (w.east_arity, w.width) == (3, 3) and "width" not in repr(w)
     for copied in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
-        assert copied.word == m.word
+        assert (copied.n_east, copied.word) == (1, m.word)
     for copied in (copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
         assert (copied.east_arity, copied.width) == (3, 3)
 
