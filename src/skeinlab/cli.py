@@ -9,6 +9,7 @@ parse error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -37,8 +38,10 @@ def _parse_spec_points(values: list[str] | None, seed: int | None) -> tuple[Frac
             points = [Fraction(v) for v in values]
         except (ValueError, ZeroDivisionError) as exc:
             raise _Usage(f"bad specialization point: {exc}") from exc
-    for p in points:
+    for i, p in enumerate(points):
         validate_generic_point(p)
+        if p in points[:i]:
+            raise _Usage(f"specialization point {p} is given more than once")
     if seed is not None:
         import random
 
@@ -108,14 +111,33 @@ def _print_element(x) -> None:
     print(format_element(x))
 
 
-def _parse_bounded_diagram(text: str) -> StatedWord:
-    """Parse a diagram, refusing widths whose reduction would not finish
-    promptly: resolution is exponential in width (see ``MAX_CLI_WIDTH``)."""
-    stated = parse_diagram(text)
-    width = stated.word.width
+#: The rule of ``MAX_CLI_WIDTH`` at its own braid: 100 crossings on that many rows.
+_MAX_SIZE = 100**2 * math.comb(2 * MAX_CLI_WIDTH, MAX_CLI_WIDTH) // (MAX_CLI_WIDTH + 1)
+
+
+def _bound(n_west: int, width: int, crossings: int) -> None:
+    """Refuse a resolution that would not finish promptly (see ``MAX_CLI_WIDTH``)."""
+    k = (n_west + width) // 2
+    size = crossings**2 * math.comb(2 * k, k) // (k + 1)
+    if size > _MAX_SIZE:
+        raise _Usage(f"{crossings} crossings at width {width} exceed the size bound: {size} > {_MAX_SIZE}")
     if width > MAX_CLI_WIDTH:
         raise _Usage(f"diagram width {width} exceeds the bound {MAX_CLI_WIDTH}")
+
+
+def _parse_bounded_diagram(text: str) -> StatedWord:
+    stated = parse_diagram(text)
+    _bound(stated.word.west_arity, stated.word.width, stated.word.crossing_count())
     return stated
+
+
+def _parse_bounded_element(text: str):
+    """Parse an element for a command that reduces the n-strand reversal braid
+    of each of its basis tangles (``bigon_skein._inv_edge_basis``)."""
+    x = parse_element(text)
+    n = max((b.n for b, _ in x.items()), default=0)
+    _bound(n, n, n * (n - 1) // 2)
+    return x
 
 
 def _run_computation(args: argparse.Namespace) -> int:
@@ -147,13 +169,14 @@ def _run_computation(args: argparse.Namespace) -> int:
         _print_element(B.rot_star(parse_element(args.expr)))
         return EXIT_PASS
     if cmd == "ht":
-        _print_element(B.ht_coaction(parse_element(args.expr)))
+        _print_element(B.ht_coaction(_parse_bounded_element(args.expr)))
         return EXIT_PASS
     if cmd == "inv":
-        _print_element(B.inv_edge(parse_element(args.expr), args.edge, args.inverse))
+        _print_element(B.inv_edge(_parse_bounded_element(args.expr), args.edge, args.inverse))
         return EXIT_PASS
     if cmd == "functional":
-        exprs = [parse_element(e) for e in args.expr]
+        parse = parse_element if args.which == "R" else _parse_bounded_element
+        exprs = [parse(e) for e in args.expr]
         if args.which == "R":
             if len(exprs) != 2:
                 raise _Usage("functional R needs two element expressions")

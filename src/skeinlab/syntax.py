@@ -252,8 +252,7 @@ class _ElementParser:
 
     def factor(self):
         if self.cur.try_eat("-"):
-            inner = self.factor()
-            return self.ops.mul(self.ops.scalar(MINUS_ONE), inner)
+            return self.factor().scale(MINUS_ONE)
         return self.power()
 
     def power(self):

@@ -5,6 +5,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,6 +73,52 @@ def test_parse_error_reports_position(capsys):
     code, out, err = run_cli(capsys, "mul", "a^ 100000", "a")
     assert code == EXIT_USAGE
     assert "exponent 100000 exceeds the bound" in err and "column 4" in err
+
+
+def _rule_braid(crossings, width=MAX_CLI_WIDTH, seed=1):
+    """A random braid of the ``MAX_CLI_WIDTH`` measurement (the CI widest braid at 100 crossings)."""
+    rng = random.Random(seed)
+    slices = ";".join(f"{rng.choice(('x', 'xb'))}{rng.randrange(width - 1)}" for _ in range(crossings))
+    states = lambda: "".join(rng.choice("+-") for _ in range(width))
+    return f"tangle({width}){{{slices}}} west={states()} east={states()}"
+
+
+def test_long_words_beyond_the_size_rule_are_refused_promptly(capsys):
+    from skeinlab.cli import _bound, _Usage
+
+    # Bounded by width alone, this braid reduced for 38 s in 295 MiB.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "reduce", _rule_braid(300))
+    assert code == EXIT_USAGE and not out
+    assert f"300 crossings at width {MAX_CLI_WIDTH} exceed the size bound" in err
+    assert time.perf_counter() - start < 1
+    _bound(MAX_CLI_WIDTH, MAX_CLI_WIDTH, 100)  # the rule's own braid sits at the bound
+    _bound(3, 3, 1000)
+    _bound(6, 6, 500)
+    with pytest.raises(_Usage):
+        _bound(MAX_CLI_WIDTH, MAX_CLI_WIDTH, 101)
+
+
+def test_reversal_braids_beyond_the_size_rule_are_refused_promptly(capsys):
+    from skeinlab.cli import _bound
+
+    # inv, ht and the t, tinv and theta functionals reduce the n-strand
+    # reversal braid, n (n - 1) / 2 crossings: inv of 11 strands took 8 s.
+    wide = f"beta({'+' * 11};{'-' * 11})"
+    start = time.perf_counter()
+    for argv in (
+        ("inv", wide),
+        ("inv", f"a + {wide}", "--edge", "west", "--inverse"),
+        ("ht", wide),
+        ("functional", "t", wide),
+        ("functional", "tinv", wide),
+        ("functional", "theta", wide),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and not out, argv
+        assert "55 crossings at width 11 exceed the size bound" in err, argv
+    assert time.perf_counter() - start < 1
+    _bound(10, 10, 45)  # 10 strands are within the rule
 
 
 def test_degrees_beyond_the_cli_bound_are_usage_errors(capsys):
@@ -356,6 +403,12 @@ def test_verify_rejects_degenerate_spec_point(capsys):
     code, _, err = run_cli(capsys, "verify", "hopf", "--spec", "1")
     assert code == EXIT_USAGE
     assert "generic" in err
+
+
+def test_verify_rejects_a_repeated_spec_point(capsys):
+    code, out, err = run_cli(capsys, "verify", "hopf", "--spec", "7/5", "--spec", "14/10")
+    assert code == EXIT_USAGE and not out
+    assert "point 7/5 is given more than once" in err
 
 
 def test_verify_rejects_a_spec_point_degenerate_mod_p(capsys):
