@@ -111,18 +111,18 @@ def _print_element(x) -> None:
     print(format_element(x))
 
 
-#: The rule of ``MAX_CLI_WIDTH`` at its own braid: 100 crossings on that many rows.
-_MAX_SIZE = 100**2 * math.comb(2 * MAX_CLI_WIDTH, MAX_CLI_WIDTH) // (MAX_CLI_WIDTH + 1)
+#: The size rule of ``MAX_CLI_WIDTH`` at its own braid: 100 crossings on that many rows.
+_MAX_SIZE = 100**3 * math.comb(2 * MAX_CLI_WIDTH, MAX_CLI_WIDTH) // (MAX_CLI_WIDTH + 1)
 
 
 def _bound(n_west: int, width: int, crossings: int) -> None:
     """Refuse a resolution that would not finish promptly (see ``MAX_CLI_WIDTH``)."""
-    k = (n_west + width) // 2
-    size = crossings**2 * math.comb(2 * k, k) // (k + 1)
-    if size > _MAX_SIZE:
-        raise _Usage(f"{crossings} crossings at width {width} exceed the size bound: {size} > {_MAX_SIZE}")
     if width > MAX_CLI_WIDTH:
         raise _Usage(f"diagram width {width} exceeds the bound {MAX_CLI_WIDTH}")
+    k = (n_west + width) // 2
+    size = crossings**3 * math.comb(2 * k, k) // (k + 1)
+    if size > _MAX_SIZE:
+        raise _Usage(f"{crossings} crossings at width {width} exceed the size bound: {size} > {_MAX_SIZE}")
 
 
 def _parse_bounded_diagram(text: str) -> StatedWord:

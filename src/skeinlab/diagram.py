@@ -41,20 +41,13 @@ for the Kauffman constants).  After k crossings every exponent of every
 coefficient is k r plus a multiple of g, with r the lowest exponent of
 ``CROSS_PARALLEL``; a coefficient is kept as (p, n), where n is one int
 holding its balanced digits d_i (|d_i| < 2^(W-1)) in base 2^W and the
-digit d_i is the coefficient of s^(k r + g (p / W + i)).  A weight times
-``LOOP`` to a power is packed the same way, at the same W, as (bit offset
-of its lowest term, one int of its digits from there): applying it adds
-the offset to p and multiplies n by the int, which is the sum of one
-shifted copy of n per term of the weight (a unit monomial changes only p),
-and two terms merge by one int addition.  A crossing on two rows that a
-term already joins is a kink: its smoothings give the term the one factor
-parallel + turnback * ``LOOP``, -q^-3 or -q^3 for the Kauffman constants,
-so a braid never takes the product by ``LOOP``, which costs the length of
-n times the width of a digit.  Each coefficient becomes a ``HalfLaurent``
-once, at the end: interned with at most one term, else transient like a sum.
-The constants must have integer coefficients; they are read as the packing
-and factor memos are filled, so code that rebinds one calls ``memo_clear()``
-(``scalar``).
+digit d_i is the coefficient of s^(k r + g (p / W + i)).  A weight that
+is a unit monomial changes only p, ``LOOP`` is two shifted copies of n
+added together, and two terms merge by one int addition.  Each coefficient
+becomes a ``HalfLaurent`` once, at the end: interned with at most one term,
+else transient like a sum.  The constants must have integer coefficients;
+they are read as the packing and factor memos are filled, so code that
+rebinds one calls ``memo_clear()`` (``scalar``).
 
 Width lemma.  Crossings are taken in windows of ``_WINDOW``.  With |x| the
 sum of the absolute values of the coefficients of x, let lambda =
@@ -68,11 +61,10 @@ a term or in a partial sum, is at most S gamma^k lambda^c.  For an
 over-crossing with a pending caps maps a coefficient x to x CP LOOP^i +
 x CT LOOP^j, where i <= a and j <= a + 1 count the loops closed (a cap
 closes at most one loop and the turnback smoothing appends one cap; an
-under-crossing swaps CP and CT, hence the max in gamma; a kink is the case
-a = i = 0, j = 1, taken as one product).  |.| is subadditive and
-submultiplicative, so the sum of |d_i| over all terms grows by at most
-gamma lambda^a, and a digit is at most the sum of the absolute values of
-the contributions to it.  The window packs its terms at W = bit_length(S
+under-crossing swaps CP and CT, hence the max in gamma).  |.| is
+subadditive and submultiplicative, so the sum of |d_i| over all terms grows
+by at most gamma lambda^a, and a digit is at most the sum of the absolute
+values of the contributions to it.  The window packs its terms at W = bit_length(S
 gamma^k lambda^c) + 1, so no digit reaches 2^(W-1) and every int sum is
 the packed sum of the digits.  Re-proving W per window keeps it near the
 real size of the coefficients; one bound for a whole word would grow by
@@ -107,9 +99,8 @@ returns the entry count of each:
 * ``diagram._packing_memo``: g, r, gamma and lambda of the width lemma, one
   entry,
 * ``diagram._factor_memo``: ``_factors`` per digit width, tables of the
-  packed factors of each weight and of each kink by loop count, each (bit
-  offset, int) or None.  ``_extend`` adds the loop counts it meets; an entry,
-  once made, never changes,
+  packed factors of each weight by loop count.  ``_extend`` adds the loop
+  counts it meets; an entry, once made, never changes,
 * ``diagram._arc_masks_memo``: ``_arc_masks`` per slice word, the returning
   arcs of each term of its resolution as a bit mask,
 * ``bigon_skein._inv_edge_memo``: edge inversion per (basis tangle, edge,
@@ -185,13 +176,15 @@ CROSS_TURNBACK = HalfLaurent.q_pow(-1)
 #: of its time each in the packed arithmetic of ``_extend``, the composed
 #: steps (``_transition``) and the repack between windows.  A resolution
 #: holds at most Catalan((n + w) / 2) terms for n west points and width w,
-#: each growing with the crossings c, so the CLI also refuses a word whose
-#: c^2 Catalan((n + w) / 2) exceeds that of the seed-1 braid of width 10,
-#: 1.68e8 (at 300 crossings it took 38-48 s and 295 MiB).  Seed-1 braids at
-#: that bound took 2.6-13 s (27-75 MiB), the longest at widths 3 and 4
-#: (5,795 and 3,463 crossings).  ``inv``, ``ht`` and the t, tinv and theta
-#: functionals reduce the reversal braid of n strands, n (n - 1) / 2
-#: crossings, so they refuse elements of more than 10 strands.
+#: and its cost grows with the crossings c about as c^3 (width 3, seed 1:
+#: 0.25, 1.9 and 12.6 s at 1,450, 2,900 and 5,795 crossings), so the CLI
+#: also refuses a word whose c^3 Catalan((n + w) / 2) exceeds that of the
+#: 100-crossing braid of width 10, 1.68e10 (at 300 crossings that braid took
+#: 38-48 s and 295 MiB).  Seed 1 and 2 braids at that bound take 0.1-0.4 s at
+#: widths 2 and 3 (2,032 and 1,497 crossings), 0.5-1.9 s at widths 4-8 and
+#: 1.6-2.7 s (47-75 MiB) at widths 9 and 10.  ``inv``, ``ht`` and the t, tinv
+#: and theta functionals reduce the reversal braid of n strands, n (n - 1) / 2
+#: crossings on n rows, under the same bounds.
 MAX_CLI_WIDTH = 10
 
 
@@ -556,32 +549,24 @@ def _packing() -> tuple[int, int, int, int]:
     return g or 1, min(cp or ct or (0,)), gamma, lam
 
 
-#: A packed factor: (bit offset of its lowest term, one int of its digits from
-#: there); a weight's packed factors by loop count.
-Packed = tuple[int, int]
-Factors = dict[int, Packed | None]
-
-
-def _packed(c: HalfLaurent, base: int, g: int, width: int) -> Packed | None:
-    """The factor c / s^base, whose exponents are base plus multiples of g,
-    packed at ``width``: (bit offset of its lowest term, one int of its digits
-    from there), or None when c is zero."""
+def _packed(c: HalfLaurent, base: int, g: int, width: int) -> tuple[int, int, tuple[tuple[int, int], ...]] | None:
+    """The factor c / s^base, whose exponents are base plus multiples of g, as
+    shift-adds on digits of ``width`` bits: (bit offset of its lowest term,
+    that term's coefficient, ((bit shift, coefficient), ...) of the others),
+    or None when c is zero."""
     if not c._terms:
         return None
-    lo = min(c._terms)
-    return (lo - base) // g * width, sum(k << (e - lo) // g * width for e, k in c._terms.items())
+    (lo, k0), *rest = sorted(c._terms.items())
+    return (lo - base) // g * width, k0, tuple(((e - lo) // g * width, k) for e, k in rest)
 
 
 @memoized("diagram._factor_memo")
-def _factors(width: int) -> tuple[Factors, ...]:
+def _factors(width: int) -> tuple[dict[int, tuple | None], ...]:
     """The packed factors at ``width`` of ``CROSS_PARALLEL``, ``CROSS_TURNBACK``
     and of 1 (after the last crossing): each a dict from a loop count to the
-    packed weight * LOOP**loops, filled by ``_extend`` as loop counts are met;
-    then the kinks of an over- and an under-crossing by loop count, filled
-    alike with parallel + turnback * LOOP**loops."""
+    packed weight * LOOP**loops, filled by ``_extend`` as loop counts are met."""
     g, r, _, _ = _packing()
-    tables = ((CROSS_PARALLEL, r), (CROSS_TURNBACK, r), (ONE, 0))
-    return (*({0: _packed(c, base, g, width)} for c, base in tables), {}, {})
+    return tuple({0: _packed(c, base, g, width)} for c, base in ((CROSS_PARALLEL, r), (CROSS_TURNBACK, r), (ONE, 0)))
 
 
 def _join(digits: list[int], width: int) -> int:
@@ -611,14 +596,26 @@ def _split(n: int, width: int) -> tuple[int, list[int]]:
     return j, digits[j:]
 
 
+def _times(n: int, k: int, rest: tuple[tuple[int, int], ...]) -> int:
+    """Packed digits ``n`` times a packed factor: k n plus a shifted copy per other term."""
+    out = n if k == 1 else -n if k == -1 else n * k
+    for bits, k in rest:
+        if k == 1:
+            out += n << bits
+        elif k == -1:
+            out -= n << bits
+        else:
+            out += (n << bits) * k
+    return out
+
+
 def _extend(
     n_west: int,
     terms: dict[int, tuple[int, int]],
     pending: tuple[Slice, ...],
-    smoothings: tuple[tuple[HalfLaurent, Factors, int, tuple[Slice, ...]], ...],
+    smoothings: tuple[tuple[HalfLaurent, dict, int, tuple[Slice, ...]], ...],
     g: int,
     width: int,
-    kinks: Factors | None = None,
 ) -> dict[int, tuple[int, int]]:
     """Append ``pending`` and then each smoothing to every partial matching.
 
@@ -627,51 +624,38 @@ def _extend(
     factors at ``width`` by loop count (``_factors``), the exponent it adds
     modulo g and the slices it appends.  Each step is looked up in the
     smoothing's table of ``_transition_memo``, composed only on a miss;
-    appending nothing leaves a matching as it is.  Applying a factor adds
-    its bit offset to the position and multiplies the digits by its int;
-    equal matchings merge by one int addition and cancelled ones are dropped.
-
-    ``kinks`` is given for a crossing with nothing pending, turnback first: a
-    term that joins the two crossed rows closes a loop in the turnback and is
-    kept by the parallel smoothing, so it takes one factor from ``kinks``
-    for both (Reidemeister I), and the parallel smoothing skips it.
+    appending nothing leaves a matching as it is.  A factor is a sum of
+    shifted copies of the digits; equal matchings merge by one int addition
+    and cancelled ones are dropped.
     """
     out: dict[int, tuple[int, int]] = {}
-    kinked = set()
     for weight, factors, base, tail in smoothings:
         plain = factors[0]
         if plain is None:
             continue
+        shift, k, rest = plain
+        unit = k == 1 and not rest
         slices = pending + tail
         table = _transition_memo.setdefault(slices, {}) if slices else None
         for m, (p, n) in terms.items():
-            factor = plain
             if table is not None:
                 hit = table.get(m)
                 if hit is None:
                     hit = table[m] = _transition(n_west, m, slices)
-                if type(hit) is int:
-                    m = hit
-                elif kinks is not None:
-                    kinked.add(m)
-                    loops = hit[1]
-                    factor = kinks.get(loops, _MISS)
-                    if factor is _MISS:
-                        para = smoothings[1][0]
-                        factor = kinks[loops] = _packed(para + weight * LOOP**loops, base, g, width)
-                else:
-                    m, loops = hit
-                    factor = factors.get(loops, _MISS)
-                    if factor is _MISS:
-                        factor = factors[loops] = _packed(weight * LOOP**loops, base, g, width)
+                m = hit
+            if type(m) is int:
+                p += shift
+                if not unit:
+                    n = _times(n, k, rest)
+            else:
+                m, loops = m
+                factor = factors.get(loops, _MISS)
+                if factor is _MISS:
+                    factor = factors[loops] = _packed(weight * LOOP**loops, base, g, width)
                 if factor is None:
                     continue
-            elif m in kinked:
-                continue
-            offset, f = factor
-            p += offset
-            if f != 1:
-                n *= f
+                p += factor[0]
+                n = _times(n, factor[1], factor[2])
             acc = out.get(m)
             if acc is None:
                 out[m] = (p, n)
@@ -767,12 +751,11 @@ def resolve_crossings(word: SliceWord) -> Resolved:
             terms = {m: ((j + lo) * width, _join(digits, width)) for m, (j, lo, digits) in split.items()}
         else:
             width = growth.bit_length() + 1  # the identity matching, coefficient 1
-        packs_p, packs_t, packs_one, kinks_x, kinks_xb = _factors(width)
+        packs_p, packs_t, packs_one = _factors(width)
         weights = (CROSS_PARALLEL, packs_p, r), (CROSS_TURNBACK, packs_t, r)
         for before, (kind, i) in chunk:
             para, turn = weights if kind == "x" else weights[::-1]
-            kinks = None if before else kinks_x if kind == "x" else kinks_xb
-            terms = _extend(n_w, terms, before, ((*turn, (("cap", i), ("cup", i))), (*para, ())), g, width, kinks)
+            terms = _extend(n_w, terms, before, ((*para, ()), (*turn, (("cap", i), ("cup", i)))), g, width)
     if pending:
         terms = _extend(n_w, terms, tuple(pending), ((ONE, packs_one, 0, ()),), g, width)
     base = len(steps) * r
@@ -928,19 +911,23 @@ Arc = tuple[int, int]  # a returning arc's (upper, lower) rows
 #: (each term's returning arcs as a bit mask, the distinct east arcs, the
 #: distinct west arcs): east arc k is bit k, west arc k the bit after them.
 ArcMasks = tuple[tuple[int, ...], tuple[Arc, ...], tuple[Arc, ...]]
+_resolved = _MEMOS["diagram._resolve_memo"]
 
 
 @memoized("diagram._arc_masks_memo")
 def _arc_masks(word: SliceWord) -> ArcMasks:
     """The returning arcs of each matching that ``word`` resolves to as one
     bit mask, in the order of ``resolve_crossings``, over the distinct
-    returning arcs of all of them.  ``reduce`` resolves the word first, so
-    the resolution is read from its memo, not by a second call that a
-    profiler wrapping ``resolve_crossings`` would count."""
+    returning arcs of all of them.  The resolution is read from its memo
+    when ``reduce`` has made it, so a profiler that wraps
+    ``resolve_crossings`` counts one call per ``reduce``."""
+    resolved = _resolved.get(word, _MISS)
+    if resolved is _MISS:
+        resolved = resolve_crossings(word)
     east_bits: dict[Arc, int] = {}
     west_bits: dict[Arc, int] = {}
     pairs = []
-    for _, partners, _ in _MEMOS["diagram._resolve_memo"][word]:
+    for _, partners, _ in resolved:
         east_arcs, west_arcs, _, _ = _plan(word.west_arity, partners)
         east = west = 0
         for arc in east_arcs:

@@ -86,24 +86,28 @@ def _rule_braid(crossings, width=MAX_CLI_WIDTH, seed=1):
 def test_long_words_beyond_the_size_rule_are_refused_promptly(capsys):
     from skeinlab.cli import _bound, _Usage
 
-    # Bounded by width alone, this braid reduced for 38 s in 295 MiB.
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "reduce", _rule_braid(300))
-    assert code == EXIT_USAGE and not out
-    assert f"300 crossings at width {MAX_CLI_WIDTH} exceed the size bound" in err
-    assert time.perf_counter() - start < 1
+    # Bounded by width alone, these braids reduced for 38-48 s in 295 MiB
+    # and for 13 s.
+    for crossings, width in ((300, MAX_CLI_WIDTH), (5795, 3)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "reduce", _rule_braid(crossings, width))
+        assert code == EXIT_USAGE and not out
+        assert f"{crossings} crossings at width {width} exceed the size bound" in err
+        assert time.perf_counter() - start < 1
     _bound(MAX_CLI_WIDTH, MAX_CLI_WIDTH, 100)  # the rule's own braid sits at the bound
     _bound(3, 3, 1000)
     _bound(6, 6, 500)
-    with pytest.raises(_Usage):
-        _bound(MAX_CLI_WIDTH, MAX_CLI_WIDTH, 101)
+    for width, crossings in ((MAX_CLI_WIDTH, 101), (3, 1498)):
+        with pytest.raises(_Usage):
+            _bound(width, width, crossings)
 
 
-def test_reversal_braids_beyond_the_size_rule_are_refused_promptly(capsys):
+def test_reversal_braids_beyond_the_cli_width_are_refused_promptly(capsys):
     from skeinlab.cli import _bound
 
     # inv, ht and the t, tinv and theta functionals reduce the n-strand
-    # reversal braid, n (n - 1) / 2 crossings: inv of 11 strands took 8 s.
+    # reversal braid, n (n - 1) / 2 crossings on n rows: inv of 11 strands
+    # took 8 s.
     wide = f"beta({'+' * 11};{'-' * 11})"
     start = time.perf_counter()
     for argv in (
@@ -116,7 +120,7 @@ def test_reversal_braids_beyond_the_size_rule_are_refused_promptly(capsys):
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and not out, argv
-        assert "55 crossings at width 11 exceed the size bound" in err, argv
+        assert f"width 11 exceeds the bound {MAX_CLI_WIDTH}" in err, argv
     assert time.perf_counter() - start < 1
     _bound(10, 10, 45)  # 10 strands are within the rule
 

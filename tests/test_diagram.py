@@ -456,30 +456,10 @@ def test_loop_free_steps_are_bare_ids_and_loop_factors_are_packed_by_count():
     (width,) = D._MEMOS["diagram._factor_memo"]
     for weight, factors in zip((D.CROSS_PARALLEL, D.CROSS_TURNBACK), D._factors(width)):
         assert {0, 1} <= set(factors)
-        for loops, (bits, f) in factors.items():
-            packed = D._coefficient(f, r + g * (bits // width), g, width)
+        for loops, (bits, k0, rest) in factors.items():
+            packed = D._coefficient(D._times(1, k0, rest), r + g * (bits // width), g, width)
             assert packed == weight * D.LOOP**loops
     memo_clear()
-
-
-_laurent = st.dictionaries(st.integers(-6, 6), st.integers(-50, 50).filter(bool), min_size=1, max_size=6)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_laurent, _laurent, st.integers(1, 4), st.integers(-3, 3), st.integers(-3, 3))
-def test_packed_product_decodes_to_the_product(a, b, g, shift_a, shift_b):
-    # Two Laurent polynomials in steps of g, packed at the width of the
-    # lemma's bound (no product digit exceeds |a| |b|): the int product
-    # decodes to the product of the polynomials.
-    import skeinlab.diagram as D
-
-    x = HalfLaurent({g * e: k for e, k in a.items()})
-    y = HalfLaurent({g * e: k for e, k in b.items()})
-    width = (sum(map(abs, a.values())) * sum(map(abs, b.values()))).bit_length() + 1
-    (px, nx), (py, ny) = D._packed(x, g * shift_a, g, width), D._packed(y, g * shift_b, g, width)
-    assert px % width == py % width == 0
-    base = g * (shift_a + shift_b + (px + py) // width)
-    assert D._coefficient(nx * ny, base, g, width) == x * y
 
 
 def _wide_word(rng, width):
@@ -584,6 +564,20 @@ def test_reduce_evaluates_only_live_matchings(monkeypatch):
     memo_clear()
     after = reduce(d)
     assert after != before and after == evaluated(d)
+    memo_clear()
+
+
+def test_arc_masks_resolve_a_word_not_yet_resolved():
+    # _arc_masks reads the resolution memo that reduce fills, and resolves
+    # the word itself when called first.
+    import skeinlab.diagram as D
+
+    word = SliceWord(2, (("cup", 1), ("x", 0), ("xb", 2), ("cap", 1), ("x", 0)))
+    memo_clear()
+    cold = D._arc_masks(word)
+    memo_clear()
+    reduce(StatedWord(word, (1, -1), (1, -1)))
+    assert D._arc_masks(word) == cold and len(cold[0]) == len(resolve_crossings(word))
     memo_clear()
 
 
